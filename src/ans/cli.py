@@ -30,13 +30,13 @@ def resolve_cache_dir(arg_value: Optional[str]) -> Optional[Path]:
     return Path(chosen) if chosen else None
 
 
-def load_or_build(n: int, cache_dir: Optional[Path], jobs: int) -> closure_mod.NearSemiring:
+def load_or_build(n: int, cache_dir: Optional[Path]) -> closure_mod.NearSemiring:
     if cache_dir is not None:
         path = cache_path(cache_dir, n)
         if path.exists():
             with open(path) as fh:
                 return closure_mod.from_dict(json.load(fh))
-    ns = verify.build_closure(n, jobs=jobs)
+    ns = verify.build_closure(n)
     if cache_dir is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
         with open(cache_path(cache_dir, n), "w") as fh:
@@ -56,7 +56,7 @@ def _json_text(obj) -> str:
 
 
 def cmd_enumerate(args) -> int:
-    ns = load_or_build(args.n, resolve_cache_dir(args.cache_dir), args.jobs)
+    ns = load_or_build(args.n, resolve_cache_dir(args.cache_dir))
     hist = closure_mod.support_histogram(ns)
     if args.format == "json":
         _emit(_json_text(closure_mod.to_dict(ns)), args.out)
@@ -81,7 +81,7 @@ def cmd_generators(args) -> int:
 
 
 def cmd_green(args) -> int:
-    ns = load_or_build(args.n, resolve_cache_dir(args.cache_dir), args.jobs)
+    ns = load_or_build(args.n, resolve_cache_dir(args.cache_dir))
     sg = ns.reduct(args.reduct)
     gs = green.green_brute(sg, jobs=args.jobs)
     rec = green.class_counts(gs)
@@ -105,7 +105,7 @@ def cmd_green(args) -> int:
 
 
 def cmd_eggbox(args) -> int:
-    ns = load_or_build(args.n, resolve_cache_dir(args.cache_dir), args.jobs)
+    ns = load_or_build(args.n, resolve_cache_dir(args.cache_dir))
     eb = eggbox_mod.build_eggbox(ns, args.reduct, jobs=args.jobs)
     _emit(eggbox_mod.render(eb, args.format), args.out)
     return 0
@@ -152,7 +152,7 @@ def cmd_verify(args) -> int:
         print(f"verifying n={n}")
         results = None
         try:
-            ns = load_or_build(n, cache_dir, args.jobs)
+            ns = load_or_build(n, cache_dir)
         except (ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
             results = [verify.CheckResult(
                 "cached closure loads and validates", n, False, str(e))]
@@ -168,6 +168,12 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _add_jobs(p):
+    p.add_argument("--jobs", type=int, default=1,
+                   help="threads for the brute-force Green computation; "
+                        "never changes results")
+
+
 def _add_common(p, formats, default_fmt, reduct=False, cache=True):
     p.add_argument("--n", type=int, required=True, help="Brandt semigroup size")
     if reduct:
@@ -177,8 +183,6 @@ def _add_common(p, formats, default_fmt, reduct=False, cache=True):
     if cache:
         p.add_argument("--cache-dir",
                        help="closure cache directory (ANS_CACHE_DIR overrides)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="task-count hint; never changes results")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,10 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("green", help="Green class structure of one reduct")
     _add_common(p, ("text", "json"), "text", reduct=True)
+    _add_jobs(p)
     p.set_defaults(func=cmd_green)
 
     p = sub.add_parser("eggbox", help="egg-box diagram of one reduct")
     _add_common(p, ("text", "dot", "json"), "text", reduct=True)
+    _add_jobs(p)
     p.set_defaults(func=cmd_eggbox)
 
     p = sub.add_parser("counts", help="closed-form count table")
@@ -215,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report to this path")
     p.add_argument("--cache-dir",
                    help="closure cache directory (ANS_CACHE_DIR overrides)")
-    p.add_argument("--jobs", type=int, default=1)
+    _add_jobs(p)
     p.set_defaults(func=cmd_verify)
     return ap
 
@@ -227,6 +233,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except AssertionError as e:
+        # an internal invariant failed, e.g. on tables read from a corrupted cache
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,11 +10,10 @@ and closure under composition is asserted at the same time.
 Element identity during the fixpoint is the raw table (the canonical form
 only provably exists once membership is established); the final element
 list is re-sorted into canonical order so element indices are stable
-across runs and task counts.
+across runs.
 """
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -66,13 +65,7 @@ class NearSemiring:
         raise ValueError(f"unknown reduct {label!r}")
 
 
-def _row_chunks(m, jobs):
-    jobs = max(1, int(jobs))
-    step = max(1, -(-m // jobs))
-    return [(lo, min(lo + step, m)) for lo in range(0, m, step)]
-
-
-def _fill_tables(elems, n, jobs=1):
+def fill_tables(elems, n):
     """Both Cayley tables over the closed element list.
 
     Raises if any sum or composite falls outside the list, which doubles as
@@ -82,44 +75,35 @@ def _fill_tables(elems, n, jobs=1):
     E = np.array(elems, dtype=np.int32)
     badd = brandt.add_table(n)
     index = {row.tobytes(): i for i, row in enumerate(E)}
-
-    def fill(lo, hi):
-        add_rows = np.empty((hi - lo, m), dtype=np.int32)
-        mul_rows = np.empty((hi - lo, m), dtype=np.int32)
-        for i in range(lo, hi):
-            sums = badd[E[i][None, :], E]
-            comps = E[:, E[i]]
-            for j in range(m):
-                s = index.get(sums[j].tobytes())
-                c = index.get(comps[j].tobytes())
-                if s is None:
-                    raise AssertionError(f"closure not additively closed at ({i},{j})")
-                if c is None:
-                    raise AssertionError(f"closure not multiplicatively closed at ({i},{j})")
-                add_rows[i - lo, j] = s
-                mul_rows[i - lo, j] = c
-        return add_rows, mul_rows
-
-    chunks = _row_chunks(m, jobs)
     add_table = np.empty((m, m), dtype=np.int32)
     mul_table = np.empty((m, m), dtype=np.int32)
-    if len(chunks) == 1:
-        add_table[:], mul_table[:] = fill(0, m)
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            for (lo, hi), (a, mu) in zip(chunks, pool.map(lambda c: fill(*c), chunks)):
-                add_table[lo:hi] = a
-                mul_table[lo:hi] = mu
+    for i in range(m):
+        sums = badd[E[i][None, :], E]
+        comps = E[:, E[i]]
+        for j in range(m):
+            s = index.get(sums[j].tobytes())
+            c = index.get(comps[j].tobytes())
+            if s is None:
+                raise AssertionError(f"closure not additively closed at ({i},{j})")
+            if c is None:
+                raise AssertionError(f"closure not multiplicatively closed at ({i},{j})")
+            add_table[i, j] = s
+            mul_table[i, j] = c
     return add_table, mul_table
 
 
-def additive_closure(gens, n_cap: Optional[int] = DEFAULT_N_CAP, jobs: int = 1) -> NearSemiring:
+def check_n_cap(n: int, n_cap: Optional[int] = DEFAULT_N_CAP):
+    """Refuse an n above the cap, before any work on it starts."""
+    if n_cap is not None and n > n_cap:
+        raise ValueError(f"n={n} exceeds cap {n_cap}; raise n_cap if you really want this")
+
+
+def additive_closure(gens, n_cap: Optional[int] = DEFAULT_N_CAP) -> NearSemiring:
     """Close the generators under pointwise + and return both reducts' tables."""
     if not len(gens):
         raise ValueError("generator set is empty")
     n = gens.n
-    if n_cap is not None and n > n_cap:
-        raise ValueError(f"n={n} exceeds cap {n_cap}; raise n_cap if you really want this")
+    check_n_cap(n, n_cap)
     badd = brandt.add_table(n)
     G = np.array(list(gens.members), dtype=np.int32)
 
@@ -139,7 +123,7 @@ def additive_closure(gens, n_cap: Optional[int] = DEFAULT_N_CAP, jobs: int = 1) 
         frontier = new
 
     elems = sorted(seen, key=lambda f: maps.canonical_key(maps.classify(f)))
-    add_table, mul_table = _fill_tables(elems, n, jobs=jobs)
+    add_table, mul_table = fill_tables(elems, n)
     return NearSemiring(n, tuple(elems), add_table, mul_table)
 
 

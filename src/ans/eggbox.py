@@ -48,26 +48,15 @@ class EggBox:
 def _j_order_covers(op: np.ndarray, reps: List[int]) -> Tuple[Tuple[int, int], ...]:
     """Hasse covers of the J-order on D-classes, via two-sided ideals."""
     m = op.shape[0]
-    masks = []
-    for i in reps:
-        mask = np.zeros(m, dtype=bool)
-        mask[i] = True
-        mask[op[i]] = True
-        mask[op[:, i]] = True
-        mask[op[op[:, i], :].ravel()] = True
-        masks.append(mask)
-    k = len(reps)
-    below = np.zeros((k, k), dtype=bool)  # below[a, b]: class a strictly under b
-    for a in range(k):
-        for b in range(k):
-            if a != b and masks[b][reps[a]]:
-                below[a, b] = True
-    covers = []
-    for a in range(k):
-        for b in range(k):
-            if below[a, b] and not any(below[a, c] and below[c, b] for c in range(k)):
-                covers.append((b, a))
-    return tuple(sorted(covers))
+    masks = np.zeros((len(reps), m), dtype=bool)  # row b: ideal of class b
+    for b, i in enumerate(reps):
+        masks[b, i] = True
+        masks[b, op[i]] = True
+        masks[b, op[:, i]] = True
+        masks[b, op[op[:, i], :].ravel()] = True
+    below = masks[:, reps].T & ~np.eye(len(reps), dtype=bool)  # [a, b]: a strictly under b
+    covers = below & ~(below @ below)
+    return tuple(sorted((int(b), int(a)) for a, b in np.argwhere(covers)))
 
 
 def build_eggbox(ns: NearSemiring, label: str,

@@ -2,9 +2,13 @@
 
 Two independent routes are provided.  `green_brute` works on any Cayley
 table, straight from the principal-ideal definitions with an identity
-adjoined.  The `green_analytic_*` classifiers decide relatedness from the
-canonical form alone, by the support and projection conditions; agreement
-of the two routes is checked in tests, not assumed here.
+adjoined.  The analytic route decides relatedness from the canonical form
+alone: `additive_keys` and `multiplicative_keys` state the support and
+projection rules once, as per-element R/L/D keys, and two elements are
+related exactly when their keys agree.  The rules have two views on top of
+those keys: the pairwise `green_analytic_*` classifiers compare two
+elements' keys, and `analytic_structure` groups a whole reduct by them.
+Agreement of the two routes is checked in tests, not assumed here.
 """
 
 from dataclasses import dataclass
@@ -63,7 +67,8 @@ def _class_of(classes, m) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _partition_key(classes):
+def partition_key(classes):
+    """A partition as an order-free value, for comparing two of them."""
     return frozenset(frozenset(c) for c in classes)
 
 
@@ -158,7 +163,7 @@ def green_brute(sg: FiniteSemigroup, jobs: int = 1) -> GreenStructure:
                 parent[find(i)] = root
     classes["D"] = _group([find(i) for i in range(m)])
 
-    if _partition_key(classes["D"]) != _partition_key(classes["J"]):
+    if partition_key(classes["D"]) != partition_key(classes["J"]):
         raise AssertionError("D and J partitions differ on a finite semigroup")
 
     idem = idempotents(sg)
@@ -210,125 +215,84 @@ def _common_n(f, g, n: Optional[int]):
     return n
 
 
-def green_analytic_additive(f, g, rel: str, n: Optional[int] = None) -> bool:
-    """Relatedness in the additive reduct, decided by canonical shape.
+def additive_keys(c) -> Dict[str, tuple]:
+    """R, L and D keys of a canonical form in the additive reduct.
 
-    Support equality is necessary for every relation.  On top of that, R
-    compares first projections of the images, L compares second projections
-    except on n-support elements where L is trivial, and D relaxes L's
-    conditions to support only (with the row permutation retained on
-    n-support elements, where D collapses to R).
+    Two elements are related exactly when their keys are equal.  Support
+    equality is necessary for every relation.  On top of that, R compares
+    first projections of the images, L compares second projections except
+    on n-support elements where L is trivial, and D relaxes L's conditions
+    to support only (with the row permutation retained on n-support
+    elements, where D collapses to R).
     """
-    _common_n(f, g, n)
-    if rel == "J":
-        rel = "D"
-    if rel == "H":
-        return (green_analytic_additive(f, g, "R")
-                and green_analytic_additive(f, g, "L"))
-    if rel not in ("R", "L", "D"):
-        raise ValueError(f"unknown relation {rel!r}")
-    if type(f) is not type(g):
-        return False
-    if isinstance(f, Zero):
-        return True
-    if isinstance(f, Constant):
-        if rel == "R":
-            return f.alpha[0] == g.alpha[0]
-        if rel == "L":
-            return f.alpha[1] == g.alpha[1]
-        return True
-    if isinstance(f, Singleton):
-        if rel == "R":
-            return f.src == g.src and f.dst[0] == g.dst[0]
-        if rel == "L":
-            return f.src == g.src and f.dst[1] == g.dst[1]
-        return f.src == g.src
-    if rel == "L":
-        return f == g
-    return f.k == g.k and f.sigma == g.sigma
+    if isinstance(c, Zero):
+        base = ("zero",)
+        return {"R": base, "L": base, "D": base}
+    if isinstance(c, Constant):
+        return {"R": ("c", c.alpha[0]), "L": ("c", c.alpha[1]), "D": ("c",)}
+    if isinstance(c, Singleton):
+        return {"R": ("s", c.src, c.dst[0]),
+                "L": ("s", c.src, c.dst[1]),
+                "D": ("s", c.src)}
+    return {"R": ("n", c.k, c.sigma), "L": ("n", c), "D": ("n", c.k, c.sigma)}
 
 
-def green_analytic_multiplicative(f, g, rel: str, n: Optional[int] = None) -> bool:
-    """Relatedness in the multiplicative reduct, decided by canonical shape.
+def multiplicative_keys(c) -> Dict[str, tuple]:
+    """R, L and D keys of a canonical form in the multiplicative reduct.
 
     Constants (with the zero map) are mutually R- and D-related; outside
     them R is support equality and D is support-size equality.  L is image
-    equality for every shape.  H is the intersection of R and L.
+    equality for every shape: {alpha} for constants, {theta} for zero,
+    {theta, dst} for singletons, {theta} u column q for n-support.
     """
+    if isinstance(c, (Zero, Constant)):
+        img = c.alpha if isinstance(c, Constant) else None
+        return {"R": ("c",), "L": ("c", img), "D": ("c",)}
+    if isinstance(c, Singleton):
+        return {"R": ("s", c.src), "L": ("s", c.dst), "D": ("s",)}
+    return {"R": ("n", c.k), "L": ("n", c.q), "D": ("n",)}
+
+
+# The keys each relation compares: J equals D on a finite semigroup, and H
+# is the intersection of R and L.
+_KEYS_OF_RELATION = {"R": ("R",), "L": ("L",), "D": ("D",), "J": ("D",), "H": ("R", "L")}
+
+
+def _keys_related(keys, f, g, rel: str, n: Optional[int]) -> bool:
     _common_n(f, g, n)
-    if rel == "J":
-        rel = "D"
-    if rel == "H":
-        return (green_analytic_multiplicative(f, g, "R")
-                and green_analytic_multiplicative(f, g, "L"))
-    if rel not in ("R", "L", "D"):
+    rels = _KEYS_OF_RELATION.get(rel)
+    if rels is None:
         raise ValueError(f"unknown relation {rel!r}")
-    cf = isinstance(f, (Zero, Constant))
-    cg = isinstance(g, (Zero, Constant))
-    if rel == "R":
-        if cf or cg:
-            return cf and cg
-        if type(f) is not type(g):
-            return False
-        return f.src == g.src if isinstance(f, Singleton) else f.k == g.k
-    if rel == "L":
-        # image signatures: {alpha} for constants, {theta} for zero,
-        # {theta, dst} for singletons, {theta} u column q for n-support
-        if type(f) is not type(g):
-            return False
-        if isinstance(f, Zero):
-            return True
-        if isinstance(f, Constant):
-            return f.alpha == g.alpha
-        if isinstance(f, Singleton):
-            return f.dst == g.dst
-        return f.q == g.q
-    if cf or cg:
-        return cf and cg
-    if type(f) is not type(g):
-        return False
-    return True
+    kf, kg = keys(f), keys(g)
+    return all(kf[r] == kg[r] for r in rels)
+
+
+def green_analytic_additive(f, g, rel: str, n: Optional[int] = None) -> bool:
+    """Relatedness in the additive reduct, decided by canonical shape
+    (the rules are stated in `additive_keys`)."""
+    return _keys_related(additive_keys, f, g, rel, n)
+
+
+def green_analytic_multiplicative(f, g, rel: str, n: Optional[int] = None) -> bool:
+    """Relatedness in the multiplicative reduct, decided by canonical shape
+    (the rules are stated in `multiplicative_keys`)."""
+    return _keys_related(multiplicative_keys, f, g, rel, n)
 
 
 def analytic_structure(sg: FiniteSemigroup) -> Dict[str, Tuple[Tuple[int, ...], ...]]:
-    """Partitions from the analytic classifiers, for cross-checking.
+    """Partitions from the analytic keys, for cross-checking.
 
-    Classes are built by grouping on per-element keys equivalent to the
-    pairwise rules, so the cross-check against green_brute covers every
-    pair without the quadratic loop.
+    Grouping on the same keys the pairwise classifiers compare covers
+    every pair against green_brute without the quadratic loop.
     """
-    forms = [maps.classify(f) for f in sg.elements]
-    if sg.label == "additive":
-        def keys(c):
-            if isinstance(c, Zero):
-                base = ("zero",)
-                return {"R": base, "L": base, "D": base}
-            if isinstance(c, Constant):
-                return {"R": ("c", c.alpha[0]), "L": ("c", c.alpha[1]), "D": ("c",)}
-            if isinstance(c, Singleton):
-                return {"R": ("s", c.src, c.dst[0]),
-                        "L": ("s", c.src, c.dst[1]),
-                        "D": ("s", c.src)}
-            return {"R": ("n", c.k, c.sigma), "L": ("n", c), "D": ("n", c.k, c.sigma)}
-    elif sg.label == "multiplicative":
-        def keys(c):
-            if isinstance(c, (Zero, Constant)):
-                img = c.alpha if isinstance(c, Constant) else None
-                return {"R": ("c",), "L": ("c", img), "D": ("c",)}
-            if isinstance(c, Singleton):
-                return {"R": ("s", c.src), "L": ("s", c.dst), "D": ("s",)}
-            return {"R": ("n", c.k), "L": ("n", c.q), "D": ("n",)}
-    else:
+    keys_of = {"additive": additive_keys,
+               "multiplicative": multiplicative_keys}.get(sg.label)
+    if keys_of is None:
         raise ValueError(f"unknown reduct label {sg.label!r}")
-
-    per_rel = {"R": [], "L": [], "D": []}
-    for c in forms:
-        k = keys(c)
-        for rel in per_rel:
-            per_rel[rel].append(k[rel])
-    out = {rel: _group(ks) for rel, ks in per_rel.items()}
+    keys = [keys_of(maps.classify(f)) for f in sg.elements]
+    out = {rel: _group([k[rel] for k in keys]) for rel in ("R", "L", "D")}
     out["J"] = out["D"]
-    out["H"] = _group(list(zip(per_rel["R"], per_rel["L"])))
+    out["H"] = _group([(k["R"], k["L"]) for k in keys])
     return out
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ans import closure, formulas, generators, maps, verify
+from ans import closure, formulas, generators, maps
 
 
 @pytest.mark.parametrize("n,expected", [(1, 3), (2, 29), (3, 145), (4, 657)])
@@ -76,15 +76,6 @@ def test_tables_match_pointwise_definitions(closure_of):
         for j, g in enumerate(ns.elements):
             assert ns.add_table[i, j] == idx[maps.pointwise_add(f, g)]
             assert ns.mul_table[i, j] == idx[maps.compose(f, g)]
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_jobs_do_not_change_results(n):
-    a = verify.build_closure(n, jobs=1)
-    b = verify.build_closure(n, jobs=4)
-    assert a.elements == b.elements
-    assert np.array_equal(a.add_table, b.add_table)
-    assert np.array_equal(a.mul_table, b.mul_table)
 
 
 def test_n_cap_enforced():

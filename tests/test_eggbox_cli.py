@@ -239,13 +239,12 @@ def test_cli_verify_report_deterministic_across_jobs(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_cli_enumerate_json_deterministic_across_jobs(tmp_path, capsys):
+def test_cli_enumerate_json_deterministic(tmp_path, capsys):
     blobs = []
-    for jobs in ("1", "4"):
-        target = tmp_path / f"c{jobs}.json"
+    for run in ("1", "2"):
+        target = tmp_path / f"c{run}.json"
         code, _, _ = run_cli(capsys, [
-            "enumerate", "--n", "3", "--format", "json", "--jobs", jobs,
-            "--out", str(target)])
+            "enumerate", "--n", "3", "--format", "json", "--out", str(target)])
         assert code == 0
         blobs.append(target.read_bytes())
     assert blobs[0] == blobs[1]
@@ -262,6 +261,18 @@ def test_cli_verify_detects_tampered_table(tmp_path, capsys):
     assert code == 1
     assert "Cayley tables reproducible from element list: FAIL" in out
     assert "recomputed" in out
+
+
+def test_cli_green_reports_broken_invariant_without_traceback(tmp_path, capsys):
+    run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
+    path = cli.cache_path(tmp_path, 2)
+    d = json.loads(path.read_text())
+    d["add_table"][0][5] = (d["add_table"][0][5] + 1) % 29
+    path.write_text(json.dumps(d))
+    code, out, err = run_cli(capsys, [
+        "green", "--n", "2", "--reduct", "additive", "--cache-dir", str(tmp_path)])
+    assert code == 1 and out == ""
+    assert err == "error: D and J partitions differ on a finite semigroup\n"
 
 
 def test_cli_enumerate_rejects_structurally_bad_cache(tmp_path, capsys):

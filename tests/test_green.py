@@ -42,7 +42,7 @@ def test_partitions_are_partitions_and_refine(green_of, n, label):
         for c in gs.classes[fine]:
             targets = {gs.class_of[coarse][i] for i in c}
             assert len(targets) == 1
-    assert green._partition_key(gs.classes["D"]) == green._partition_key(gs.classes["J"])
+    assert green.partition_key(gs.classes["D"]) == green.partition_key(gs.classes["J"])
 
 
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])
@@ -66,8 +66,8 @@ def test_analytic_partitions_agree_with_brute(closure_of, green_of, n, label):
     gs = green_of(n, label)
     analytic = green.analytic_structure(sg)
     for rel in REL:
-        assert (green._partition_key(analytic[rel])
-                == green._partition_key(gs.classes[rel])), rel
+        assert (green.partition_key(analytic[rel])
+                == green.partition_key(gs.classes[rel])), rel
 
 
 def test_analytic_examples_from_characterizations():
