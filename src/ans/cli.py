@@ -39,8 +39,15 @@ def load_or_build(n: int, cache_dir: Optional[Path]) -> closure_mod.NearSemiring
     ns = verify.build_closure(n)
     if cache_dir is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        with open(cache_path(cache_dir, n), "w") as fh:
-            json.dump(closure_mod.to_dict(ns), fh)
+        # write beside the target and rename, so a failed write leaves no cache
+        path = cache_path(cache_dir, n)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(closure_mod.to_dict(ns), fh)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
     return ns
 
 
@@ -83,7 +90,7 @@ def cmd_generators(args) -> int:
 def cmd_green(args) -> int:
     ns = load_or_build(args.n, resolve_cache_dir(args.cache_dir))
     sg = ns.reduct(args.reduct)
-    gs = green.green_brute(sg, jobs=args.jobs)
+    gs = green.green_brute(sg)
     rec = green.class_counts(gs)
     if args.format == "json":
         d = gs.to_dict()
@@ -106,7 +113,7 @@ def cmd_green(args) -> int:
 
 def cmd_eggbox(args) -> int:
     ns = load_or_build(args.n, resolve_cache_dir(args.cache_dir))
-    eb = eggbox_mod.build_eggbox(ns, args.reduct, jobs=args.jobs)
+    eb = eggbox_mod.build_eggbox(ns, args.reduct)
     _emit(eggbox_mod.render(eb, args.format), args.out)
     return 0
 
@@ -146,6 +153,7 @@ def parse_n_range(text: str):
 
 
 def cmd_verify(args) -> int:
+    closure_mod.check_n_cap(max(args.n))
     cache_dir = resolve_cache_dir(args.cache_dir)
     all_results = []
     for n in args.n:
@@ -157,7 +165,7 @@ def cmd_verify(args) -> int:
             results = [verify.CheckResult(
                 "cached closure loads and validates", n, False, str(e))]
         if results is None:
-            results = verify.run_battery(n, ns=ns, jobs=args.jobs)
+            results = verify.run_battery(n, ns=ns)
         for r in results:
             print(f"  {r.line()}")
         all_results += results
@@ -166,12 +174,6 @@ def cmd_verify(args) -> int:
     if args.out:
         Path(args.out).write_text(_json_text(verify.battery_dict(all_results)))
     return 1 if failed else 0
-
-
-def _add_jobs(p):
-    p.add_argument("--jobs", type=int, default=1,
-                   help="threads for the brute-force Green computation; "
-                        "never changes results")
 
 
 def _add_common(p, formats, default_fmt, reduct=False, cache=True):
@@ -203,12 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("green", help="Green class structure of one reduct")
     _add_common(p, ("text", "json"), "text", reduct=True)
-    _add_jobs(p)
     p.set_defaults(func=cmd_green)
 
     p = sub.add_parser("eggbox", help="egg-box diagram of one reduct")
     _add_common(p, ("text", "dot", "json"), "text", reduct=True)
-    _add_jobs(p)
     p.set_defaults(func=cmd_eggbox)
 
     p = sub.add_parser("counts", help="closed-form count table")
@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report to this path")
     p.add_argument("--cache-dir",
                    help="closure cache directory (ANS_CACHE_DIR overrides)")
-    _add_jobs(p)
     p.set_defaults(func=cmd_verify)
     return ap
 

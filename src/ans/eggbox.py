@@ -14,7 +14,7 @@ import numpy as np
 
 from . import maps
 from .closure import NearSemiring
-from .green import GreenStructure, green_brute
+from .green import GreenStructure, green_brute, ideals
 
 
 @dataclass
@@ -47,23 +47,18 @@ class EggBox:
 
 def _j_order_covers(op: np.ndarray, reps: List[int]) -> Tuple[Tuple[int, int], ...]:
     """Hasse covers of the J-order on D-classes, via two-sided ideals."""
-    m = op.shape[0]
-    masks = np.zeros((len(reps), m), dtype=bool)  # row b: ideal of class b
-    for b, i in enumerate(reps):
-        masks[b, i] = True
-        masks[b, op[i]] = True
-        masks[b, op[:, i]] = True
-        masks[b, op[op[:, i], :].ravel()] = True
+    # row b: ideal of class b; bool, since ~ on unpacked uint8 is bitwise
+    masks = np.unpackbits(ideals(op)[2][reps], axis=1, count=op.shape[0]).astype(bool)
     below = masks[:, reps].T & ~np.eye(len(reps), dtype=bool)  # [a, b]: a strictly under b
     covers = below & ~(below @ below)
     return tuple(sorted((int(b), int(a)) for a, b in np.argwhere(covers)))
 
 
 def build_eggbox(ns: NearSemiring, label: str,
-                 gs: Optional[GreenStructure] = None, jobs: int = 1) -> EggBox:
+                 gs: Optional[GreenStructure] = None) -> EggBox:
     sg = ns.reduct(label)
     if gs is None:
-        gs = green_brute(sg, jobs=jobs)
+        gs = green_brute(sg)
     r_of, l_of = gs.class_of["R"], gs.class_of["L"]
     boxes = []
     for bi, members in enumerate(gs.classes["D"]):

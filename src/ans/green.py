@@ -2,12 +2,14 @@
 
 Two independent routes are provided.  `green_brute` works on any Cayley
 table, straight from the principal-ideal definitions with an identity
-adjoined.  The analytic route decides relatedness from the canonical form
-alone: `additive_keys` and `multiplicative_keys` state the support and
-projection rules once, as per-element R/L/D keys, and two elements are
-related exactly when their keys agree.  The rules have two views on top of
-those keys: the pairwise `green_analytic_*` classifiers compare two
-elements' keys, and `analytic_structure` groups a whole reduct by them.
+adjoined; `ideals` is the one place those ideals are computed, and the
+egg-box J-order reads them from there too.  The analytic route decides
+relatedness from the canonical form alone: `additive_keys` and
+`multiplicative_keys` state the support and projection rules once, as
+per-element R/L/D keys, and two elements are related exactly when their
+keys agree.  The rules have two views on top of those keys: the pairwise
+`green_analytic_*` classifiers compare two elements' keys, and
+`analytic_structure` groups a whole reduct by them.
 Agreement of the two routes is checked in tests, not assumed here.
 """
 
@@ -103,42 +105,31 @@ def eventual_regularity(sg: FiniteSemigroup) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def green_brute(sg: FiniteSemigroup, jobs: int = 1) -> GreenStructure:
+def ideals(op: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Principal right, left and two-sided ideals aS¹, S¹a, S¹aS¹ of every
+    element of the Cayley table `op`, as bit-packed membership rows.
+
+    Row a of each array is `np.packbits` of a length-m mask; unpack it with
+    `np.unpackbits(rows, axis=1, count=m).astype(bool)`.  The two-sided
+    ideal is the union of xS¹ over x in S¹a.
+    """
+    m = op.shape[0]
+    ar = np.arange(m)
+    right = np.zeros((m, m), dtype=bool)
+    right[ar[:, None], op] = True
+    right[ar, ar] = True
+    right = np.packbits(right, axis=1)
+    left = np.zeros((m, m), dtype=bool)
+    left[ar[:, None], op.T] = True
+    left[ar, ar] = True
+    two = np.stack([np.bitwise_or.reduce(right[row], axis=0) for row in left])
+    return right, np.packbits(left, axis=1), two
+
+
+def green_brute(sg: FiniteSemigroup) -> GreenStructure:
     """All five relations from principal ideals, with D = J asserted."""
-    t = sg.op
     m = len(sg)
-
-    def ideal_keys(lo, hi):
-        r_keys, l_keys, j_keys = [], [], []
-        for i in range(lo, hi):
-            right = np.zeros(m, dtype=bool)
-            right[t[i]] = True
-            right[i] = True
-            left = np.zeros(m, dtype=bool)
-            left[t[:, i]] = True
-            left[i] = True
-            two = np.zeros(m, dtype=bool)
-            two[t[t[:, i], :].ravel()] = True
-            two |= right
-            two |= left
-            r_keys.append(right.tobytes())
-            l_keys.append(left.tobytes())
-            j_keys.append(two.tobytes())
-        return r_keys, l_keys, j_keys
-
-    jobs = max(1, int(jobs))
-    if jobs == 1 or m < 64:
-        r_keys, l_keys, j_keys = ideal_keys(0, m)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        step = -(-m // jobs)
-        chunks = [(lo, min(lo + step, m)) for lo in range(0, m, step)]
-        r_keys, l_keys, j_keys = [], [], []
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            for rk, lk, jk in pool.map(lambda c: ideal_keys(*c), chunks):
-                r_keys += rk
-                l_keys += lk
-                j_keys += jk
+    r_keys, l_keys, j_keys = ([row.tobytes() for row in rows] for rows in ideals(sg.op))
 
     classes = {
         "R": _group(r_keys),

@@ -42,8 +42,7 @@ def build_closure(n: int) -> closure_mod.NearSemiring:
     return closure_mod.additive_closure(generators.enumerate_aff(n))
 
 
-def run_battery(n: int, ns: Optional[closure_mod.NearSemiring] = None,
-                jobs: int = 1) -> List[CheckResult]:
+def run_battery(n: int, ns: Optional[closure_mod.NearSemiring] = None) -> List[CheckResult]:
     """All checks at one n.  `ns` may come from a cache; its tables are
     re-derived from the element list, so tampered files fail with a witness."""
     results: List[CheckResult] = []
@@ -94,8 +93,8 @@ def run_battery(n: int, ns: Optional[closure_mod.NearSemiring] = None,
     add_sg = ns.reduct("additive")
     mul_sg = ns.reduct("multiplicative")
     try:
-        add_gs = green.green_brute(add_sg, jobs=jobs)
-        mul_gs = green.green_brute(mul_sg, jobs=jobs)
+        add_gs = green.green_brute(add_sg)
+        mul_gs = green.green_brute(mul_sg)
         _check(results, "D = J in both reducts", n, True)
     except AssertionError as e:
         _check(results, "D = J in both reducts", n, False, str(e))

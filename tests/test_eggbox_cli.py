@@ -17,6 +17,13 @@ def test_text_rendering_matches_golden(closure_of, label):
     assert eggbox.eggbox_text(eb) == expected
 
 
+@pytest.mark.parametrize("label", ["additive", "multiplicative"])
+def test_json_rendering_matches_golden(closure_of, label):
+    eb = eggbox.build_eggbox(closure_of(2), label)
+    expected = (GOLDEN / f"eggbox_n2_{label}.json").read_text()
+    assert eggbox.render(eb, "json") == expected
+
+
 def test_n2_block_and_star_counts(closure_of):
     add = eggbox.build_eggbox(closure_of(2), "additive")
     assert len(add.boxes) == 10
@@ -227,12 +234,12 @@ def test_cli_verify_range_and_report(tmp_path, capsys):
     assert {c["n"] for c in d["results"]} == {1, 2}
 
 
-def test_cli_verify_report_deterministic_across_jobs(tmp_path, capsys):
+def test_cli_verify_report_deterministic(tmp_path, capsys):
     outs = []
-    for jobs in ("1", "3"):
-        report = tmp_path / f"report{jobs}.json"
+    for run in ("1", "2"):
+        report = tmp_path / f"report{run}.json"
         code, _, _ = run_cli(capsys, [
-            "verify", "--n", "2", "--jobs", jobs,
+            "verify", "--n", "2",
             "--cache-dir", str(tmp_path), "--out", str(report)])
         assert code == 0
         outs.append(report.read_bytes())
@@ -303,6 +310,33 @@ def test_cli_rejects_n_over_cap(capsys):
     assert "error:" in err and "cap" in err
 
 
+@pytest.mark.parametrize("n_range", ["7", "7..9"])
+def test_cli_verify_rejects_range_over_cap(tmp_path, capsys, n_range):
+    code, out, err = run_cli(capsys, [
+        "verify", "--n", n_range, "--cache-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_write_failure_leaves_no_cache(tmp_path, capsys, monkeypatch):
+    def failing_dump(obj, fh):
+        fh.write(json.dumps(obj)[:100])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", failing_dump)
+    with pytest.raises(OSError):
+        cli.load_or_build(2, tmp_path)
+    assert not cli.cache_path(tmp_path, 2).exists()
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, [
+        "green", "--n", "2", "--format", "json", "--cache-dir", str(tmp_path)])
+    assert code == 0
+    assert json.loads(out)["counts"]["R"] == formulas.counts(2).additive["r"]
+    assert cli.cache_path(tmp_path, 2).exists()
+
+
 def test_cli_rejects_bad_ranges(capsys):
     for bad in ("0", "3..1", "x..2"):
         with pytest.raises(SystemExit) as exc:
@@ -312,7 +346,10 @@ def test_cli_rejects_bad_ranges(capsys):
 
 
 def test_cli_requires_subcommand_and_n(capsys):
-    for argv in ([], ["enumerate"], ["green", "--n", "2", "--reduct", "weird"]):
+    for argv in ([], ["enumerate"], ["green", "--n", "2", "--reduct", "weird"],
+                 ["green", "--n", "2", "--jobs", "2"],
+                 ["eggbox", "--n", "2", "--jobs", "2"],
+                 ["verify", "--n", "2", "--jobs", "2"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

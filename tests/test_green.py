@@ -262,10 +262,17 @@ def test_green_structure_json_export(green_of):
     assert len(d["regular"]) == 29
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_green_brute_jobs_invariant(closure_of, n):
-    sg = closure_of(n).reduct("additive")
-    a = green.green_brute(sg, jobs=1)
-    b = green.green_brute(sg, jobs=5)
-    assert a.classes == b.classes
-    assert a.eventual_index == b.eventual_index
+@pytest.mark.parametrize("label", ["additive", "multiplicative"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ideals_match_set_definitions(closure_of, n, label):
+    op = closure_of(n).reduct(label).op
+    m = op.shape[0]
+    t = op.tolist()
+    rows = [np.unpackbits(r, axis=1, count=m).astype(bool) for r in green.ideals(op)]
+    for a in range(m):
+        a_s = {t[a][s] for s in range(m)}
+        s_a = {t[s][a] for s in range(m)}
+        s_a_s = {t[x][y] for x in s_a for y in range(m)}
+        want = ({a} | a_s, {a} | s_a, {a} | a_s | s_a | s_a_s)
+        for got, expected in zip(rows, want):
+            assert set(np.flatnonzero(got[a]).tolist()) == expected
