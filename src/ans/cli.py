@@ -30,6 +30,25 @@ def resolve_cache_dir(arg_value: Optional[str]) -> Optional[Path]:
     return Path(chosen) if chosen else None
 
 
+def _dump_by_rows(d: dict, fh):
+    """Write exactly the bytes of json.dump(d, fh), encoding the list-of-rows
+    values one row at a time: json.dump runs the pure-Python encoder, which
+    is slow on big tables, and one json.dumps of the whole dict would hold
+    the full text in memory."""
+    sep = "{"
+    for key, value in d.items():
+        fh.write(f"{sep}{json.dumps(key)}: ")
+        sep = ", "
+        if not (isinstance(value, list) and value and isinstance(value[0], list)):
+            fh.write(json.dumps(value))
+            continue
+        fh.write("[" + json.dumps(value[0]))
+        for row in value[1:]:
+            fh.write(", " + json.dumps(row))
+        fh.write("]")
+    fh.write("}")
+
+
 def load_or_build(n: int, cache_dir: Optional[Path]) -> closure_mod.NearSemiring:
     if cache_dir is not None:
         path = cache_path(cache_dir, n)
@@ -44,7 +63,7 @@ def load_or_build(n: int, cache_dir: Optional[Path]) -> closure_mod.NearSemiring
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "w") as fh:
-                json.dump(closure_mod.to_dict(ns), fh)
+                _dump_by_rows(closure_mod.to_dict(ns), fh)
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)

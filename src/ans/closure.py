@@ -7,10 +7,13 @@ left, so right-extension alone reaches the whole additive closure; full
 pairwise closure is re-verified anyway while the Cayley tables are built,
 and closure under composition is asserted at the same time.
 
-Element identity during the fixpoint is the raw table (the canonical form
-only provably exists once membership is established); the final element
-list is re-sorted into canonical order so element indices are stable
-across runs.
+Element identity during the fixpoint is the canonical rank (`maps.rank`),
+which checks membership by re-rendering, so a sum outside the four shapes
+raises with its table as the witness.  The discovered ranks are a boolean
+mask over the canonical family, so the element list comes out in canonical
+order with no sort, and element indices are stable across runs.  The
+Cayley tables rank every sum and composite the same way and store element
+indices as uint16.
 """
 
 from collections import Counter
@@ -26,6 +29,16 @@ from . import brandt, maps
 DEFAULT_N_CAP = 6
 
 FORMAT_VERSION = 1
+
+# Cayley tables hold element indices; at the cap n=6 there are 27,253
+# elements, so uint16 is wide enough and halves the memory of int32.
+TABLE_DTYPE = np.uint16
+
+# Cells of sums or composites ranked at a time; bigger blocks raise peak
+# memory without making the ranking faster.
+_CHUNK_CELLS = 1 << 16
+# Sampled axiom triples checked per vectorized step, for the same reason.
+_SCAN_SLICE = 10_000
 
 
 @dataclass
@@ -68,27 +81,39 @@ class NearSemiring:
 def fill_tables(elems, n):
     """Both Cayley tables over the closed element list.
 
-    Raises if any sum or composite falls outside the list, which doubles as
-    the pairwise-closure re-verification.
+    Every sum and composite is ranked and looked up in the list, which need
+    not be the whole canonical family.  Raises if any falls outside the
+    list, naming the first cell in row-major order, which doubles as the
+    pairwise-closure re-verification.
     """
     m = len(elems)
-    E = np.array(elems, dtype=np.int32)
-    badd = brandt.add_table(n)
-    index = {row.tobytes(): i for i, row in enumerate(E)}
-    add_table = np.empty((m, m), dtype=np.int32)
-    mul_table = np.empty((m, m), dtype=np.int32)
-    for i in range(m):
-        sums = badd[E[i][None, :], E]
-        comps = E[:, E[i]]
-        for j in range(m):
-            s = index.get(sums[j].tobytes())
-            c = index.get(comps[j].tobytes())
-            if s is None:
-                raise AssertionError(f"closure not additively closed at ({i},{j})")
-            if c is None:
-                raise AssertionError(f"closure not multiplicatively closed at ({i},{j})")
-            add_table[i, j] = s
-            mul_table[i, j] = c
+    if m > np.iinfo(TABLE_DTYPE).max + 1:
+        raise ValueError(f"{m} elements do not fit {np.dtype(TABLE_DTYPE)} Cayley tables")
+    ranks = _member_ranks(np.array(elems), n)
+    E = maps.canonical_tables(n)[ranks]
+    w = E.shape[1]
+    badd = brandt.add_table(n).astype(E.dtype).ravel()
+    # rank -> list position; the spare last slot catches rank -1
+    position = np.full(len(maps.canonical_tables(n)) + 1, -1, dtype=np.int64)
+    position[ranks] = np.arange(m)
+    add_table = np.empty((m, m), dtype=TABLE_DTYPE)
+    mul_table = np.empty((m, m), dtype=TABLE_DTYPE)
+    # flat indices: x(f+g) is badd[xf * w + xg], x(f o g) is E[g * w + xf]
+    left = E.astype(np.int64) * w
+    row_start = (np.arange(m) * w)[:, None]
+    step = max(1, _CHUNK_CELLS // (m * w))
+    for lo in range(0, m, step):
+        sums = badd.take(left[lo:lo + step, None, :] + E).reshape(-1, w)
+        comps = E.take(row_start + E[lo:lo + step, None, :]).reshape(-1, w)
+        sums = position[maps.rank(sums, n)].reshape(-1, m)
+        comps = position[maps.rank(comps, n)].reshape(-1, m)
+        bad = np.flatnonzero((sums < 0) | (comps < 0))
+        if bad.size:
+            i, j = divmod(int(bad[0]), m)
+            kind = "additively" if sums[i, j] < 0 else "multiplicatively"
+            raise AssertionError(f"closure not {kind} closed at ({lo + i},{j})")
+        add_table[lo:lo + step] = sums
+        mul_table[lo:lo + step] = comps
     return add_table, mul_table
 
 
@@ -98,33 +123,44 @@ def check_n_cap(n: int, n_cap: Optional[int] = DEFAULT_N_CAP):
         raise ValueError(f"n={n} exceeds cap {n_cap}; raise n_cap if you really want this")
 
 
+def _member_ranks(rows, n):
+    """Ranks of table rows that must be closure elements."""
+    r = maps.rank(rows, n)
+    bad = np.flatnonzero(r < 0)
+    if bad.size:
+        witness = tuple(int(v) for v in rows[bad[0]])
+        raise maps.NotAffineElement(f"table {witness} is outside the four closure shapes")
+    return r
+
+
 def additive_closure(gens, n_cap: Optional[int] = DEFAULT_N_CAP) -> NearSemiring:
     """Close the generators under pointwise + and return both reducts' tables."""
     if not len(gens):
         raise ValueError("generator set is empty")
     n = gens.n
     check_n_cap(n, n_cap)
-    badd = brandt.add_table(n)
-    G = np.array(list(gens.members), dtype=np.int32)
+    badd = brandt.add_table(n).ravel()
+    G = np.array(list(gens.members), dtype=np.int64)
+    E = maps.canonical_tables(n)
+    w = E.shape[1]
+    left = E.astype(np.int64) * w  # x(s+g) is badd[xs * w + xg]
 
-    seen = {}
-    for g in gens.members:
-        seen.setdefault(g, None)
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for s in frontier:
-            sums = badd[np.array(s, dtype=np.int32)[None, :], G]
-            for row in sums:
-                t = tuple(int(v) for v in row)
-                if t not in seen:
-                    seen[t] = None
-                    new.append(t)
-        frontier = new
+    seen = np.zeros(len(E), dtype=bool)
+    frontier = np.unique(_member_ranks(G, n))
+    seen[frontier] = True
+    step = max(1, _CHUNK_CELLS // (len(G) * w))
+    while frontier.size:
+        found = np.zeros(len(E), dtype=bool)
+        for lo in range(0, len(frontier), step):
+            sums = badd.take(left[frontier[lo:lo + step], None, :] + G)
+            found[_member_ranks(sums.reshape(-1, w), n)] = True
+        frontier = np.flatnonzero(found & ~seen)
+        seen |= found
 
-    elems = sorted(seen, key=lambda f: maps.canonical_key(maps.classify(f)))
+    # the rendered rows equal the discovered ones, since rank checks membership
+    elems = tuple(map(tuple, E[np.flatnonzero(seen)].tolist()))
     add_table, mul_table = fill_tables(elems, n)
-    return NearSemiring(n, tuple(elems), add_table, mul_table)
+    return NearSemiring(n, elems, add_table, mul_table)
 
 
 # --- axiom checking -----------------------------------------------------------
@@ -154,6 +190,18 @@ class ValidationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
+def _first_failure(fails, triples):
+    """Scan sampled triples in order, a slice at a time; `fails(a, b, c)`
+    maps index arrays to a boolean array.  Returns the scan verdict with
+    the first failing triple in sample order."""
+    for lo in range(0, len(triples), _SCAN_SLICE):
+        a, b, c = triples[lo:lo + _SCAN_SLICE].T
+        bad = np.flatnonzero(fails(a, b, c))
+        if bad.size:
+            return False, len(triples), (int(a[bad[0]]), int(b[bad[0]]), int(c[bad[0]]))
+    return True, len(triples), None
+
+
 def _scan_assoc(t, triples=None):
     m = t.shape[0]
     if triples is None:
@@ -165,10 +213,7 @@ def _scan_assoc(t, triples=None):
                 j, k = map(int, bad[0])
                 return False, m * m * m, (i, j, k)
         return True, m * m * m, None
-    for i, j, k in triples:
-        if t[t[i, j], k] != t[i, t[j, k]]:
-            return False, len(triples), (int(i), int(j), int(k))
-    return True, len(triples), None
+    return _first_failure(lambda i, j, k: t[t[i, j], k] != t[i, t[j, k]], triples)
 
 
 def _scan_distrib(add_t, mul_t, triples=None):
@@ -182,10 +227,8 @@ def _scan_distrib(add_t, mul_t, triples=None):
                 g, h = map(int, bad[0])
                 return False, m * m * m, (f, g, h)
         return True, m * m * m, None
-    for f, g, h in triples:
-        if mul_t[f, add_t[g, h]] != add_t[mul_t[f, g], mul_t[f, h]]:
-            return False, len(triples), (int(f), int(g), int(h))
-    return True, len(triples), None
+    return _first_failure(
+        lambda f, g, h: mul_t[f, add_t[g, h]] != add_t[mul_t[f, g], mul_t[f, h]], triples)
 
 
 def verify_near_semiring(ns: NearSemiring, samples=100_000, seed=0,
@@ -248,11 +291,13 @@ def from_dict(d: dict) -> NearSemiring:
     elems = tuple(maps.render(maps.parse_canonical(s, n), n) for s in d["elements"])
     if d["count"] != len(elems):
         raise ValueError("declared count does not match the element list")
-    keys = [maps.canonical_key(maps.classify(f)) for f in elems]
-    if keys != sorted(keys):
-        raise ValueError("element list is not in canonical order")
-    add_t = np.array(d["add_table"], dtype=np.int32)
-    mul_t = np.array(d["mul_table"], dtype=np.int32)
+    if elems and not np.all(np.diff(maps.rank(np.array(elems), n)) > 0):
+        raise ValueError("element list is not in canonical order or repeats an element")
+    try:
+        add_t = np.array(d["add_table"], dtype=TABLE_DTYPE)
+        mul_t = np.array(d["mul_table"], dtype=TABLE_DTYPE)
+    except OverflowError:
+        raise ValueError("Cayley table contains out-of-range indices") from None
     ns = NearSemiring(n, elems, add_t, mul_t)
     ns.reduct("additive"), ns.reduct("multiplicative")  # shape/range validation
     return ns

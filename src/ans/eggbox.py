@@ -45,10 +45,11 @@ class EggBox:
         return sum(self.idempotent)
 
 
-def _j_order_covers(op: np.ndarray, reps: List[int]) -> Tuple[Tuple[int, int], ...]:
-    """Hasse covers of the J-order on D-classes, via two-sided ideals."""
+def _j_order_covers(two_sided: np.ndarray, reps: List[int]) -> Tuple[Tuple[int, int], ...]:
+    """Hasse covers of the J-order on D-classes, from the packed two-sided
+    ideal rows of `green.ideals`."""
     # row b: ideal of class b; bool, since ~ on unpacked uint8 is bitwise
-    masks = np.unpackbits(ideals(op)[2][reps], axis=1, count=op.shape[0]).astype(bool)
+    masks = np.unpackbits(two_sided[reps], axis=1, count=two_sided.shape[0]).astype(bool)
     below = masks[:, reps].T & ~np.eye(len(reps), dtype=bool)  # [a, b]: a strictly under b
     covers = below & ~(below @ below)
     return tuple(sorted((int(b), int(a)) for a, b in np.argwhere(covers)))
@@ -57,8 +58,9 @@ def _j_order_covers(op: np.ndarray, reps: List[int]) -> Tuple[Tuple[int, int], .
 def build_eggbox(ns: NearSemiring, label: str,
                  gs: Optional[GreenStructure] = None) -> EggBox:
     sg = ns.reduct(label)
+    ideal_rows = ideals(sg.op)
     if gs is None:
-        gs = green_brute(sg)
+        gs = green_brute(sg, ideal_rows)
     r_of, l_of = gs.class_of["R"], gs.class_of["L"]
     boxes = []
     for bi, members in enumerate(gs.classes["D"]):
@@ -78,7 +80,7 @@ def build_eggbox(ns: NearSemiring, label: str,
             l_classes=tuple(gs.classes["L"][lc] for lc in cols),
             cells=cells,
         ))
-    covers = _j_order_covers(sg.op, [b.members[0] for b in boxes])
+    covers = _j_order_covers(ideal_rows[2], [b.members[0] for b in boxes])
     return EggBox(
         n=ns.n,
         label=label,

@@ -126,10 +126,15 @@ def ideals(op: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return right, np.packbits(left, axis=1), two
 
 
-def green_brute(sg: FiniteSemigroup) -> GreenStructure:
-    """All five relations from principal ideals, with D = J asserted."""
+def green_brute(sg: FiniteSemigroup, ideal_rows=None) -> GreenStructure:
+    """All five relations from principal ideals, with D = J asserted.
+
+    `ideal_rows` is `ideals(sg.op)` when the caller has computed it already.
+    """
     m = len(sg)
-    r_keys, l_keys, j_keys = ([row.tobytes() for row in rows] for rows in ideals(sg.op))
+    if ideal_rows is None:
+        ideal_rows = ideals(sg.op)
+    r_keys, l_keys, j_keys = ([row.tobytes() for row in rows] for rows in ideal_rows)
 
     classes = {
         "R": _group(r_keys),
@@ -334,7 +339,7 @@ def subset_indices(sg: FiniteSemigroup, name: str) -> Tuple[int, ...]:
 def _restrict(sg: FiniteSemigroup, idx):
     """Restricted table in local indices; -1 marks products that escape."""
     if len(idx) == len(sg):
-        return sg.op.astype(np.int64), True
+        return sg.op, True
     idx = np.asarray(idx, dtype=np.int64)
     lut = np.full(len(sg), -1, dtype=np.int64)
     lut[idx] = np.arange(len(idx))
@@ -433,7 +438,7 @@ def structural_checks(sg: FiniteSemigroup, subset: str) -> SubsetReport:
         return SubsetReport(subset, sg.label, len(idx), False,
                             False, False, False, False)
     msub = FiniteSemigroup(sg.n, sg.label,
-                           tuple(sg.elements[i] for i in idx), sub.astype(np.int32))
+                           tuple(sg.elements[i] for i in idx), sub)
     reg = regular_elements(msub)
     regular = len(reg) == len(idx)
     idem = sorted(idempotents(msub))

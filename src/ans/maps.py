@@ -23,6 +23,7 @@ never occurs at n=1.
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -249,6 +250,60 @@ def all_canonical(n):
             for sigma in brandt.enumerate_sn(n):
                 out.append(NSupport(k, q, sigma))
     return out
+
+
+# --- the rank: canonical index by arithmetic -----------------------------------
+
+@lru_cache(maxsize=None)
+def canonical_tables(n) -> np.ndarray:
+    """Tables of all_canonical(n), one row each, as a read-only uint8 array."""
+    t = np.array([render(c, n) for c in all_canonical(n)], dtype=np.uint8)
+    t.setflags(write=False)
+    return t
+
+
+@lru_cache(maxsize=None)
+def _perm_ranks(n) -> np.ndarray:
+    """Lexicographic rank of each permutation, indexed by its 0-based
+    images read as a base-n number; non-permutations get 0."""
+    lut = np.zeros(n ** n, dtype=np.int64)
+    for r, sigma in enumerate(brandt.enumerate_sn(n)):
+        lut[sum((s - 1) * n ** (n - 1 - i) for i, s in enumerate(sigma))] = r
+    lut.setflags(write=False)
+    return lut
+
+
+def rank(rows, n) -> np.ndarray:
+    """Canonical index of each table row (an N x (n^2+1) integer array).
+
+    The index is arithmetic on the shape counts: 0 for the zero map, the
+    pair code for a constant, 1 + n^2 + (src-1)n^2 + (dst-1) for a
+    singleton, and offset + ((k-1)n + (q-1))n! + rank(sigma) for a column
+    map (which is also how the n=1 one-support element ranks, as in
+    classify()).  Membership is checked by re-rendering: a row that is not
+    canonical_tables(n)[index] is outside the four shapes and gets -1.
+    """
+    E = canonical_tables(n)
+    rows = np.asarray(rows)
+    w = n * n + 1
+    if rows.ndim != 2 or rows.shape[1] != w:
+        raise ValueError(f"expected rows of length {w}, got shape {rows.shape}")
+    base = np.arange(len(rows)) * w                # flat offset of each row
+    nz = rows != THETA
+    support = nz.sum(axis=1, dtype=np.uint8)
+    first = nz.argmax(axis=1)                      # least support point
+    image = np.take(rows, base + first).astype(np.int64)
+    single = 1 + n * n + (first - 1) * n * n + (image - 1)
+    k0, q0 = (first - 1) % n, (image - 1) % n      # column and q, 0-based
+    proj1 = np.maximum((np.arange(w) - 1) // n, 0)
+    sigma = np.zeros(len(rows), dtype=np.int64)    # sigma - 1 read in base n
+    for i in range(n):                             # the point (i+1, k)
+        sigma = sigma * n + proj1[np.clip(np.take(rows, base + k0 + 1 + n * i), 0, n * n)]
+    offset = 1 + n * n + (n ** 4 if n >= 2 else 0)
+    col = offset + (k0 * n + q0) * math.factorial(n) + _perm_ranks(n)[sigma]
+    r = np.where(support == n, col, np.where(support == 1, single, rows[:, 0]))
+    r = np.clip(r, 0, len(E) - 1)
+    return np.where((np.take(E, r, axis=0) == rows).all(axis=1), r, -1)
 
 
 # --- text forms --------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,69 @@ def test_axiom_check_reports_witness(closure_of):
     assert failing and failing[0].counterexample is not None
 
 
+def _reference_scan(holds, triples):
+    """The sampled scan as a plain loop: verdict and first failing triple."""
+    for a, b, c in triples:
+        if not holds(int(a), int(b), int(c)):
+            return False, (int(a), int(b), int(c))
+    return True, None
+
+
+@pytest.mark.parametrize("table", ["add_table", "mul_table"])
+def test_sampled_scan_matches_reference_loop(closure_of, table):
+    ns = closure_of(2)
+    bad = closure.NearSemiring(2, ns.elements,
+                               ns.add_table.copy(), ns.mul_table.copy())
+    getattr(bad, table)[7, 11] = (getattr(bad, table)[7, 11] + 1) % len(ns)
+    samples, m = 5_000, len(ns)
+    report = closure.verify_near_semiring(bad, samples=samples, seed=3,
+                                          assoc_exhaustive_max=0,
+                                          distrib_exhaustive_max=0)
+    add_t, mul_t = bad.add_table, bad.mul_table
+    laws = [lambda i, j, k: add_t[add_t[i, j], k] == add_t[i, add_t[j, k]],
+            lambda i, j, k: mul_t[mul_t[i, j], k] == mul_t[i, mul_t[j, k]],
+            lambda f, g, h: mul_t[f, add_t[g, h]] == add_t[mul_t[f, g], mul_t[f, h]]]
+    rng = np.random.default_rng(3)
+    expected = [_reference_scan(law, rng.integers(0, m, size=(samples, 3))) for law in laws]
+    assert [(c.passed, c.counterexample) for c in report.checks] == expected
+    assert [c.checked for c in report.checks] == [samples] * 3
+    assert not all(ok for ok, _ in expected)
+
+
+def test_closure_rejects_generators_whose_sums_leave_the_shapes():
+    # End(B_2) holds the automorphisms, which have no closure shape; sums of
+    # shaped tables always keep a shape, so the witness is such a generator
+    gens = generators.enumerate_end(2)
+    witness = next(f for f in gens.members
+                   if maps.rank(np.array([f]), 2)[0] < 0)
+    with pytest.raises(maps.NotAffineElement, match=re.escape(str(witness))):
+        closure.additive_closure(gens)
+
+
+@pytest.mark.parametrize("n,removed", [(2, 9), (3, 100)])
+def test_fill_tables_names_first_cell_outside_the_list(closure_of, n, removed):
+    ns = closure_of(n)
+    elems = ns.elements[:removed] + ns.elements[removed + 1:]
+    members = set(elems)
+    first = next((i, j, "additively" if maps.pointwise_add(f, g) not in members
+                  else "multiplicatively")
+                 for i, f in enumerate(elems) for j, g in enumerate(elems)
+                 if maps.pointwise_add(f, g) not in members
+                 or maps.compose(f, g) not in members)
+    with pytest.raises(AssertionError,
+                       match=re.escape(f"closure not {first[2]} closed at ({first[0]},{first[1]})")):
+        closure.fill_tables(elems, n)
+
+
+def test_fill_tables_accepts_a_closed_list_in_any_order(closure_of):
+    ns = closure_of(2)
+    order = np.random.default_rng(0).permutation(len(ns))
+    add_t, mul_t = closure.fill_tables([ns.elements[i] for i in order], 2)
+    assert np.array_equal(add_t, np.argsort(order)[ns.add_table[np.ix_(order, order)]])
+    assert np.array_equal(mul_t, np.argsort(order)[ns.mul_table[np.ix_(order, order)]])
+    assert add_t.dtype == mul_t.dtype == np.uint16
+
+
 def test_tables_match_pointwise_definitions(closure_of):
     ns = closure_of(2)
     idx = {f: i for i, f in enumerate(ns.elements)}
@@ -114,6 +178,14 @@ def test_from_dict_rejects_bad_payloads(closure_of):
     out_of_range = dict(good, add_table=[[10 ** 6] * len(ns)] * len(ns))
     with pytest.raises(ValueError, match="out-of-range"):
         closure.from_dict(out_of_range)
+
+    repeated = dict(good, elements=good["elements"][:5] + good["elements"][4:-1])
+    with pytest.raises(ValueError, match="repeats an element"):
+        closure.from_dict(repeated)
+
+    negative = dict(good, mul_table=[[-1] * len(ns)] * len(ns))
+    with pytest.raises(ValueError, match="out-of-range"):
+        closure.from_dict(negative)
 
     bad_token = dict(good, elements=["wat"] + good["elements"][1:])
     with pytest.raises(ValueError):

@@ -282,6 +282,19 @@ def test_cli_green_reports_broken_invariant_without_traceback(tmp_path, capsys):
     assert err == "error: D and J partitions differ on a finite semigroup\n"
 
 
+@pytest.mark.parametrize("value", [70000, -1])
+def test_cli_green_rejects_out_of_range_cache_cell(tmp_path, capsys, value):
+    run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
+    path = cli.cache_path(tmp_path, 2)
+    d = json.loads(path.read_text())
+    d["add_table"][3][4] = value
+    path.write_text(json.dumps(d))
+    code, out, err = run_cli(capsys, [
+        "green", "--n", "2", "--cache-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err == "error: Cayley table contains out-of-range indices\n"
+
+
 def test_cli_enumerate_rejects_structurally_bad_cache(tmp_path, capsys):
     run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
     path = cli.cache_path(tmp_path, 2)
@@ -319,12 +332,29 @@ def test_cli_verify_rejects_range_over_cap(tmp_path, capsys, n_range):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cache_write_failure_leaves_no_cache(tmp_path, capsys, monkeypatch):
-    def failing_dump(obj, fh):
-        fh.write(json.dumps(obj)[:100])
-        raise OSError("no space left on device")
+class _FullDisk:
+    """A file opened for writing that fails once 100 characters are written."""
 
-    monkeypatch.setattr(cli.json, "dump", failing_dump)
+    def __init__(self, fh):
+        self.fh, self.left = fh, 100
+
+    def write(self, text):
+        if len(text) > self.left:
+            self.fh.write(text[:self.left])
+            raise OSError("no space left on device")
+        self.left -= len(text)
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_cache_write_failure_leaves_no_cache(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "open", lambda path, mode="r": _FullDisk(open(path, mode)),
+                        raising=False)
     with pytest.raises(OSError):
         cli.load_or_build(2, tmp_path)
     assert not cli.cache_path(tmp_path, 2).exists()

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,17 +126,39 @@ def test_classify_rejects_non_closure_tables():
     two_support = [brandt.THETA] * m
     two_support[1] = 1
     two_support[2] = 2
-    with pytest.raises(maps.NotAffineElement):
-        maps.classify(tuple(two_support))
     theta_moved = [brandt.THETA] * m
     theta_moved[0] = 1
-    with pytest.raises(maps.NotAffineElement):
-        maps.classify(tuple(theta_moved))
     column_not_permutation = [brandt.THETA] * m
     for i in range(1, n + 1):
         column_not_permutation[brandt.pair(i, 1, n)] = brandt.pair(1, 1, n)
-    with pytest.raises(maps.NotAffineElement):
-        maps.classify(tuple(column_not_permutation))
+    tables = [two_support, theta_moved, column_not_permutation]
+    for t in tables:
+        with pytest.raises(maps.NotAffineElement):
+            maps.classify(tuple(t))
+    assert maps.rank(np.array(tables), n).tolist() == [-1] * len(tables)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rank_of_canonical_family_is_its_position(n):
+    rows = np.array([maps.render(c, n) for c in maps.all_canonical(n)])
+    assert maps.rank(rows, n).tolist() == list(range(len(rows)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rank_agrees_with_classify_on_perturbed_tables(n):
+    family = [maps.canonical_key(c) for c in maps.all_canonical(n)]
+    rows = np.array([maps.render(c, n) for c in maps.all_canonical(n)])
+    rng = np.random.default_rng(n)
+    rows = rows[rng.integers(0, len(rows), size=1000)]
+    for _ in range(2):  # change up to two cells per table
+        cells = rng.integers(0, n * n + 1, size=len(rows))
+        rows[np.arange(len(rows)), cells] = rng.integers(0, n * n + 1, size=len(rows))
+    for f, r in zip(rows.tolist(), maps.rank(rows, n)):
+        try:
+            expected = family.index(maps.canonical_key(maps.classify(tuple(f))))
+        except maps.NotAffineElement:
+            expected = -1
+        assert r == expected, f
 
 
 def test_classify_n1_one_support_is_column_shape():
