@@ -72,10 +72,9 @@ def add(a, b, n):
 def add_table(n):
     """Cayley table of B_n as a read-only (n^2+1) x (n^2+1) array."""
     m = size(n)
+    i, j = np.divmod(np.arange(m - 1, dtype=np.int32), n)  # 0-based pairs of codes 1..n^2
     t = np.zeros((m, m), dtype=np.int32)
-    for a in range(1, m):
-        for b in range(1, m):
-            t[a, b] = add(a, b, n)
+    t[1:, 1:] = np.where(j[:, None] == i, i[:, None] * n + j + 1, THETA)
     t.setflags(write=False)
     return t
 

@@ -3,15 +3,19 @@
 Subcommands: enumerate, generators, green, eggbox, counts, verify.
 Exit codes: 0 success / all checks pass, 1 verification mismatch,
 2 usage or input error.  The ANS_CACHE_DIR environment variable overrides
---cache-dir; closures are cached per (n, format version).
+--cache-dir; closures are cached as .npz per (n, format version).
 """
 
 import argparse
+import io
 import json
 import os
 import sys
+import zipfile
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from . import closure as closure_mod
 from . import eggbox as eggbox_mod
@@ -21,7 +25,7 @@ REDUCTS = ("additive", "multiplicative")
 
 
 def cache_path(cache_dir: Path, n: int) -> Path:
-    return cache_dir / f"a_plus_bn_n{n}_v{closure_mod.FORMAT_VERSION}.json"
+    return cache_dir / f"a_plus_bn_n{n}_v{closure_mod.FORMAT_VERSION}.npz"
 
 
 def resolve_cache_dir(arg_value: Optional[str]) -> Optional[Path]:
@@ -30,40 +34,35 @@ def resolve_cache_dir(arg_value: Optional[str]) -> Optional[Path]:
     return Path(chosen) if chosen else None
 
 
-def _dump_by_rows(d: dict, fh):
-    """Write exactly the bytes of json.dump(d, fh), encoding the list-of-rows
-    values one row at a time: json.dump runs the pure-Python encoder, which
-    is slow on big tables, and one json.dumps of the whole dict would hold
-    the full text in memory."""
-    sep = "{"
-    for key, value in d.items():
-        fh.write(f"{sep}{json.dumps(key)}: ")
-        sep = ", "
-        if not (isinstance(value, list) and value and isinstance(value[0], list)):
-            fh.write(json.dumps(value))
-            continue
-        fh.write("[" + json.dumps(value[0]))
-        for row in value[1:]:
-            fh.write(", " + json.dumps(row))
-        fh.write("]")
-    fh.write("}")
+def _read_cache(path: Path, n: int) -> closure_mod.NearSemiring:
+    """Each member is read in full before numpy parses it, so zip checks every
+    CRC-32 (np.load on the .npz can stop short of a member's end); no unpickling."""
+    try:
+        with zipfile.ZipFile(path) as zf:
+            d = {k.removesuffix(".npy"): np.load(io.BytesIO(zf.read(k))) for k in zf.namelist()}
+        d = {k: v.item() if v.ndim == 0 else v for k, v in d.items()}
+    except Exception as e:  # damaged zip and .npy headers raise many error types
+        raise ValueError(f"unreadable cache {path}: {type(e).__name__}: {e}") from None
+    if not isinstance(d.get("n"), int) or d["n"] != n:
+        raise ValueError(f"cache {path} holds n={d.get('n')!r}, not n={n}")
+    try:
+        return closure_mod.from_dict(d)
+    except (AttributeError, KeyError, TypeError) as e:
+        raise ValueError(f"malformed cache {path}: {type(e).__name__}: {e}") from None
 
 
 def load_or_build(n: int, cache_dir: Optional[Path]) -> closure_mod.NearSemiring:
-    if cache_dir is not None:
-        path = cache_path(cache_dir, n)
-        if path.exists():
-            with open(path) as fh:
-                return closure_mod.from_dict(json.load(fh))
+    path = None if cache_dir is None else cache_path(cache_dir, n)
+    if path is not None and path.exists():
+        return _read_cache(path, n)
     ns = verify.build_closure(n)
-    if cache_dir is not None:
+    if path is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
         # write beside the target and rename, so a failed write leaves no cache
-        path = cache_path(cache_dir, n)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            with open(tmp, "w") as fh:
-                _dump_by_rows(closure_mod.to_dict(ns), fh)
+            with open(tmp, "wb") as fh:
+                np.savez(fh, allow_pickle=False, **closure_mod.to_dict(ns))
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
@@ -78,7 +77,7 @@ def _emit(text: str, out: Optional[str]):
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
 def cmd_enumerate(args) -> int:
@@ -180,7 +179,7 @@ def cmd_verify(args) -> int:
         results = None
         try:
             ns = load_or_build(n, cache_dir)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as e:
+        except ValueError as e:
             results = [verify.CheckResult(
                 "cached closure loads and validates", n, False, str(e))]
         if results is None:

@@ -271,20 +271,22 @@ def intermediate_support_check(ns: NearSemiring) -> bool:
     return all(not (1 < k < n or n < k < n * n + 1) for k in sizes)
 
 
-# --- JSON interchange ---------------------------------------------------------
+# --- interchange: the JSON output and the .npz cache share this schema --------
 
 def to_dict(ns: NearSemiring) -> dict:
+    """Tables stay arrays: `np.savez` stores them, and JSON lists them via `default`."""
     return {
         "format_version": FORMAT_VERSION,
         "n": ns.n,
         "count": len(ns),
         "elements": [maps.map_str(f) for f in ns.elements],
-        "add_table": ns.add_table.tolist(),
-        "mul_table": ns.mul_table.tolist(),
+        "add_table": ns.add_table,
+        "mul_table": ns.mul_table,
     }
 
 
 def from_dict(d: dict) -> NearSemiring:
+    """Validate a `to_dict` payload; the tables may be nested lists or arrays."""
     if d.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {d.get('format_version')!r}")
     n = d["n"]
@@ -293,11 +295,9 @@ def from_dict(d: dict) -> NearSemiring:
         raise ValueError("declared count does not match the element list")
     if elems and not np.all(np.diff(maps.rank(np.array(elems), n)) > 0):
         raise ValueError("element list is not in canonical order or repeats an element")
-    try:
-        add_t = np.array(d["add_table"], dtype=TABLE_DTYPE)
-        mul_t = np.array(d["mul_table"], dtype=TABLE_DTYPE)
-    except OverflowError:
-        raise ValueError("Cayley table contains out-of-range indices") from None
-    ns = NearSemiring(n, elems, add_t, mul_t)
-    ns.reduct("additive"), ns.reduct("multiplicative")  # shape/range validation
-    return ns
+    tables = [np.asarray(d["add_table"]), np.asarray(d["mul_table"])]
+    for label, t in zip(("additive", "multiplicative"), tables):
+        if t.dtype.kind not in "iu":
+            raise ValueError(f"{label} Cayley table is not an integer array")
+        FiniteSemigroup(n, label, elems, t)  # shape and range before the cast wraps 70000 to 4464
+    return NearSemiring(n, elems, *(t.astype(TABLE_DTYPE, copy=False) for t in tables))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Tuple
 
-from . import brandt, maps
+from . import brandt, closure, maps
 from .brandt import THETA
 from .maps import NotAffineElement
 
@@ -143,6 +143,7 @@ def enumerate_kind(kind, n) -> GeneratorSet:
                 "aff": enumerate_aff, "const": enumerate_constants}
     if kind not in builders:
         raise ValueError(f"unknown generator kind {kind!r}; expected one of {KINDS}")
+    closure.check_n_cap(n)  # Aff and End grow with n!, so refuse before building
     return builders[kind](n)
 
 

@@ -33,6 +33,15 @@ def test_add_matches_definition(n):
             assert brandt.add(a, b, n) == expected
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
+def test_add_table_matches_add_cell_by_cell(n):
+    t = brandt.add_table(n)
+    assert t.dtype == np.int32 and t.shape == (brandt.size(n),) * 2
+    for a in brandt.elements(n):
+        for b in brandt.elements(n):
+            assert t[a, b] == brandt.add(a, b, n), f"cell ({a},{b})"
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_idempotents_match_fixed_point_scan(n):
     t = brandt.add_table(n)

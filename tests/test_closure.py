@@ -152,7 +152,7 @@ def test_n_cap_enforced():
 def test_json_round_trip(closure_of):
     ns = closure_of(2)
     d = closure.to_dict(ns)
-    text = json.dumps(d)
+    text = json.dumps(d, default=np.ndarray.tolist)
     back = closure.from_dict(json.loads(text))
     assert back.elements == ns.elements
     assert np.array_equal(back.add_table, ns.add_table)
@@ -190,6 +190,15 @@ def test_from_dict_rejects_bad_payloads(closure_of):
     bad_token = dict(good, elements=["wat"] + good["elements"][1:])
     with pytest.raises(ValueError):
         closure.from_dict(bad_token)
+
+
+@pytest.mark.parametrize("value", [70000, -1, 65536 + 3])
+def test_from_dict_refuses_int64_table_that_would_wrap(closure_of, value):
+    ns = closure_of(2)
+    table = ns.add_table.astype(np.int64)
+    table[3, 4] = value  # a uint16 cast would wrap it, 65539 to the valid index 3
+    with pytest.raises(ValueError, match="out-of-range"):
+        closure.from_dict(dict(closure.to_dict(ns), add_table=table))
 
 
 def test_finite_semigroup_validation(closure_of):

@@ -1,11 +1,15 @@
+import io
 import json
 import os
 import re
+import shutil
+import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ans import cli, closure, eggbox, formulas, green
+from ans import cli, closure, eggbox, formulas, generators, green
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -257,12 +261,22 @@ def test_cli_enumerate_json_deterministic(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+def _load_npz(path):
+    with np.load(path) as z:
+        return {k: z[k] for k in z.files}
+
+
+def _save_npz(path, d):
+    with open(path, "wb") as fh:
+        np.savez(fh, **d)
+
+
 def test_cli_verify_detects_tampered_table(tmp_path, capsys):
     run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
     path = cli.cache_path(tmp_path, 2)
-    d = json.loads(path.read_text())
+    d = _load_npz(path)
     d["mul_table"][3][4] = (d["mul_table"][3][4] + 1) % 29
-    path.write_text(json.dumps(d))
+    _save_npz(path, d)
     code, out, _ = run_cli(capsys, [
         "verify", "--n", "2", "--cache-dir", str(tmp_path)])
     assert code == 1
@@ -273,9 +287,9 @@ def test_cli_verify_detects_tampered_table(tmp_path, capsys):
 def test_cli_green_reports_broken_invariant_without_traceback(tmp_path, capsys):
     run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
     path = cli.cache_path(tmp_path, 2)
-    d = json.loads(path.read_text())
+    d = _load_npz(path)
     d["add_table"][0][5] = (d["add_table"][0][5] + 1) % 29
-    path.write_text(json.dumps(d))
+    _save_npz(path, d)
     code, out, err = run_cli(capsys, [
         "green", "--n", "2", "--reduct", "additive", "--cache-dir", str(tmp_path)])
     assert code == 1 and out == ""
@@ -286,9 +300,10 @@ def test_cli_green_reports_broken_invariant_without_traceback(tmp_path, capsys):
 def test_cli_green_rejects_out_of_range_cache_cell(tmp_path, capsys, value):
     run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
     path = cli.cache_path(tmp_path, 2)
-    d = json.loads(path.read_text())
+    d = _load_npz(path)
+    d["add_table"] = d["add_table"].astype(np.int64)
     d["add_table"][3][4] = value
-    path.write_text(json.dumps(d))
+    _save_npz(path, d)
     code, out, err = run_cli(capsys, [
         "green", "--n", "2", "--cache-dir", str(tmp_path)])
     assert code == 2 and out == ""
@@ -298,9 +313,9 @@ def test_cli_green_rejects_out_of_range_cache_cell(tmp_path, capsys, value):
 def test_cli_enumerate_rejects_structurally_bad_cache(tmp_path, capsys):
     run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
     path = cli.cache_path(tmp_path, 2)
-    d = json.loads(path.read_text())
+    d = _load_npz(path)
     d["elements"] = d["elements"][:-1]
-    path.write_text(json.dumps(d))
+    _save_npz(path, d)
     code, _, err = run_cli(capsys, [
         "enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
     assert code == 2
@@ -310,11 +325,72 @@ def test_cli_enumerate_rejects_structurally_bad_cache(tmp_path, capsys):
 def test_cli_verify_reports_bad_cache_as_failure(tmp_path, capsys):
     run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
     path = cli.cache_path(tmp_path, 2)
-    path.write_text(path.read_text().replace('"xi_theta"', '"xi_bogus"', 1))
+    d = _load_npz(path)
+    d["elements"][d["elements"] == "xi_theta"] = "xi_bogus"
+    _save_npz(path, d)
     code, out, _ = run_cli(capsys, [
         "verify", "--n", "2", "--cache-dir", str(tmp_path)])
     assert code == 1
     assert "cached closure loads and validates: FAIL" in out
+
+
+def _damaged(clean, damage):
+    """Damaged copies of a cache file: empty, truncated, a shorter header
+    length in one .npy member (so a reader stops short of the member's end),
+    or seeded byte flips inside the stored bytes of one array member."""
+    if damage == "empty":
+        return [b""]
+    if damage == "truncated":
+        return [clean[:len(clean) // 2]]
+    with zipfile.ZipFile(io.BytesIO(clean)) as zf:
+        member = zf.read(("add_table" if damage == "header_length" else damage) + ".npy")
+    start = clean.index(member)
+    if damage == "header_length":  # bytes 8-9 of a version 1.0 .npy member
+        b = bytearray(clean)
+        b[start + 8] -= 2
+        return [bytes(b)]
+    copies = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        b = bytearray(clean)
+        b[start + int(rng.integers(len(member)))] ^= int(rng.integers(1, 256))
+        copies.append(bytes(b))
+    return copies
+
+
+@pytest.mark.parametrize("damage", ["format_version", "n", "count", "elements",
+                                    "add_table", "mul_table", "header_length",
+                                    "truncated", "empty"])
+def test_damaged_cache_is_refused(tmp_path, capsys, damage):
+    # n = 3: its tables outgrow the first 4 KB that zip reads of a member
+    run_cli(capsys, ["enumerate", "--n", "3", "--cache-dir", str(tmp_path)])
+    path = cli.cache_path(tmp_path, 3)
+    for data in _damaged(path.read_bytes(), damage):
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, [
+            "green", "--n", "3", "--cache-dir", str(tmp_path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and str(path) in err
+        code, out, _ = run_cli(capsys, [
+            "verify", "--n", "3", "--cache-dir", str(tmp_path)])
+        assert code == 1
+        assert "cached closure loads and validates: FAIL" in out and str(path) in out
+
+
+def test_cli_green_refuses_cache_of_another_n(tmp_path, capsys):
+    run_cli(capsys, ["enumerate", "--n", "3", "--cache-dir", str(tmp_path)])
+    shutil.copy(cli.cache_path(tmp_path, 3), cli.cache_path(tmp_path, 2))
+    code, out, err = run_cli(capsys, [
+        "green", "--n", "2", "--cache-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(cli.cache_path(tmp_path, 2)) in err
+
+
+@pytest.mark.parametrize("kind", generators.KINDS)
+def test_cli_generators_refuse_n_over_cap(capsys, kind):
+    code, out, err = run_cli(capsys, ["generators", "--kind", kind, "--n", "7"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "cap" in err
 
 
 def test_cli_rejects_n_over_cap(capsys):
@@ -333,17 +409,20 @@ def test_cli_verify_rejects_range_over_cap(tmp_path, capsys, n_range):
 
 
 class _FullDisk:
-    """A file opened for writing that fails once 100 characters are written."""
+    """A file opened for writing that fails once 100 bytes are written."""
 
     def __init__(self, fh):
         self.fh, self.left = fh, 100
 
-    def write(self, text):
-        if len(text) > self.left:
-            self.fh.write(text[:self.left])
+    def write(self, data):
+        if len(data) > self.left:
+            self.fh.write(data[:self.left])
             raise OSError("no space left on device")
-        self.left -= len(text)
-        return self.fh.write(text)
+        self.left -= len(data)
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
 
     def __enter__(self):
         return self
