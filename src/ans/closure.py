@@ -12,17 +12,17 @@ which checks membership by re-rendering, so a sum outside the four shapes
 raises with its table as the witness.  The discovered ranks are a boolean
 mask over the canonical family, so the element list comes out in canonical
 order with no sort, and element indices are stable across runs.  The
-Cayley tables rank every sum and composite the same way and store element
-indices as uint16.
+product formulas live in one place, `maps.products`, which ranks blocks of
+sums or composites; the fixpoint and both Cayley tables go through it, and
+the tables store element indices as uint16.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import brandt, maps
+from . import maps
 
 # Beyond n=6 the Cayley tables (tens of thousands squared) leave the
 # intended resource envelope, so the engine refuses early by default.
@@ -34,10 +34,8 @@ FORMAT_VERSION = 1
 # elements, so uint16 is wide enough and halves the memory of int32.
 TABLE_DTYPE = np.uint16
 
-# Cells of sums or composites ranked at a time; bigger blocks raise peak
-# memory without making the ranking faster.
-_CHUNK_CELLS = 1 << 16
-# Sampled axiom triples checked per vectorized step, for the same reason.
+# Sampled axiom triples checked per vectorized step; bigger slices raise peak
+# memory without making the scan faster.
 _SCAN_SLICE = 10_000
 
 
@@ -89,71 +87,53 @@ def fill_tables(elems, n):
     m = len(elems)
     if m > np.iinfo(TABLE_DTYPE).max + 1:
         raise ValueError(f"{m} elements do not fit {np.dtype(TABLE_DTYPE)} Cayley tables")
-    ranks = _member_ranks(np.array(elems), n)
+    ranks = maps.member_ranks(np.array(elems), n)
     E = maps.canonical_tables(n)[ranks]
-    w = E.shape[1]
-    badd = brandt.add_table(n).astype(E.dtype).ravel()
     # rank -> list position; the spare last slot catches rank -1
     position = np.full(len(maps.canonical_tables(n)) + 1, -1, dtype=np.int64)
     position[ranks] = np.arange(m)
     add_table = np.empty((m, m), dtype=TABLE_DTYPE)
     mul_table = np.empty((m, m), dtype=TABLE_DTYPE)
-    # flat indices: x(f+g) is badd[xf * w + xg], x(f o g) is E[g * w + xf]
-    left = E.astype(np.int64) * w
-    row_start = (np.arange(m) * w)[:, None]
-    step = max(1, _CHUNK_CELLS // (m * w))
-    for lo in range(0, m, step):
-        sums = badd.take(left[lo:lo + step, None, :] + E).reshape(-1, w)
-        comps = E.take(row_start + E[lo:lo + step, None, :]).reshape(-1, w)
-        sums = position[maps.rank(sums, n)].reshape(-1, m)
-        comps = position[maps.rank(comps, n)].reshape(-1, m)
+    # sums and composites block by block, so the first bad cell is row-major first
+    for (lo, sums), (_, comps) in zip(maps.products(E, E, "+", n), maps.products(E, E, "o", n)):
+        sums, comps = position[sums], position[comps]
         bad = np.flatnonzero((sums < 0) | (comps < 0))
         if bad.size:
             i, j = divmod(int(bad[0]), m)
             kind = "additively" if sums[i, j] < 0 else "multiplicatively"
             raise AssertionError(f"closure not {kind} closed at ({lo + i},{j})")
-        add_table[lo:lo + step] = sums
-        mul_table[lo:lo + step] = comps
+        add_table[lo:lo + len(sums)] = sums
+        mul_table[lo:lo + len(comps)] = comps
     return add_table, mul_table
 
 
-def check_n_cap(n: int, n_cap: Optional[int] = DEFAULT_N_CAP):
+def check_n_cap(n: int):
     """Refuse an n above the cap, before any work on it starts."""
-    if n_cap is not None and n > n_cap:
-        raise ValueError(f"n={n} exceeds cap {n_cap}; raise n_cap if you really want this")
+    if n > DEFAULT_N_CAP:
+        raise ValueError(f"n={n} exceeds cap {DEFAULT_N_CAP}")
 
 
-def _member_ranks(rows, n):
-    """Ranks of table rows that must be closure elements."""
-    r = maps.rank(rows, n)
-    bad = np.flatnonzero(r < 0)
-    if bad.size:
-        witness = tuple(int(v) for v in rows[bad[0]])
-        raise maps.NotAffineElement(f"table {witness} is outside the four closure shapes")
-    return r
-
-
-def additive_closure(gens, n_cap: Optional[int] = DEFAULT_N_CAP) -> NearSemiring:
+def additive_closure(gens) -> NearSemiring:
     """Close the generators under pointwise + and return both reducts' tables."""
     if not len(gens):
         raise ValueError("generator set is empty")
     n = gens.n
-    check_n_cap(n, n_cap)
-    badd = brandt.add_table(n).ravel()
-    G = np.array(list(gens.members), dtype=np.int64)
+    check_n_cap(n)
+    G = np.array(list(gens.members))
     E = maps.canonical_tables(n)
-    w = E.shape[1]
-    left = E.astype(np.int64) * w  # x(s+g) is badd[xs * w + xg]
 
     seen = np.zeros(len(E), dtype=bool)
-    frontier = np.unique(_member_ranks(G, n))
+    frontier = np.unique(maps.member_ranks(G, n))
     seen[frontier] = True
-    step = max(1, _CHUNK_CELLS // (len(G) * w))
     while frontier.size:
         found = np.zeros(len(E), dtype=bool)
-        for lo in range(0, len(frontier), step):
-            sums = badd.take(left[frontier[lo:lo + step], None, :] + G)
-            found[_member_ranks(sums.reshape(-1, w), n)] = True
+        for lo, sums in maps.products(E[frontier], G, "+", n):
+            bad = np.flatnonzero(sums < 0)
+            if bad.size:  # re-derive the first sum outside the shapes, to name it
+                i, j = divmod(int(bad[0]), len(G))
+                witness = maps.pointwise_add(E[frontier[lo + i]].tolist(), G[j].tolist())
+                raise maps.NotAffineElement(f"table {witness} is outside the four closure shapes")
+            found[sums.ravel()] = True
         frontier = np.flatnonzero(found & ~seen)
         seen |= found
 
@@ -190,45 +170,17 @@ class ValidationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-def _first_failure(fails, triples):
-    """Scan sampled triples in order, a slice at a time; `fails(a, b, c)`
-    maps index arrays to a boolean array.  Returns the scan verdict with
-    the first failing triple in sample order."""
-    for lo in range(0, len(triples), _SCAN_SLICE):
-        a, b, c = triples[lo:lo + _SCAN_SLICE].T
-        bad = np.flatnonzero(fails(a, b, c))
-        if bad.size:
-            return False, len(triples), (int(a[bad[0]]), int(b[bad[0]]), int(c[bad[0]]))
-    return True, len(triples), None
-
-
-def _scan_assoc(t, triples=None):
-    m = t.shape[0]
-    if triples is None:
-        for i in range(m):
-            lhs = t[t[i], :]           # [j,k] -> (i j) k
-            rhs = t[i][t]              # [j,k] -> i (j k)
-            bad = np.argwhere(lhs != rhs)
-            if bad.size:
-                j, k = map(int, bad[0])
-                return False, m * m * m, (i, j, k)
-        return True, m * m * m, None
-    return _first_failure(lambda i, j, k: t[t[i, j], k] != t[i, t[j, k]], triples)
-
-
-def _scan_distrib(add_t, mul_t, triples=None):
-    m = add_t.shape[0]
-    if triples is None:
-        for f in range(m):
-            lhs = mul_t[f][add_t]                       # [g,h] -> f (g+h)
-            rhs = add_t[mul_t[f][:, None], mul_t[f]]    # [g,h] -> fg + fh
-            bad = np.argwhere(lhs != rhs)
-            if bad.size:
-                g, h = map(int, bad[0])
-                return False, m * m * m, (f, g, h)
-        return True, m * m * m, None
-    return _first_failure(
-        lambda f, g, h: mul_t[f, add_t[g, h]] != add_t[mul_t[f, g], mul_t[f, h]], triples)
+def _scan(name, fails, blocks, checked) -> AxiomCheck:
+    """Scan index blocks in order; `fails(a, b, c)` is the law's negation on
+    broadcastable index arrays.  The witness is the first failing triple,
+    in block order and row-major within a block."""
+    for a, b, c in blocks:
+        bad = fails(a, b, c)
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            witness = tuple(int(np.broadcast_to(x, bad.shape).flat[hit[0]]) for x in (a, b, c))
+            return AxiomCheck(name, False, checked, witness)
+    return AxiomCheck(name, True, checked)
 
 
 def verify_near_semiring(ns: NearSemiring, samples=100_000, seed=0,
@@ -238,30 +190,44 @@ def verify_near_semiring(ns: NearSemiring, samples=100_000, seed=0,
 
     Axioms are scanned exhaustively while the triple count stays under the
     given bounds, and on deterministic random samples beyond that; failures
-    carry the first offending triple as a witness.
+    carry the first offending triple (row-major, or in sample order) as a
+    witness.
     """
     m = len(ns)
     total = m ** 3
     rng = np.random.default_rng(seed)
+    ar = np.arange(m)
 
-    def sample():
-        return rng.integers(0, m, size=(min(samples, total), 3))
+    def product(table):  # the Cayley table as a vectorized binary operation
+        flat = table.ravel()
+        return lambda x, y: flat.take(np.asarray(x, dtype=np.intp) * m + y)
 
+    def assoc(op):
+        return lambda a, b, c: op(op(a, b), c) != op(a, op(b, c))
+
+    add, mul = product(ns.add_table), product(ns.mul_table)
+    laws = [("additive associativity", assoc(add), assoc_exhaustive_max),
+            ("multiplicative associativity", assoc(mul), assoc_exhaustive_max),
+            ("left distributivity",
+             lambda f, g, h: mul(f, add(g, h)) != add(mul(f, g), mul(f, h)),
+             distrib_exhaustive_max)]
     report = ValidationReport()
-    for name, table in (("additive associativity", ns.add_table),
-                        ("multiplicative associativity", ns.mul_table)):
-        triples = None if total <= assoc_exhaustive_max else sample()
-        ok, checked, witness = _scan_assoc(table, triples)
-        report.checks.append(AxiomCheck(name, ok, checked, witness))
-    triples = None if total <= distrib_exhaustive_max else sample()
-    ok, checked, witness = _scan_distrib(ns.add_table, ns.mul_table, triples)
-    report.checks.append(AxiomCheck("left distributivity", ok, checked, witness))
+    for name, fails, exhaustive_max in laws:
+        if total <= exhaustive_max:
+            checked = total
+            blocks = ((i, ar[:, None], ar[None, :]) for i in range(m))
+        else:
+            triples = rng.integers(0, m, size=(min(samples, total), 3))
+            checked = len(triples)
+            blocks = (triples[lo:lo + _SCAN_SLICE].T for lo in range(0, checked, _SCAN_SLICE))
+        report.checks.append(_scan(name, fails, blocks, checked))
     return report
 
 
 def support_histogram(ns: NearSemiring) -> dict:
     """Element count per support size."""
-    return dict(sorted(Counter(len(maps.support(f)) for f in ns.elements).items()))
+    sizes, counts = np.unique(maps.support_sizes(ns.elements), return_counts=True)
+    return dict(zip(sizes.tolist(), counts.tolist()))
 
 
 def intermediate_support_check(ns: NearSemiring) -> bool:
@@ -279,7 +245,7 @@ def to_dict(ns: NearSemiring) -> dict:
         "format_version": FORMAT_VERSION,
         "n": ns.n,
         "count": len(ns),
-        "elements": [maps.map_str(f) for f in ns.elements],
+        "elements": [maps.canonical_str(c) for c in maps.forms(ns.elements, ns.n)],
         "add_table": ns.add_table,
         "mul_table": ns.mul_table,
     }

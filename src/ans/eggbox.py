@@ -84,7 +84,7 @@ def build_eggbox(ns: NearSemiring, label: str,
     return EggBox(
         n=ns.n,
         label=label,
-        tokens=tuple(maps.map_str(f) for f in ns.elements),
+        tokens=tuple(maps.canonical_str(c) for c in maps.forms(ns.elements, ns.n)),
         idempotent=gs.idempotent,
         boxes=tuple(boxes),
         covers=covers,

@@ -3,9 +3,10 @@
 End(B_n) splits into the automorphisms phi_sigma (one per permutation) and
 the constant maps onto idempotents; Aff(B_n) is every sum g + xi with g an
 endomorphism and xi a constant.  Aff is *constructed* that way here, by
-forming all End x Const sums and deduplicating tables; the closed-form
-sizes and shape characterizations are asserted afterwards, so the counting
-theorems are construction-time checks rather than assumptions.
+ranking all End x Const sums (`maps.products`) and deduplicating the ranks;
+the closed-form sizes and shape characterizations are asserted afterwards,
+so the counting theorems are construction-time checks rather than
+assumptions.
 
 Automorphisms are not members of the affine closure for n >= 2 (their
 support has size n^2, outside the four closure shapes), so generator-set
@@ -17,6 +18,8 @@ import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Tuple
+
+import numpy as np
 
 from . import brandt, closure, maps
 from .brandt import THETA
@@ -122,17 +125,18 @@ def brute_force_endomorphisms(n):
 def enumerate_aff(n) -> GeneratorSet:
     """Aff(B_n) = {g + xi : g in End, xi constant}, deduplicated.
 
-    Members come out in canonical closure order; the characterization
-    (all constants plus all column maps, size (n!+1)n^2+1) is asserted.
+    Members come out in canonical closure order, which is rank order; the
+    characterization (all constants plus all column maps, size
+    (n!+1)n^2+1) is asserted.
     """
-    seen = {}
-    for g in enumerate_end(n):
-        for c in enumerate_constants(n):
-            f = maps.pointwise_add(g, c)
-            seen.setdefault(f, None)
-    members = sorted(seen, key=lambda f: maps.canonical_key(maps.classify(f)))
-    gs = GeneratorSet(n, "aff", tuple(members))
-    shapes = {type(maps.classify(f)) for f in members}
+    closure.check_n_cap(n)  # Aff grows with n!, so refuse before building anything
+    sums = [r for _, r in maps.products(enumerate_end(n).members,
+                                        enumerate_constants(n).members, "+", n)]
+    ranks = np.unique(np.concatenate(sums))
+    assert ranks[0] >= 0, "an End + Const sum is outside the four closure shapes"
+    members = tuple(map(tuple, maps.canonical_tables(n)[ranks].tolist()))
+    gs = GeneratorSet(n, "aff", members)
+    shapes = {type(c) for c in maps.forms(members, n)}
     assert shapes <= {maps.Zero, maps.Constant, maps.NSupport}
     return gs
 
@@ -156,7 +160,7 @@ def triple_to_map(k, q, sigma, n):
 
 def map_to_triple(f):
     """Inverse of triple_to_map; errors unless f is an n-support column map."""
-    c = maps.classify(f)
+    c = maps.forms([f], maps.map_n(f))[0]
     if not isinstance(c, maps.NSupport):
         raise ValueError(f"not an n-support closure element: {maps.canonical_str(c)}")
     return c.k, c.q, c.sigma

@@ -285,7 +285,7 @@ def analytic_structure(sg: FiniteSemigroup) -> Dict[str, Tuple[Tuple[int, ...], 
                "multiplicative": multiplicative_keys}.get(sg.label)
     if keys_of is None:
         raise ValueError(f"unknown reduct label {sg.label!r}")
-    keys = [keys_of(maps.classify(f)) for f in sg.elements]
+    keys = [keys_of(c) for c in maps.forms(sg.elements, sg.n)]
     out = {rel: _group([k[rel] for k in keys]) for rel in ("R", "L", "D")}
     out["J"] = out["D"]
     out["H"] = _group([(k["R"], k["L"]) for k in keys])
@@ -322,18 +322,18 @@ def subset_indices(sg: FiniteSemigroup, name: str) -> Tuple[int, ...]:
         if sg.label != "additive":
             raise ValueError("subset K is defined on the additive reduct")
         return tuple(sorted(regular_elements(sg)))
+    sizes = maps.support_sizes(sg.elements)
     if name == "N":
         if sg.label != "multiplicative":
             raise ValueError("subset N is defined on the multiplicative reduct")
-        return tuple(i for i, f in enumerate(sg.elements)
-                     if len(maps.support(f)) <= n)
-    if name == "constants":
-        return tuple(i for i, f in enumerate(sg.elements)
-                     if len(maps.support(f)) in (0, n * n + 1))
-    if name == "singleton-ideal":
-        return tuple(i for i, f in enumerate(sg.elements)
-                     if len(maps.support(f)) <= 1)
-    raise ValueError(f"unknown subset {name!r}; expected one of {SUBSET_NAMES}")
+        keep = sizes <= n
+    elif name == "constants":
+        keep = (sizes == 0) | (sizes == n * n + 1)
+    elif name == "singleton-ideal":
+        keep = sizes <= 1
+    else:
+        raise ValueError(f"unknown subset {name!r}; expected one of {SUBSET_NAMES}")
+    return tuple(np.flatnonzero(keep).tolist())
 
 
 def _restrict(sg: FiniteSemigroup, idx):
@@ -385,47 +385,25 @@ def check_iso(table_a: np.ndarray, table_b: np.ndarray, bij) -> bool:
     return bool(np.array_equal(table_b[bij[:, None], bij[None, :]], bij[table_a]))
 
 
-def _pair_code(p, n):
-    return brandt.pair(p[0], p[1], n)
-
-
-def _singleton_coords(c):
-    """(src, dst) of a 1-support element; covers the n=1 shape collision."""
-    if isinstance(c, Singleton):
-        return c.src, c.dst
-    if isinstance(c, NSupport) and len(c.sigma) == 1:
-        return (1, c.k), (c.sigma[0], c.q)
-    raise ValueError(f"not a 1-support element: {c!r}")
-
-
 def _iso_certificate(sg: FiniteSemigroup, name, idx, sub):
-    """Explicit bijection onto the claimed target, verified cell by cell."""
+    """Explicit bijection onto the claimed target, verified cell by cell.
+
+    The bijections are rank arithmetic.  A constant xi_alpha ranks as the
+    code of alpha, the zero map as 0.  A singleton src -> dst (at n=1, the
+    1-support column map) ranks as n^2 + 1 + (src-1)n^2 + (dst-1), with src
+    and dst as pair codes, so its rank minus n^2 is its index in the
+    0-direct union and its pair code in B_{n^2}.
+    """
     n = sg.n
-    forms = [maps.classify(sg.elements[i]) for i in idx]
+    ranks = maps.member_ranks([sg.elements[i] for i in idx], n)
+    singleton_bij = np.where(ranks == 0, 0, ranks - n * n)
     if name == "constants" and sg.label == "additive":
-        target = brandt.add_table(n)
-        bij = [0 if isinstance(c, Zero) else _pair_code(c.alpha, n) for c in forms]
-        return f"B_{n}", check_iso(sub, np.asarray(target), bij)
+        return f"B_{n}", check_iso(sub, brandt.add_table(n), ranks)
     if name == "singleton-ideal" and sg.label == "additive":
-        target = zero_direct_union_table(n * n, n)
-        bij = []
-        for c in forms:
-            if isinstance(c, Zero):
-                bij.append(0)
-            else:
-                src, dst = _singleton_coords(c)
-                bij.append(1 + (_pair_code(src, n) - 1) * n * n + (_pair_code(dst, n) - 1))
-        return f"0-direct union of {n * n} copies of B_{n}", check_iso(sub, target, bij)
+        return (f"0-direct union of {n * n} copies of B_{n}",
+                check_iso(sub, zero_direct_union_table(n * n, n), singleton_bij))
     if name == "singleton-ideal" and sg.label == "multiplicative":
-        target = brandt.add_table(n * n)
-        bij = []
-        for c in forms:
-            if isinstance(c, Zero):
-                bij.append(0)
-            else:
-                src, dst = _singleton_coords(c)
-                bij.append(brandt.pair(_pair_code(src, n), _pair_code(dst, n), n * n))
-        return f"B_{n * n}", check_iso(sub, np.asarray(target), bij)
+        return f"B_{n * n}", check_iso(sub, brandt.add_table(n * n), singleton_bij)
     return None, None
 
 

@@ -16,8 +16,14 @@ Canonical text tokens (used in JSON exports and egg-box cells):
 "xi_theta", "xi(i,j)", "<(k,l)->(p,q)>", "(k,q;[sigma])".
 
 At n=1 the unique 1-support closure element fits both the Singleton and the
-NSupport shape; classify() resolves it as NSupport(1, 1, id), so Singleton
-never occurs at n=1.
+NSupport shape; it is NSupport(1, 1, id), so Singleton never occurs at n=1.
+
+Every runtime shape question goes through one element index: `rank` (and
+its checked form `member_ranks`) gives a table's position in canonical
+order by arithmetic, `forms` reads canonical forms off those positions, and
+`products` ranks every pointwise sum or composite of two row sets.
+`classify` decides the shape a second, independent way, case by case; it
+is kept as the reference that `rank` is tested against.
 """
 
 import math
@@ -33,7 +39,7 @@ from .brandt import THETA
 
 
 class NotAffineElement(ValueError):
-    """Raised by classify() on a table outside the four closure shapes."""
+    """Raised on a table outside the four closure shapes."""
 
 
 def map_n(f):
@@ -85,9 +91,9 @@ def support(f):
     return frozenset(x for x, v in enumerate(f) if v != THETA)
 
 
-def image(f):
-    """The full image set, including theta when attained."""
-    return frozenset(f)
+def support_sizes(rows) -> np.ndarray:
+    """Support size of each table row (an N x (n^2+1) array or list of tables)."""
+    return np.count_nonzero(np.asarray(rows) != THETA, axis=1)
 
 
 def proj1(code, n):
@@ -182,10 +188,11 @@ def check_canonical(c, n):
 
 
 def classify(f) -> CanonicalElem:
-    """Canonical form of a closure-member table.
+    """Canonical form of a closure-member table, decided case by case.
 
     Raises NotAffineElement for any table outside the four shapes; such
     tables are provably not in the additive closure of the affine maps.
+    This is the reference for `rank` and `forms`, which the runtime uses.
     """
     n = map_n(f)
     supp = sorted(support(f))
@@ -233,7 +240,8 @@ def render(c: CanonicalElem, n) -> tuple:
     return tuple(t)
 
 
-def all_canonical(n):
+@lru_cache(maxsize=None)
+def all_canonical(n) -> tuple:
     """Every closure element of B_n as a canonical form, canonical order."""
     out = [Zero()]
     for i in range(1, n + 1):
@@ -249,10 +257,15 @@ def all_canonical(n):
         for q in range(1, n + 1):
             for sigma in brandt.enumerate_sn(n):
                 out.append(NSupport(k, q, sigma))
-    return out
+    return tuple(out)
 
 
 # --- the rank: canonical index by arithmetic -----------------------------------
+
+# Product cells built and ranked at a time by `products`; bigger blocks
+# raise peak memory without making the ranking faster.
+_BLOCK_CELLS = 1 << 16
+
 
 @lru_cache(maxsize=None)
 def canonical_tables(n) -> np.ndarray:
@@ -279,9 +292,9 @@ def rank(rows, n) -> np.ndarray:
     The index is arithmetic on the shape counts: 0 for the zero map, the
     pair code for a constant, 1 + n^2 + (src-1)n^2 + (dst-1) for a
     singleton, and offset + ((k-1)n + (q-1))n! + rank(sigma) for a column
-    map (which is also how the n=1 one-support element ranks, as in
-    classify()).  Membership is checked by re-rendering: a row that is not
-    canonical_tables(n)[index] is outside the four shapes and gets -1.
+    map (which is also how the n=1 one-support element ranks).  Membership
+    is checked by re-rendering: a row that is not canonical_tables(n)[index]
+    is outside the four shapes and gets -1.
     """
     E = canonical_tables(n)
     rows = np.asarray(rows)
@@ -304,6 +317,47 @@ def rank(rows, n) -> np.ndarray:
     r = np.where(support == n, col, np.where(support == 1, single, rows[:, 0]))
     r = np.clip(r, 0, len(E) - 1)
     return np.where((np.take(E, r, axis=0) == rows).all(axis=1), r, -1)
+
+
+def member_ranks(rows, n) -> np.ndarray:
+    """Ranks of table rows that must be closure elements; a row outside the
+    four shapes raises NotAffineElement naming it."""
+    rows = np.asarray(rows)
+    r = rank(rows, n)
+    bad = np.flatnonzero(r < 0)
+    if bad.size:
+        witness = tuple(int(v) for v in rows[bad[0]])
+        raise NotAffineElement(f"table {witness} is outside the four closure shapes")
+    return r
+
+
+def forms(rows, n) -> list:
+    """Canonical form of each closure-member table row, read off its rank."""
+    family = all_canonical(n)
+    return [family[r] for r in member_ranks(rows, n).tolist()]
+
+
+def products(F, G, op, n):
+    """Ranks of F[i] + G[j] (op "+") or F[i] o G[j] (op "o"), every i and j.
+
+    Yields `(lo, ranks)` for consecutive blocks of F's rows, where
+    ranks[i, j] is the `rank` of the product of F[lo + i] and G[j] (-1
+    outside the four shapes).  A block builds about _BLOCK_CELLS product
+    cells, so memory stays flat however many rows F has.
+    """
+    E = canonical_tables(n)
+    F, G = np.asarray(F), np.asarray(G)
+    w = E.shape[1]
+    if op == "+":    # x(f+g) = xf + xg, at flat index xf * w + xg of the B_n table
+        flat, left, right = brandt.add_table(n).astype(E.dtype).ravel(), F.astype(np.intp) * w, G
+    elif op == "o":  # x(f o g) = (xf)g, at flat index g * w + xf of G
+        flat, left, right = G.ravel(), F, np.arange(len(G))[:, None] * w
+    else:
+        raise ValueError(f"unknown product {op!r}; expected '+' or 'o'")
+    step = max(1, _BLOCK_CELLS // (len(G) * w))
+    for lo in range(0, len(F), step):
+        cells = flat.take(left[lo:lo + step, None, :] + right)
+        yield lo, rank(cells.reshape(-1, w), n).reshape(cells.shape[:2])
 
 
 # --- text forms --------------------------------------------------------------
@@ -345,4 +399,4 @@ def parse_canonical(s, n) -> CanonicalElem:
 
 def map_str(f) -> str:
     """Canonical token of a closure-member table."""
-    return canonical_str(classify(f))
+    return canonical_str(forms([f], map_n(f))[0])

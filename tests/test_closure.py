@@ -70,6 +70,27 @@ def test_axiom_check_reports_witness(closure_of):
     assert failing and failing[0].counterexample is not None
 
 
+# the first pair's first failures differ between row-major and column-major order
+@pytest.mark.parametrize("add_cell,mul_cell", [((2, 25), (0, 15)), ((9, 4), (13, 20))])
+def test_exhaustive_scan_matches_reference_loop(closure_of, add_cell, mul_cell):
+    ns = closure_of(2)
+    bad = closure.NearSemiring(2, ns.elements,
+                               ns.add_table.copy(), ns.mul_table.copy())
+    bad.add_table[add_cell] = (bad.add_table[add_cell] + 1) % len(ns)
+    bad.mul_table[mul_cell] = (bad.mul_table[mul_cell] + 1) % len(ns)
+    report = closure.verify_near_semiring(bad)  # default bounds: exhaustive at n=2
+    add_t, mul_t = bad.add_table, bad.mul_table
+    laws = [lambda i, j, k: add_t[add_t[i, j], k] == add_t[i, add_t[j, k]],
+            lambda i, j, k: mul_t[mul_t[i, j], k] == mul_t[i, mul_t[j, k]],
+            lambda f, g, h: mul_t[f, add_t[g, h]] == add_t[mul_t[f, g], mul_t[f, h]]]
+    m = len(ns)
+    row_major = [(i, j, k) for i in range(m) for j in range(m) for k in range(m)]
+    expected = [_reference_scan(law, row_major) for law in laws]
+    assert [(c.passed, c.counterexample) for c in report.checks] == expected
+    assert [c.checked for c in report.checks] == [m ** 3] * 3
+    assert not any(ok for ok, _ in expected)
+
+
 def _reference_scan(holds, triples):
     """The sampled scan as a plain loop: verdict and first failing triple."""
     for a, b, c in triples:
@@ -109,6 +130,28 @@ def test_closure_rejects_generators_whose_sums_leave_the_shapes():
         closure.additive_closure(gens)
 
 
+def test_closure_names_a_sum_outside_the_shapes(monkeypatch):
+    # sums of shaped tables keep a shape, so mark one sum's rank as outside
+    gens = generators.enumerate_aff(2)
+    real = maps.products
+    calls = []
+
+    def products(F, G, op, n):
+        for lo, ranks in real(F, G, op, n):
+            if not calls:
+                calls.append((np.array(F[lo + 1]), np.array(G[2])))
+                ranks = ranks.copy()
+                ranks[1, 2] = -1
+            yield lo, ranks
+
+    monkeypatch.setattr(maps, "products", products)
+    with pytest.raises(maps.NotAffineElement) as err:
+        closure.additive_closure(gens)
+    f, g = calls[0]
+    witness = maps.pointwise_add(tuple(f.tolist()), tuple(g.tolist()))
+    assert str(witness) in str(err.value)
+
+
 @pytest.mark.parametrize("n,removed", [(2, 9), (3, 100)])
 def test_fill_tables_names_first_cell_outside_the_list(closure_of, n, removed):
     ns = closure_of(n)
@@ -143,9 +186,15 @@ def test_tables_match_pointwise_definitions(closure_of):
 
 
 def test_n_cap_enforced():
-    gens = generators.enumerate_aff(2)
+    class Seven:
+        n = 7
+        members = ((0,) * 50,)
+
+        def __len__(self):
+            return 1
+
     with pytest.raises(ValueError, match="exceeds cap"):
-        closure.additive_closure(gens, n_cap=1)
+        closure.additive_closure(Seven())
     assert closure.DEFAULT_N_CAP == 6
 
 

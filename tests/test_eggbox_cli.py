@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ans import cli, closure, eggbox, formulas, generators, green
+from ans import cli, closure, eggbox, formulas, generators, green, maps, verify
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -136,6 +136,39 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _no_classify(*args):
+    raise AssertionError("maps.classify called at runtime")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_battery_runs_without_classify(monkeypatch, n):
+    monkeypatch.setattr(maps, "classify", _no_classify)
+    results = verify.run_battery(n)
+    assert results and all(r.passed for r in results), [r.line() for r in results]
+
+
+def test_cli_output_without_classify(tmp_path, capsys, monkeypatch):
+    commands = [["enumerate", "--format", "json"], ["generators", "--kind", "aff"]]
+    commands += [[cmd, "--reduct", label, "--format", "json"]
+                 for cmd in ("green", "eggbox") for label in ("additive", "multiplicative")]
+
+    def outputs(cache_dir):
+        out = []
+        for argv in commands:
+            cache = ["--cache-dir", str(cache_dir)] if argv[0] != "generators" else []
+            code, text, err = run_cli(capsys, argv + ["--n", "2"] + cache)
+            assert code == 0 and err == "", (argv, err)
+            out.append(text)
+        return out
+
+    plain = outputs(tmp_path / "plain")
+    monkeypatch.setattr(maps, "classify", _no_classify)
+    guarded = outputs(tmp_path / "guarded")  # a fresh cache: the build runs guarded too
+    assert guarded == plain
+    for label, text in zip(("additive", "multiplicative"), guarded[-2:]):
+        assert text == (GOLDEN / f"eggbox_n2_{label}.json").read_text()
 
 
 def test_cli_enumerate_text(tmp_path, capsys):

@@ -58,6 +58,19 @@ def test_aff_shapes_and_order(n):
     assert shapes <= {maps.Zero, maps.Constant, maps.NSupport}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_aff_matches_per_pair_construction(n):
+    sums = {maps.pointwise_add(g, c)
+            for g in generators.enumerate_end(n) for c in generators.enumerate_constants(n)}
+    expected = sorted(sums, key=lambda f: maps.canonical_key(maps.classify(f)))
+    assert generators.enumerate_aff(n).members == tuple(expected)
+
+
+def test_enumerate_aff_refuses_n_over_cap():
+    with pytest.raises(ValueError, match="exceeds cap"):
+        generators.enumerate_aff(7)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_triple_round_trip(n):
     for k in range(1, n + 1):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,12 +155,39 @@ def test_rank_agrees_with_classify_on_perturbed_tables(n):
     for _ in range(2):  # change up to two cells per table
         cells = rng.integers(0, n * n + 1, size=len(rows))
         rows[np.arange(len(rows)), cells] = rng.integers(0, n * n + 1, size=len(rows))
+    classified, first_outside = [], None
     for f, r in zip(rows.tolist(), maps.rank(rows, n)):
         try:
-            expected = family.index(maps.canonical_key(maps.classify(tuple(f))))
+            c = maps.classify(tuple(f))
+            expected = family.index(maps.canonical_key(c))
+            classified.append(c)
         except maps.NotAffineElement:
             expected = -1
+            first_outside = first_outside or tuple(f)
         assert r == expected, f
+    assert maps.forms(rows[maps.rank(rows, n) >= 0], n) == classified
+    with pytest.raises(maps.NotAffineElement, match=re.escape(str(first_outside))):
+        maps.forms(rows, n)
+
+
+@pytest.mark.parametrize("op", ["+", "o"])
+def test_products_rank_every_pair(op):
+    n = 2
+    family = np.array([maps.render(c, n) for c in maps.all_canonical(n)])
+    rng = np.random.default_rng(7)
+    # arbitrary tables as well as members, and enough rows for several blocks
+    F = np.concatenate([family[rng.integers(0, len(family), 400)],
+                        rng.integers(0, n * n + 1, size=(100, n * n + 1))])
+    G = family
+    per_pair = maps.pointwise_add if op == "+" else maps.compose
+    blocks = list(maps.products(F, G, op, n))
+    assert len(blocks) > 1 and [lo for lo, _ in blocks] == sorted({lo for lo, _ in blocks})
+    ranks = np.concatenate([r for _, r in blocks])
+    expected = maps.rank(np.array([per_pair(tuple(f), tuple(g))
+                                   for f in F.tolist() for g in G.tolist()]), n)
+    assert ranks.shape == (len(F), len(G))
+    assert ranks.ravel().tolist() == expected.tolist()
+    assert (ranks < 0).any()
 
 
 def test_classify_n1_one_support_is_column_shape():
