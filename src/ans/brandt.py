@@ -118,6 +118,17 @@ def enumerate_sn(n):
     return list(permutations(range(1, n + 1)))
 
 
+def sn_generators(n):
+    """A generating set of S_n: the transposition (1 2) and the n-cycle
+    (1 2 ... n), which coincide at n = 2; S_1 needs none."""
+    _check_n(n)
+    if n == 1:
+        return ()
+    transposition = (2, 1) + tuple(range(3, n + 1))
+    cycle = tuple(range(2, n + 1)) + (1,)
+    return (transposition,) if n == 2 else (transposition, cycle)
+
+
 def perm_compose(p, q):
     """Left-action composition: i(pq) = (ip)q."""
     if len(p) != len(q):

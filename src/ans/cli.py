@@ -7,7 +7,6 @@ Exit codes: 0 success / all checks pass, 1 verification mismatch,
 """
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -35,12 +34,18 @@ def resolve_cache_dir(arg_value: Optional[str]) -> Optional[Path]:
 
 
 def _read_cache(path: Path, n: int) -> closure_mod.NearSemiring:
-    """Each member is read in full before numpy parses it, so zip checks every
-    CRC-32 (np.load on the .npz can stop short of a member's end); no unpickling."""
+    """Each member is parsed as it streams out of the zip, and must end where
+    its array ends: that refuses a header that stops short, and reading to
+    the member's end makes zip check its CRC-32.  No unpickling."""
+    d = {}
     try:
         with zipfile.ZipFile(path) as zf:
-            d = {k.removesuffix(".npy"): np.load(io.BytesIO(zf.read(k))) for k in zf.namelist()}
-        d = {k: v.item() if v.ndim == 0 else v for k, v in d.items()}
+            for name in zf.namelist():
+                with zf.open(name) as member:
+                    v = np.lib.format.read_array(member, allow_pickle=False)
+                    if member.read():
+                        raise ValueError(f"{name} has bytes past its array")
+                d[name.removesuffix(".npy")] = v.item() if v.ndim == 0 else v
     except Exception as e:  # damaged zip and .npy headers raise many error types
         raise ValueError(f"unreadable cache {path}: {type(e).__name__}: {e}") from None
     if not isinstance(d.get("n"), int) or d["n"] != n:

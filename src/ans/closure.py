@@ -3,18 +3,30 @@
 The closure is a worklist fixpoint inside M(B_n): starting from the
 generators, adjoin s + g (known element on the left, generator on the
 right) until nothing new appears.  Every finite sum of generators folds
-left, so right-extension alone reaches the whole additive closure; full
-pairwise closure is re-verified anyway while the Cayley tables are built,
-and closure under composition is asserted at the same time.
+left, so right-extension alone reaches the whole additive closure.
 
-Element identity during the fixpoint is the canonical rank (`maps.rank`),
-which checks membership by re-rendering, so a sum outside the four shapes
-raises with its table as the witness.  The discovered ranks are a boolean
-mask over the canonical family, so the element list comes out in canonical
-order with no sort, and element indices are stable across runs.  The
-product formulas live in one place, `maps.products`, which ranks blocks of
-sums or composites; the fixpoint and both Cayley tables go through it, and
-the tables store element indices as uint16.
+Conjugation by Aut(B_n) ≅ S_n permutes M(B_n) by near-semiring
+automorphisms and maps Aff(B_n) onto itself (`maps.index_permutations`).
+So the fixpoint keeps its found set closed under S_n and extends only one
+representative per new orbit (the least index in it): s + g for s = pi(r)
+is pi(r + pi^-1(g)), already found.  Every sum is still ranked with the
+membership check, so the fixpoint stays an independent proof that the
+carrier is the canonical family.
+
+Element identity is the canonical rank (`maps.rank`), which checks
+membership by re-rendering, so a sum outside the four shapes raises with
+its table as the witness.  The discovered ranks are a boolean mask over
+the canonical family, so the element list comes out in canonical order
+with no sort, and element indices are stable across runs.  The product
+formulas live in one place, `maps.products`.
+
+Both Cayley tables store element indices as uint16 and are built by
+`orbit_tables`: the representatives' rows are ranked directly, with
+pairwise closure under + and o asserted there, and every other row is
+derived along a BFS tree of its orbit, t[P f] = P[t[f][P^-1]].
+`fill_tables` ranks all m^2 cells directly instead; it is the reference
+the symmetric tables are tested against, and the battery's failure
+witness.
 """
 
 from dataclasses import dataclass, field
@@ -33,6 +45,10 @@ FORMAT_VERSION = 1
 # Cayley tables hold element indices; at the cap n=6 there are 27,253
 # elements, so uint16 is wide enough and halves the memory of int32.
 TABLE_DTYPE = np.uint16
+
+# Table cells derived per gather in `orbit_tables`; bigger blocks raise peak
+# memory without making the derivation faster.
+_DERIVE_CELLS = 1 << 16
 
 # Sampled axiom triples checked per vectorized step; bigger slices raise peak
 # memory without making the scan faster.
@@ -76,34 +92,139 @@ class NearSemiring:
         raise ValueError(f"unknown reduct {label!r}")
 
 
+def _list_index(elems, n):
+    """Canonical ranks and tables of an element list, and rank -> list
+    position (-1 off the list; the spare last slot catches rank -1)."""
+    m = len(elems)
+    if m > np.iinfo(TABLE_DTYPE).max + 1:
+        raise ValueError(f"{m} elements do not fit {np.dtype(TABLE_DTYPE)} Cayley tables")
+    ranks = maps.member_ranks(np.array(elems), n)
+    position = np.full(len(maps.canonical_tables(n)) + 1, -1, dtype=np.int64)
+    position[ranks] = np.arange(m)
+    return ranks, maps.canonical_tables(n)[ranks], position
+
+
+def _ranked_blocks(E, position, rows, cols, n):
+    """(lo, sums, composites) of E[rows] with E[cols] as list positions,
+    block by block of rows; -1 marks a product off the list."""
+    F, G = E[rows], E[cols]
+    for (lo, sums), (_, comps) in zip(maps.products(F, G, "+", n), maps.products(F, G, "o", n)):
+        yield lo, position[sums], position[comps]
+
+
+def _assert_closed(sums, comps, rows, lo):
+    """Raise naming the first cell (row-major) whose product is off the list."""
+    bad = np.flatnonzero((sums < 0) | (comps < 0))
+    if bad.size:
+        i, j = np.unravel_index(bad[0], sums.shape)
+        kind = "additively" if sums[i, j] < 0 else "multiplicatively"
+        raise AssertionError(f"closure not {kind} closed at ({rows[lo + i]},{j})")
+
+
 def fill_tables(elems, n):
-    """Both Cayley tables over the closed element list.
+    """Both Cayley tables over the closed element list, every cell ranked.
 
     Every sum and composite is ranked and looked up in the list, which need
     not be the whole canonical family.  Raises if any falls outside the
     list, naming the first cell in row-major order, which doubles as the
     pairwise-closure re-verification.
     """
-    m = len(elems)
-    if m > np.iinfo(TABLE_DTYPE).max + 1:
-        raise ValueError(f"{m} elements do not fit {np.dtype(TABLE_DTYPE)} Cayley tables")
-    ranks = maps.member_ranks(np.array(elems), n)
-    E = maps.canonical_tables(n)[ranks]
-    # rank -> list position; the spare last slot catches rank -1
-    position = np.full(len(maps.canonical_tables(n)) + 1, -1, dtype=np.int64)
-    position[ranks] = np.arange(m)
+    _, E, position = _list_index(elems, n)
+    m = len(E)
     add_table = np.empty((m, m), dtype=TABLE_DTYPE)
     mul_table = np.empty((m, m), dtype=TABLE_DTYPE)
-    # sums and composites block by block, so the first bad cell is row-major first
-    for (lo, sums), (_, comps) in zip(maps.products(E, E, "+", n), maps.products(E, E, "o", n)):
-        sums, comps = position[sums], position[comps]
-        bad = np.flatnonzero((sums < 0) | (comps < 0))
-        if bad.size:
-            i, j = divmod(int(bad[0]), m)
-            kind = "additively" if sums[i, j] < 0 else "multiplicatively"
-            raise AssertionError(f"closure not {kind} closed at ({lo + i},{j})")
+    rows = np.arange(m)
+    for lo, sums, comps in _ranked_blocks(E, position, rows, rows, n):
+        _assert_closed(sums, comps, rows, lo)
         add_table[lo:lo + len(sums)] = sums
         mul_table[lo:lo + len(comps)] = comps
+    return add_table, mul_table
+
+
+def direct_products(elems, n, rows, cols=None):
+    """Sums and composites of elems[rows] with elems[cols] (every column by
+    default), each ranked directly, as list positions; -1 marks a product
+    off the list."""
+    _, E, position = _list_index(elems, n)
+    cols = np.arange(len(E)) if cols is None else cols
+    blocks = list(_ranked_blocks(E, position, rows, cols, n))
+    return tuple(np.concatenate([b[k] for b in blocks]) for k in (1, 2))
+
+
+def element_permutations(elems, n):
+    """`maps.index_permutations(n)` as permutations of list positions, in
+    TABLE_DTYPE; None when the list is not closed under them."""
+    ranks, _, position = _list_index(elems, n)
+    perms = tuple(position[P[ranks]] for P in maps.index_permutations(n))
+    if any((P < 0).any() for P in perms):
+        return None
+    return tuple(P.astype(TABLE_DTYPE) for P in perms)
+
+
+def _orbit_labels(perms, m) -> np.ndarray:
+    """The least index in each of 0..m-1's orbit under the group that the
+    permutations generate; the orbit representatives are the fixed points."""
+    label = np.arange(m)
+    while True:
+        nxt = label
+        for P in perms:
+            nxt = np.minimum(nxt, nxt[P])
+        if np.array_equal(nxt, label):
+            return label
+        label = nxt
+
+
+def orbit_tree(perms, m):
+    """Orbit representatives and a BFS forest from them over 0..m-1.
+
+    Returns `(reps, steps)`: each step `(g, targets, sources)` says
+    targets = perms[g][sources], and steps come in BFS order, so every
+    source is a representative or the target of an earlier step.
+    """
+    reps = np.flatnonzero(_orbit_labels(perms, m) == np.arange(m))
+    reached = np.zeros(m, dtype=bool)
+    reached[reps] = True
+    frontier, steps = reps, []
+    while frontier.size and perms:
+        grown = []
+        for g, P in enumerate(perms):
+            targets = P[frontier].astype(np.intp)
+            new = ~reached[targets]
+            reached[targets[new]] = True
+            steps.append((g, targets[new], frontier[new]))
+            grown.append(targets[new])
+        frontier = np.concatenate(grown)
+    return reps, steps
+
+
+def orbit_tables(elems, n):
+    """Both Cayley tables, from the orbit representatives' rows.
+
+    The same tables as `fill_tables`, for a list closed under conjugation
+    by S_n (a ValueError otherwise).  The representatives' rows are ranked
+    directly, and a product off the list raises as in `fill_tables`,
+    naming the first such cell in those rows.  Every other row is derived
+    along `orbit_tree` as row[P f] = P[row[f][P^-1]], two gathers per row,
+    so it stays on the list too.
+    """
+    perms = element_permutations(elems, n)
+    if perms is None:
+        raise ValueError("element list is not closed under conjugation by S_n")
+    m = len(elems)
+    reps, steps = orbit_tree(perms, m)
+    add_table = np.empty((m, m), dtype=TABLE_DTYPE)
+    mul_table = np.empty((m, m), dtype=TABLE_DTYPE)
+    sums, comps = direct_products(elems, n, reps)
+    _assert_closed(sums, comps, reps, 0)
+    add_table[reps], mul_table[reps] = sums, comps
+    inverse = [np.argsort(P) for P in perms]
+    step = max(1, _DERIVE_CELLS // m)
+    for g, targets, sources in steps:
+        P, P_inv = perms[g], inverse[g]
+        for lo in range(0, len(targets), step):
+            t, s = targets[lo:lo + step], sources[lo:lo + step]
+            add_table[t] = P.take(add_table[s].take(P_inv, axis=1))
+            mul_table[t] = P.take(mul_table[s].take(P_inv, axis=1))
     return add_table, mul_table
 
 
@@ -114,17 +235,30 @@ def check_n_cap(n: int):
 
 
 def additive_closure(gens) -> NearSemiring:
-    """Close the generators under pointwise + and return both reducts' tables."""
+    """Close the generators under pointwise + and return both reducts' tables.
+
+    The generator set must be closed under conjugation by S_n, as every
+    generator kind is; the fixpoint extends one representative per orbit.
+    """
     if not len(gens):
         raise ValueError("generator set is empty")
     n = gens.n
     check_n_cap(n)
     G = np.array(list(gens.members))
     E = maps.canonical_tables(n)
+    label = _orbit_labels(maps.index_permutations(n), len(E))
+    is_rep = label == np.arange(len(E))  # the least rank in its orbit
+
+    def saturate(mask):  # the union of the orbits that meet the mask
+        hit = np.zeros(len(E), dtype=bool)
+        hit[label[mask]] = True
+        return hit[label]
 
     seen = np.zeros(len(E), dtype=bool)
-    frontier = np.unique(maps.member_ranks(G, n))
-    seen[frontier] = True
+    seen[maps.member_ranks(G, n)] = True
+    if not np.array_equal(saturate(seen), seen):
+        raise ValueError("generator set is not closed under conjugation by S_n")
+    frontier = np.flatnonzero(seen & is_rep)
     while frontier.size:
         found = np.zeros(len(E), dtype=bool)
         for lo, sums in maps.products(E[frontier], G, "+", n):
@@ -134,12 +268,13 @@ def additive_closure(gens) -> NearSemiring:
                 witness = maps.pointwise_add(E[frontier[lo + i]].tolist(), G[j].tolist())
                 raise maps.NotAffineElement(f"table {witness} is outside the four closure shapes")
             found[sums.ravel()] = True
-        frontier = np.flatnonzero(found & ~seen)
+        found = saturate(found)
+        frontier = np.flatnonzero(found & ~seen & is_rep)
         seen |= found
 
     # the rendered rows equal the discovered ones, since rank checks membership
     elems = tuple(map(tuple, E[np.flatnonzero(seen)].tolist()))
-    add_table, mul_table = fill_tables(elems, n)
+    add_table, mul_table = orbit_tables(elems, n)
     return NearSemiring(n, elems, add_table, mul_table)
 
 

@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from . import brandt, maps
-from .closure import FiniteSemigroup
+from .closure import TABLE_DTYPE, FiniteSemigroup
 from .maps import Constant, NSupport, Singleton, Zero
 
 RELATIONS = ("R", "L", "D", "J", "H")
@@ -337,14 +337,19 @@ def subset_indices(sg: FiniteSemigroup, name: str) -> Tuple[int, ...]:
 
 
 def _restrict(sg: FiniteSemigroup, idx):
-    """Restricted table in local indices; -1 marks products that escape."""
+    """Restricted table in local indices, in TABLE_DTYPE, and whether the
+    subset is closed (the table is only meaningful when it is)."""
     if len(idx) == len(sg):
         return sg.op, True
-    idx = np.asarray(idx, dtype=np.int64)
-    lut = np.full(len(sg), -1, dtype=np.int64)
-    lut[idx] = np.arange(len(idx))
-    sub = lut[sg.op[np.ix_(idx, idx)]]
-    return sub, bool((sub >= 0).all())
+    idx = np.asarray(idx, dtype=np.intp)
+    sub = sg.op[np.ix_(idx, idx)]
+    inside = np.zeros(len(sg), dtype=bool)
+    inside[idx] = True
+    if not inside[sub].all():
+        return sub, False
+    local = np.zeros(len(sg), dtype=TABLE_DTYPE)
+    local[idx] = np.arange(len(idx))
+    return local[sub], True
 
 
 def _inverse_counts(t):

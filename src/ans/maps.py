@@ -22,6 +22,7 @@ Every runtime shape question goes through one element index: `rank` (and
 its checked form `member_ranks`) gives a table's position in canonical
 order by arithmetic, `forms` reads canonical forms off those positions, and
 `products` ranks every pointwise sum or composite of two row sets.
+`index_permutations` gives conjugation by S_n on those positions.
 `classify` decides the shape a second, independent way, case by case; it
 is kept as the reference that `rank` is tested against.
 """
@@ -329,6 +330,31 @@ def member_ranks(rows, n) -> np.ndarray:
         witness = tuple(int(v) for v in rows[bad[0]])
         raise NotAffineElement(f"table {witness} is outside the four closure shapes")
     return r
+
+
+@lru_cache(maxsize=None)
+def index_permutations(n) -> tuple:
+    """Conjugation by Aut(B_n) ≅ S_n as permutations of canonical indices.
+
+    For each generator pi of `brandt.sn_generators(n)`, entry r is the rank
+    of phi^-1 f phi, where f is the r-th canonical table and phi = phi_pi
+    sends (i,j) to (i pi, j pi).  Conjugation preserves + and o, so these
+    are near-semiring automorphisms: t[P[f], P[g]] = P[t[f, g]] in both
+    Cayley tables.  Read-only uint16 arrays, each checked to be a bijection.
+    """
+    E = canonical_tables(n)
+    out = []
+    for pi in brandt.sn_generators(n):
+        p = np.array(pi) - 1                               # pi on 0-based points
+        phi = np.zeros(E.shape[1], dtype=E.dtype)          # theta stays theta
+        phi[1:] = (p[:, None] * n + p + 1).ravel()         # (i,j) -> (i pi, j pi)
+        P = member_ranks(phi[E[:, np.argsort(phi)]], n).astype(np.uint16)
+        if not np.array_equal(np.sort(P), np.arange(len(E))):
+            raise AssertionError(f"conjugation by phi{brandt.perm_str(pi)} "
+                                 "does not permute the canonical family")
+        P.setflags(write=False)
+        out.append(P)
+    return tuple(out)
 
 
 def forms(rows, n) -> list:

@@ -294,6 +294,21 @@ def test_cli_enumerate_json_deterministic(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("cache", ["cold", "warm"])
+def test_cli_reports_match_goldens(tmp_path, capsys, cache):
+    # the verify report and enumerate JSON, byte for byte, from a fresh
+    # build and from the cache that an earlier run wrote
+    commands = {"verify_n1-3.json": ["verify", "--n", "1..3"],
+                "enumerate_n3.json": ["enumerate", "--n", "3", "--format", "json"]}
+    for golden, argv in commands.items():
+        cache_dir = ["--cache-dir", str(tmp_path / golden)]
+        if cache == "warm":
+            run_cli(capsys, argv + cache_dir)
+        code, out, _ = run_cli(capsys, argv + cache_dir + ["--out", str(tmp_path / "out")])
+        assert code == 0
+        assert (tmp_path / "out").read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 def _load_npz(path):
     with np.load(path) as z:
         return {k: z[k] for k in z.files}

@@ -1,0 +1,158 @@
+"""Conjugation by Aut(B_n) ≅ S_n: index permutations, orbit-built tables,
+and the battery's symmetric table check against the direct path."""
+
+import numpy as np
+import pytest
+
+from ans import brandt, closure, generators, maps, verify
+
+TABLES_CHECK = "Cayley tables reproducible from element list"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_index_permutations_are_conjugations(closure_of, n):
+    ns = closure_of(n)
+    E = [tuple(f) for f in maps.canonical_tables(n).tolist()]
+    perms = maps.index_permutations(n)
+    assert len(perms) == len(brandt.sn_generators(n)) == {1: 0, 2: 1, 3: 2}[n]
+    for pi, P in zip(brandt.sn_generators(n), perms):
+        phi = generators.phi_sigma(pi, n)
+        phi_inv = generators.phi_sigma(brandt.perm_inverse(pi), n)
+        assert [E[r] for r in P] == [maps.compose(maps.compose(phi_inv, f), phi) for f in E]
+        assert P.dtype == np.uint16 and not P.flags.writeable
+        for t in (ns.add_table, ns.mul_table):  # t[P f, P g] = P t[f, g]
+            assert np.array_equal(t[np.ix_(P, P)], P[t])
+
+
+def test_index_permutations_at_n4_are_bijections():
+    perms = maps.index_permutations(4)
+    assert len(perms) == 2
+    for P in perms:
+        assert np.array_equal(np.sort(P), np.arange(657))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_tables_equal_fill_tables(closure_of, n):
+    ns = closure_of(n)
+    add_t, mul_t = closure.fill_tables(ns.elements, n)
+    for got in (closure.orbit_tables(ns.elements, n), (ns.add_table, ns.mul_table)):
+        assert np.array_equal(got[0], add_t) and np.array_equal(got[1], mul_t)
+        assert got[0].dtype == got[1].dtype == closure.TABLE_DTYPE
+
+
+@pytest.mark.parametrize("n,orbits", [(1, 3), (2, 15), (3, 27), (4, 39)])
+def test_orbit_tree_spans_every_orbit(closure_of, n, orbits):
+    ns = closure_of(n)
+    perms = closure.element_permutations(ns.elements, n)
+    reps, steps = closure.orbit_tree(perms, len(ns))
+    assert len(reps) == orbits
+    reached = set(reps.tolist())
+    for g, targets, sources in steps:
+        assert set(sources.tolist()) <= reached
+        assert np.array_equal(perms[g][sources], targets)
+        reached |= set(targets.tolist())
+    assert reached == set(range(len(ns)))
+
+
+def test_orbit_tables_refuse_a_list_not_closed_under_conjugation(closure_of):
+    elems = closure_of(2).elements[:2]  # xi_theta and xi(1,1), not xi(2,2)
+    assert closure.element_permutations(elems, 2) is None
+    with pytest.raises(ValueError, match="conjugation"):
+        closure.orbit_tables(elems, 2)
+
+
+def test_closure_refuses_generators_not_closed_under_conjugation():
+    class Lopsided:
+        n = 2
+        members = (maps.zero_map(2), maps.constant_map(1, 2))
+
+        def __len__(self):
+            return 2
+
+    with pytest.raises(ValueError, match="conjugation"):
+        closure.additive_closure(Lopsided())
+
+
+def _direct_witness(ns):
+    """The check's witness as the direct path gives it: the first cell,
+    row-major, where a table differs from `fill_tables`."""
+    add_t, mul_t = closure.fill_tables(ns.elements, ns.n)
+    for label, got, want in (("add", ns.add_table, add_t), ("mul", ns.mul_table, mul_t)):
+        bad = np.argwhere(got != want)
+        if bad.size:
+            i, j = map(int, bad[0])
+            return f"{label}_table[{i},{j}] is {int(got[i, j])}, recomputed {int(want[i, j])}"
+    return ""
+
+
+def _tables_check(ns):
+    results = verify.run_battery(ns.n, ns=ns)
+    return next(r for r in results if r.name == TABLES_CHECK)
+
+
+def _copy(ns):
+    return closure.NearSemiring(ns.n, ns.elements, ns.add_table.copy(), ns.mul_table.copy())
+
+
+def _reps(ns):
+    perms = closure.element_permutations(ns.elements, ns.n)
+    return closure.orbit_tree(perms, len(ns))[0]
+
+
+@pytest.mark.parametrize("table", ["add_table", "mul_table"])
+@pytest.mark.parametrize("row_kind", ["representative", "other"])
+def test_tampered_cell_fails_with_direct_witness(closure_of, table, row_kind):
+    bad = _copy(closure_of(3))
+    reps = _reps(bad)
+    rows = reps if row_kind == "representative" else np.setdiff1d(np.arange(len(bad)), reps)
+    i = int(rows[len(rows) // 2])
+    t = getattr(bad, table)
+    t[i, 5] = (int(t[i, 5]) + 1) % len(bad)
+    check = _tables_check(bad)
+    assert not check.passed
+    assert "recomputed" in check.details
+    assert check.details == _direct_witness(bad)
+
+
+def _cell_orbit(perms, f, g):
+    """The orbit of the cell (f, g) under the diagonal action."""
+    orbit, todo = {(f, g)}, [(f, g)]
+    while todo:
+        a, b = todo.pop()
+        for P in perms:
+            image = (int(P[a]), int(P[b]))
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_equivariant_forgery_fails_with_direct_witness(closure_of, n):
+    # f o xi(1,1) = xi(1,1); rewrite that cell's whole orbit to the zero map,
+    # which every conjugation fixes, so the forged table stays equivariant
+    ns = closure_of(n)
+    bad = _copy(ns)
+    perms = closure.element_permutations(ns.elements, n)
+    orbit = _cell_orbit(perms, len(ns) - 1, 1)
+    assert len({a for a, _ in orbit}) > 1  # the forgery spans several rows
+    for a, b in orbit:
+        assert bad.mul_table[a, b] == b != 0
+        bad.mul_table[a, b] = 0
+    for P in perms:
+        assert np.array_equal(bad.mul_table[np.ix_(P, P)], P[bad.mul_table])
+    check = _tables_check(bad)
+    assert not check.passed
+    assert check.details == _direct_witness(bad)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_wrong_index_permutation_fails_the_check(closure_of, monkeypatch, n):
+    ns = closure_of(n)
+    real = maps.index_permutations(n)
+    wrong = real[0].copy()
+    wrong[[1, 2]] = wrong[[2, 1]]  # swap the images of xi(1,1) and xi(1,2)
+    monkeypatch.setattr(maps, "index_permutations", lambda _n: (wrong,) + real[1:])
+    check = _tables_check(ns)
+    assert not check.passed
+    assert check.details == "add_table is not invariant under index permutation 0"
