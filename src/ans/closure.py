@@ -20,13 +20,16 @@ the canonical family, so the element list comes out in canonical order
 with no sort, and element indices are stable across runs.  The product
 formulas live in one place, `maps.products`.
 
-Both Cayley tables store element indices as uint16 and are built by
-`orbit_tables`: the representatives' rows are ranked directly, with
-pairwise closure under + and o asserted there, and every other row is
-derived along a BFS tree of its orbit, t[P f] = P[t[f][P^-1]].
-`fill_tables` ranks all m^2 cells directly instead; it is the reference
-the symmetric tables are tested against, and the battery's failure
-witness.
+Both Cayley tables store element indices as uint16.  The S_n symmetry
+of the tables is stated once, as the row identity t[P f] = P[t[f][P^-1]]
+for each generator P (`_conjugated_rows`), and it does two jobs.
+`orbit_tables` ranks the orbit representatives' rows directly, asserting
+pairwise closure under + and o there, and fills every other row from a
+filled one by the identity.  `tables_witness` proves a pair of tables,
+say from a cache: the representatives' rows ranked directly, plus every
+row obeying the identity, prove every cell.  `fill_tables` ranks all m^2
+cells directly; it is the reference the symmetric tables are tested
+against, and it names the first wrong cell when a proof fails.
 """
 
 from dataclasses import dataclass, field
@@ -46,9 +49,14 @@ FORMAT_VERSION = 1
 # elements, so uint16 is wide enough and halves the memory of int32.
 TABLE_DTYPE = np.uint16
 
-# Table cells derived per gather in `orbit_tables`; bigger blocks raise peak
-# memory without making the derivation faster.
-_DERIVE_CELLS = 1 << 16
+# Table cells per step when deriving or comparing tables in row blocks;
+# bigger blocks raise peak memory without making the scans faster.
+_BLOCK_CELLS = 1 << 16
+
+# The direct sample of `tables_witness`: whole rows of this many
+# non-representatives, and a grid of this many rows by this many columns.
+_SAMPLE_ROWS = 3
+_SAMPLE_GRID = 64
 
 # Sampled axiom triples checked per vectorized step; bigger slices raise peak
 # memory without making the scan faster.
@@ -104,21 +112,30 @@ def _list_index(elems, n):
     return ranks, maps.canonical_tables(n)[ranks], position
 
 
-def _ranked_blocks(E, position, rows, cols, n):
-    """(lo, sums, composites) of E[rows] with E[cols] as list positions,
-    block by block of rows; -1 marks a product off the list."""
+def _ranked_blocks(index, rows, cols, n):
+    """(lo, sums, composites) of the listed elements rows x cols, each
+    ranked directly, as list positions, block by block of rows; -1 marks a
+    product off the list."""
+    _, E, position = index
     F, G = E[rows], E[cols]
     for (lo, sums), (_, comps) in zip(maps.products(F, G, "+", n), maps.products(F, G, "o", n)):
         yield lo, position[sums], position[comps]
 
 
-def _assert_closed(sums, comps, rows, lo):
-    """Raise naming the first cell (row-major) whose product is off the list."""
-    bad = np.flatnonzero((sums < 0) | (comps < 0))
-    if bad.size:
-        i, j = np.unravel_index(bad[0], sums.shape)
-        kind = "additively" if sums[i, j] < 0 else "multiplicatively"
-        raise AssertionError(f"closure not {kind} closed at ({rows[lo + i]},{j})")
+def _ranked_rows(index, rows, n):
+    """Both tables' `rows`, every cell ranked directly.  Raises if a product
+    falls outside the list, naming the first such cell (row-major)."""
+    m = len(index[1])
+    add_rows = np.empty((len(rows), m), dtype=TABLE_DTYPE)
+    mul_rows = np.empty((len(rows), m), dtype=TABLE_DTYPE)
+    for lo, sums, comps in _ranked_blocks(index, rows, np.arange(m), n):
+        bad = np.flatnonzero((sums < 0) | (comps < 0))
+        if bad.size:
+            i, j = np.unravel_index(bad[0], sums.shape)
+            kind = "additively" if sums[i, j] < 0 else "multiplicatively"
+            raise AssertionError(f"closure not {kind} closed at ({rows[lo + i]},{j})")
+        add_rows[lo:lo + len(sums)], mul_rows[lo:lo + len(comps)] = sums, comps
+    return add_rows, mul_rows
 
 
 def fill_tables(elems, n):
@@ -129,36 +146,23 @@ def fill_tables(elems, n):
     list, naming the first cell in row-major order, which doubles as the
     pairwise-closure re-verification.
     """
-    _, E, position = _list_index(elems, n)
-    m = len(E)
-    add_table = np.empty((m, m), dtype=TABLE_DTYPE)
-    mul_table = np.empty((m, m), dtype=TABLE_DTYPE)
-    rows = np.arange(m)
-    for lo, sums, comps in _ranked_blocks(E, position, rows, rows, n):
-        _assert_closed(sums, comps, rows, lo)
-        add_table[lo:lo + len(sums)] = sums
-        mul_table[lo:lo + len(comps)] = comps
-    return add_table, mul_table
+    return _ranked_rows(_list_index(elems, n), np.arange(len(elems)), n)
 
 
-def direct_products(elems, n, rows, cols=None):
-    """Sums and composites of elems[rows] with elems[cols] (every column by
-    default), each ranked directly, as list positions; -1 marks a product
-    off the list."""
-    _, E, position = _list_index(elems, n)
-    cols = np.arange(len(E)) if cols is None else cols
-    blocks = list(_ranked_blocks(E, position, rows, cols, n))
-    return tuple(np.concatenate([b[k] for b in blocks]) for k in (1, 2))
-
-
-def element_permutations(elems, n):
+def _permutations(index, n):
     """`maps.index_permutations(n)` as permutations of list positions, in
     TABLE_DTYPE; None when the list is not closed under them."""
-    ranks, _, position = _list_index(elems, n)
+    ranks, _, position = index
     perms = tuple(position[P[ranks]] for P in maps.index_permutations(n))
     if any((P < 0).any() for P in perms):
         return None
     return tuple(P.astype(TABLE_DTYPE) for P in perms)
+
+
+def element_permutations(elems, n):
+    """`maps.index_permutations(n)` as permutations of the list's positions,
+    or None when the list is not closed under them."""
+    return _permutations(_list_index(elems, n), n)
 
 
 def _orbit_labels(perms, m) -> np.ndarray:
@@ -174,27 +178,21 @@ def _orbit_labels(perms, m) -> np.ndarray:
         label = nxt
 
 
-def orbit_tree(perms, m):
-    """Orbit representatives and a BFS forest from them over 0..m-1.
+def orbit_representatives(perms, m) -> np.ndarray:
+    """The least index in each orbit of 0..m-1, ascending."""
+    return np.flatnonzero(_orbit_labels(perms, m) == np.arange(m))
 
-    Returns `(reps, steps)`: each step `(g, targets, sources)` says
-    targets = perms[g][sources], and steps come in BFS order, so every
-    source is a representative or the target of an earlier step.
-    """
-    reps = np.flatnonzero(_orbit_labels(perms, m) == np.arange(m))
-    reached = np.zeros(m, dtype=bool)
-    reached[reps] = True
-    frontier, steps = reps, []
-    while frontier.size and perms:
-        grown = []
-        for g, P in enumerate(perms):
-            targets = P[frontier].astype(np.intp)
-            new = ~reached[targets]
-            reached[targets[new]] = True
-            steps.append((g, targets[new], frontier[new]))
-            grown.append(targets[new])
-        frontier = np.concatenate(grown)
-    return reps, steps
+
+def _row_blocks(rows, m):
+    """`rows` in blocks of about _BLOCK_CELLS cells of an m-column table."""
+    step = max(1, _BLOCK_CELLS // m)
+    return (rows[lo:lo + step] for lo in range(0, len(rows), step))
+
+
+def _conjugated_rows(t, f, P, P_inv):
+    """Rows P f of a table that commutes with the permutation P, from its
+    rows f: t[P f] = P[t[f][P^-1]], since t[P f, P g] = P t[f, g]."""
+    return P.take(t[f].take(P_inv, axis=1))
 
 
 def orbit_tables(elems, n):
@@ -203,29 +201,90 @@ def orbit_tables(elems, n):
     The same tables as `fill_tables`, for a list closed under conjugation
     by S_n (a ValueError otherwise).  The representatives' rows are ranked
     directly, and a product off the list raises as in `fill_tables`,
-    naming the first such cell in those rows.  Every other row is derived
-    along `orbit_tree` as row[P f] = P[row[f][P^-1]], two gathers per row,
-    so it stays on the list too.
+    naming the first such cell in those rows.  Then each unreached row
+    P f is filled from a reached row f by `_conjugated_rows`, generator by
+    generator, until every row is reached, so it stays on the list too.
     """
-    perms = element_permutations(elems, n)
+    index = _list_index(elems, n)
+    perms = _permutations(index, n)
     if perms is None:
         raise ValueError("element list is not closed under conjugation by S_n")
     m = len(elems)
-    reps, steps = orbit_tree(perms, m)
+    reps = orbit_representatives(perms, m)
     add_table = np.empty((m, m), dtype=TABLE_DTYPE)
     mul_table = np.empty((m, m), dtype=TABLE_DTYPE)
-    sums, comps = direct_products(elems, n, reps)
-    _assert_closed(sums, comps, reps, 0)
-    add_table[reps], mul_table[reps] = sums, comps
-    inverse = [np.argsort(P) for P in perms]
-    step = max(1, _DERIVE_CELLS // m)
-    for g, targets, sources in steps:
-        P, P_inv = perms[g], inverse[g]
-        for lo in range(0, len(targets), step):
-            t, s = targets[lo:lo + step], sources[lo:lo + step]
-            add_table[t] = P.take(add_table[s].take(P_inv, axis=1))
-            mul_table[t] = P.take(mul_table[s].take(P_inv, axis=1))
+    add_table[reps], mul_table[reps] = _ranked_rows(index, reps, n)
+    reached = np.zeros(m, dtype=bool)
+    reached[reps] = True
+    inverses = [np.argsort(P) for P in perms]
+    while not reached.all():
+        for P, P_inv in zip(perms, inverses):
+            sources = np.flatnonzero(reached & ~reached[P])  # f reached, P f not
+            for f in _row_blocks(sources, m):
+                add_table[P[f]] = _conjugated_rows(add_table, f, P, P_inv)
+                mul_table[P[f]] = _conjugated_rows(mul_table, f, P, P_inv)
+            reached[P[sources]] = True
     return add_table, mul_table
+
+
+def _proof_breach(ns: NearSemiring, index) -> str:
+    """Which part of the symmetric proof of the tables fails, or "" if none.
+
+    Three parts: the orbit representatives' rows, ranked directly; every
+    row obeying `_conjugated_rows` for each generator P of S_n, compared in
+    row blocks; and a seeded sample of direct cells (a grid, plus whole
+    rows of a few elements that are not representatives).  The first two prove every cell, since each
+    row is the image of a representative's row under a product of
+    generators; the sample keeps a direct check that does not lean on the
+    symmetry argument.
+    """
+    n, m = ns.n, len(ns)
+    tables = {"add": ns.add_table, "mul": ns.mul_table}
+    perms = _permutations(index, n)
+    if perms is None:
+        return "element list is not closed under conjugation by S_n"
+    reps = orbit_representatives(perms, m)
+    rng = np.random.default_rng(0)
+    others = np.setdiff1d(np.arange(m), reps)
+    sample = np.concatenate([reps, np.sort(rng.permutation(others)[:_SAMPLE_ROWS])])
+    grid = np.sort(rng.integers(0, m, size=(2, _SAMPLE_GRID)), axis=1)
+    for where, rows, cols in (((sample, slice(None)), sample, np.arange(m)),
+                              (np.ix_(*grid), *grid)):
+        blocks = list(_ranked_blocks(index, rows, cols, n))
+        for k, (label, t) in enumerate(tables.items(), 1):
+            if not np.array_equal(t[where], np.concatenate([b[k] for b in blocks])):
+                return f"{label}_table differs from a directly ranked cell"
+    for label, t in tables.items():
+        for g, P in enumerate(perms):
+            P_inv = np.argsort(P)
+            for f in _row_blocks(np.arange(m), m):
+                if not np.array_equal(t[P[f]], _conjugated_rows(t, f, P, P_inv)):
+                    return f"{label}_table is not invariant under index permutation {g}"
+    return ""
+
+
+def tables_witness(ns: NearSemiring) -> str:
+    """"" when both Cayley tables are proved right for the element list,
+    else a witness.
+
+    On any breach of the symmetric proof (`_proof_breach`), every cell is
+    ranked as in `fill_tables`, and the witness is the first cell
+    (row-major) that differs, or the breach when no cell does.
+    """
+    index = _list_index(ns.elements, ns.n)
+    breach = _proof_breach(ns, index)
+    if not breach:
+        return ""
+    m = len(ns)
+    rows = np.arange(m)
+    direct = _ranked_rows(index, rows, ns.n)
+    for label, got, want in zip(("add", "mul"), (ns.add_table, ns.mul_table), direct):
+        for f in _row_blocks(rows, m):
+            bad = np.argwhere(got[f] != want[f])
+            if bad.size:
+                i, j = int(f[bad[0][0]]), int(bad[0][1])
+                return f"{label}_table[{i},{j}] is {int(got[i, j])}, recomputed {int(want[i, j])}"
+    return breach
 
 
 def check_n_cap(n: int):

@@ -64,14 +64,11 @@ def build_eggbox(ns: NearSemiring, label: str,
     r_of, l_of = gs.class_of["R"], gs.class_of["L"]
     boxes = []
     for bi, members in enumerate(gs.classes["D"]):
-        mset = set(members)
+        # `green` numbers classes by least member; an R-class lies in one D-class
         rows = sorted({r_of[i] for i in members})
         cols = sorted({l_of[i] for i in members})
-        rows.sort(key=lambda rc: gs.classes["R"][rc][0])
-        cols.sort(key=lambda lc: gs.classes["L"][lc][0])
         cells = tuple(
-            tuple(tuple(i for i in gs.classes["R"][rc] if l_of[i] == lc and i in mset)
-                  for lc in cols)
+            tuple(tuple(i for i in gs.classes["R"][rc] if l_of[i] == lc) for lc in cols)
             for rc in rows)
         boxes.append(Box(
             index=bi + 1,

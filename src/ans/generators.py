@@ -170,7 +170,12 @@ def aut_iso_sn(n) -> bool:
     """Check that sigma -> phi_sigma is a group isomorphism S_n -> Aut(B_n).
 
     Verifies injectivity, that the images are exactly the bijective
-    endomorphisms, and that composition is preserved.
+    endomorphisms, that phi_id is the identity map, and that
+    phi_(sigma tau) = phi_sigma phi_tau for every sigma and every tau in
+    `brandt.sn_generators(n)`.  That last check covers every tau: write
+    tau as a word tau_1 ... tau_k in the generators; induction on k gives
+    phi_(sigma tau) = phi_sigma phi_tau_1 ... phi_tau_k, and with
+    sigma = id (phi_id being the identity) phi_tau = phi_tau_1 ... phi_tau_k.
     """
     perms = brandt.enumerate_sn(n)
     images = {s: phi_sigma(s, n) for s in perms}
@@ -179,11 +184,10 @@ def aut_iso_sn(n) -> bool:
     bijective_end = {f for f in enumerate_end(n) if len(set(f)) == len(f)}
     if set(images.values()) != bijective_end:
         return False
-    for s in perms:
-        for t in perms:
-            if maps.compose(images[s], images[t]) != images[brandt.perm_compose(s, t)]:
-                return False
-    return True
+    if images[brandt.identity_perm(n)] != tuple(range(brandt.size(n))):
+        return False
+    return all(maps.compose(images[s], images[t]) == images[brandt.perm_compose(s, t)]
+               for s in perms for t in brandt.sn_generators(n))
 
 
 def member_str(f) -> str:

@@ -89,10 +89,10 @@ def regular_elements(sg: FiniteSemigroup) -> frozenset:
     return frozenset(out)
 
 
-def eventual_regularity(sg: FiniteSemigroup) -> Tuple[int, ...]:
-    """Least r >= 1 such that the r-th power is regular, per element."""
+def eventual_regularity(sg: FiniteSemigroup, reg: frozenset) -> Tuple[int, ...]:
+    """Least r >= 1 such that the r-th power is regular, per element, given
+    the `regular_elements` of `sg`."""
     t = sg.op
-    reg = regular_elements(sg)
     m = len(sg)
     out = []
     for i in range(m):
@@ -171,7 +171,7 @@ def green_brute(sg: FiniteSemigroup, ideal_rows=None) -> GreenStructure:
         class_of={rel: _class_of(classes[rel], m) for rel in RELATIONS},
         idempotent=tuple(i in idem for i in range(m)),
         regular=tuple(i in reg for i in range(m)),
-        eventual_index=eventual_regularity(sg),
+        eventual_index=eventual_regularity(sg, reg),
     )
 
 
@@ -425,11 +425,11 @@ def structural_checks(sg: FiniteSemigroup, subset: str) -> SubsetReport:
     reg = regular_elements(msub)
     regular = len(reg) == len(idx)
     idem = sorted(idempotents(msub))
-    commute = all(sub[e, f] == sub[f, e] for e in idem for f in idem)
+    ef = sub[np.ix_(idem, idem)]  # products of idempotent pairs
+    commute = bool(np.array_equal(ef, ef.T))
     inv_counts = _inverse_counts(sub)
     inverse = all(c == 1 for c in inv_counts)
-    orthodox = regular and all(sub[sub[e, f], sub[e, f]] == sub[e, f]
-                               for e in idem for f in idem)
+    orthodox = regular and bool(np.all(sub[ef, ef] == ef))
     iso_target, iso_holds = _iso_certificate(sg, subset, idx, sub)
     return SubsetReport(subset, sg.label, len(idx), True, regular,
                         commute, inverse, orthodox, iso_target, iso_holds)

@@ -5,11 +5,10 @@ brute-force Green structure) against an independent expectation (closed
 form, analytic classifier, explicit isomorphism certificate) and reports
 pass/fail with a minimal witness on failure.
 
-The Cayley tables, which may come from a cache, are checked without a
-second full fill: the orbit representatives' rows are ranked directly,
-both tables must commute with the index permutations of S_n, and a seeded
-sample of cells is ranked directly too.  Only on a failure does
-`closure.fill_tables` rank every cell, to name the first one that differs.
+The Cayley tables, which may come from a cache, are checked by
+`closure.tables_witness`, which proves them from the orbit
+representatives' rows and the S_n symmetry without a second full fill, and
+names the first wrong cell on a failure.
 """
 
 from dataclasses import dataclass
@@ -19,14 +18,6 @@ import numpy as np
 
 from . import closure as closure_mod
 from . import formulas, generators, green, maps
-
-
-# Cells compared per step when scanning a table in row blocks.
-_BLOCK_CELLS = 1 << 16
-# The direct sample: whole rows of this many non-representatives, and a
-# grid of this many rows by this many columns.
-_SAMPLE_ROWS = 3
-_SAMPLE_GRID = 64
 
 
 @dataclass
@@ -53,68 +44,6 @@ def _diff(measured, expected) -> str:
 
 def build_closure(n: int) -> closure_mod.NearSemiring:
     return closure_mod.additive_closure(generators.enumerate_aff(n))
-
-
-def _first_difference(got, want) -> Optional[tuple]:
-    """The first differing cell of two equal-shape tables, in row-major
-    order, compared in row blocks."""
-    step = max(1, _BLOCK_CELLS // got.shape[1])
-    for lo in range(0, len(got), step):
-        bad = np.argwhere(got[lo:lo + step] != want[lo:lo + step])
-        if bad.size:
-            return lo + int(bad[0][0]), int(bad[0][1])
-    return None
-
-
-def _symmetry_breach(ns) -> str:
-    """Why the tables are not proved right by symmetry, or "" if they are.
-
-    Three parts: the orbit representatives' rows, ranked directly;
-    equivariance t[P f, P g] = P t[f, g] under each generator of S_n,
-    compared in row blocks; and a seeded sample of direct cells (a grid,
-    plus whole rows of a few elements that are not representatives).  The
-    first two prove every cell, since each row is the image of a
-    representative's row under a product of generators; the sample keeps a
-    direct check that does not lean on the symmetry argument.
-    """
-    n, m = ns.n, len(ns)
-    tables = {"add": ns.add_table, "mul": ns.mul_table}
-    perms = closure_mod.element_permutations(ns.elements, n)
-    if perms is None:
-        return "element list is not closed under conjugation by S_n"
-    reps, _ = closure_mod.orbit_tree(perms, m)
-    rng = np.random.default_rng(0)
-    others = np.setdiff1d(np.arange(m), reps)
-    rows = np.concatenate([reps, np.sort(rng.permutation(others)[:_SAMPLE_ROWS])])
-    grid = np.sort(rng.integers(0, m, size=(2, _SAMPLE_GRID)), axis=1)
-    ranked = (((rows, slice(None)), closure_mod.direct_products(ns.elements, n, rows)),
-              (np.ix_(*grid), closure_mod.direct_products(ns.elements, n, *grid)))
-    for where, cells in ranked:
-        for (label, t), direct in zip(tables.items(), cells):
-            if not np.array_equal(t[where], direct):
-                return f"{label}_table differs from a directly ranked cell"
-    step = max(1, _BLOCK_CELLS // m)
-    for label, t in tables.items():
-        for g, P in enumerate(perms):
-            for lo in range(0, m, step):
-                image = t.take(P[lo:lo + step], axis=0).take(P, axis=1)  # t[P f, P g]
-                if not np.array_equal(image, P.take(t[lo:lo + step])):
-                    return f"{label}_table is not invariant under index permutation {g}"
-    return ""
-
-
-def _tables_witness(ns) -> str:
-    """"" when the tables are proved right, else a witness: the first cell
-    (row-major) that differs from `fill_tables`, or the symmetry breach."""
-    breach = _symmetry_breach(ns)
-    if not breach:
-        return ""
-    add_t, mul_t = closure_mod.fill_tables(ns.elements, ns.n)
-    for label, got, want in (("add", ns.add_table, add_t), ("mul", ns.mul_table, mul_t)):
-        cell = _first_difference(got, want)
-        if cell:
-            return f"{label}_table[{cell[0]},{cell[1]}] is {int(got[cell])}, recomputed {int(want[cell])}"
-    return breach
 
 
 def run_battery(n: int, ns: Optional[closure_mod.NearSemiring] = None) -> List[CheckResult]:
@@ -144,7 +73,7 @@ def run_battery(n: int, ns: Optional[closure_mod.NearSemiring] = None) -> List[C
            hist == expected_hist and closure_mod.intermediate_support_check(ns),
            _diff(hist, expected_hist))
 
-    witness = _tables_witness(ns)
+    witness = closure_mod.tables_witness(ns)
     tables_ok = not witness
     _check(results, "Cayley tables reproducible from element list", n,
            tables_ok, witness)

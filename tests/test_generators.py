@@ -40,6 +40,14 @@ def test_aut_is_symmetric_group(n):
     assert generators.aut_iso_sn(n)
 
 
+def test_aut_iso_sn_catches_two_swapped_images(monkeypatch):
+    # still injective onto the bijective endomorphisms; only composition breaks
+    real = generators.phi_sigma
+    swap = {(1, 3, 2): (3, 2, 1), (3, 2, 1): (1, 3, 2)}
+    monkeypatch.setattr(generators, "phi_sigma", lambda s, n: real(swap.get(s, s), n))
+    assert not generators.aut_iso_sn(3)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_phi_sigma_respects_composition(n):
     for s in brandt.enumerate_sn(n):

@@ -41,17 +41,23 @@ def test_orbit_tables_equal_fill_tables(closure_of, n):
 
 
 @pytest.mark.parametrize("n,orbits", [(1, 3), (2, 15), (3, 27), (4, 39)])
-def test_orbit_tree_spans_every_orbit(closure_of, n, orbits):
+def test_orbit_representatives_are_the_least_of_each_orbit(closure_of, n, orbits):
     ns = closure_of(n)
     perms = closure.element_permutations(ns.elements, n)
-    reps, steps = closure.orbit_tree(perms, len(ns))
+    least = {}
+    for start in range(len(ns)):  # walk each orbit from its least member
+        if start in least:
+            continue
+        least[start], frontier = start, [start]
+        while frontier:
+            f = frontier.pop()
+            for P in perms:
+                if int(P[f]) not in least:
+                    least[int(P[f])] = start
+                    frontier.append(int(P[f]))
+    reps = closure.orbit_representatives(perms, len(ns))
     assert len(reps) == orbits
-    reached = set(reps.tolist())
-    for g, targets, sources in steps:
-        assert set(sources.tolist()) <= reached
-        assert np.array_equal(perms[g][sources], targets)
-        reached |= set(targets.tolist())
-    assert reached == set(range(len(ns)))
+    assert reps.tolist() == sorted(set(least.values()))
 
 
 def test_orbit_tables_refuse_a_list_not_closed_under_conjugation(closure_of):
@@ -96,7 +102,7 @@ def _copy(ns):
 
 def _reps(ns):
     perms = closure.element_permutations(ns.elements, ns.n)
-    return closure.orbit_tree(perms, len(ns))[0]
+    return closure.orbit_representatives(perms, len(ns))
 
 
 @pytest.mark.parametrize("table", ["add_table", "mul_table"])
