@@ -21,8 +21,7 @@ for label in ("additive", "multiplicative"):
 
 # The egg-box diagram draws each D-class as an R-by-L grid of H-cells,
 # starring the idempotents.
-gs = green.green_brute(ns.reduct("multiplicative"))
-eb = eggbox.build_eggbox(ns, "multiplicative", gs=gs)
+eb = eggbox.build_eggbox(ns, "multiplicative")
 print(eggbox.eggbox_text(eb))
 
 # J-order covers between D-classes (upper covers lower).

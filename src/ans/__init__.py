@@ -14,7 +14,7 @@ from .green import (GreenStructure, SubsetReport, class_counts, green_brute,
                     structural_checks)
 from .eggbox import EggBox, build_eggbox
 from .formulas import CountsTable, counts
-from .verify import CheckResult, build_closure, run_battery
+from .verify import CheckResult, run_battery
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,6 @@ __all__ = [
     "structural_checks",
     "EggBox", "build_eggbox",
     "CountsTable", "counts",
-    "CheckResult", "build_closure", "run_battery",
+    "CheckResult", "run_battery",
     "__version__",
 ]

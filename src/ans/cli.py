@@ -60,7 +60,7 @@ def load_or_build(n: int, cache_dir: Optional[Path]) -> closure_mod.NearSemiring
     path = None if cache_dir is None else cache_path(cache_dir, n)
     if path is not None and path.exists():
         return _read_cache(path, n)
-    ns = verify.build_closure(n)
+    ns = closure_mod.additive_closure(generators.enumerate_aff(n))
     if path is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
         # write beside the target and rename, so a failed write leaves no cache

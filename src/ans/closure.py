@@ -49,10 +49,6 @@ FORMAT_VERSION = 1
 # elements, so uint16 is wide enough and halves the memory of int32.
 TABLE_DTYPE = np.uint16
 
-# Table cells per step when deriving or comparing tables in row blocks;
-# bigger blocks raise peak memory without making the scans faster.
-_BLOCK_CELLS = 1 << 16
-
 # The direct sample of `tables_witness`: whole rows of this many
 # non-representatives, and a grid of this many rows by this many columns.
 _SAMPLE_ROWS = 3
@@ -183,12 +179,6 @@ def orbit_representatives(perms, m) -> np.ndarray:
     return np.flatnonzero(_orbit_labels(perms, m) == np.arange(m))
 
 
-def _row_blocks(rows, m):
-    """`rows` in blocks of about _BLOCK_CELLS cells of an m-column table."""
-    step = max(1, _BLOCK_CELLS // m)
-    return (rows[lo:lo + step] for lo in range(0, len(rows), step))
-
-
 def _conjugated_rows(t, f, P, P_inv):
     """Rows P f of a table that commutes with the permutation P, from its
     rows f: t[P f] = P[t[f][P^-1]], since t[P f, P g] = P t[f, g]."""
@@ -220,7 +210,7 @@ def orbit_tables(elems, n):
     while not reached.all():
         for P, P_inv in zip(perms, inverses):
             sources = np.flatnonzero(reached & ~reached[P])  # f reached, P f not
-            for f in _row_blocks(sources, m):
+            for f in maps.row_blocks(sources, m):
                 add_table[P[f]] = _conjugated_rows(add_table, f, P, P_inv)
                 mul_table[P[f]] = _conjugated_rows(mul_table, f, P, P_inv)
             reached[P[sources]] = True
@@ -243,9 +233,9 @@ def _proof_breach(ns: NearSemiring, index) -> str:
     perms = _permutations(index, n)
     if perms is None:
         return "element list is not closed under conjugation by S_n"
-    reps = orbit_representatives(perms, m)
+    is_rep = _orbit_labels(perms, m) == np.arange(m)
+    reps, others = np.flatnonzero(is_rep), np.flatnonzero(~is_rep)
     rng = np.random.default_rng(0)
-    others = np.setdiff1d(np.arange(m), reps)
     sample = np.concatenate([reps, np.sort(rng.permutation(others)[:_SAMPLE_ROWS])])
     grid = np.sort(rng.integers(0, m, size=(2, _SAMPLE_GRID)), axis=1)
     for where, rows, cols in (((sample, slice(None)), sample, np.arange(m)),
@@ -257,7 +247,7 @@ def _proof_breach(ns: NearSemiring, index) -> str:
     for label, t in tables.items():
         for g, P in enumerate(perms):
             P_inv = np.argsort(P)
-            for f in _row_blocks(np.arange(m), m):
+            for f in maps.row_blocks(np.arange(m), m):
                 if not np.array_equal(t[P[f]], _conjugated_rows(t, f, P, P_inv)):
                     return f"{label}_table is not invariant under index permutation {g}"
     return ""
@@ -279,7 +269,7 @@ def tables_witness(ns: NearSemiring) -> str:
     rows = np.arange(m)
     direct = _ranked_rows(index, rows, ns.n)
     for label, got, want in zip(("add", "mul"), (ns.add_table, ns.mul_table), direct):
-        for f in _row_blocks(rows, m):
+        for f in maps.row_blocks(rows, m):
             bad = np.argwhere(got[f] != want[f])
             if bad.size:
                 i, j = int(f[bad[0][0]]), int(bad[0][1])

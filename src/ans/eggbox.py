@@ -3,18 +3,19 @@
 Cells are H-classes; idempotent elements carry a star.  Blocks, rows and
 columns are ordered by the canonical order of their least element, so all
 three output formats (text grid, GraphViz DOT with one cluster per
-D-class, JSON) are deterministic.
+D-class, JSON) are deterministic.  `build_eggbox` computes `green.ideals`
+once, for both `green_brute` and the J-order covers.
 """
 
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from . import maps
 from .closure import NearSemiring
-from .green import GreenStructure, green_brute, ideals
+from .green import green_brute, ideals
 
 
 @dataclass
@@ -55,12 +56,10 @@ def _j_order_covers(two_sided: np.ndarray, reps: List[int]) -> Tuple[Tuple[int, 
     return tuple(sorted((int(b), int(a)) for a, b in np.argwhere(covers)))
 
 
-def build_eggbox(ns: NearSemiring, label: str,
-                 gs: Optional[GreenStructure] = None) -> EggBox:
+def build_eggbox(ns: NearSemiring, label: str) -> EggBox:
     sg = ns.reduct(label)
     ideal_rows = ideals(sg.op)
-    if gs is None:
-        gs = green_brute(sg, ideal_rows)
+    gs = green_brute(sg, ideal_rows)
     r_of, l_of = gs.class_of["R"], gs.class_of["L"]
     boxes = []
     for bi, members in enumerate(gs.classes["D"]):

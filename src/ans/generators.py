@@ -130,11 +130,13 @@ def enumerate_aff(n) -> GeneratorSet:
     (n!+1)n^2+1) is asserted.
     """
     closure.check_n_cap(n)  # Aff grows with n!, so refuse before building anything
-    sums = [r for _, r in maps.products(enumerate_end(n).members,
-                                        enumerate_constants(n).members, "+", n)]
-    ranks = np.unique(np.concatenate(sums))
-    assert ranks[0] >= 0, "an End + Const sum is outside the four closure shapes"
-    members = tuple(map(tuple, maps.canonical_tables(n)[ranks].tolist()))
+    E = maps.canonical_tables(n)
+    seen = np.zeros(len(E), dtype=bool)
+    for _, ranks in maps.products(enumerate_end(n).members,
+                                  enumerate_constants(n).members, "+", n):
+        assert ranks.min() >= 0, "an End + Const sum is outside the four closure shapes"
+        seen[ranks] = True
+    members = tuple(map(tuple, E[seen].tolist()))
     gs = GeneratorSet(n, "aff", members)
     shapes = {type(c) for c in maps.forms(members, n)}
     assert shapes <= {maps.Zero, maps.Constant, maps.NSupport}

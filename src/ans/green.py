@@ -11,10 +11,15 @@ keys agree.  The rules have two views on top of those keys: the pairwise
 `green_analytic_*` classifiers compare two elements' keys, and
 `analytic_structure` groups a whole reduct by them.
 Agreement of the two routes is checked in tests, not assumed here.
+
+Regularity is stated once, as A[x, y] = (x y x == x) on a Cayley table,
+scanned in row blocks (`_xyx_rows`): `regular_elements` takes each row's
+any, `structural_checks` keeps A bit-packed for the inverse verdict, and
+`eventual_regularity` advances every element's power at once.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -74,35 +79,42 @@ def partition_key(classes):
     return frozenset(frozenset(c) for c in classes)
 
 
-def idempotents(sg: FiniteSemigroup) -> frozenset:
-    t = sg.op
-    return frozenset(int(i) for i in np.flatnonzero(t.diagonal() == np.arange(len(sg))))
+def idempotents(op: np.ndarray) -> np.ndarray:
+    """Mask of the idempotents x = x x of the Cayley table `op`."""
+    return op.diagonal() == np.arange(op.shape[0])
 
 
-def regular_elements(sg: FiniteSemigroup) -> frozenset:
-    """Elements x with x y x = x for some y, by exhaustive search."""
-    t = sg.op
-    out = []
-    for i in range(len(sg)):
-        if np.any(t[t[i], i] == i):
-            out.append(i)
-    return frozenset(out)
+def _xyx_rows(op: np.ndarray):
+    """(xs, A[xs]) for consecutive row blocks xs, where A[x, y] = (x y x == x)
+    on the Cayley table `op`; A is never held whole."""
+    for xs in maps.row_blocks(np.arange(op.shape[0]), op.shape[0]):
+        x = xs[:, None]
+        yield xs, op[op[xs], x] == x
 
 
-def eventual_regularity(sg: FiniteSemigroup, reg: frozenset) -> Tuple[int, ...]:
+def regular_elements(op: np.ndarray) -> np.ndarray:
+    """Mask of the regular elements: x with x y x = x for some y."""
+    out = np.zeros(op.shape[0], dtype=bool)
+    for xs, a in _xyx_rows(op):
+        out[xs] = a.any(axis=1)
+    return out
+
+
+def eventual_regularity(op: np.ndarray, regular: np.ndarray) -> Tuple[int, ...]:
     """Least r >= 1 such that the r-th power is regular, per element, given
-    the `regular_elements` of `sg`."""
-    t = sg.op
-    m = len(sg)
-    out = []
-    for i in range(m):
-        p, r = i, 1
-        while p not in reg:
-            p, r = int(t[p, i]), r + 1
-            if r > m:  # pigeonhole: the power sequence has cycled
-                raise AssertionError(f"element {i} has no regular power")
-        out.append(r)
-    return tuple(out)
+    the `regular_elements` mask of `op`.  Every element's power advances
+    at once, x^(r+1) = x^r x, while it is not regular."""
+    m = op.shape[0]
+    index = np.ones(m, dtype=np.int64)
+    live = power = np.flatnonzero(~regular)  # ascending; power is x^index[live]
+    while live.size:
+        if index[live[0]] == m:  # pigeonhole: the power sequence has cycled
+            raise AssertionError(f"element {int(live[0])} has no regular power")
+        power = op[power, live]
+        index[live] += 1
+        keep = ~regular[power]
+        live, power = live[keep], power[keep]
+    return tuple(index.tolist())
 
 
 def ideals(op: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -162,16 +174,15 @@ def green_brute(sg: FiniteSemigroup, ideal_rows=None) -> GreenStructure:
     if partition_key(classes["D"]) != partition_key(classes["J"]):
         raise AssertionError("D and J partitions differ on a finite semigroup")
 
-    idem = idempotents(sg)
-    reg = regular_elements(sg)
+    reg = regular_elements(sg.op)
     return GreenStructure(
         label=sg.label,
         size=m,
         classes=classes,
         class_of={rel: _class_of(classes[rel], m) for rel in RELATIONS},
-        idempotent=tuple(i in idem for i in range(m)),
-        regular=tuple(i in reg for i in range(m)),
-        eventual_index=eventual_regularity(sg, reg),
+        idempotent=tuple(idempotents(sg.op).tolist()),
+        regular=tuple(reg.tolist()),
+        eventual_index=eventual_regularity(sg.op, reg),
     )
 
 
@@ -321,7 +332,7 @@ def subset_indices(sg: FiniteSemigroup, name: str) -> Tuple[int, ...]:
     if name == "K":
         if sg.label != "additive":
             raise ValueError("subset K is defined on the additive reduct")
-        return tuple(sorted(regular_elements(sg)))
+        return tuple(np.flatnonzero(regular_elements(sg.op)).tolist())
     sizes = maps.support_sizes(sg.elements)
     if name == "N":
         if sg.label != "multiplicative":
@@ -350,18 +361,6 @@ def _restrict(sg: FiniteSemigroup, idx):
     local = np.zeros(len(sg), dtype=TABLE_DTYPE)
     local[idx] = np.arange(len(idx))
     return local[sub], True
-
-
-def _inverse_counts(t):
-    """Number of inverses of each element: y with xyx = x and yxy = y."""
-    m = t.shape[0]
-    ar = np.arange(m)
-    out = []
-    for i in range(m):
-        xyx_ok = t[t[i, :], i] == i
-        yxy_ok = t[t[:, i], ar] == ar
-        out.append(int(np.count_nonzero(xyx_ok & yxy_ok)))
-    return out
 
 
 def zero_direct_union_table(copies: int, m: int) -> np.ndarray:
@@ -412,23 +411,37 @@ def _iso_certificate(sg: FiniteSemigroup, name, idx, sub):
     return None, None
 
 
+def _one_inverse_each(packed: np.ndarray, m: int) -> bool:
+    """Has every x exactly one inverse y, A[x, y] and A[y, x], given A as
+    bit-packed rows?  Checked a row block xs at a time, against the
+    columns A[:, xs] unpacked from the bytes that hold them."""
+    for xs in maps.row_blocks(np.arange(m), m):
+        lo = xs[0] - xs[0] % 8  # the bytes holding A[:, xs] start at bit lo
+        cols = np.unpackbits(packed[:, lo // 8:xs[-1] // 8 + 1], axis=1)[:, xs - lo]
+        both = np.unpackbits(packed[xs], axis=1, count=m) & cols.T
+        if (np.count_nonzero(both, axis=1) != 1).any():
+            return False
+    return True
+
+
 def structural_checks(sg: FiniteSemigroup, subset: str) -> SubsetReport:
     """Closure, regularity, inverse/orthodox verdicts, and the isomorphism
-    certificate (when one is claimed) for a named subset of one reduct."""
+    certificate (when one is claimed) for a named subset of one reduct.
+    Its A[x, y] = (x y x == x) is kept bit-packed, m^2/8 bytes, like `ideals`."""
     idx = subset_indices(sg, subset)
     sub, closed = _restrict(sg, idx)
     if not closed:
         return SubsetReport(subset, sg.label, len(idx), False,
                             False, False, False, False)
-    msub = FiniteSemigroup(sg.n, sg.label,
-                           tuple(sg.elements[i] for i in idx), sub)
-    reg = regular_elements(msub)
-    regular = len(reg) == len(idx)
-    idem = sorted(idempotents(msub))
+    m = len(idx)
+    packed = np.empty((m, (m + 7) // 8), dtype=np.uint8)
+    for xs, a in _xyx_rows(sub):
+        packed[xs] = np.packbits(a, axis=1)
+    regular = bool(packed.any(axis=1).all())
+    inverse = regular and _one_inverse_each(packed, m)
+    idem = np.flatnonzero(idempotents(sub))
     ef = sub[np.ix_(idem, idem)]  # products of idempotent pairs
     commute = bool(np.array_equal(ef, ef.T))
-    inv_counts = _inverse_counts(sub)
-    inverse = all(c == 1 for c in inv_counts)
     orthodox = regular and bool(np.all(sub[ef, ef] == ef))
     iso_target, iso_holds = _iso_certificate(sg, subset, idx, sub)
     return SubsetReport(subset, sg.label, len(idx), True, regular,

@@ -263,9 +263,16 @@ def all_canonical(n) -> tuple:
 
 # --- the rank: canonical index by arithmetic -----------------------------------
 
-# Product cells built and ranked at a time by `products`; bigger blocks
-# raise peak memory without making the ranking faster.
+# Cells built at a time by every row-block scan (`row_blocks`); bigger
+# blocks raise peak memory without making the scans faster.
 _BLOCK_CELLS = 1 << 16
+
+
+def row_blocks(rows, width):
+    """Consecutive slices of `rows` (an array or a range), each of about
+    _BLOCK_CELLS cells when every row spans `width` cells."""
+    step = max(1, _BLOCK_CELLS // max(1, width))
+    return (rows[lo:lo + step] for lo in range(0, len(rows), step))
 
 
 @lru_cache(maxsize=None)
@@ -368,8 +375,8 @@ def products(F, G, op, n):
 
     Yields `(lo, ranks)` for consecutive blocks of F's rows, where
     ranks[i, j] is the `rank` of the product of F[lo + i] and G[j] (-1
-    outside the four shapes).  A block builds about _BLOCK_CELLS product
-    cells, so memory stays flat however many rows F has.
+    outside the four shapes).  Blocks come from `row_blocks`, so memory
+    stays flat however many rows F has.
     """
     E = canonical_tables(n)
     F, G = np.asarray(F), np.asarray(G)
@@ -380,10 +387,9 @@ def products(F, G, op, n):
         flat, left, right = G.ravel(), F, np.arange(len(G))[:, None] * w
     else:
         raise ValueError(f"unknown product {op!r}; expected '+' or 'o'")
-    step = max(1, _BLOCK_CELLS // (len(G) * w))
-    for lo in range(0, len(F), step):
-        cells = flat.take(left[lo:lo + step, None, :] + right)
-        yield lo, rank(cells.reshape(-1, w), n).reshape(cells.shape[:2])
+    for block in row_blocks(range(len(F)), len(G) * w):
+        cells = flat.take(left[block.start:block.stop, None, :] + right)
+        yield block.start, rank(cells.reshape(-1, w), n).reshape(cells.shape[:2])
 
 
 # --- text forms --------------------------------------------------------------

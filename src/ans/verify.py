@@ -12,7 +12,7 @@ names the first wrong cell on a failure.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -42,13 +42,10 @@ def _diff(measured, expected) -> str:
     return f"measured {measured!r}, expected {expected!r}"
 
 
-def build_closure(n: int) -> closure_mod.NearSemiring:
-    return closure_mod.additive_closure(generators.enumerate_aff(n))
-
-
-def run_battery(n: int, ns: Optional[closure_mod.NearSemiring] = None) -> List[CheckResult]:
-    """All checks at one n.  `ns` may come from a cache; its tables are
-    checked against the element list, so tampered files fail with a witness."""
+def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
+    """All checks at one n on the closure `ns`.  It may come from a cache;
+    its tables are checked against the element list, so tampered files
+    fail with a witness."""
     results: List[CheckResult] = []
     ct = formulas.counts(n)
 
@@ -61,9 +58,6 @@ def run_battery(n: int, ns: Optional[closure_mod.NearSemiring] = None) -> List[C
            gen_sizes == expected_sizes, _diff(gen_sizes, expected_sizes))
     _check(results, "Aut(B_n) isomorphic to S_n", n, generators.aut_iso_sn(n))
 
-    if ns is None:
-        ns = build_closure(n)
-
     # closure layer
     _check(results, "closure size matches closed form", n,
            len(ns) == ct.a_plus_total, _diff(len(ns), ct.a_plus_total))
@@ -74,10 +68,8 @@ def run_battery(n: int, ns: Optional[closure_mod.NearSemiring] = None) -> List[C
            _diff(hist, expected_hist))
 
     witness = closure_mod.tables_witness(ns)
-    tables_ok = not witness
-    _check(results, "Cayley tables reproducible from element list", n,
-           tables_ok, witness)
-    if not tables_ok:
+    if not _check(results, "Cayley tables reproducible from element list", n,
+                  not witness, witness):
         # downstream checks would measure the corrupted tables, not the system
         return results
 
@@ -114,16 +106,10 @@ def run_battery(n: int, ns: Optional[closure_mod.NearSemiring] = None) -> List[C
     # analytic classifiers against brute force, as whole partitions
     for sg, gs, tag in ((add_sg, add_gs, "additive"), (mul_sg, mul_gs, "multiplicative")):
         analytic = green.analytic_structure(sg)
-        mismatch = ""
-        ok = True
-        for rel in green.RELATIONS:
-            if (green.partition_key(analytic[rel])
-                    != green.partition_key(gs.classes[rel])):
-                ok = False
-                mismatch = f"relation {rel} partitions differ"
-                break
+        differ = [rel for rel in green.RELATIONS if green.partition_key(analytic[rel])
+                  != green.partition_key(gs.classes[rel])]
         _check(results, f"analytic classifiers match brute force ({tag})", n,
-               ok, mismatch)
+               not differ, f"relation {differ[0]} partitions differ" if differ else "")
 
     # structural theorems, additive reduct
     _check(results, "additive H is trivial", n,

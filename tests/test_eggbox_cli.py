@@ -3,6 +3,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import zipfile
 from pathlib import Path
 
@@ -52,8 +54,8 @@ def test_n1_additive_three_starred_singletons(closure_of):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])
-def test_cells_partition_each_d_class(closure_of, green_of, n, label):
-    eb = eggbox.build_eggbox(closure_of(n), label, gs=green_of(n, label))
+def test_cells_partition_each_d_class(closure_of, n, label):
+    eb = eggbox.build_eggbox(closure_of(n), label)
     seen = []
     for box in eb.boxes:
         flat = [i for row in box.cells for cell in row for i in cell]
@@ -66,9 +68,9 @@ def test_cells_partition_each_d_class(closure_of, green_of, n, label):
     assert eb.star_count == sum(eb.idempotent)
 
 
-def test_every_h_cell_in_a_d_class_has_equal_size(closure_of, green_of):
+def test_every_h_cell_in_a_d_class_has_equal_size(closure_of):
     for label in ("additive", "multiplicative"):
-        eb = eggbox.build_eggbox(closure_of(3), label, gs=green_of(3, label))
+        eb = eggbox.build_eggbox(closure_of(3), label)
         for box in eb.boxes:
             sizes = {len(cell) for row in box.cells for cell in row}
             assert len(sizes) == 1
@@ -122,10 +124,9 @@ def test_json_rendering_schema(closure_of):
         eggbox.render(eb, "svg")
 
 
-def test_cover_edges_respect_j_order(closure_of, green_of):
+def test_cover_edges_respect_j_order(closure_of):
     # the singleton D-class sits below both other classes multiplicatively
-    eb = eggbox.build_eggbox(closure_of(2), "multiplicative",
-                             gs=green_of(2, "multiplicative"))
+    eb = eggbox.build_eggbox(closure_of(2), "multiplicative")
     by_size = {len(b.members): i for i, b in enumerate(eb.boxes)}
     pairs = set(eb.covers)
     assert (by_size[8], by_size[16]) in pairs
@@ -145,7 +146,7 @@ def _no_classify(*args):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_battery_runs_without_classify(monkeypatch, n):
     monkeypatch.setattr(maps, "classify", _no_classify)
-    results = verify.run_battery(n)
+    results = verify.run_battery(n, closure.additive_closure(generators.enumerate_aff(n)))
     assert results and all(r.passed for r in results), [r.line() for r in results]
 
 
@@ -269,6 +270,21 @@ def test_cli_verify_range_and_report(tmp_path, capsys):
     assert d["all_passed"]
     assert all(c["passed"] for c in d["results"])
     assert {c["n"] for c in d["results"]} == {1, 2}
+
+
+def test_cli_verify_does_not_import_numpy_ma(tmp_path):
+    # numpy imports numpy.ma lazily, e.g. from a plain np.unique; the verify
+    # path needs none of it, so a fresh process should never load it
+    code = ("import sys\nfrom ans import cli\n"
+            f"assert cli.main(['verify', '--n', '1..4', '--cache-dir', {str(tmp_path)!r}]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    env = dict(os.environ)
+    env.pop("ANS_CACHE_DIR", None)  # it would override --cache-dir
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_verify_report_deterministic(tmp_path, capsys):

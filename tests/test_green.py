@@ -276,3 +276,110 @@ def test_ideals_match_set_definitions(closure_of, n, label):
         want = ({a} | a_s, {a} | s_a, {a} | a_s | s_a | s_a_s)
         for got, expected in zip(rows, want):
             assert set(np.flatnonzero(got[a]).tolist()) == expected
+
+
+# --- the block scans against plain per-element loops ---------------------------
+# These three loops are the earlier implementation, kept verbatim as the
+# reference for `regular_elements`, the inverse verdict and
+# `eventual_regularity`.
+
+def _ref_regular_elements(sg):
+    """Elements x with x y x = x for some y, by exhaustive search."""
+    t = sg.op
+    out = []
+    for i in range(len(sg)):
+        if np.any(t[t[i], i] == i):
+            out.append(i)
+    return frozenset(out)
+
+
+def _ref_inverse_counts(t):
+    """Number of inverses of each element: y with xyx = x and yxy = y."""
+    m = t.shape[0]
+    ar = np.arange(m)
+    out = []
+    for i in range(m):
+        xyx_ok = t[t[i, :], i] == i
+        yxy_ok = t[t[:, i], ar] == ar
+        out.append(int(np.count_nonzero(xyx_ok & yxy_ok)))
+    return out
+
+
+def _ref_eventual_regularity(sg, reg):
+    """Least r >= 1 such that the r-th power is regular, per element, given
+    the `regular_elements` of `sg`."""
+    t = sg.op
+    m = len(sg)
+    out = []
+    for i in range(m):
+        p, r = i, 1
+        while p not in reg:
+            p, r = int(t[p, i]), r + 1
+            if r > m:  # pigeonhole: the power sequence has cycled
+                raise AssertionError(f"element {i} has no regular power")
+        out.append(r)
+    return tuple(out)
+
+
+def _agrees_with_reference(sg, name):
+    """Regular mask, inverse verdict and eventual indices of one closed
+    subset against the reference loops; False when the reference raises
+    the pigeonhole error (and the scan raised the same one)."""
+    rep = green.structural_checks(sg, name)
+    assert rep.closed
+    idx = np.array(green.subset_indices(sg, name))
+    sub = np.searchsorted(idx, sg.op[np.ix_(idx, idx)])  # local indices
+    ref = closure.FiniteSemigroup(sg.n, sg.label, tuple(sg.elements[i] for i in idx), sub)
+    reg = _ref_regular_elements(ref)
+    mask = green.regular_elements(sub)
+    assert mask.dtype == bool and set(np.flatnonzero(mask).tolist()) == reg
+    assert rep.regular == (len(reg) == len(idx))
+    assert rep.inverse == all(c == 1 for c in _ref_inverse_counts(sub))
+    try:
+        want = _ref_eventual_regularity(ref, reg)
+    except AssertionError as e:
+        with pytest.raises(AssertionError) as got:
+            green.eventual_regularity(sub, mask)
+        assert str(got.value) == str(e)
+        return False
+    assert green.eventual_regularity(sub, mask) == want
+    return True
+
+
+def _subsets(label):
+    other = {"additive": "N", "multiplicative": "K"}[label]
+    return [name for name in green.SUBSET_NAMES if name != other]
+
+
+@pytest.mark.parametrize("label", ["additive", "multiplicative"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_regularity_scan_matches_reference_loops(closure_of, n, label):
+    sg = closure_of(n).reduct(label)
+    for name in _subsets(label):
+        assert _agrees_with_reference(sg, name), name
+    gs = green.green_brute(sg)
+    assert gs.regular == tuple(i in _ref_regular_elements(sg) for i in range(len(sg)))
+
+
+def test_regularity_scan_matches_reference_on_random_tables():
+    # mostly not associative, so many power sequences cycle without a
+    # regular power and both sides must raise the same pigeonhole error
+    rng = np.random.default_rng(9)
+    elems = tuple(map(tuple, maps.canonical_tables(2).tolist()))
+    cycled = 0
+    for _ in range(3000):
+        m = int(rng.integers(1, 7))
+        t = rng.integers(0, m, size=(m, m))
+        sg = closure.FiniteSemigroup(2, "additive", elems[:m], t)
+        cycled += not _agrees_with_reference(sg, "all")
+    assert 0 < cycled < 3000
+
+
+@pytest.mark.parametrize("label", ["additive", "multiplicative"])
+def test_regularity_scan_with_blocks_off_byte_boundaries(closure_of, monkeypatch, label):
+    monkeypatch.setattr(maps, "_BLOCK_CELLS", 100)  # 3 rows of the 29-element table
+    sg = closure_of(2).reduct(label)
+    starts = [int(b[0]) for b in maps.row_blocks(np.arange(len(sg)), len(sg))]
+    assert len(sg) % 8 and any(s % 8 for s in starts)
+    for name in _subsets(label):
+        assert _agrees_with_reference(sg, name), name
