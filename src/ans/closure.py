@@ -440,11 +440,13 @@ def from_dict(d: dict) -> NearSemiring:
     if d.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {d.get('format_version')!r}")
     n = d["n"]
-    elems = tuple(maps.render(maps.parse_canonical(s, n), n) for s in d["elements"])
-    if d["count"] != len(elems):
+    check_n_cap(n)  # the token table grows with n!
+    ranks = maps.token_ranks(d["elements"], n)
+    if d["count"] != len(ranks):
         raise ValueError("declared count does not match the element list")
-    if elems and not np.all(np.diff(maps.rank(np.array(elems), n)) > 0):
+    if not np.all(np.diff(ranks) > 0):
         raise ValueError("element list is not in canonical order or repeats an element")
+    elems = tuple(map(tuple, maps.canonical_tables(n)[ranks].tolist()))
     tables = [np.asarray(d["add_table"]), np.asarray(d["mul_table"])]
     for label, t in zip(("additive", "multiplicative"), tables):
         if t.dtype.kind not in "iu":

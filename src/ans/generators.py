@@ -208,7 +208,7 @@ def parse_member(s, n):
     m = _PHI_RE.match(s.strip())
     if m:
         return phi_sigma(brandt.parse_perm(m.group(1)), n)
-    return maps.render(maps.parse_canonical(s, n), n)
+    return tuple(maps.canonical_tables(n)[maps.token_ranks([s], n)[0]].tolist())
 
 
 def generators_dict(gs: GeneratorSet) -> dict:

@@ -126,16 +126,21 @@ def ideals(op: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     ideal is the union of xS¹ over x in S¹a.
     """
     m = op.shape[0]
-    ar = np.arange(m)
-    right = np.zeros((m, m), dtype=bool)
-    right[ar[:, None], op] = True
-    right[ar, ar] = True
-    right = np.packbits(right, axis=1)
-    left = np.zeros((m, m), dtype=bool)
-    left[ar[:, None], op.T] = True
-    left[ar, ar] = True
-    two = np.stack([np.bitwise_or.reduce(right[row], axis=0) for row in left])
-    return right, np.packbits(left, axis=1), two
+    right, left, two = (np.empty((m, (m + 7) // 8), dtype=np.uint8) for _ in range(3))
+    for r in maps.row_blocks(range(m), m):  # the elements a whose ideals fill this block
+        rows = slice(r.start, r.stop)
+        local = np.arange(len(r))
+        # aS¹ is row a of op, S¹a column a; each is read in op's memory order
+        for packed, i, members in ((right, local[:, None], op[rows]),
+                                   (left, local, op[:, rows])):
+            block = np.zeros((len(r), m), dtype=bool)
+            block[i, members] = True
+            block[local, r.start + local] = True  # the adjoined identity
+            packed[rows] = np.packbits(block, axis=1)
+    for r in maps.row_blocks(range(m), m):
+        for a, s1a in zip(r, np.unpackbits(left[r.start:r.stop], axis=1, count=m).view(bool)):
+            two[a] = np.bitwise_or.reduce(right[s1a], axis=0)
+    return right, left, two
 
 
 def green_brute(sg: FiniteSemigroup, ideal_rows=None) -> GreenStructure:
@@ -425,10 +430,15 @@ def _one_inverse_each(packed: np.ndarray, m: int) -> bool:
 
 
 def structural_checks(sg: FiniteSemigroup, subset: str) -> SubsetReport:
+    """`subset_report` on the members `subset_indices` selects."""
+    return subset_report(sg, subset, subset_indices(sg, subset))
+
+
+def subset_report(sg: FiniteSemigroup, subset: str, idx) -> SubsetReport:
     """Closure, regularity, inverse/orthodox verdicts, and the isomorphism
-    certificate (when one is claimed) for a named subset of one reduct.
+    certificate (when one is claimed) for the named subset of one reduct,
+    whose member indices, ascending, are `idx`.
     Its A[x, y] = (x y x == x) is kept bit-packed, m^2/8 bytes, like `ideals`."""
-    idx = subset_indices(sg, subset)
     sub, closed = _restrict(sg, idx)
     if not closed:
         return SubsetReport(subset, sg.label, len(idx), False,

@@ -429,6 +429,25 @@ def parse_canonical(s, n) -> CanonicalElem:
     raise ValueError(f"not a canonical element token: {s!r}")
 
 
+@lru_cache(maxsize=None)
+def _token_index(n) -> dict:
+    """{canonical_str(c): rank} over all_canonical(n)."""
+    return {canonical_str(c): r for r, c in enumerate(all_canonical(n))}
+
+
+def token_ranks(tokens, n) -> np.ndarray:
+    """Canonical index of each canonical token.  A token spelled as
+    `canonical_str` spells it is looked up in one per-n table; any other is
+    parsed, so a bad token raises `parse_canonical`'s error."""
+    index = _token_index(n)
+
+    def one(s):
+        r = index.get(s) if isinstance(s, str) else None
+        return member_ranks([render(parse_canonical(s, n), n)], n)[0] if r is None else r
+
+    return np.array([one(s) for s in tokens], dtype=np.int64)
+
+
 def map_str(f) -> str:
     """Canonical token of a closure-member table."""
     return canonical_str(forms([f], map_n(f))[0])

@@ -134,7 +134,8 @@ def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
                n, np.array_equal(add_gs.regular, ~on_n_support))
 
     # subset structure
-    k_rep = green.structural_checks(add_sg, "K")
+    # K is the additively regular elements, which green_brute has found
+    k_rep = green.subset_report(add_sg, "K", np.flatnonzero(add_gs.regular))
     _check(results, "(K,+) is an inverse semigroup", n,
            k_rep.closed and k_rep.inverse, repr(k_rep))
     n_rep = green.structural_checks(mul_sg, "N")

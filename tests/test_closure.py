@@ -241,6 +241,18 @@ def test_from_dict_rejects_bad_payloads(closure_of):
         closure.from_dict(bad_token)
 
 
+def test_from_dict_reads_tokens_in_any_parseable_spelling(closure_of):
+    ns = closure_of(2)
+    good = closure.to_dict(ns)
+    spaced = closure.from_dict(dict(good, elements=[f" {t}" for t in good["elements"]]))
+    assert spaced.elements == closure.from_dict(good).elements == ns.elements
+
+
+def test_from_dict_refuses_n_over_cap(closure_of):
+    with pytest.raises(ValueError, match="exceeds cap"):
+        closure.from_dict(dict(closure.to_dict(closure_of(1)), n=closure.DEFAULT_N_CAP + 1))
+
+
 @pytest.mark.parametrize("value", [70000, -1, 65536 + 3])
 def test_from_dict_refuses_int64_table_that_would_wrap(closure_of, value):
     ns = closure_of(2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ans import brandt, closure, formulas, green, maps
+from ans import brandt, closure, formulas, green, maps, verify
 
 REL = green.RELATIONS
 
@@ -265,7 +265,21 @@ def test_green_structure_json_export(green_of):
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ideals_match_set_definitions(closure_of, n, label):
-    op = closure_of(n).reduct(label).op
+    _assert_ideals_match_set_definitions(closure_of(n).reduct(label).op)
+
+
+@pytest.mark.parametrize("label", ["additive", "multiplicative"])
+def test_ideals_with_blocks_off_byte_boundaries(closure_of, monkeypatch, label):
+    op = closure_of(2).reduct(label).op
+    whole = green.ideals(op)
+    monkeypatch.setattr(maps, "_BLOCK_CELLS", 100)  # 3 rows of the 29-element table
+    starts = [int(b[0]) for b in maps.row_blocks(np.arange(len(op)), len(op))]
+    assert len(op) % 8 and any(s % 8 for s in starts)
+    assert all(np.array_equal(a, b) for a, b in zip(green.ideals(op), whole))
+    _assert_ideals_match_set_definitions(op)
+
+
+def _assert_ideals_match_set_definitions(op):
     m = op.shape[0]
     t = op.tolist()
     rows = [np.unpackbits(r, axis=1, count=m).astype(bool) for r in green.ideals(op)]
@@ -383,3 +397,18 @@ def test_regularity_scan_with_blocks_off_byte_boundaries(closure_of, monkeypatch
     assert len(sg) % 8 and any(s % 8 for s in starts)
     for name in _subsets(label):
         assert _agrees_with_reference(sg, name), name
+
+
+def test_battery_scans_additive_regularity_once(closure_of, monkeypatch):
+    ns = closure_of(4)
+    scanned = []
+    scan = green.regular_elements
+
+    def counted(op):
+        scanned.append(op)
+        return scan(op)
+
+    monkeypatch.setattr(green, "regular_elements", counted)
+    results = verify.run_battery(4, ns)
+    assert results and all(r.passed for r in results), [r.line() for r in results]
+    assert sum(op is ns.add_table for op in scanned) == 1

@@ -208,6 +208,26 @@ def test_canonical_str_round_trip(n):
         assert maps.parse_canonical(maps.canonical_str(c), n) == c
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_token_ranks_look_up_and_parse(n):
+    family = maps.all_canonical(n)
+    tokens = [maps.canonical_str(c) for c in family]
+    assert maps.token_ranks(tokens, n).tolist() == list(range(len(family)))
+    # spellings other than canonical_str's are parsed, as parse_canonical reads them
+    spaced = [f" {t} " for t in tokens]
+    assert maps.token_ranks(spaced, n).tolist() == list(range(len(family)))
+    assert maps.token_ranks([], n).tolist() == []
+
+
+def test_token_ranks_refuse_what_parse_canonical_refuses():
+    for bad in ("xi(0,1)", "<(1,1)->(1,3)>", "(1,1;[1,1])", "nonsense", "(3,1;[1,2])"):
+        with pytest.raises(ValueError) as want:
+            maps.parse_canonical(bad, 2)
+        with pytest.raises(ValueError) as got:
+            maps.token_ranks(["xi_theta", bad], 2)
+        assert str(got.value) == str(want.value)
+
+
 def test_parse_canonical_rejects_garbage():
     for bad in ("xi(0,1)", "<(1,1)->(1,3)>", "(1,1;[1,1])", "nonsense", "(3,1;[1,2])"):
         with pytest.raises(ValueError):

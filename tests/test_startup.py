@@ -1,0 +1,69 @@
+"""What importing `ans` does to the process: OpenBLAS is pinned to one
+thread while numpy loads, and the environment is left as it was found.
+Each case runs in a fresh interpreter, since numpy loads once per process."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+REPORT = """
+import json, os
+writes = []  # every change the imports make to OPENBLAS_NUM_THREADS
+Env = type(os.environ)
+set_item, del_item = Env.__setitem__, Env.__delitem__
+def logged_set(env, key, value):
+    writes.append(["set", key, value] if key == "OPENBLAS_NUM_THREADS" else None)
+    set_item(env, key, value)
+def logged_del(env, key):
+    writes.append(["del", key] if key == "OPENBLAS_NUM_THREADS" else None)
+    del_item(env, key)
+Env.__setitem__, Env.__delitem__ = logged_set, logged_del
+{imports}
+tasks = os.listdir("/proc/self/task") if os.path.isdir("/proc/self/task") else None
+print(json.dumps({{"threads": None if tasks is None else len(tasks),
+                  "writes": [w for w in writes if w],
+                  "blas": os.environ.get("OPENBLAS_NUM_THREADS", "unset")}}))
+"""
+
+
+def _fresh(imports, blas=None):
+    """Run `imports` in a new interpreter whose environment holds
+    OPENBLAS_NUM_THREADS only when `blas` is given; report its thread
+    count, the imports' writes to that variable, and its value afterwards."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    out = subprocess.run([sys.executable, "-c", REPORT.format(imports=imports)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+def test_cli_import_starts_no_blas_threads():
+    got = _fresh("import ans.cli")
+    if got["threads"] is None:
+        pytest.skip("no /proc/self/task on this platform")
+    assert got["threads"] == 1
+
+
+def test_pin_is_removed_once_numpy_has_loaded():
+    got = _fresh("import ans.cli")
+    assert got["writes"] == [["set", "OPENBLAS_NUM_THREADS", "1"],
+                             ["del", "OPENBLAS_NUM_THREADS"]]
+    assert got["blas"] == "unset"
+
+
+def test_caller_setting_is_left_as_set():
+    got = _fresh("import ans.cli", blas="2")
+    assert got["writes"] == [] and got["blas"] == "2"
+
+
+def test_numpy_imported_first_is_left_alone():
+    got = _fresh("import numpy; import ans")
+    assert got["writes"] == [] and got["blas"] == "unset"
