@@ -208,6 +208,7 @@ def parse_member(s, n):
     m = _PHI_RE.match(s.strip())
     if m:
         return phi_sigma(brandt.parse_perm(m.group(1)), n)
+    closure.check_n_cap(n)  # the token table grows with n!
     return tuple(maps.canonical_tables(n)[maps.token_ranks([s], n)[0]].tolist())
 
 

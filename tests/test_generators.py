@@ -79,6 +79,12 @@ def test_enumerate_aff_refuses_n_over_cap():
         generators.enumerate_aff(7)
 
 
+def test_parse_member_refuses_n_over_cap():
+    # a canonical token is ranked through a per-n table that grows with n!
+    with pytest.raises(ValueError, match="exceeds cap"):
+        generators.parse_member("xi_theta", 7)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_triple_round_trip(n):
     for k in range(1, n + 1):
