@@ -7,6 +7,7 @@ Exit codes: 0 success / all checks pass, 1 verification mismatch,
 """
 
 import argparse
+import bisect
 import json
 import os
 import sys
@@ -142,6 +143,16 @@ def cmd_eggbox(args) -> int:
 
 
 def cmd_counts(args) -> int:
+    limit = sys.get_int_max_str_digits()
+    top = max(limit, 24)  # from n = 25 on, n! alone has more than n digits
+
+    def fits(n):  # a_plus_total is the largest count; no n! is computed over `top`
+        return n <= top and formulas.counts(n).a_plus_total < 10 ** limit
+
+    if limit and not fits(args.n):
+        largest = bisect.bisect(range(1, top + 1), False, key=lambda n: not fits(n))
+        raise ValueError(f"counts at n={args.n} exceed Python's {limit}-digit int-to-str "
+                         f"limit; the largest n that prints is {largest}")
     ct = formulas.counts(args.n)
     if args.format == "json":
         _emit(_json_text(ct.to_dict()), args.out)

@@ -32,6 +32,7 @@ cells directly; it is the reference the symmetric tables are tested
 against, and it names the first wrong cell when a proof fails.
 """
 
+import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -54,8 +55,8 @@ TABLE_DTYPE = np.uint16
 _SAMPLE_ROWS = 3
 _SAMPLE_GRID = 64
 
-# Sampled axiom triples checked per vectorized step; bigger slices raise peak
-# memory without making the scan faster.
+# Sampled axiom triples drawn and checked per vectorized step, each slice just
+# before its scan; bigger slices raise peak memory without making it faster.
 _SCAN_SLICE = 10_000
 
 
@@ -217,6 +218,14 @@ def orbit_tables(elems, n):
     return add_table, mul_table
 
 
+def _draw(rng: random.Random, count: int, m: int) -> np.ndarray:
+    """`count` seeded draws from range(m): 32-bit words of `rng.randbytes`,
+    each mapped to w m >> 32 (multiply-shift; bias under m / 2^32).  The
+    stream is the same whether drawn at once or in pieces of any size."""
+    words = np.frombuffer(rng.randbytes(4 * count), dtype="<u4").astype(np.uint64)
+    return (words * m >> 32).astype(np.intp)
+
+
 def _proof_breach(ns: NearSemiring, index) -> str:
     """Which part of the symmetric proof of the tables fails, or "" if none.
 
@@ -235,9 +244,10 @@ def _proof_breach(ns: NearSemiring, index) -> str:
         return "element list is not closed under conjugation by S_n"
     is_rep = _orbit_labels(perms, m) == np.arange(m)
     reps, others = np.flatnonzero(is_rep), np.flatnonzero(~is_rep)
-    rng = np.random.default_rng(0)
-    sample = np.concatenate([reps, np.sort(rng.permutation(others)[:_SAMPLE_ROWS])])
-    grid = np.sort(rng.integers(0, m, size=(2, _SAMPLE_GRID)), axis=1)
+    rng = random.Random(0)
+    picked = others[_draw(rng, min(_SAMPLE_ROWS, len(others)), len(others))]
+    sample = np.concatenate([reps, np.sort(picked)])
+    grid = np.sort(_draw(rng, 2 * _SAMPLE_GRID, m).reshape(2, -1), axis=1)
     for where, rows, cols in (((sample, slice(None)), sample, np.arange(m)),
                               (np.ix_(*grid), *grid)):
         blocks = list(_ranked_blocks(index, rows, cols, n))
@@ -373,13 +383,14 @@ def verify_near_semiring(ns: NearSemiring, samples=100_000, seed=0,
     """Check both associativities and left distributivity f(g+h) = fg + fh.
 
     Axioms are scanned exhaustively while the triple count stays under the
-    given bounds, and on deterministic random samples beyond that; failures
-    carry the first offending triple (row-major, or in sample order) as a
-    witness.
+    given bounds, and on deterministic random samples beyond that: one
+    `_draw` stream from `seed`, laws in order, each law's triples streamed
+    a _SCAN_SLICE at a time.  Failures carry the first offending triple
+    (row-major, or in sample order) as a witness.
     """
     m = len(ns)
     total = m ** 3
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     ar = np.arange(m)
 
     def product(table):  # the Cayley table as a vectorized binary operation
@@ -401,10 +412,12 @@ def verify_near_semiring(ns: NearSemiring, samples=100_000, seed=0,
             checked = total
             blocks = ((i, ar[:, None], ar[None, :]) for i in range(m))
         else:
-            triples = rng.integers(0, m, size=(min(samples, total), 3))
-            checked = len(triples)
-            blocks = (triples[lo:lo + _SCAN_SLICE].T for lo in range(0, checked, _SCAN_SLICE))
+            checked = min(samples, total)
+            sizes = [min(_SCAN_SLICE, checked - lo) for lo in range(0, checked, _SCAN_SLICE)]
+            blocks = (_draw(rng, 3 * k, m).reshape(k, 3).T for k in sizes)
         report.checks.append(_scan(name, fails, blocks, checked))
+        for _ in blocks:  # draw what a failure left, so the next law's sample stays put
+            pass
     return report
 
 

@@ -14,8 +14,10 @@ Agreement of the two routes is checked in tests, not assumed here.
 
 Regularity is stated once, as A[x, y] = (x y x == x) on a Cayley table,
 scanned in row blocks (`_xyx_rows`): `regular_elements` takes each row's
-any, `structural_checks` keeps A bit-packed for the inverse verdict, and
-`eventual_regularity` advances every element's power at once.
+any, `subset_report` keeps A bit-packed for the inverse verdict, and
+`eventual_regularity` advances every element's power at once.  Subset
+checks read the whole table a row block at a time, in global indices;
+only the isomorphism certificates, on small subsets, build a local table.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import brandt, maps
-from .closure import TABLE_DTYPE, FiniteSemigroup
+from .closure import FiniteSemigroup
 from .maps import Constant, NSupport, Singleton, Zero
 
 RELATIONS = ("R", "L", "D", "J", "H")
@@ -84,19 +86,23 @@ def idempotents(op: np.ndarray) -> np.ndarray:
     return op.diagonal() == np.arange(op.shape[0])
 
 
-def _xyx_rows(op: np.ndarray):
-    """(xs, A[xs]) for consecutive row blocks xs, where A[x, y] = (x y x == x)
-    on the Cayley table `op`; A is never held whole."""
-    for xs in maps.row_blocks(np.arange(op.shape[0]), op.shape[0]):
-        x = xs[:, None]
-        yield xs, op[op[xs], x] == x
+def _xyx_rows(op: np.ndarray, idx: np.ndarray):
+    """(rows, xy, A[rows]) for consecutive blocks of positions `rows` in the
+    ascending element indices `idx`: xy[i, j] = x y and A[i, j] = (x y x == x)
+    for x = idx[rows][i], y = idx[j] on the Cayley table `op`.  Each block
+    reads whole rows of `op`; A is never held whole."""
+    whole = len(idx) == op.shape[0]  # then idx is every element, in order
+    for rows in maps.row_blocks(np.arange(len(idx)), op.shape[0]):
+        x = idx[rows, None]
+        xy = op[idx[rows]] if whole else op[idx[rows]][:, idx]
+        yield rows, xy, op[xy, x] == x
 
 
 def regular_elements(op: np.ndarray) -> np.ndarray:
     """Mask of the regular elements: x with x y x = x for some y."""
     out = np.zeros(op.shape[0], dtype=bool)
-    for xs, a in _xyx_rows(op):
-        out[xs] = a.any(axis=1)
+    for rows, _, a in _xyx_rows(op, np.arange(op.shape[0])):
+        out[rows] = a.any(axis=1)
     return out
 
 
@@ -352,22 +358,6 @@ def subset_indices(sg: FiniteSemigroup, name: str) -> Tuple[int, ...]:
     return tuple(np.flatnonzero(keep).tolist())
 
 
-def _restrict(sg: FiniteSemigroup, idx):
-    """Restricted table in local indices, in TABLE_DTYPE, and whether the
-    subset is closed (the table is only meaningful when it is)."""
-    if len(idx) == len(sg):
-        return sg.op, True
-    idx = np.asarray(idx, dtype=np.intp)
-    sub = sg.op[np.ix_(idx, idx)]
-    inside = np.zeros(len(sg), dtype=bool)
-    inside[idx] = True
-    if not inside[sub].all():
-        return sub, False
-    local = np.zeros(len(sg), dtype=TABLE_DTYPE)
-    local[idx] = np.arange(len(idx))
-    return local[sub], True
-
-
 def zero_direct_union_table(copies: int, m: int) -> np.ndarray:
     """Cayley table of a 0-direct union of `copies` disjoint B_m's.
 
@@ -394,26 +384,29 @@ def check_iso(table_a: np.ndarray, table_b: np.ndarray, bij) -> bool:
     return bool(np.array_equal(table_b[bij[:, None], bij[None, :]], bij[table_a]))
 
 
-def _iso_certificate(sg: FiniteSemigroup, name, idx, sub):
+def _iso_certificate(sg: FiniteSemigroup, name, idx):
     """Explicit bijection onto the claimed target, verified cell by cell.
 
     The bijections are rank arithmetic.  A constant xi_alpha ranks as the
     code of alpha, the zero map as 0.  A singleton src -> dst (at n=1, the
     1-support column map) ranks as n^2 + 1 + (src-1)n^2 + (dst-1), with src
     and dst as pair codes, so its rank minus n^2 is its index in the
-    0-direct union and its pair code in B_{n^2}.
+    0-direct union and its pair code in B_{n^2}.  Only these subsets get a
+    table of their own, in local indices: 37 and 1,297 elements at n = 6.
     """
     n = sg.n
-    ranks = maps.member_ranks([sg.elements[i] for i in idx], n)
-    singleton_bij = np.where(ranks == 0, 0, ranks - n * n)
     if name == "constants" and sg.label == "additive":
-        return f"B_{n}", check_iso(sub, brandt.add_table(n), ranks)
-    if name == "singleton-ideal" and sg.label == "additive":
-        return (f"0-direct union of {n * n} copies of B_{n}",
-                check_iso(sub, zero_direct_union_table(n * n, n), singleton_bij))
-    if name == "singleton-ideal" and sg.label == "multiplicative":
-        return f"B_{n * n}", check_iso(sub, brandt.add_table(n * n), singleton_bij)
-    return None, None
+        target, table, shift = f"B_{n}", brandt.add_table(n), 0
+    elif name == "singleton-ideal" and sg.label == "additive":
+        target, table, shift = (f"0-direct union of {n * n} copies of B_{n}",
+                                zero_direct_union_table(n * n, n), n * n)
+    elif name == "singleton-ideal" and sg.label == "multiplicative":
+        target, table, shift = f"B_{n * n}", brandt.add_table(n * n), n * n
+    else:
+        return None, None
+    ranks = maps.member_ranks([sg.elements[i] for i in idx], n)
+    local = np.searchsorted(idx, sg.op[np.ix_(idx, idx)])  # idx is ascending
+    return target, check_iso(local, table, np.where(ranks == 0, 0, ranks - shift))
 
 
 def _one_inverse_each(packed: np.ndarray, m: int) -> bool:
@@ -438,21 +431,24 @@ def subset_report(sg: FiniteSemigroup, subset: str, idx) -> SubsetReport:
     """Closure, regularity, inverse/orthodox verdicts, and the isomorphism
     certificate (when one is claimed) for the named subset of one reduct,
     whose member indices, ascending, are `idx`.
-    Its A[x, y] = (x y x == x) is kept bit-packed, m^2/8 bytes, like `ideals`."""
-    sub, closed = _restrict(sg, idx)
-    if not closed:
-        return SubsetReport(subset, sg.label, len(idx), False,
-                            False, False, False, False)
+    Products are read off the reduct's table in global indices, a row
+    block at a time.  The subset's A[x, y] = (x y x == x) is kept
+    bit-packed, m^2/8 bytes, like `ideals`."""
+    op, idx = sg.op, np.asarray(idx, dtype=np.intp)
     m = len(idx)
+    inside = np.zeros(len(sg), dtype=bool)
+    inside[idx] = True
     packed = np.empty((m, (m + 7) // 8), dtype=np.uint8)
-    for xs, a in _xyx_rows(sub):
-        packed[xs] = np.packbits(a, axis=1)
+    for rows, xy, a in _xyx_rows(op, idx):
+        if m < len(sg) and not inside.take(xy).all():  # the whole reduct is closed
+            return SubsetReport(subset, sg.label, m, False, False, False, False, False)
+        packed[rows] = np.packbits(a, axis=1)
     regular = bool(packed.any(axis=1).all())
     inverse = regular and _one_inverse_each(packed, m)
-    idem = np.flatnonzero(idempotents(sub))
-    ef = sub[np.ix_(idem, idem)]  # products of idempotent pairs
+    idem = idx[op[idx, idx] == idx]
+    ef = op[np.ix_(idem, idem)]  # products of idempotent pairs
     commute = bool(np.array_equal(ef, ef.T))
-    orthodox = regular and bool(np.all(sub[ef, ef] == ef))
-    iso_target, iso_holds = _iso_certificate(sg, subset, idx, sub)
-    return SubsetReport(subset, sg.label, len(idx), True, regular,
+    orthodox = regular and bool(np.all(op[ef, ef] == ef))
+    iso_target, iso_holds = _iso_certificate(sg, subset, idx)
+    return SubsetReport(subset, sg.label, m, True, regular,
                         commute, inverse, orthodox, iso_target, iso_holds)

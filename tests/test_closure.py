@@ -1,4 +1,5 @@
 import json
+import random
 import re
 
 import numpy as np
@@ -113,11 +114,40 @@ def test_sampled_scan_matches_reference_loop(closure_of, table):
     laws = [lambda i, j, k: add_t[add_t[i, j], k] == add_t[i, add_t[j, k]],
             lambda i, j, k: mul_t[mul_t[i, j], k] == mul_t[i, mul_t[j, k]],
             lambda f, g, h: mul_t[f, add_t[g, h]] == add_t[mul_t[f, g], mul_t[f, h]]]
-    rng = np.random.default_rng(3)
-    expected = [_reference_scan(law, rng.integers(0, m, size=(samples, 3))) for law in laws]
+    rng = random.Random(3)
+    expected = [_reference_scan(law, closure._draw(rng, 3 * samples, m).reshape(samples, 3))
+                for law in laws]
     assert [(c.passed, c.counterexample) for c in report.checks] == expected
     assert [c.checked for c in report.checks] == [samples] * 3
     assert not all(ok for ok, _ in expected)
+
+
+def test_sampler_streams_the_same_draws_in_slices(closure_of, monkeypatch):
+    count = 3 * (2 * closure._SCAN_SLICE + 5_000)
+    for m in (1, 2, 29, 657, 27_253):
+        whole = closure._draw(random.Random(3), count, m)
+        rng = random.Random(3)
+        sliced = [closure._draw(rng, 3 * k, m)
+                  for k in (closure._SCAN_SLICE, closure._SCAN_SLICE, 5_000)]
+        assert np.array_equal(np.concatenate(sliced), whole)
+        assert whole.dtype == np.intp and 0 <= whole.min() and whole.max() < m
+        assert m > 657 or len(np.unique(whole)) == m  # every index is drawn
+        assert np.array_equal(closure._draw(random.Random(3), count, m), whole)
+    # a law that fails before its last slice still draws the rest of its sample,
+    # so the later laws scan the same triples whatever the slice size
+    ns = closure_of(2)
+    bad = closure.NearSemiring(2, ns.elements, ns.add_table.copy(), ns.mul_table.copy())
+    bad.add_table[7, 11] = (bad.add_table[7, 11] + 1) % len(ns)
+
+    def run():
+        report = closure.verify_near_semiring(bad, samples=5_000, seed=3,
+                                              assoc_exhaustive_max=0,
+                                              distrib_exhaustive_max=0)
+        return [(c.passed, c.counterexample, c.checked) for c in report.checks]
+
+    whole = run()
+    monkeypatch.setattr(closure, "_SCAN_SLICE", 700)
+    assert run() == whole and not whole[0][0]
 
 
 def test_closure_rejects_generators_whose_sums_leave_the_shapes():

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import zipfile
 from pathlib import Path
 
@@ -248,6 +249,31 @@ def test_cli_counts(capsys):
     code, out, _ = run_cli(capsys, ["counts", "--n", "2"])
     assert code == 0
     assert "a_plus_total" in out and "29" in out
+
+
+@pytest.fixture
+def default_int_digits():
+    """Python's default int-to-str limit, 4300 digits, for this test."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_counts_at_the_largest_printable_n(capsys, default_int_digits, fmt):
+    code, out, _ = run_cli(capsys, ["counts", "--n", "1556", "--format", fmt])
+    assert code == 0 and str(formulas.counts(1556).a_plus_total) in out
+
+
+@pytest.mark.parametrize("n", [1557, 10 ** 6])
+def test_cli_counts_refuses_unprintable_n_at_once(capsys, default_int_digits, n):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["counts", "--n", str(n)])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"n={n}" in err and err.rstrip().endswith("the largest n that prints is 1556")
 
 
 def test_cli_verify_passes(tmp_path, capsys):

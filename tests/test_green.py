@@ -336,12 +336,14 @@ def _ref_eventual_regularity(sg, reg):
 
 
 def _agrees_with_reference(sg, name):
-    """Regular mask, inverse verdict and eventual indices of one closed
-    subset against the reference loops; False when the reference raises
-    the pigeonhole error (and the scan raised the same one)."""
+    """The report of one closed subset against the restricted-table oracle,
+    and its regular mask, inverse verdict and eventual indices against the
+    reference loops; False when the reference raises the pigeonhole error
+    (and the scan raised the same one)."""
     rep = green.structural_checks(sg, name)
     assert rep.closed
     idx = np.array(green.subset_indices(sg, name))
+    assert repr(rep) == repr(_oracle_report(sg, name, idx))
     sub = np.searchsorted(idx, sg.op[np.ix_(idx, idx)])  # local indices
     ref = closure.FiniteSemigroup(sg.n, sg.label, tuple(sg.elements[i] for i in idx), sub)
     reg = _ref_regular_elements(ref)
@@ -363,6 +365,101 @@ def _agrees_with_reference(sg, name):
 def _subsets(label):
     other = {"additive": "N", "multiplicative": "K"}[label]
     return [name for name in green.SUBSET_NAMES if name != other]
+
+
+# --- the subset checks against the earlier restricted-table implementation ----
+# `_restrict` and `_oracle_iso` are the earlier code, kept as the oracle: they
+# copy the subset's products into a table of its own, in local indices,
+# which `subset_report` no longer does.
+
+def _restrict(sg, idx):
+    """Restricted table in local indices, in TABLE_DTYPE, and whether the
+    subset is closed (the table is only meaningful when it is)."""
+    if len(idx) == len(sg):
+        return sg.op, True
+    idx = np.asarray(idx, dtype=np.intp)
+    sub = sg.op[np.ix_(idx, idx)]
+    inside = np.zeros(len(sg), dtype=bool)
+    inside[idx] = True
+    if not inside[sub].all():
+        return sub, False
+    local = np.zeros(len(sg), dtype=closure.TABLE_DTYPE)
+    local[idx] = np.arange(len(idx))
+    return local[sub], True
+
+
+def _oracle_iso(sg, name, idx, sub):
+    n = sg.n
+    ranks = maps.member_ranks([sg.elements[i] for i in idx], n)
+    singleton_bij = np.where(ranks == 0, 0, ranks - n * n)
+    if name == "constants" and sg.label == "additive":
+        return f"B_{n}", green.check_iso(sub, brandt.add_table(n), ranks)
+    if name == "singleton-ideal" and sg.label == "additive":
+        return (f"0-direct union of {n * n} copies of B_{n}",
+                green.check_iso(sub, green.zero_direct_union_table(n * n, n), singleton_bij))
+    if name == "singleton-ideal" and sg.label == "multiplicative":
+        return f"B_{n * n}", green.check_iso(sub, brandt.add_table(n * n), singleton_bij)
+    return None, None
+
+
+def _oracle_report(sg, name, idx):
+    """Every `SubsetReport` field from the restricted table, by plain loops."""
+    sub, closed = _restrict(sg, idx)
+    m = len(idx)
+    if not closed:
+        return green.SubsetReport(name, sg.label, m, False, False, False, False, False)
+    regular = all(np.any(sub[sub[x], x] == x) for x in range(m))
+    idem = [x for x in range(m) if sub[x, x] == x]
+    efs = [sub[e, f] for e in idem for f in idem]
+    commute = all(sub[e, f] == sub[f, e] for e in idem for f in idem)
+    orthodox = regular and all(sub[ef, ef] == ef for ef in efs)
+    inverse = regular and all(c == 1 for c in _ref_inverse_counts(sub))
+    return green.SubsetReport(name, sg.label, m, True, regular, commute, inverse,
+                              orthodox, *_oracle_iso(sg, name, idx, sub))
+
+
+def _generated(op, gens):
+    """Indices of the subsemigroup of `op` that the indices `gens` generate."""
+    members = set(gens.tolist())
+    while True:
+        grown = members | {int(op[x, y]) for x in members for y in members}
+        if grown == members:
+            return np.array(sorted(members))
+        members = grown
+
+
+# 100 cells: blocks of a few rows, most starting off a byte boundary
+@pytest.mark.parametrize("cells", [maps._BLOCK_CELLS, 100])
+@pytest.mark.parametrize("label", ["additive", "multiplicative"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_subset_report_matches_restricted_oracle(closure_of, monkeypatch, n, label, cells):
+    monkeypatch.setattr(maps, "_BLOCK_CELLS", cells)
+    sg = closure_of(n).reduct(label)
+    for name in _subsets(label):
+        idx = green.subset_indices(sg, name)
+        # repr, which the verify report prints, also pins every field's type
+        assert repr(green.subset_report(sg, name, idx)) == repr(_oracle_report(sg, name, idx))
+
+
+@pytest.mark.parametrize("cells", [maps._BLOCK_CELLS, 100])
+@pytest.mark.parametrize("label", ["additive", "multiplicative"])
+def test_subset_report_matches_oracle_on_random_member_sets(closure_of, monkeypatch,
+                                                            label, cells):
+    monkeypatch.setattr(maps, "_BLOCK_CELLS", cells)
+    sg = closure_of(2).reduct(label)
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for trial in range(200):
+        idx = np.flatnonzero(rng.random(len(sg)) < rng.random())
+        if trial % 2:
+            idx = _generated(sg.op, idx)
+        if idx.size:
+            rep = green.subset_report(sg, "sample", idx)
+            assert repr(rep) == repr(_oracle_report(sg, "sample", idx)), idx
+            verdicts.append((rep.closed, rep.regular, rep.inverse, rep.orthodox))
+    closed = [v for v in verdicts if v[0]]
+    assert 0 < len(closed) < len(verdicts)
+    assert {v[1:] for v in closed} > {(True, True, True)}  # not every closed set is inverse
 
 
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])

@@ -1,6 +1,7 @@
-"""What importing `ans` does to the process: OpenBLAS is pinned to one
-thread while numpy loads, and the environment is left as it was found.
-Each case runs in a fresh interpreter, since numpy loads once per process."""
+"""What importing and running `ans` does to the process: OpenBLAS is pinned
+to one thread while numpy loads, the environment is left as it was found,
+and `ans verify` loads no numpy.random.  Each case runs in a fresh
+interpreter, since numpy loads once per process."""
 
 import json
 import os
@@ -32,17 +33,24 @@ print(json.dumps({{"threads": None if tasks is None else len(tasks),
 """
 
 
-def _fresh(imports, blas=None):
-    """Run `imports` in a new interpreter whose environment holds
-    OPENBLAS_NUM_THREADS only when `blas` is given; report its thread
-    count, the imports' writes to that variable, and its value afterwards."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+def _run(code, blas=None):
+    """Run `code` in a new interpreter, with no closure cache, whose
+    environment holds OPENBLAS_NUM_THREADS only when `blas` is given;
+    return the last line it prints, parsed as JSON."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "ANS_CACHE_DIR")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if blas is not None:
         env["OPENBLAS_NUM_THREADS"] = blas
-    out = subprocess.run([sys.executable, "-c", REPORT.format(imports=imports)],
-                         env=env, capture_output=True, text=True, check=True).stdout
-    return json.loads(out)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def _fresh(imports, blas=None):
+    """Run `imports` as `_run` does; report the thread count, the imports'
+    writes to OPENBLAS_NUM_THREADS, and its value afterwards."""
+    return _run(REPORT.format(imports=imports), blas)
 
 
 def test_cli_import_starts_no_blas_threads():
@@ -67,3 +75,12 @@ def test_caller_setting_is_left_as_set():
 def test_numpy_imported_first_is_left_alone():
     got = _fresh("import numpy; import ans")
     assert got["writes"] == [] and got["blas"] == "unset"
+
+
+def test_verify_loads_no_numpy_random():
+    # n = 3 is the first n whose axiom scan samples triples; every n samples
+    # table cells in the proof of the Cayley tables
+    got = _run("import json, sys\nimport ans.cli\n"
+               "status = ans.cli.main(['verify', '--n', '1..3'])\n"
+               "print(json.dumps([status, 'numpy.random' in sys.modules]))\n")
+    assert got == [0, False]
