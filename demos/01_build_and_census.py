@@ -19,8 +19,8 @@ for n in (1, 2, 3, 4):
     print(f"  expected          {formulas.support_histogram_expected(n)}")
 
     by_shape = {}
-    for f in ns.elements:
-        shape = type(maps.classify(f)).__name__
+    for c in maps.forms(ns.elements, n):
+        shape = type(c).__name__
         by_shape[shape] = by_shape.get(shape, 0) + 1
     print(f"  shapes: {dict(sorted(by_shape.items()))}")
 

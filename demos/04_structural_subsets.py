@@ -37,8 +37,8 @@ for label in ("additive", "multiplicative"):
 sg = ns.reduct("additive")
 gs = green.green_brute(sg)
 profile = {}
-for i, f in enumerate(ns.elements):
-    shape = type(maps.classify(f)).__name__
+for i, c in enumerate(maps.forms(ns.elements, n)):
+    shape = type(c).__name__
     profile.setdefault(shape, set()).add(gs.eventual_index[i])
 print("first additively regular power, by shape:")
 for shape, indices in sorted(profile.items()):

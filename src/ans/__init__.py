@@ -27,7 +27,6 @@ from .closure import (FiniteSemigroup, NearSemiring, additive_closure,
                       support_histogram, verify_near_semiring)
 from .generators import GeneratorSet, enumerate_kind
 from .green import (GreenStructure, SubsetReport, class_counts, green_brute,
-                    green_analytic_additive, green_analytic_multiplicative,
                     structural_checks)
 from .eggbox import EggBox, build_eggbox
 from .formulas import CountsTable, counts
@@ -42,7 +41,6 @@ __all__ = [
     "support_histogram", "verify_near_semiring",
     "GeneratorSet", "enumerate_kind",
     "GreenStructure", "SubsetReport", "class_counts", "green_brute",
-    "green_analytic_additive", "green_analytic_multiplicative",
     "structural_checks",
     "EggBox", "build_eggbox",
     "CountsTable", "counts",

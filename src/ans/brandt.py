@@ -14,15 +14,12 @@ sigma = (2, 1) sends 1 -> 2 and 2 -> 1.  They serialize as JSON arrays.
 """
 
 import json
-import re
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
 THETA = 0
-
-_PAIR_RE = re.compile(r"^\((\d+),(\d+)\)$")
 
 
 def _check_n(n):
@@ -58,16 +55,6 @@ def elements(n):
     return list(range(size(n)))
 
 
-def add(a, b, n):
-    """The Brandt operation on codes: (i,j)+(k,l) = (i,l) iff j = k."""
-    if a == THETA or b == THETA:
-        unpair(a, n), unpair(b, n)  # range check only
-        return THETA
-    i, j = unpair(a, n)
-    k, l = unpair(b, n)
-    return pair(i, l, n) if j == k else THETA
-
-
 @lru_cache(maxsize=None)
 def add_table(n):
     """Cayley table of B_n as a read-only (n^2+1) x (n^2+1) array."""
@@ -77,26 +64,6 @@ def add_table(n):
     t[1:, 1:] = np.where(j[:, None] == i, i[:, None] * n + j + 1, THETA)
     t.setflags(write=False)
     return t
-
-
-def idempotents(n):
-    """The set {x : x + x = x}, i.e. theta and the diagonal pairs."""
-    return {THETA} | {pair(k, k, n) for k in range(1, n + 1)}
-
-
-def elem_str(code, n):
-    """Serialized form: "(i,j)" or "theta"."""
-    p = unpair(code, n)
-    return "theta" if p is None else f"({p[0]},{p[1]})"
-
-
-def parse_elem(s, n):
-    if s == "theta":
-        return THETA
-    m = _PAIR_RE.match(s.strip())
-    if not m:
-        raise ValueError(f"not a Brandt element token: {s!r}")
-    return pair(int(m.group(1)), int(m.group(2)), n)
 
 
 # --- permutations -----------------------------------------------------------
@@ -134,13 +101,6 @@ def perm_compose(p, q):
     if len(p) != len(q):
         raise ValueError(f"permutation size mismatch: {len(p)} vs {len(q)}")
     return tuple(q[p[i] - 1] for i in range(len(p)))
-
-
-def perm_inverse(p):
-    inv = [0] * len(p)
-    for i, ip in enumerate(p):
-        inv[ip - 1] = i + 1
-    return tuple(inv)
 
 
 def perm_str(p):

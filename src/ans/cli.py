@@ -61,9 +61,10 @@ def load_or_build(n: int, cache_dir: Optional[Path]) -> closure_mod.NearSemiring
     path = None if cache_dir is None else cache_path(cache_dir, n)
     if path is not None and path.exists():
         return _read_cache(path, n)
+    if path is not None:  # an unusable cache directory fails here, before the build
+        cache_dir.mkdir(parents=True, exist_ok=True)
     ns = closure_mod.additive_closure(generators.enumerate_aff(n))
     if path is not None:
-        cache_dir.mkdir(parents=True, exist_ok=True)
         # write beside the target and rename, so a failed write leaves no cache
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
@@ -262,6 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        out = Path(args.out) if args.out else None
+        if out and (out.is_dir() or not out.parent.is_dir()):  # refuse before any work
+            raise ValueError(f"--out {out} is not a file path in an existing directory")
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -50,10 +50,20 @@ FORMAT_VERSION = 1
 # elements, so uint16 is wide enough and halves the memory of int32.
 TABLE_DTYPE = np.uint16
 
+# The seed of every sample: the direct cells of `tables_witness` and the
+# axiom triples of `verify_near_semiring`.
+_SEED = 0
+
 # The direct sample of `tables_witness`: whole rows of this many
 # non-representatives, and a grid of this many rows by this many columns.
 _SAMPLE_ROWS = 3
 _SAMPLE_GRID = 64
+
+# The axiom scan checks every triple of a law while there are at most this
+# many, and this many sampled triples beyond that.
+_ASSOC_EXHAUSTIVE_MAX = 4_000_000
+_DISTRIB_EXHAUSTIVE_MAX = 100_000
+_AXIOM_SAMPLES = 100_000
 
 # Sampled axiom triples drawn and checked per vectorized step, each slice just
 # before its scan; bigger slices raise peak memory without making it faster.
@@ -156,12 +166,6 @@ def _permutations(index, n):
     return tuple(P.astype(TABLE_DTYPE) for P in perms)
 
 
-def element_permutations(elems, n):
-    """`maps.index_permutations(n)` as permutations of the list's positions,
-    or None when the list is not closed under them."""
-    return _permutations(_list_index(elems, n), n)
-
-
 def _orbit_labels(perms, m) -> np.ndarray:
     """The least index in each of 0..m-1's orbit under the group that the
     permutations generate; the orbit representatives are the fixed points."""
@@ -244,7 +248,7 @@ def _proof_breach(ns: NearSemiring, index) -> str:
         return "element list is not closed under conjugation by S_n"
     is_rep = _orbit_labels(perms, m) == np.arange(m)
     reps, others = np.flatnonzero(is_rep), np.flatnonzero(~is_rep)
-    rng = random.Random(0)
+    rng = random.Random(_SEED)
     picked = others[_draw(rng, min(_SAMPLE_ROWS, len(others)), len(others))]
     sample = np.concatenate([reps, np.sort(picked)])
     grid = np.sort(_draw(rng, 2 * _SAMPLE_GRID, m).reshape(2, -1), axis=1)
@@ -271,15 +275,13 @@ def tables_witness(ns: NearSemiring) -> str:
     ranked as in `fill_tables`, and the witness is the first cell
     (row-major) that differs, or the breach when no cell does.
     """
-    index = _list_index(ns.elements, ns.n)
-    breach = _proof_breach(ns, index)
+    breach = _proof_breach(ns, _list_index(ns.elements, ns.n))
     if not breach:
         return ""
     m = len(ns)
-    rows = np.arange(m)
-    direct = _ranked_rows(index, rows, ns.n)
+    direct = fill_tables(ns.elements, ns.n)
     for label, got, want in zip(("add", "mul"), (ns.add_table, ns.mul_table), direct):
-        for f in maps.row_blocks(rows, m):
+        for f in maps.row_blocks(np.arange(m), m):
             bad = np.argwhere(got[f] != want[f])
             if bad.size:
                 i, j = int(f[bad[0][0]]), int(bad[0][1])
@@ -377,20 +379,19 @@ def _scan(name, fails, blocks, checked) -> AxiomCheck:
     return AxiomCheck(name, True, checked)
 
 
-def verify_near_semiring(ns: NearSemiring, samples=100_000, seed=0,
-                         assoc_exhaustive_max=4_000_000,
-                         distrib_exhaustive_max=100_000) -> ValidationReport:
+def verify_near_semiring(ns: NearSemiring) -> ValidationReport:
     """Check both associativities and left distributivity f(g+h) = fg + fh.
 
-    Axioms are scanned exhaustively while the triple count stays under the
-    given bounds, and on deterministic random samples beyond that: one
-    `_draw` stream from `seed`, laws in order, each law's triples streamed
-    a _SCAN_SLICE at a time.  Failures carry the first offending triple
+    Axioms are scanned exhaustively while the triple count stays under
+    _ASSOC_EXHAUSTIVE_MAX (_DISTRIB_EXHAUSTIVE_MAX for distributivity), and
+    on _AXIOM_SAMPLES deterministic random triples beyond that: one `_draw`
+    stream from _SEED, laws in order, each law's triples streamed a
+    _SCAN_SLICE at a time.  Failures carry the first offending triple
     (row-major, or in sample order) as a witness.
     """
     m = len(ns)
     total = m ** 3
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     ar = np.arange(m)
 
     def product(table):  # the Cayley table as a vectorized binary operation
@@ -401,18 +402,18 @@ def verify_near_semiring(ns: NearSemiring, samples=100_000, seed=0,
         return lambda a, b, c: op(op(a, b), c) != op(a, op(b, c))
 
     add, mul = product(ns.add_table), product(ns.mul_table)
-    laws = [("additive associativity", assoc(add), assoc_exhaustive_max),
-            ("multiplicative associativity", assoc(mul), assoc_exhaustive_max),
+    laws = [("additive associativity", assoc(add), _ASSOC_EXHAUSTIVE_MAX),
+            ("multiplicative associativity", assoc(mul), _ASSOC_EXHAUSTIVE_MAX),
             ("left distributivity",
              lambda f, g, h: mul(f, add(g, h)) != add(mul(f, g), mul(f, h)),
-             distrib_exhaustive_max)]
+             _DISTRIB_EXHAUSTIVE_MAX)]
     report = ValidationReport()
     for name, fails, exhaustive_max in laws:
         if total <= exhaustive_max:
             checked = total
             blocks = ((i, ar[:, None], ar[None, :]) for i in range(m))
         else:
-            checked = min(samples, total)
+            checked = min(_AXIOM_SAMPLES, total)
             sizes = [min(_SCAN_SLICE, checked - lo) for lo in range(0, checked, _SCAN_SLICE)]
             blocks = (_draw(rng, 3 * k, m).reshape(k, 3).T for k in sizes)
         report.checks.append(_scan(name, fails, blocks, checked))
@@ -425,13 +426,6 @@ def support_histogram(ns: NearSemiring) -> dict:
     """Element count per support size."""
     sizes, counts = np.unique(maps.support_sizes(ns.elements), return_counts=True)
     return dict(zip(sizes.tolist(), counts.tolist()))
-
-
-def intermediate_support_check(ns: NearSemiring) -> bool:
-    """No support size strictly between 1 and n, or between n and n^2+1."""
-    n = ns.n
-    sizes = set(support_histogram(ns))
-    return all(not (1 < k < n or n < k < n * n + 1) for k in sizes)
 
 
 # --- interchange: the JSON output and the .npz cache share this schema --------

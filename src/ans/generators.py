@@ -14,9 +14,7 @@ dumps serialize them with the extra token "phi[sigma]".
 """
 
 import math
-import re
 from dataclasses import dataclass
-from itertools import product
 from typing import Tuple
 
 import numpy as np
@@ -24,8 +22,6 @@ import numpy as np
 from . import brandt, closure, maps
 from .brandt import THETA
 from .maps import NotAffineElement
-
-_PHI_RE = re.compile(r"^phi(\[[\d,]*\])$")
 
 KINDS = ("end", "aut", "aff", "const")
 
@@ -75,14 +71,6 @@ def phi_sigma(sigma, n):
     return tuple(t)
 
 
-def is_endomorphism(f) -> bool:
-    """(a + b)f = af + bf for all a, b in B_n."""
-    n = maps.map_n(f)
-    t = brandt.add_table(n)
-    return all(f[t[a, b]] == t[f[a], f[b]]
-               for a in range(len(f)) for b in range(len(f)))
-
-
 def enumerate_aut(n) -> GeneratorSet:
     """Aut(B_n), ordered by sigma in one-line lexicographic order."""
     members = tuple(phi_sigma(s, n) for s in brandt.enumerate_sn(n))
@@ -104,22 +92,6 @@ def enumerate_end(n) -> GeneratorSet:
     members += [maps.constant_map(brandt.pair(k, k, n), n) for k in range(1, n + 1)]
     members += list(enumerate_aut(n))
     return GeneratorSet(n, "end", tuple(members))
-
-
-def brute_force_endomorphisms(n):
-    """All members of M(B_n) with the homomorphism property, by full scan.
-
-    The scan is N^N tables (N = n^2+1); refuse anything past n=2 where it
-    stops being desk-scale.
-    """
-    if n > 2:
-        raise ValueError(f"exhaustive endomorphism scan infeasible for n={n}")
-    m = brandt.size(n)
-    found = []
-    for f in product(range(m), repeat=m):
-        if is_endomorphism(f):
-            found.append(f)
-    return found
 
 
 def enumerate_aff(n) -> GeneratorSet:
@@ -151,21 +123,6 @@ def enumerate_kind(kind, n) -> GeneratorSet:
         raise ValueError(f"unknown generator kind {kind!r}; expected one of {KINDS}")
     closure.check_n_cap(n)  # Aff and End grow with n!, so refuse before building
     return builders[kind](n)
-
-
-def triple_to_map(k, q, sigma, n):
-    """The column map with support column k: phi_sigma + xi_(k sigma, q)."""
-    brandt.check_perm(sigma)
-    const = maps.constant_map(brandt.pair(sigma[k - 1], q, n), n)
-    return maps.pointwise_add(phi_sigma(sigma, n), const)
-
-
-def map_to_triple(f):
-    """Inverse of triple_to_map; errors unless f is an n-support column map."""
-    c = maps.forms([f], maps.map_n(f))[0]
-    if not isinstance(c, maps.NSupport):
-        raise ValueError(f"not an n-support closure element: {maps.canonical_str(c)}")
-    return c.k, c.q, c.sigma
 
 
 def aut_iso_sn(n) -> bool:
@@ -202,14 +159,6 @@ def member_str(f) -> str:
         if phi_sigma(brandt.check_perm(sigma), n) == f:
             return "phi" + brandt.perm_str(sigma)
         raise
-
-
-def parse_member(s, n):
-    m = _PHI_RE.match(s.strip())
-    if m:
-        return phi_sigma(brandt.parse_perm(m.group(1)), n)
-    closure.check_n_cap(n)  # the token table grows with n!
-    return tuple(maps.canonical_tables(n)[maps.token_ranks([s], n)[0]].tolist())
 
 
 def generators_dict(gs: GeneratorSet) -> dict:

@@ -6,10 +6,10 @@ adjoined; `ideals` is the one place those ideals are computed, and the
 egg-box J-order reads them from there too.  The analytic route decides
 relatedness from the canonical form alone: `additive_keys` and
 `multiplicative_keys` state the support and projection rules once, as
-per-element R/L/D keys, and two elements are related exactly when their
-keys agree.  The rules have two views on top of those keys: the pairwise
-`green_analytic_*` classifiers compare two elements' keys, and
-`analytic_structure` groups a whole reduct by them.
+per-element R/L/D keys.  `_KEYS_OF_RELATION` says which keys each of the
+five relations compares (J as D, H as R and L together), and
+`analytic_structure` groups a whole reduct by them; two elements are
+related exactly when those keys agree.
 Agreement of the two routes is checked in tests, not assumed here.
 
 Regularity is stated once, as A[x, y] = (x y x == x) on a Cayley table,
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import brandt, maps
 from .closure import FiniteSemigroup
-from .maps import Constant, NSupport, Singleton, Zero
+from .maps import Constant, Singleton, Zero
 
 RELATIONS = ("R", "L", "D", "J", "H")
 
@@ -219,20 +219,6 @@ def class_counts(gs: GreenStructure) -> CountsRecord:
 
 # --- analytic classifiers on canonical forms ----------------------------------
 
-def _common_n(f, g, n: Optional[int]):
-    for c in (f, g):
-        if isinstance(c, NSupport):
-            m = len(c.sigma)
-            if n is None:
-                n = m
-            elif n != m:
-                raise ValueError(f"elements from different ambient n: {n} vs {m}")
-    if n is not None:
-        maps.check_canonical(f, n)
-        maps.check_canonical(g, n)
-    return n
-
-
 def additive_keys(c) -> Dict[str, tuple]:
     """R, L and D keys of a canonical form in the additive reduct.
 
@@ -276,42 +262,18 @@ def multiplicative_keys(c) -> Dict[str, tuple]:
 _KEYS_OF_RELATION = {"R": ("R",), "L": ("L",), "D": ("D",), "J": ("D",), "H": ("R", "L")}
 
 
-def _keys_related(keys, f, g, rel: str, n: Optional[int]) -> bool:
-    _common_n(f, g, n)
-    rels = _KEYS_OF_RELATION.get(rel)
-    if rels is None:
-        raise ValueError(f"unknown relation {rel!r}")
-    kf, kg = keys(f), keys(g)
-    return all(kf[r] == kg[r] for r in rels)
-
-
-def green_analytic_additive(f, g, rel: str, n: Optional[int] = None) -> bool:
-    """Relatedness in the additive reduct, decided by canonical shape
-    (the rules are stated in `additive_keys`)."""
-    return _keys_related(additive_keys, f, g, rel, n)
-
-
-def green_analytic_multiplicative(f, g, rel: str, n: Optional[int] = None) -> bool:
-    """Relatedness in the multiplicative reduct, decided by canonical shape
-    (the rules are stated in `multiplicative_keys`)."""
-    return _keys_related(multiplicative_keys, f, g, rel, n)
-
-
 def analytic_structure(sg: FiniteSemigroup) -> Dict[str, Tuple[Tuple[int, ...], ...]]:
-    """Partitions from the analytic keys, for cross-checking.
-
-    Grouping on the same keys the pairwise classifiers compare covers
-    every pair against green_brute without the quadratic loop.
+    """All five partitions from the analytic keys, for cross-checking
+    against green_brute: two elements share a class exactly when they
+    agree on every key `_KEYS_OF_RELATION` names for the relation.
     """
     keys_of = {"additive": additive_keys,
                "multiplicative": multiplicative_keys}.get(sg.label)
     if keys_of is None:
         raise ValueError(f"unknown reduct label {sg.label!r}")
     keys = [keys_of(c) for c in maps.forms(sg.elements, sg.n)]
-    out = {rel: _group([k[rel] for k in keys]) for rel in ("R", "L", "D")}
-    out["J"] = out["D"]
-    out["H"] = _group([(k["R"], k["L"]) for k in keys])
-    return out
+    return {rel: _group([tuple(k[r] for r in _KEYS_OF_RELATION[rel]) for k in keys])
+            for rel in RELATIONS}
 
 
 # --- subsets and structural properties ----------------------------------------

@@ -18,20 +18,19 @@ Canonical text tokens (used in JSON exports and egg-box cells):
 At n=1 the unique 1-support closure element fits both the Singleton and the
 NSupport shape; it is NSupport(1, 1, id), so Singleton never occurs at n=1.
 
-Every runtime shape question goes through one element index: `rank` (and
-its checked form `member_ranks`) gives a table's position in canonical
-order by arithmetic, `forms` reads canonical forms off those positions, and
+Every shape question goes through one element index: `rank` (and its
+checked form `member_ranks`) gives a table's position in canonical order
+by arithmetic, `forms` reads canonical forms off those positions, and
 `products` ranks every pointwise sum or composite of two row sets.
-`index_permutations` gives conjugation by S_n on those positions.
-`classify` decides the shape a second, independent way, case by case; it
-is kept as the reference that `rank` is tested against.
+`index_permutations` gives conjugation by S_n on those positions.  The
+tests check `rank` against a case-by-case classifier of their own.
 """
 
 import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -67,13 +66,6 @@ def zero_map(n):
     return constant_map(THETA, n)
 
 
-def evaluate(f, alpha):
-    """Table lookup; the argument is written on the left."""
-    n = map_n(f)
-    brandt.unpair(alpha, n)
-    return f[alpha]
-
-
 def pointwise_add(f, g):
     """x(f+g) = xf + xg in B_n."""
     n = _same_n(f, g)
@@ -87,11 +79,6 @@ def compose(f, g):
     return tuple(g[v] for v in f)
 
 
-def support(f):
-    """Arguments with nonzero image."""
-    return frozenset(x for x, v in enumerate(f) if v != THETA)
-
-
 def support_sizes(rows) -> np.ndarray:
     """Support size of each table row (an N x (n^2+1) array or list of tables)."""
     return np.count_nonzero(np.asarray(rows) != THETA, axis=1)
@@ -103,25 +90,6 @@ def proj1(code, n):
     if p is None:
         raise ValueError("theta has no projections")
     return p[0]
-
-
-def proj2(code, n):
-    p = brandt.unpair(code, n)
-    if p is None:
-        raise ValueError("theta has no projections")
-    return p[1]
-
-
-def image_invariant(f) -> Optional[int]:
-    """The common second coordinate q of all nonzero images, if one exists.
-
-    Returns None when the image is {theta} or when no single q works.
-    """
-    n = map_n(f)
-    qs = {proj2(v, n) for v in f if v != THETA}
-    if len(qs) == 1:
-        return qs.pop()
-    return None
 
 
 # --- canonical forms --------------------------------------------------------
@@ -152,19 +120,6 @@ class NSupport:
 CanonicalElem = Union[Zero, Constant, Singleton, NSupport]
 
 
-def canonical_key(c):
-    """Sort key: Zero, then Constants, then Singletons, then NSupport."""
-    if isinstance(c, Zero):
-        return (0,)
-    if isinstance(c, Constant):
-        return (1,) + c.alpha
-    if isinstance(c, Singleton):
-        return (2,) + c.src + c.dst
-    if isinstance(c, NSupport):
-        return (3, c.k, c.q) + c.sigma
-    raise TypeError(f"not a canonical element: {c!r}")
-
-
 def check_canonical(c, n):
     """Validate a canonical form against an ambient n."""
     if isinstance(c, Zero):
@@ -186,42 +141,6 @@ def check_canonical(c, n):
             raise ValueError(f"(k,q)=({c.k},{c.q}) out of range for n={n}")
         return c
     raise TypeError(f"not a canonical element: {c!r}")
-
-
-def classify(f) -> CanonicalElem:
-    """Canonical form of a closure-member table, decided case by case.
-
-    Raises NotAffineElement for any table outside the four shapes; such
-    tables are provably not in the additive closure of the affine maps.
-    This is the reference for `rank` and `forms`, which the runtime uses.
-    """
-    n = map_n(f)
-    supp = sorted(support(f))
-    k = len(supp)
-    if k == 0:
-        return Zero()
-    vals = set(f)
-    if len(vals) == 1:
-        v = f[0]
-        if v != THETA and k == n * n + 1:
-            return Constant(brandt.unpair(v, n))
-    if THETA in support(f) or k == n * n + 1:
-        # full support that is not constant, or theta in a partial support
-        raise NotAffineElement(f"support of size {k} does not match any closure shape")
-    if k == n:
-        cols = {brandt.unpair(x, n)[1] for x in supp}
-        qs = {proj2(f[x], n) for x in supp}
-        if len(cols) == 1 and len(qs) == 1:
-            kcol, q = cols.pop(), qs.pop()
-            sigma = tuple(proj1(f[brandt.pair(i, kcol, n)], n) for i in range(1, n + 1))
-            if sorted(sigma) == list(range(1, n + 1)):
-                return NSupport(kcol, q, sigma)
-        if k != 1:
-            raise NotAffineElement("n-support table is not a column map")
-    if k == 1:
-        src = supp[0]
-        return Singleton(brandt.unpair(src, n), brandt.unpair(f[src], n))
-    raise NotAffineElement(f"support of size {k} does not match any closure shape")
 
 
 def render(c: CanonicalElem, n) -> tuple:

@@ -1,0 +1,143 @@
+"""Independent reference implementations the tests compare `ans` against.
+
+Each one decides a fact a second way, by plain loops or case analysis on
+the definitions, and no code in `ans` calls it: `classify` is the
+reference for `maps.rank` and `maps.forms`, `brute_force_endomorphisms`
+for `generators.enumerate_end`, `add` for `brandt.add_table`, and
+`related` for the relation-to-key map inside `green.analytic_structure`.
+"""
+
+from itertools import product
+
+from ans import brandt, generators, maps
+from ans.brandt import THETA, pair, unpair
+from ans.maps import Constant, NotAffineElement, NSupport, Singleton, Zero
+
+
+# --- B_n ----------------------------------------------------------------------
+
+def add(a, b, n):
+    """The Brandt operation on codes: (i,j)+(k,l) = (i,l) iff j = k."""
+    if a == THETA or b == THETA:
+        unpair(a, n), unpair(b, n)  # range check only
+        return THETA
+    i, j = unpair(a, n)
+    k, l = unpair(b, n)
+    return pair(i, l, n) if j == k else THETA
+
+
+def idempotents(n):
+    """The set {x : x + x = x}, i.e. theta and the diagonal pairs."""
+    return {THETA} | {pair(k, k, n) for k in range(1, n + 1)}
+
+
+def perm_inverse(p):
+    inv = [0] * len(p)
+    for i, ip in enumerate(p):
+        inv[ip - 1] = i + 1
+    return tuple(inv)
+
+
+# --- maps and canonical forms ---------------------------------------------------
+
+def support(f):
+    """Arguments with nonzero image."""
+    return frozenset(x for x, v in enumerate(f) if v != THETA)
+
+
+def proj2(code, n):
+    p = unpair(code, n)
+    if p is None:
+        raise ValueError("theta has no projections")
+    return p[1]
+
+
+def canonical_key(c):
+    """Sort key: Zero, then Constants, then Singletons, then NSupport."""
+    if isinstance(c, Zero):
+        return (0,)
+    if isinstance(c, Constant):
+        return (1,) + c.alpha
+    if isinstance(c, Singleton):
+        return (2,) + c.src + c.dst
+    if isinstance(c, NSupport):
+        return (3, c.k, c.q) + c.sigma
+    raise TypeError(f"not a canonical element: {c!r}")
+
+
+def classify(f):
+    """Canonical form of a closure-member table, decided case by case.
+
+    Raises NotAffineElement for any table outside the four shapes; such
+    tables are provably not in the additive closure of the affine maps.
+    """
+    n = maps.map_n(f)
+    supp = sorted(support(f))
+    k = len(supp)
+    if k == 0:
+        return Zero()
+    vals = set(f)
+    if len(vals) == 1:
+        v = f[0]
+        if v != THETA and k == n * n + 1:
+            return Constant(unpair(v, n))
+    if THETA in support(f) or k == n * n + 1:
+        # full support that is not constant, or theta in a partial support
+        raise NotAffineElement(f"support of size {k} does not match any closure shape")
+    if k == n:
+        cols = {unpair(x, n)[1] for x in supp}
+        qs = {proj2(f[x], n) for x in supp}
+        if len(cols) == 1 and len(qs) == 1:
+            kcol, q = cols.pop(), qs.pop()
+            sigma = tuple(maps.proj1(f[pair(i, kcol, n)], n) for i in range(1, n + 1))
+            if sorted(sigma) == list(range(1, n + 1)):
+                return NSupport(kcol, q, sigma)
+        if k != 1:
+            raise NotAffineElement("n-support table is not a column map")
+    if k == 1:
+        src = supp[0]
+        return Singleton(unpair(src, n), unpair(f[src], n))
+    raise NotAffineElement(f"support of size {k} does not match any closure shape")
+
+
+# --- generators -------------------------------------------------------------------
+
+def is_endomorphism(f) -> bool:
+    """(a + b)f = af + bf for all a, b in B_n."""
+    n = maps.map_n(f)
+    t = brandt.add_table(n)
+    return all(f[t[a, b]] == t[f[a], f[b]]
+               for a in range(len(f)) for b in range(len(f)))
+
+
+def brute_force_endomorphisms(n):
+    """All members of M(B_n) with the homomorphism property, by full scan.
+
+    The scan is N^N tables (N = n^2+1); refuse anything past n=2 where it
+    stops being desk-scale.
+    """
+    if n > 2:
+        raise ValueError(f"exhaustive endomorphism scan infeasible for n={n}")
+    m = brandt.size(n)
+    return [f for f in product(range(m), repeat=m) if is_endomorphism(f)]
+
+
+def triple_to_map(k, q, sigma, n):
+    """The column map with support column k: phi_sigma + xi_(k sigma, q)."""
+    brandt.check_perm(sigma)
+    const = maps.constant_map(pair(sigma[k - 1], q, n), n)
+    return maps.pointwise_add(generators.phi_sigma(sigma, n), const)
+
+
+# --- Green's relations from the analytic keys -----------------------------------
+
+# On a finite semigroup J = D, and H = R ∩ L (Clifford & Preston I, §2.1);
+# stated here apart from `green`, so the pairwise tests stay an oracle for it.
+_COMPARED_KEYS = {"R": ("R",), "L": ("L",), "D": ("D",), "J": ("D",), "H": ("R", "L")}
+
+
+def related(keys, a, b, rel) -> bool:
+    """Are canonical forms a and b rel-related, by `keys` (`green.additive_keys`
+    or `green.multiplicative_keys`)?"""
+    ka, kb = keys(a), keys(b)
+    return all(ka[k] == kb[k] for k in _COMPARED_KEYS[rel])

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ans import brandt, closure, eggbox, formulas, generators, green, maps, verify
+import oracles
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -23,7 +24,7 @@ def test_acceptance_01_n2_census_and_breakup(closure_of):
     ns = closure_of(2)
     counted = {"zero": 0, "singleton": 0, "n_support": 0, "full": 0}
     for f in ns.elements:
-        c = maps.classify(f)
+        c = oracles.classify(f)
         key = {maps.Zero: "zero", maps.Singleton: "singleton",
                maps.NSupport: "n_support", maps.Constant: "full"}[type(c)]
         counted[key] += 1
@@ -43,7 +44,7 @@ def test_acceptance_03_endomorphism_counts():
     sizes = {n: len(generators.enumerate_end(n)) for n in (1, 2, 3, 4)}
     ok = sizes == {1: 3, 2: 5, 3: 10, 4: 29}
     ok = ok and all(sizes[n] == formulas.counts(n).end_count for n in sizes)
-    ok = ok and sizes[2] == len(generators.brute_force_endomorphisms(2))
+    ok = ok and sizes[2] == len(oracles.brute_force_endomorphisms(2))
     report(3, "endomorphism monoid sizes 3/5/10/29 at n=1..4 match n!+n+1", ok)
 
 
@@ -79,16 +80,16 @@ def test_acceptance_06_multiplicative_green_censuses(green_of):
 def test_acceptance_07_analytic_matches_brute_everywhere(closure_of, green_of):
     ok = True
     for n in (2, 3):
-        forms = [maps.classify(f) for f in closure_of(n).elements]
-        for label, fn in (("additive", green.green_analytic_additive),
-                          ("multiplicative", green.green_analytic_multiplicative)):
+        forms = [oracles.classify(f) for f in closure_of(n).elements]
+        for label, keys in (("additive", green.additive_keys),
+                            ("multiplicative", green.multiplicative_keys)):
             gs = green_of(n, label)
             for rel in green.RELATIONS:
                 cls = gs.class_of[rel]
                 for i, a in enumerate(forms):
                     ci = cls[i]
                     for j, b in enumerate(forms):
-                        if fn(a, b, rel) != (ci == cls[j]):
+                        if oracles.related(keys, a, b, rel) != (ci == cls[j]):
                             ok = False
     report(7, "analytic relation tests agree with brute force on every pair, "
               "all five relations, both reducts, n=2 and n=3", ok)
@@ -121,7 +122,7 @@ def test_acceptance_09_axioms_and_invariants(closure_of):
         ok = ok and closure.verify_near_semiring(ns).passed
         ok = ok and closure.support_histogram(ns) == \
             formulas.support_histogram_expected(n)
-        ok = ok and closure.intermediate_support_check(ns)
+        ok = ok and set(closure.support_histogram(ns)) <= {0, 1, n, n * n + 1}
         # the named-check battery covers aperiodicity, trivial additive H,
         # D = J, eventual regularity, inverse subsemigroups, orthodoxy,
         # and the explicit isomorphisms

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from ans import closure, formulas, generators, maps
+from ans import closure, formulas, generators, maps, verify
+import oracles
 
 
 @pytest.mark.parametrize("n,expected", [(1, 3), (2, 29), (3, 145), (4, 657)])
@@ -19,7 +20,26 @@ def test_closure_size(closure_of, n, expected):
 def test_support_histogram(closure_of, n):
     ns = closure_of(n)
     assert closure.support_histogram(ns) == formulas.support_histogram_expected(n)
-    assert closure.intermediate_support_check(ns)
+    assert set(closure.support_histogram(ns)) <= {0, 1, n, n * n + 1}
+
+
+def test_support_breakup_check_fails_on_an_intermediate_size(closure_of, monkeypatch):
+    ns = closure_of(2)
+    i = next(i for i, f in enumerate(ns.elements) if len(oracles.support(f)) == 2)
+    f = list(ns.elements[i])
+    f[f.index(0, 1)] = 1  # one more nonzero image: support size 3, between n and n^2+1
+    bad = closure.NearSemiring(2, ns.elements[:i] + (tuple(f),) + ns.elements[i + 1:],
+                               ns.add_table, ns.mul_table)
+    # the element is outside the four shapes, so the table proof would raise
+    # on it; stop the battery at that check instead
+    monkeypatch.setattr(closure, "tables_witness", lambda ns: "not checked")
+    results = {r.name: r for r in verify.run_battery(2, bad)}
+    hist = closure.support_histogram(bad)
+    assert hist == {0: 1, 1: 16, 2: 7, 3: 1, 5: 4}
+    check = results["support breakup matches closed form"]
+    assert not check.passed
+    assert check.details == (f"measured {hist!r}, "
+                             f"expected {formulas.support_histogram_expected(2)!r}")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -42,15 +62,15 @@ def test_sum_shape_rules(closure_of, n):
     ns = closure_of(n)
     by_shape = {}
     for f in ns.elements:
-        by_shape.setdefault(type(maps.classify(f)).__name__, []).append(f)
+        by_shape.setdefault(type(oracles.classify(f)).__name__, []).append(f)
     nsupp = by_shape["NSupport"]
     consts = by_shape["Constant"]
     for f in nsupp:
         for g in nsupp:
-            assert len(maps.support(maps.pointwise_add(g, f))) in (0, 1)
+            assert len(oracles.support(maps.pointwise_add(g, f))) in (0, 1)
         for h in consts:
-            assert len(maps.support(maps.pointwise_add(h, f))) == 1
-            assert len(maps.support(maps.pointwise_add(f, h))) in (0, n)
+            assert len(oracles.support(maps.pointwise_add(h, f))) == 1
+            assert len(oracles.support(maps.pointwise_add(f, h))) in (0, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -92,6 +112,14 @@ def test_exhaustive_scan_matches_reference_loop(closure_of, add_cell, mul_cell):
     assert not any(ok for ok, _ in expected)
 
 
+def _sample_every_law(monkeypatch, samples):
+    """Sample `samples` triples of every law, from seed 3, at any size."""
+    monkeypatch.setattr(closure, "_AXIOM_SAMPLES", samples)
+    monkeypatch.setattr(closure, "_SEED", 3)
+    monkeypatch.setattr(closure, "_ASSOC_EXHAUSTIVE_MAX", 0)
+    monkeypatch.setattr(closure, "_DISTRIB_EXHAUSTIVE_MAX", 0)
+
+
 def _reference_scan(holds, triples):
     """The sampled scan as a plain loop: verdict and first failing triple."""
     for a, b, c in triples:
@@ -101,15 +129,14 @@ def _reference_scan(holds, triples):
 
 
 @pytest.mark.parametrize("table", ["add_table", "mul_table"])
-def test_sampled_scan_matches_reference_loop(closure_of, table):
+def test_sampled_scan_matches_reference_loop(closure_of, monkeypatch, table):
     ns = closure_of(2)
     bad = closure.NearSemiring(2, ns.elements,
                                ns.add_table.copy(), ns.mul_table.copy())
     getattr(bad, table)[7, 11] = (getattr(bad, table)[7, 11] + 1) % len(ns)
     samples, m = 5_000, len(ns)
-    report = closure.verify_near_semiring(bad, samples=samples, seed=3,
-                                          assoc_exhaustive_max=0,
-                                          distrib_exhaustive_max=0)
+    _sample_every_law(monkeypatch, samples)
+    report = closure.verify_near_semiring(bad)
     add_t, mul_t = bad.add_table, bad.mul_table
     laws = [lambda i, j, k: add_t[add_t[i, j], k] == add_t[i, add_t[j, k]],
             lambda i, j, k: mul_t[mul_t[i, j], k] == mul_t[i, mul_t[j, k]],
@@ -140,11 +167,10 @@ def test_sampler_streams_the_same_draws_in_slices(closure_of, monkeypatch):
     bad.add_table[7, 11] = (bad.add_table[7, 11] + 1) % len(ns)
 
     def run():
-        report = closure.verify_near_semiring(bad, samples=5_000, seed=3,
-                                              assoc_exhaustive_max=0,
-                                              distrib_exhaustive_max=0)
+        report = closure.verify_near_semiring(bad)
         return [(c.passed, c.counterexample, c.checked) for c in report.checks]
 
+    _sample_every_law(monkeypatch, 5_000)
     whole = run()
     monkeypatch.setattr(closure, "_SCAN_SLICE", 700)
     assert run() == whole and not whole[0][0]

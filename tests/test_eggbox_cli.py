@@ -140,18 +140,14 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-def _no_classify(*args):
-    raise AssertionError("maps.classify called at runtime")
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_battery_runs_without_classify(monkeypatch, n):
-    monkeypatch.setattr(maps, "classify", _no_classify)
+def test_battery_runs_without_classify(n):
+    assert not hasattr(maps, "classify")  # the case-by-case classifier is a test oracle
     results = verify.run_battery(n, closure.additive_closure(generators.enumerate_aff(n)))
     assert results and all(r.passed for r in results), [r.line() for r in results]
 
 
-def test_cli_output_without_classify(tmp_path, capsys, monkeypatch):
+def test_cli_output_without_classify(tmp_path, capsys):
     commands = [["enumerate", "--format", "json"], ["generators", "--kind", "aff"]]
     commands += [[cmd, "--reduct", label, "--format", "json"]
                  for cmd in ("green", "eggbox") for label in ("additive", "multiplicative")]
@@ -165,8 +161,8 @@ def test_cli_output_without_classify(tmp_path, capsys, monkeypatch):
             out.append(text)
         return out
 
+    assert not hasattr(maps, "classify")  # the case-by-case classifier is a test oracle
     plain = outputs(tmp_path / "plain")
-    monkeypatch.setattr(maps, "classify", _no_classify)
     guarded = outputs(tmp_path / "guarded")  # a fresh cache: the build runs guarded too
     assert guarded == plain
     for label, text in zip(("additive", "multiplicative"), guarded[-2:]):
@@ -496,6 +492,35 @@ def test_cli_verify_rejects_range_over_cap(tmp_path, capsys, n_range):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "cap" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the path was checked")
+
+
+@pytest.mark.parametrize("argv", [["verify", "--n", "3..4"], ["enumerate", "--n", "4"],
+                                  ["eggbox", "--n", "4"], ["counts", "--n", "4"]])
+@pytest.mark.parametrize("where", ["missing/r.json", "a-file/r.json", "a-directory"])
+def test_cli_refuses_out_outside_a_directory_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            argv, where):
+    monkeypatch.setattr(cli, "load_or_build", _no_work)
+    monkeypatch.setattr(formulas, "counts", _no_work)
+    (tmp_path / "a-file").write_text("")
+    (tmp_path / "a-directory").mkdir()
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, argv + ["--out", str(target)])
+    assert code == 2 and out == ""  # no "verifying" line either
+    assert err.startswith("error:") and err.count("\n") == 1 and str(target) in err
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "--n", "4"], ["green", "--n", "4"]])
+def test_cli_refuses_a_file_as_cache_dir_before_the_build(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(closure, "additive_closure", _no_work)
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    code, out, err = run_cli(capsys, argv + ["--cache-dir", str(not_a_dir)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and str(not_a_dir) in err
 
 
 class _FullDisk:

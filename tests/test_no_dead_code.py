@@ -1,0 +1,48 @@
+"""Every module-level function and class in `ans` has a caller in `ans`.
+
+A reference is a name used in the defining module outside the definition
+itself, `module.name` on a module imported with `from . import module`
+(under any alias), or `from .module import name`.  Test-only references
+live in `tests/oracles.py`, not in the package.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).parent.parent / "src" / "ans"
+
+
+def _module_aliases(tree):
+    """{local name: module} for each `from . import module [as alias]`."""
+    return {a.asname or a.name: a.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for a in node.names}
+
+
+def _references(module, tree):
+    """(module, name) pairs referenced in `tree`, each with the name of the
+    top-level definition it sits in (None outside any)."""
+    aliases = _module_aliases(tree)
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield (module, node.id), owner
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                yield (aliases[node.value.id], node.attr), owner
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for a in node.names:
+                    yield (node.module, a.name), owner
+
+
+def test_every_definition_in_the_package_has_a_caller():
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    defined = [(module, top.name, top.lineno) for module, tree in trees.items()
+               for top in tree.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))]
+    used = {ref for module, tree in trees.items()
+            for ref, owner in _references(module, tree) if ref != (module, owner)}
+    dead = [f"{module}.py:{line} {name}" for module, name, line in defined
+            if (module, name) not in used]
+    assert not dead, "defined in ans but referenced nowhere in ans: " + ", ".join(dead)
