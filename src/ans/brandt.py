@@ -13,7 +13,6 @@ Permutations on [n] are tuples in one-line notation with 1-based images:
 sigma = (2, 1) sends 1 -> 2 and 2 -> 1.  They serialize as JSON arrays.
 """
 
-import json
 from functools import lru_cache
 from itertools import permutations
 
@@ -106,10 +105,3 @@ def perm_compose(p, q):
 def perm_str(p):
     """One-line notation as a JSON integer array, e.g. [2,1]."""
     return "[" + ",".join(str(i) for i in p) + "]"
-
-
-def parse_perm(s):
-    p = json.loads(s)
-    if not isinstance(p, list) or not all(isinstance(i, int) for i in p):
-        raise ValueError(f"not a one-line permutation array: {s!r}")
-    return check_perm(tuple(p))

@@ -2,8 +2,8 @@
 
 Subcommands: enumerate, generators, green, eggbox, counts, verify.
 Exit codes: 0 success / all checks pass, 1 verification mismatch,
-2 usage or input error.  The ANS_CACHE_DIR environment variable overrides
---cache-dir; closures are cached as .npz per (n, format version).
+2 usage or input error.  With --cache-dir, closures are cached there as
+.npz per (n, format version); without it nothing is cached.
 """
 
 import argparse
@@ -26,12 +26,6 @@ REDUCTS = ("additive", "multiplicative")
 
 def cache_path(cache_dir: Path, n: int) -> Path:
     return cache_dir / f"a_plus_bn_n{n}_v{closure_mod.FORMAT_VERSION}.npz"
-
-
-def resolve_cache_dir(arg_value: Optional[str]) -> Optional[Path]:
-    env = os.environ.get("ANS_CACHE_DIR")
-    chosen = env if env else arg_value
-    return Path(chosen) if chosen else None
 
 
 def _read_cache(path: Path, n: int) -> closure_mod.NearSemiring:
@@ -88,7 +82,7 @@ def _json_text(obj) -> str:
 
 
 def cmd_enumerate(args) -> int:
-    ns = load_or_build(args.n, resolve_cache_dir(args.cache_dir))
+    ns = load_or_build(args.n, args.cache_dir)
     hist = closure_mod.support_histogram(ns)
     if args.format == "json":
         _emit(_json_text(closure_mod.to_dict(ns)), args.out)
@@ -113,7 +107,7 @@ def cmd_generators(args) -> int:
 
 
 def cmd_green(args) -> int:
-    ns = load_or_build(args.n, resolve_cache_dir(args.cache_dir))
+    ns = load_or_build(args.n, args.cache_dir)
     sg = ns.reduct(args.reduct)
     gs = green.green_brute(sg)
     rec = green.class_counts(gs)
@@ -137,7 +131,7 @@ def cmd_green(args) -> int:
 
 
 def cmd_eggbox(args) -> int:
-    ns = load_or_build(args.n, resolve_cache_dir(args.cache_dir))
+    ns = load_or_build(args.n, args.cache_dir)
     eb = eggbox_mod.build_eggbox(ns, args.reduct)
     _emit(eggbox_mod.render(eb, args.format), args.out)
     return 0
@@ -189,13 +183,12 @@ def parse_n_range(text: str):
 
 def cmd_verify(args) -> int:
     closure_mod.check_n_cap(max(args.n))
-    cache_dir = resolve_cache_dir(args.cache_dir)
     all_results = []
     for n in args.n:
         print(f"verifying n={n}")
         results = None
         try:
-            ns = load_or_build(n, cache_dir)
+            ns = load_or_build(n, args.cache_dir)
         except ValueError as e:
             results = [verify.CheckResult(
                 "cached closure loads and validates", n, False, str(e))]
@@ -218,8 +211,8 @@ def _add_common(p, formats, default_fmt, reduct=False, cache=True):
     p.add_argument("--format", choices=formats, default=default_fmt)
     p.add_argument("--out", help="write output to this path instead of stdout")
     if cache:
-        p.add_argument("--cache-dir",
-                       help="closure cache directory (ANS_CACHE_DIR overrides)")
+        p.add_argument("--cache-dir", type=Path,
+                       help="closure cache directory; without it nothing is cached")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=parse_n_range, required=True,
                    help='single n ("2") or inclusive range ("1..3")')
     p.add_argument("--out", help="write the JSON report to this path")
-    p.add_argument("--cache-dir",
-                   help="closure cache directory (ANS_CACHE_DIR overrides)")
+    p.add_argument("--cache-dir", type=Path,
+                   help="closure cache directory; without it nothing is cached")
     p.set_defaults(func=cmd_verify)
     return ap
 

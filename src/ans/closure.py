@@ -273,9 +273,15 @@ def tables_witness(ns: NearSemiring) -> str:
 
     On any breach of the symmetric proof (`_proof_breach`), every cell is
     ranked as in `fill_tables`, and the witness is the first cell
-    (row-major) that differs, or the breach when no cell does.
+    (row-major) that differs, or the breach when no cell does.  An element
+    list that cannot be ranked (an element outside the four shapes, or too
+    many elements) is refused with `_list_index`'s message as the witness.
     """
-    breach = _proof_breach(ns, _list_index(ns.elements, ns.n))
+    try:
+        index = _list_index(ns.elements, ns.n)
+    except ValueError as e:
+        return str(e)
+    breach = _proof_breach(ns, index)
     if not breach:
         return ""
     m = len(ns)
@@ -436,7 +442,7 @@ def to_dict(ns: NearSemiring) -> dict:
         "format_version": FORMAT_VERSION,
         "n": ns.n,
         "count": len(ns),
-        "elements": [maps.canonical_str(c) for c in maps.forms(ns.elements, ns.n)],
+        "elements": maps.tokens(ns.elements, ns.n),
         "add_table": ns.add_table,
         "mul_table": ns.mul_table,
     }

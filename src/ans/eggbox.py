@@ -80,7 +80,7 @@ def build_eggbox(ns: NearSemiring, label: str) -> EggBox:
     return EggBox(
         n=ns.n,
         label=label,
-        tokens=tuple(maps.canonical_str(c) for c in maps.forms(ns.elements, ns.n)),
+        tokens=tuple(maps.tokens(ns.elements, ns.n)),
         idempotent=gs.idempotent,
         boxes=tuple(boxes),
         covers=covers,

@@ -4,16 +4,15 @@ End(B_n) splits into the automorphisms phi_sigma (one per permutation) and
 the constant maps onto idempotents; Aff(B_n) is every sum g + xi with g an
 endomorphism and xi a constant.  Aff is *constructed* that way here, by
 ranking all End x Const sums (`maps.products`) and deduplicating the ranks;
-the closed-form sizes and shape characterizations are asserted afterwards,
-so the counting theorems are construction-time checks rather than
-assumptions.
+the shape characterization is asserted afterwards.  The sizes are not
+assumed anywhere here: the verification battery compares each generator
+census with the closed forms of `formulas.counts`.
 
 Automorphisms are not members of the affine closure for n >= 2 (their
 support has size n^2, outside the four closure shapes), so generator-set
 dumps serialize them with the extra token "phi[sigma]".
 """
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -24,15 +23,6 @@ from .brandt import THETA
 from .maps import NotAffineElement
 
 KINDS = ("end", "aut", "aff", "const")
-
-def expected_size(kind, n):
-    f = math.factorial(n)
-    return {
-        "aut": f,
-        "end": f + n + 1,
-        "aff": (f + 1) * n * n + 1,
-        "const": n * n + 1,
-    }[kind]
 
 
 @dataclass(frozen=True)
@@ -46,11 +36,6 @@ class GeneratorSet:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if len(set(self.members)) != len(self.members):
             raise ValueError("generator members are not distinct")
-        want = expected_size(self.kind, self.n)
-        if len(self.members) != want:
-            raise ValueError(
-                f"{self.kind} generator set for n={self.n} has "
-                f"{len(self.members)} members, expected {want}")
 
     def __len__(self):
         return len(self.members)
@@ -97,9 +82,8 @@ def enumerate_end(n) -> GeneratorSet:
 def enumerate_aff(n) -> GeneratorSet:
     """Aff(B_n) = {g + xi : g in End, xi constant}, deduplicated.
 
-    Members come out in canonical closure order, which is rank order; the
-    characterization (all constants plus all column maps, size
-    (n!+1)n^2+1) is asserted.
+    Members come out in canonical closure order, which is rank order; that
+    every member is the zero map, a constant or a column map is asserted.
     """
     closure.check_n_cap(n)  # Aff grows with n!, so refuse before building anything
     E = maps.canonical_tables(n)

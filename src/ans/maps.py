@@ -12,8 +12,10 @@ captured by the canonical forms:
     Singleton(src, dst)    src -> dst, everything else -> theta
     NSupport(k, q, sigma)  support is column k and (i,k) -> (i sigma, q)
 
-Canonical text tokens (used in JSON exports and egg-box cells):
-"xi_theta", "xi(i,j)", "<(k,l)->(p,q)>", "(k,q;[sigma])".
+Canonical text tokens (used in the cache, JSON exports and egg-box cells):
+"xi_theta", "xi(i,j)", "<(k,l)->(p,q)>", "(k,q;[sigma])".  One table per
+n spells every element (`tokens`); `token_ranks` reads back exactly the
+tokens in it.
 
 At n=1 the unique 1-support closure element fits both the Singleton and the
 NSupport shape; it is NSupport(1, 1, id), so Singleton never occurs at n=1.
@@ -27,7 +29,6 @@ tests check `rank` against a case-by-case classifier of their own.
 """
 
 import math
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple, Union
@@ -120,32 +121,8 @@ class NSupport:
 CanonicalElem = Union[Zero, Constant, Singleton, NSupport]
 
 
-def check_canonical(c, n):
-    """Validate a canonical form against an ambient n."""
-    if isinstance(c, Zero):
-        return c
-    if isinstance(c, Constant):
-        brandt.pair(*c.alpha, n)
-        return c
-    if isinstance(c, Singleton):
-        if n == 1:
-            raise ValueError("Singleton shape does not occur at n=1")
-        brandt.pair(*c.src, n)
-        brandt.pair(*c.dst, n)
-        return c
-    if isinstance(c, NSupport):
-        if len(c.sigma) != n:
-            raise ValueError(f"permutation length {len(c.sigma)} != n={n}")
-        brandt.check_perm(c.sigma)
-        if not (1 <= c.k <= n and 1 <= c.q <= n):
-            raise ValueError(f"(k,q)=({c.k},{c.q}) out of range for n={n}")
-        return c
-    raise TypeError(f"not a canonical element: {c!r}")
-
-
 def render(c: CanonicalElem, n) -> tuple:
     """Build the table of a canonical form."""
-    check_canonical(c, n)
     if isinstance(c, Zero):
         return zero_map(n)
     if isinstance(c, Constant):
@@ -313,11 +290,6 @@ def products(F, G, op, n):
 
 # --- text forms --------------------------------------------------------------
 
-_CONST_RE = re.compile(r"^xi\((\d+),(\d+)\)$")
-_SINGLE_RE = re.compile(r"^<\((\d+),(\d+)\)->\((\d+),(\d+)\)>$")
-_NSUPP_RE = re.compile(r"^\((\d+),(\d+);(\[[\d,]*\])\)$")
-
-
 def canonical_str(c) -> str:
     if isinstance(c, Zero):
         return "xi_theta"
@@ -330,43 +302,38 @@ def canonical_str(c) -> str:
     raise TypeError(f"not a canonical element: {c!r}")
 
 
-def parse_canonical(s, n) -> CanonicalElem:
-    s = s.strip()
-    if s == "xi_theta":
-        return Zero()
-    m = _CONST_RE.match(s)
-    if m:
-        return check_canonical(Constant((int(m.group(1)), int(m.group(2)))), n)
-    m = _SINGLE_RE.match(s)
-    if m:
-        k, l, p, q = (int(g) for g in m.groups())
-        return check_canonical(Singleton((k, l), (p, q)), n)
-    m = _NSUPP_RE.match(s)
-    if m:
-        sigma = brandt.parse_perm(m.group(3))
-        return check_canonical(NSupport(int(m.group(1)), int(m.group(2)), sigma), n)
-    raise ValueError(f"not a canonical element token: {s!r}")
+@lru_cache(maxsize=None)
+def _token_table(n) -> tuple:
+    """canonical_str of all_canonical(n), in rank order."""
+    return tuple(canonical_str(c) for c in all_canonical(n))
 
 
 @lru_cache(maxsize=None)
 def _token_index(n) -> dict:
-    """{canonical_str(c): rank} over all_canonical(n)."""
-    return {canonical_str(c): r for r, c in enumerate(all_canonical(n))}
+    """{token: rank}, the inverse of _token_table(n)."""
+    return {t: r for r, t in enumerate(_token_table(n))}
 
 
-def token_ranks(tokens, n) -> np.ndarray:
-    """Canonical index of each canonical token.  A token spelled as
-    `canonical_str` spells it is looked up in one per-n table; any other is
-    parsed, so a bad token raises `parse_canonical`'s error."""
+def tokens(rows, n) -> list:
+    """Canonical token of each closure-member table row."""
+    table = _token_table(n)
+    return [table[r] for r in member_ranks(rows, n).tolist()]
+
+
+def token_ranks(words, n) -> np.ndarray:
+    """Canonical index of each token, the exact inverse of `tokens`: any
+    token that is not in the table for this n is refused, named."""
     index = _token_index(n)
 
     def one(s):
-        r = index.get(s) if isinstance(s, str) else None
-        return member_ranks([render(parse_canonical(s, n), n)], n)[0] if r is None else r
+        if isinstance(s, str) and s in index:
+            return index[s]
+        raise ValueError(f"not a canonical element token at n={n}: "
+                         f"{(str(s) if isinstance(s, str) else s)!r}")
 
-    return np.array([one(s) for s in tokens], dtype=np.int64)
+    return np.array([one(s) for s in words], dtype=np.int64)
 
 
 def map_str(f) -> str:
     """Canonical token of a closure-member table."""
-    return canonical_str(forms([f], map_n(f))[0])
+    return tokens([f], map_n(f))[0]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -107,7 +109,7 @@ def test_perm_compose_is_left_action():
 
 def test_perm_str_round_trip():
     for p in brandt.enumerate_sn(3):
-        assert brandt.parse_perm(brandt.perm_str(p)) == p
+        assert tuple(json.loads(brandt.perm_str(p))) == p
 
 
 def test_check_perm_rejects_bad_input():

@@ -301,7 +301,6 @@ def test_cli_verify_does_not_import_numpy_ma(tmp_path):
             f"assert cli.main(['verify', '--n', '1..4', '--cache-dir', {str(tmp_path)!r}]) == 0\n"
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
     env = dict(os.environ)
-    env.pop("ANS_CACHE_DIR", None)  # it would override --cache-dir
     src = str(Path(__file__).parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -418,6 +417,37 @@ def test_cli_verify_reports_bad_cache_as_failure(tmp_path, capsys):
         "verify", "--n", "2", "--cache-dir", str(tmp_path)])
     assert code == 1
     assert "cached closure loads and validates: FAIL" in out
+
+
+def test_cli_green_refuses_a_token_the_writer_never_writes(tmp_path, capsys):
+    run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
+    path = cli.cache_path(tmp_path, 2)
+    d = _load_npz(path)
+    d["elements"] = np.array([" " + t if t == "xi_theta" else t for t in d["elements"]])
+    _save_npz(path, d)
+    code, out, err = run_cli(capsys, [
+        "green", "--n", "2", "--cache-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err == "error: not a canonical element token at n=2: ' xi_theta'\n"
+
+
+def test_cli_verify_reports_a_generator_census_off_its_closed_form(tmp_path, capsys,
+                                                                   monkeypatch):
+    run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
+    end = generators.enumerate_end
+
+    def end_short_of_one_constant(n):  # drops the diagonal constant xi_(1,1)
+        gs = end(n)
+        return generators.GeneratorSet(n, "end", gs.members[:1] + gs.members[2:])
+
+    monkeypatch.setattr(generators, "enumerate_end", end_short_of_one_constant)
+    code, out, _ = run_cli(capsys, ["verify", "--n", "2", "--cache-dir", str(tmp_path)])
+    assert code == 1
+    failed = [line.strip() for line in out.splitlines() if ": FAIL" in line]
+    measured = {"end": 4, "aut": 2, "aff": 11, "const": 5}  # Aff loses xi_(1,1), xi_(1,2)
+    expected = {"end": 5, "aut": 2, "aff": 13, "const": 5}
+    assert failed == ["generator censuses match closed forms: FAIL  "
+                      f"[measured {measured!r}, expected {expected!r}]"]
 
 
 def _damaged(clean, damage):
@@ -578,25 +608,6 @@ def test_cli_requires_subcommand_and_n(capsys):
             cli.main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
-
-
-def test_env_var_overrides_cache_dir_flag(tmp_path, capsys, monkeypatch):
-    flag_dir = tmp_path / "flagged"
-    env_dir = tmp_path / "from_env"
-    monkeypatch.setenv("ANS_CACHE_DIR", str(env_dir))
-    code, _, _ = run_cli(capsys, [
-        "enumerate", "--n", "2", "--cache-dir", str(flag_dir)])
-    assert code == 0
-    assert cli.cache_path(env_dir, 2).exists()
-    assert not flag_dir.exists()
-
-
-def test_resolve_cache_dir_precedence(monkeypatch):
-    monkeypatch.delenv("ANS_CACHE_DIR", raising=False)
-    assert cli.resolve_cache_dir(None) is None
-    assert cli.resolve_cache_dir("/a/b") == Path("/a/b")
-    monkeypatch.setenv("ANS_CACHE_DIR", "/x/y")
-    assert cli.resolve_cache_dir("/a/b") == Path("/x/y")
 
 
 def test_parse_n_range_forms():

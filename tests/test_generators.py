@@ -1,14 +1,23 @@
+import json
+
 import pytest
 
-from ans import brandt, generators, maps
+from ans import brandt, formulas, generators, maps
 import oracles
+
+
+def _census(kind, n):
+    """The closed-form size of a generator kind, from `formulas.counts`."""
+    ct = formulas.counts(n)
+    return {"end": ct.end_count, "aut": ct.aut_count, "aff": ct.aff_count,
+            "const": brandt.size(n)}[kind]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", generators.KINDS)
 def test_enumerated_sizes_match_expected(n, kind):
     gs = generators.enumerate_kind(kind, n)
-    assert len(gs) == generators.expected_size(kind, n)
+    assert len(gs) == _census(kind, n)
     assert gs.n == n and gs.kind == kind
 
 
@@ -16,7 +25,7 @@ def test_enumerated_sizes_match_expected(n, kind):
 def test_end_matches_exhaustive_table_scan(n):
     brute = set(oracles.brute_force_endomorphisms(n))
     assert set(generators.enumerate_end(n)) == brute
-    assert len(brute) == generators.expected_size("end", n)
+    assert len(brute) == formulas.counts(n).end_count
 
 
 def test_brute_force_scan_refuses_large_n():
@@ -96,17 +105,17 @@ def test_member_str_round_trip(n, kind):
     for f in generators.enumerate_kind(kind, n):
         token = generators.member_str(f)
         if token.startswith("phi"):
-            back = generators.phi_sigma(brandt.parse_perm(token[3:]), n)
+            back = generators.phi_sigma(tuple(json.loads(token[3:])), n)
         else:
             back = tuple(maps.canonical_tables(n)[maps.token_ranks([token], n)[0]].tolist())
         assert back == f
 
 
-def test_generator_set_rejects_wrong_count():
+def test_generator_set_rejects_unknown_kind_and_repeats():
     good = generators.enumerate_aut(2)
-    with pytest.raises(ValueError):
-        generators.GeneratorSet(2, "aut", good.members[:1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not distinct"):
+        generators.GeneratorSet(2, "aut", good.members + good.members[:1])
+    with pytest.raises(ValueError, match="unknown generator kind"):
         generators.GeneratorSet(2, "nonsense", good.members)
 
 

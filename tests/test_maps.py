@@ -198,40 +198,29 @@ def test_classify_n1_one_support_is_column_shape():
 
 
 def test_singleton_forbidden_at_n1():
-    with pytest.raises(ValueError):
-        maps.check_canonical(maps.Singleton((1, 1), (1, 1)), 1)
+    # the one 1-support element at n=1 is the column map (1,1;[1])
+    with pytest.raises(ValueError, match=re.escape("'<(1,1)->(1,1)>'")):
+        maps.token_ranks(["<(1,1)->(1,1)>"], 1)
+    assert maps.map_str((brandt.THETA, 1)) == "(1,1;[1])"
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_canonical_str_round_trip(n):
-    for c in maps.all_canonical(n):
-        assert maps.parse_canonical(maps.canonical_str(c), n) == c
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_token_ranks_look_up_and_parse(n):
     family = maps.all_canonical(n)
-    tokens = [maps.canonical_str(c) for c in family]
-    assert maps.token_ranks(tokens, n).tolist() == list(range(len(family)))
-    # spellings other than canonical_str's are parsed, as parse_canonical reads them
-    spaced = [f" {t} " for t in tokens]
-    assert maps.token_ranks(spaced, n).tolist() == list(range(len(family)))
+    table = maps.tokens(maps.canonical_tables(n), n)
+    assert table == [maps.canonical_str(c) for c in family]
+    assert len(set(table)) == len(table)
+    assert maps.token_ranks(table, n).tolist() == list(range(len(family)))
     assert maps.token_ranks([], n).tolist() == []
 
 
-def test_token_ranks_refuse_what_parse_canonical_refuses():
-    for bad in ("xi(0,1)", "<(1,1)->(1,3)>", "(1,1;[1,1])", "nonsense", "(3,1;[1,2])"):
-        with pytest.raises(ValueError) as want:
-            maps.parse_canonical(bad, 2)
-        with pytest.raises(ValueError) as got:
-            maps.token_ranks(["xi_theta", bad], 2)
-        assert str(got.value) == str(want.value)
-
-
-def test_parse_canonical_rejects_garbage():
-    for bad in ("xi(0,1)", "<(1,1)->(1,3)>", "(1,1;[1,1])", "nonsense", "(3,1;[1,2])"):
-        with pytest.raises(ValueError):
-            maps.parse_canonical(bad, 2)
+def test_token_ranks_refuse_tokens_off_the_table():
+    # spaced, zero-padded, another n's, out of range, and garbage
+    for bad in (" xi(1,2) ", "xi(1,2) ", "xi(01,2)", "(1,1;[1, 2])", "xi(3,1)",
+                "(1,1;[1,2,3])", "<(1,1)->(1,3)>", "(1,1;[1,1])", "xi_bogus", "",
+                7, ["xi_theta"]):
+        with pytest.raises(ValueError, match=f"token at n=2: {re.escape(repr(bad))}$"):
+            maps.token_ranks(["xi_theta", "xi(1,2)", bad], 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

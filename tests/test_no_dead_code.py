@@ -1,6 +1,7 @@
-"""Every module-level function and class in `ans` has a caller in `ans`.
+"""Every module-level function, class and constant in `ans` is used in `ans`.
 
-A reference is a name used in the defining module outside the definition
+A constant is a non-dunder name bound by a module-level assignment.  A
+reference is a name read in the defining module outside the definition
 itself, `module.name` on a module imported with `from . import module`
 (under any alias), or `from .module import name`.  Test-only references
 live in `tests/oracles.py`, not in the package.
@@ -27,7 +28,7 @@ def _references(module, tree):
     for top in tree.body:
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
         for node in ast.walk(top):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 yield (module, node.id), owner
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in aliases):
@@ -37,10 +38,22 @@ def _references(module, tree):
                     yield (node.module, a.name), owner
 
 
+def _definitions(tree):
+    """(name, line) of each top-level function, class and constant."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.name, top.lineno
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            for target in top.targets if isinstance(top, ast.Assign) else [top.target]:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name) and not node.id.startswith("__"):
+                        yield node.id, top.lineno
+
+
 def test_every_definition_in_the_package_has_a_caller():
     trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
-    defined = [(module, top.name, top.lineno) for module, tree in trees.items()
-               for top in tree.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))]
+    defined = [(module, name, line) for module, tree in trees.items()
+               for name, line in _definitions(tree)]
     used = {ref for module, tree in trees.items()
             for ref, owner in _references(module, tree) if ref != (module, owner)}
     dead = [f"{module}.py:{line} {name}" for module, name, line in defined

@@ -37,8 +37,7 @@ def _run(code, blas=None):
     """Run `code` in a new interpreter, with no closure cache, whose
     environment holds OPENBLAS_NUM_THREADS only when `blas` is given;
     return the last line it prints, parsed as JSON."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "ANS_CACHE_DIR")}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if blas is not None:
         env["OPENBLAS_NUM_THREADS"] = blas
