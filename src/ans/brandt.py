@@ -16,7 +16,7 @@ sigma = (2, 1) sends 1 -> 2 and 2 -> 1.  They serialize as JSON arrays.
 from functools import lru_cache
 from itertools import permutations
 
-import numpy as np
+from ._numpy import np
 
 THETA = 0
 

@@ -36,8 +36,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from . import maps
 
 # Beyond n=6 the Cayley tables (tens of thousands squared) leave the

@@ -11,8 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from . import maps
 from .closure import NearSemiring
 from .green import green_brute, ideals

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Dict
 
+KINDS = ("end", "aut", "aff", "const")  # the generator sets, named here so the CLI needs no numpy
+
 
 @dataclass(frozen=True)
 class CountsTable:

@@ -16,13 +16,11 @@ dumps serialize them with the extra token "phi[sigma]".
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
+from ._numpy import np
 from . import brandt, closure, maps
 from .brandt import THETA
+from .formulas import KINDS
 from .maps import NotAffineElement
-
-KINDS = ("end", "aut", "aff", "const")
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,7 @@ only the isomorphism certificates, on small subsets, build a local table.
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
+from ._numpy import np
 from . import brandt, maps
 from .closure import FiniteSemigroup
 from .maps import Constant, Singleton, Zero
@@ -46,12 +45,6 @@ class GreenStructure:
     idempotent: Tuple[bool, ...]
     regular: Tuple[bool, ...]
     eventual_index: Tuple[int, ...]
-
-    def counts(self) -> Dict[str, int]:
-        return {rel: len(self.classes[rel]) for rel in RELATIONS}
-
-    def related(self, rel, i, j) -> bool:
-        return self.class_of[rel][i] == self.class_of[rel][j]
 
     def to_dict(self) -> dict:
         d = {rel: [list(c) for c in self.classes[rel]] for rel in RELATIONS}
@@ -129,10 +122,12 @@ def ideals(op: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Row a of each array is `np.packbits` of a length-m mask; unpack it with
     `np.unpackbits(rows, axis=1, count=m).astype(bool)`.  The two-sided
-    ideal is the union of xS¹ over x in S¹a.
+    ideal is the union of xS¹ over x in S¹a.  xS¹ depends only on x's
+    R-class and S¹a only on a's L-class, so it is one OR per L-class, of
+    one right ideal per R-class that meets S¹a.
     """
     m = op.shape[0]
-    right, left, two = (np.empty((m, (m + 7) // 8), dtype=np.uint8) for _ in range(3))
+    right, left = (np.empty((m, (m + 7) // 8), dtype=np.uint8) for _ in range(2))
     for r in maps.row_blocks(range(m), m):  # the elements a whose ideals fill this block
         rows = slice(r.start, r.stop)
         local = np.arange(len(r))
@@ -143,10 +138,18 @@ def ideals(op: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             block[i, members] = True
             block[local, r.start + local] = True  # the adjoined identity
             packed[rows] = np.packbits(block, axis=1)
-    for r in maps.row_blocks(range(m), m):
-        for a, s1a in zip(r, np.unpackbits(left[r.start:r.stop], axis=1, count=m).view(bool)):
-            two[a] = np.bitwise_or.reduce(right[s1a], axis=0)
-    return right, left, two
+    r_first, l_first = _first_equal(right), _first_equal(left)
+    two = np.empty_like(right)
+    for a in np.flatnonzero(l_first == np.arange(m)):  # the first member of each L-class
+        meets = np.zeros(m, dtype=bool)  # the first member of each R-class meeting S¹a
+        meets[r_first[np.unpackbits(left[a], count=m).view(bool)]] = True
+        two[a] = np.bitwise_or.reduce(right[meets], axis=0)
+    return right, left, two[l_first]
+
+
+def _first_equal(rows: np.ndarray) -> np.ndarray:  # the first row equal to each row
+    first = {}
+    return np.array([first.setdefault(row.tobytes(), i) for i, row in enumerate(rows)])
 
 
 def green_brute(sg: FiniteSemigroup, ideal_rows=None) -> GreenStructure:
@@ -199,7 +202,6 @@ def green_brute(sg: FiniteSemigroup, ideal_rows=None) -> GreenStructure:
 
 @dataclass
 class CountsRecord:
-    label: str
     classes: Dict[str, int]
     class_sizes: Dict[str, Tuple[int, ...]]
     idempotents: int
@@ -208,8 +210,7 @@ class CountsRecord:
 
 def class_counts(gs: GreenStructure) -> CountsRecord:
     return CountsRecord(
-        label=gs.label,
-        classes=gs.counts(),
+        classes={rel: len(gs.classes[rel]) for rel in RELATIONS},
         class_sizes={rel: tuple(sorted(len(c) for c in gs.classes[rel]))
                      for rel in RELATIONS},
         idempotents=sum(gs.idempotent),

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple, Union
 
-import numpy as np
-
+from ._numpy import np
 from . import brandt
 from .brandt import THETA
 

@@ -14,8 +14,7 @@ names the first wrong cell on a failure.
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
+from ._numpy import np
 from . import closure as closure_mod
 from . import formulas, generators, green, maps
 

@@ -392,7 +392,8 @@ def test_cli_green_rejects_out_of_range_cache_cell(tmp_path, capsys, value):
     code, out, err = run_cli(capsys, [
         "green", "--n", "2", "--cache-dir", str(tmp_path)])
     assert code == 2 and out == ""
-    assert err == "error: Cayley table contains out-of-range indices\n"
+    assert err == (f"error: malformed cache {path}: ValueError: "
+                   "Cayley table contains out-of-range indices\n")
 
 
 def test_cli_enumerate_rejects_structurally_bad_cache(tmp_path, capsys):
@@ -428,7 +429,8 @@ def test_cli_green_refuses_a_token_the_writer_never_writes(tmp_path, capsys):
     code, out, err = run_cli(capsys, [
         "green", "--n", "2", "--cache-dir", str(tmp_path)])
     assert code == 2 and out == ""
-    assert err == "error: not a canonical element token at n=2: ' xi_theta'\n"
+    assert err == (f"error: malformed cache {path}: ValueError: "
+                   "not a canonical element token at n=2: ' xi_theta'\n")
 
 
 def test_cli_verify_reports_a_generator_census_off_its_closed_form(tmp_path, capsys,
@@ -448,6 +450,25 @@ def test_cli_verify_reports_a_generator_census_off_its_closed_form(tmp_path, cap
     expected = {"end": 5, "aut": 2, "aff": 13, "const": 5}
     assert failed == ["generator censuses match closed forms: FAIL  "
                       f"[measured {measured!r}, expected {expected!r}]"]
+
+
+def test_cli_verify_reports_a_failed_cold_build_as_a_build_failure(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the cold twin of the census test above: with no cache to read, the same
+    # short End set stops the closure build itself
+    end = generators.enumerate_end
+
+    def end_short_of_one_constant(n):  # drops the diagonal constant xi_(1,1)
+        gs = end(n)
+        return generators.GeneratorSet(n, "end", gs.members[:1] + gs.members[2:])
+
+    monkeypatch.setattr(generators, "enumerate_end", end_short_of_one_constant)
+    code, out, _ = run_cli(capsys, ["verify", "--n", "2", "--cache-dir", str(tmp_path)])
+    assert code == 1
+    failed = [line.strip() for line in out.splitlines() if ": FAIL" in line]
+    assert failed == ["closure builds from the affine generators: FAIL  "
+                      "[generator set is not closed under conjugation by S_n]"]
+    assert not cli.cache_path(tmp_path, 2).exists()
 
 
 def _damaged(clean, damage):

@@ -1,3 +1,4 @@
+import itertools
 from functools import partial
 
 import numpy as np
@@ -58,7 +59,8 @@ def test_analytic_agrees_with_brute_pairwise(closure_of, green_of, n, label):
     for rel in REL:
         for i, a in enumerate(forms):
             for j, b in enumerate(forms):
-                assert oracles.related(keys, a, b, rel) == gs.related(rel, i, j), (rel, a, b)
+                assert (oracles.related(keys, a, b, rel)
+                        == (gs.class_of[rel][i] == gs.class_of[rel][j])), (rel, a, b)
 
 
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])
@@ -258,6 +260,23 @@ def test_green_structure_json_export(green_of):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ideals_match_set_definitions(closure_of, n, label):
     _assert_ideals_match_set_definitions(closure_of(n).reduct(label).op)
+
+
+def test_ideals_where_left_ideals_meet_several_r_classes():
+    # the full transformation monoid T_3 (maps of {0, 1, 2}, f then g), whose
+    # R-classes are the 5 kernels: S¹a is every map with image inside a's,
+    # so it meets 5 R-classes for a of rank 3, 4 for rank 2 (3 kernels of
+    # rank 2, 1 of rank 1) and 1 for rank 1
+    maps_ = list(itertools.product(range(3), repeat=3))
+    index = {f: i for i, f in enumerate(maps_)}
+    op = np.array([[index[tuple(g[x] for x in f)] for g in maps_] for f in maps_],
+                  dtype=np.uint16)
+    right, left, _ = green.ideals(op)
+    r_class = [r.tobytes() for r in right]
+    meets = [len({r_class[x] for x in np.flatnonzero(np.unpackbits(row, count=27))})
+             for row in left]
+    assert sorted(set(meets)) == [1, 4, 5]
+    _assert_ideals_match_set_definitions(op)
 
 
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])

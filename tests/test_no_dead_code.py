@@ -1,6 +1,8 @@
 """Every module-level function, class and constant in `ans` is used in `ans`.
 
-A constant is a non-dunder name bound by a module-level assignment.  A
+A constant is a non-dunder name bound by a module-level assignment.
+Dunder functions are exempt: the interpreter calls them as module hooks
+(`__getattr__`, PEP 562), so no reference to them appears in the code.  A
 reference is a name read in the defining module outside the definition
 itself, `module.name` on a module imported with `from . import module`
 (under any alias), or `from .module import name`.  Test-only references
@@ -39,10 +41,12 @@ def _references(module, tree):
 
 
 def _definitions(tree):
-    """(name, line) of each top-level function, class and constant."""
+    """(name, line) of each top-level function, class and constant, but no
+    dunder."""
     for top in tree.body:
         if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-            yield top.name, top.lineno
+            if not top.name.startswith("__"):
+                yield top.name, top.lineno
         elif isinstance(top, (ast.Assign, ast.AnnAssign)):
             for target in top.targets if isinstance(top, ast.Assign) else [top.target]:
                 for node in ast.walk(target):
