@@ -52,7 +52,6 @@ for label in ("additive", "multiplicative"):
     sg = ns.reduct(label)
     gs = green.green_brute(sg)
     analytic = green.analytic_structure(sg)
-    same = [rel for rel in green.RELATIONS if green.partition_key(analytic[rel])
-            == green.partition_key(gs.classes[rel])]
+    same = [rel for rel in green.RELATIONS if analytic[rel] == gs.classes[rel]]
     print(f"\n{label} analytic vs brute force at n={n}: "
           f"{len(same)} of {len(green.RELATIONS)} partitions agree")

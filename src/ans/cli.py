@@ -118,8 +118,8 @@ def cmd_generators(args) -> int:
 
 def cmd_green(args) -> int:
     from . import green
-    ns = load_or_build(args.n, args.cache_dir)
-    sg = ns.reduct(args.reduct)
+    # hold one reduct only, so the other table is freed before the ideals
+    sg = load_or_build(args.n, args.cache_dir).reduct(args.reduct)
     gs = green.green_brute(sg)
     rec = green.class_counts(gs)
     if args.format == "json":

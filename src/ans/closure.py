@@ -165,22 +165,9 @@ def _permutations(index, n):
     return tuple(P.astype(TABLE_DTYPE) for P in perms)
 
 
-def _orbit_labels(perms, m) -> np.ndarray:
-    """The least index in each of 0..m-1's orbit under the group that the
-    permutations generate; the orbit representatives are the fixed points."""
-    label = np.arange(m)
-    while True:
-        nxt = label
-        for P in perms:
-            nxt = np.minimum(nxt, nxt[P])
-        if np.array_equal(nxt, label):
-            return label
-        label = nxt
-
-
 def orbit_representatives(perms, m) -> np.ndarray:
     """The least index in each orbit of 0..m-1, ascending."""
-    return np.flatnonzero(_orbit_labels(perms, m) == np.arange(m))
+    return np.flatnonzero(maps.least_labels(perms, m) == np.arange(m))
 
 
 def _conjugated_rows(t, f, P, P_inv):
@@ -245,7 +232,7 @@ def _proof_breach(ns: NearSemiring, index) -> str:
     perms = _permutations(index, n)
     if perms is None:
         return "element list is not closed under conjugation by S_n"
-    is_rep = _orbit_labels(perms, m) == np.arange(m)
+    is_rep = maps.least_labels(perms, m) == np.arange(m)
     reps, others = np.flatnonzero(is_rep), np.flatnonzero(~is_rep)
     rng = random.Random(_SEED)
     picked = others[_draw(rng, min(_SAMPLE_ROWS, len(others)), len(others))]
@@ -312,7 +299,7 @@ def additive_closure(gens) -> NearSemiring:
     check_n_cap(n)
     G = np.array(list(gens.members))
     E = maps.canonical_tables(n)
-    label = _orbit_labels(maps.index_permutations(n), len(E))
+    label = maps.least_labels(maps.index_permutations(n), len(E))
     is_rep = label == np.arange(len(E))  # the least rank in its orbit
 
     def saturate(mask):  # the union of the orbits that meet the mask

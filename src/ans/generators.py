@@ -80,20 +80,24 @@ def enumerate_end(n) -> GeneratorSet:
 def enumerate_aff(n) -> GeneratorSet:
     """Aff(B_n) = {g + xi : g in End, xi constant}, deduplicated.
 
-    Members come out in canonical closure order, which is rank order; that
-    every member is the zero map, a constant or a column map is asserted.
+    Members come out in canonical closure order, which is rank order.  A
+    sum outside the four shapes, or a member that is not the zero map, a
+    constant or a column map, raises AssertionError (under `python -O` too).
     """
     closure.check_n_cap(n)  # Aff grows with n!, so refuse before building anything
     E = maps.canonical_tables(n)
     seen = np.zeros(len(E), dtype=bool)
     for _, ranks in maps.products(enumerate_end(n).members,
                                   enumerate_constants(n).members, "+", n):
-        assert ranks.min() >= 0, "an End + Const sum is outside the four closure shapes"
+        if ranks.min() < 0:  # rank -1 would mark the last canonical element
+            raise AssertionError("an End + Const sum is outside the four closure shapes")
         seen[ranks] = True
     members = tuple(map(tuple, E[seen].tolist()))
     gs = GeneratorSet(n, "aff", members)
     shapes = {type(c) for c in maps.forms(members, n)}
-    assert shapes <= {maps.Zero, maps.Constant, maps.NSupport}
+    if not shapes <= {maps.Zero, maps.Constant, maps.NSupport}:
+        raise AssertionError("an affine map is a singleton, not the zero map, "
+                             "a constant or a column map")
     return gs
 
 

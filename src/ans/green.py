@@ -12,6 +12,12 @@ five relations compares (J as D, H as R and L together), and
 related exactly when those keys agree.
 Agreement of the two routes is checked in tests, not assumed here.
 
+Every partition is one labelling: each element's least class-mate.
+`_labels` makes it from per-element keys (ideal rows for R, L and J, the
+R and L labels for H, the analytic keys), `maps.least_labels` joins R and
+L into D, and `_classes` gives the class tuples, each ascending and
+ordered by least member, so equal partitions have equal tuples.
+
 Regularity is stated once, as A[x, y] = (x y x == x) on a Cayley table,
 scanned in row blocks (`_xyx_rows`): `regular_elements` takes each row's
 any, `subset_report` keeps A bit-packed for the inverse verdict, and
@@ -54,24 +60,19 @@ class GreenStructure:
         return d
 
 
-def _group(keys) -> Tuple[Tuple[int, ...], ...]:
-    classes = {}
-    for i, k in enumerate(keys):
-        classes.setdefault(k, []).append(i)
-    return tuple(tuple(c) for c in sorted(classes.values(), key=lambda c: c[0]))
+def _labels(keys) -> np.ndarray:
+    """The least index whose hashable key equals each index's key."""
+    first = {}
+    return np.array([first.setdefault(k, i) for i, k in enumerate(keys)], dtype=np.intp)
 
 
-def _class_of(classes, m) -> Tuple[int, ...]:
-    out = [0] * m
-    for ci, members in enumerate(classes):
-        for i in members:
-            out[i] = ci
-    return tuple(out)
-
-
-def partition_key(classes):
-    """A partition as an order-free value, for comparing two of them."""
-    return frozenset(frozenset(c) for c in classes)
+def _classes(labels) -> Tuple[Tuple[int, ...], ...]:
+    """The classes of a least-member labelling, each ascending, ordered by
+    least member: the one canonical form of a partition."""
+    members = {}
+    for i, first in enumerate(labels.tolist()):
+        members.setdefault(first, []).append(i)
+    return tuple(map(tuple, members.values()))
 
 
 def idempotents(op: np.ndarray) -> np.ndarray:
@@ -138,18 +139,13 @@ def ideals(op: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             block[i, members] = True
             block[local, r.start + local] = True  # the adjoined identity
             packed[rows] = np.packbits(block, axis=1)
-    r_first, l_first = _first_equal(right), _first_equal(left)
+    r_first, l_first = (_labels(row.tobytes() for row in rows) for rows in (right, left))
     two = np.empty_like(right)
     for a in np.flatnonzero(l_first == np.arange(m)):  # the first member of each L-class
         meets = np.zeros(m, dtype=bool)  # the first member of each R-class meeting S¹a
         meets[r_first[np.unpackbits(left[a], count=m).view(bool)]] = True
         two[a] = np.bitwise_or.reduce(right[meets], axis=0)
     return right, left, two[l_first]
-
-
-def _first_equal(rows: np.ndarray) -> np.ndarray:  # the first row equal to each row
-    first = {}
-    return np.array([first.setdefault(row.tobytes(), i) for i, row in enumerate(rows)])
 
 
 def green_brute(sg: FiniteSemigroup, ideal_rows=None) -> GreenStructure:
@@ -160,40 +156,21 @@ def green_brute(sg: FiniteSemigroup, ideal_rows=None) -> GreenStructure:
     m = len(sg)
     if ideal_rows is None:
         ideal_rows = ideals(sg.op)
-    r_keys, l_keys, j_keys = ([row.tobytes() for row in rows] for rows in ideal_rows)
-
-    classes = {
-        "R": _group(r_keys),
-        "L": _group(l_keys),
-        "J": _group(j_keys),
-        "H": _group(list(zip(r_keys, l_keys))),
-    }
-
-    # D as the join of R and L via union-find
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for rel in ("R", "L"):
-        for members in classes[rel]:
-            root = find(members[0])
-            for i in members[1:]:
-                parent[find(i)] = root
-    classes["D"] = _group([find(i) for i in range(m)])
-
-    if partition_key(classes["D"]) != partition_key(classes["J"]):
+    r, l, j = (_labels(row.tobytes() for row in rows) for rows in ideal_rows)
+    labels = {"R": r, "L": l, "D": maps.least_labels((r, l), m), "J": j,
+              "H": _labels(zip(r.tolist(), l.tolist()))}
+    if not np.array_equal(labels["D"], labels["J"]):
         raise AssertionError("D and J partitions differ on a finite semigroup")
 
+    ar = np.arange(m)
     reg = regular_elements(sg.op)
     return GreenStructure(
         label=sg.label,
         size=m,
-        classes=classes,
-        class_of={rel: _class_of(classes[rel], m) for rel in RELATIONS},
+        classes={rel: _classes(lab) for rel, lab in labels.items()},
+        # classes are numbered in order of least member, the labels' fixed points
+        class_of={rel: tuple(np.searchsorted(ar[lab == ar], lab).tolist())
+                  for rel, lab in labels.items()},
         idempotent=tuple(idempotents(sg.op).tolist()),
         regular=tuple(reg.tolist()),
         eventual_index=eventual_regularity(sg.op, reg),
@@ -273,7 +250,7 @@ def analytic_structure(sg: FiniteSemigroup) -> Dict[str, Tuple[Tuple[int, ...], 
     if keys_of is None:
         raise ValueError(f"unknown reduct label {sg.label!r}")
     keys = [keys_of(c) for c in maps.forms(sg.elements, sg.n)]
-    return {rel: _group([tuple(k[r] for r in _KEYS_OF_RELATION[rel]) for k in keys])
+    return {rel: _classes(_labels(tuple(k[r] for r in _KEYS_OF_RELATION[rel]) for k in keys))
             for rel in RELATIONS}
 
 

@@ -170,6 +170,21 @@ def row_blocks(rows, width):
     return (rows[lo:lo + step] for lo in range(0, len(rows), step))
 
 
+def least_labels(maps_, m) -> np.ndarray:
+    """Each index's least class-mate under the equivalence on range(m) that
+    i ~ f[i] generates, for every index array f in `maps_`.  Rounds of push
+    (label[f[i]] takes label[i] if less) and pull (label[i] takes
+    label[f[i]] if less) run until one changes nothing."""
+    label = np.arange(m)
+    while True:
+        before = label.copy()
+        for f in maps_:
+            np.minimum.at(label, f, label)
+            label = np.minimum(label, label[f])
+        if np.array_equal(label, before):
+            return label
+
+
 @lru_cache(maxsize=None)
 def canonical_tables(n) -> np.ndarray:
     """Tables of all_canonical(n), one row each, as a read-only uint8 array."""

@@ -3,8 +3,9 @@
 Each one decides a fact a second way, by plain loops or case analysis on
 the definitions, and no code in `ans` calls it: `classify` is the
 reference for `maps.rank` and `maps.forms`, `brute_force_endomorphisms`
-for `generators.enumerate_end`, `add` for `brandt.add_table`, and
-`related` for the relation-to-key map inside `green.analytic_structure`.
+for `generators.enumerate_end`, `add` for `brandt.add_table`,
+`related` for the relation-to-key map inside `green.analytic_structure`,
+and `union_find_labels` for `maps.least_labels`.
 """
 
 from itertools import product
@@ -141,3 +142,24 @@ def related(keys, a, b, rel) -> bool:
     or `green.multiplicative_keys`)?"""
     ka, kb = keys(a), keys(b)
     return all(ka[k] == kb[k] for k in _COMPARED_KEYS[rel])
+
+
+# --- partitions -----------------------------------------------------------------
+
+def union_find_labels(maps_, m):
+    """Each index's least class-mate under the equivalence on range(m) that
+    i ~ f[i] generates, for every f in `maps_`, by union-find: every union
+    hangs the larger root under the smaller, so each root is its class's
+    least member."""
+    parent = list(range(m))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for f in maps_:
+        for i, j in enumerate(f):
+            a, b = find(i), find(int(j))
+            parent[max(a, b)] = min(a, b)
+    return [find(i) for i in range(m)]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ans import brandt, formulas, generators, maps
+from ans import brandt, cli, formulas, generators, maps
 import oracles
 
 
@@ -130,3 +130,30 @@ def test_generators_dict_schema():
 def test_enumerate_kind_rejects_unknown():
     with pytest.raises(ValueError):
         generators.enumerate_kind("frobnicate", 2)
+
+
+# The two invariants of `enumerate_aff` raise AssertionError themselves, so
+# `python -O` keeps them; the CLI reports one as exit 1, without a traceback.
+
+def test_enumerate_aff_refuses_a_sum_outside_the_shapes(monkeypatch, capsys):
+    products = maps.products
+
+    def one_outside(F, G, op, n):  # rank -1 would otherwise mark the last element
+        for lo, ranks in products(F, G, op, n):
+            ranks = ranks.copy()
+            ranks[0, 0] = -1
+            yield lo, ranks
+
+    monkeypatch.setattr(maps, "products", one_outside)
+    with pytest.raises(AssertionError, match="End \\+ Const sum is outside the four"):
+        generators.enumerate_aff(2)
+    assert cli.main(["generators", "--kind", "aff", "--n", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "error: an End + Const sum is outside the four closure shapes\n"
+
+
+def test_enumerate_aff_refuses_a_singleton_member(monkeypatch):
+    monkeypatch.setattr(maps, "forms", lambda rows, n: [maps.Singleton((1, 1), (1, 2))])
+    with pytest.raises(AssertionError, match="an affine map is a singleton"):
+        generators.enumerate_aff(2)

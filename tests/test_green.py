@@ -42,11 +42,16 @@ def test_partitions_are_partitions_and_refine(green_of, n, label):
     for rel in REL:
         members = sorted(i for c in gs.classes[rel] for i in c)
         assert members == list(range(gs.size))
+        # canonical: each class ascending, classes by least member, numbered so
+        assert all(list(c) == sorted(c) for c in gs.classes[rel])
+        assert [c[0] for c in gs.classes[rel]] == sorted(c[0] for c in gs.classes[rel])
+        assert all(gs.class_of[rel][i] == k
+                   for k, c in enumerate(gs.classes[rel]) for i in c)
     for fine, coarse in (("H", "R"), ("H", "L"), ("R", "D"), ("L", "D")):
         for c in gs.classes[fine]:
             targets = {gs.class_of[coarse][i] for i in c}
             assert len(targets) == 1
-    assert green.partition_key(gs.classes["D"]) == green.partition_key(gs.classes["J"])
+    assert gs.classes["D"] == gs.classes["J"]
 
 
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])
@@ -70,8 +75,8 @@ def test_analytic_partitions_agree_with_brute(closure_of, green_of, n, label):
     gs = green_of(n, label)
     analytic = green.analytic_structure(sg)
     for rel in REL:
-        assert (green.partition_key(analytic[rel])
-                == green.partition_key(gs.classes[rel])), rel
+        # both sides are canonical class tuples, so == compares the partitions
+        assert analytic[rel] == gs.classes[rel], rel
 
 
 def test_analytic_examples_from_characterizations():
@@ -153,6 +158,16 @@ def test_eventual_regularity_examples(closure_of, green_of):
     assert gs.eventual_index[pos["(2,1;[1,2])"]] == 2
     mul_gs = green_of(2, "multiplicative")
     assert set(mul_gs.eventual_index) == {1}
+
+
+def test_eventual_regularity_refuses_an_element_with_no_regular_power():
+    # x y = x + 1 (mod 3): x y x = x + 2, so no element is regular, and the
+    # powers of 0 cycle 0, 1, 2 without reaching one
+    op = np.array([[(x + 1) % 3] * 3 for x in range(3)])
+    regular = green.regular_elements(op)
+    assert not regular.any()
+    with pytest.raises(AssertionError, match="^element 0 has no regular power$"):
+        green.eventual_regularity(op, regular)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -243,3 +243,49 @@ def test_image_invariant_on_closure_elements(n):
 def test_map_n_rejects_bad_length():
     with pytest.raises(ValueError):
         maps.map_n((0, 0, 0))  # length 3 is not n^2+1 for any n
+
+
+# --- least_labels against the union-find oracle ---------------------------------
+
+def _index_maps(m):
+    """Index arrays on range(m): permutations, least-member labellings of a
+    partition (as `green` makes them), and arbitrary maps."""
+    perms = st.permutations(range(m))
+    partitions = st.lists(st.integers(0, m - 1), min_size=m, max_size=m).map(
+        lambda block: [block.index(b) for b in block])  # each block's least member
+    functions = st.lists(st.integers(0, m - 1), min_size=m, max_size=m)
+    return st.one_of(perms, partitions, functions)
+
+
+@given(st.integers(1, 40).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(_index_maps(m), max_size=4))))
+def test_least_labels_match_union_find(t):
+    m, maps_ = t
+    got = maps.least_labels([np.array(f) for f in maps_], m)
+    assert got.tolist() == oracles.union_find_labels(maps_, m)
+
+
+def test_least_labels_of_no_maps_and_of_one_index():
+    assert maps.least_labels((), 5).tolist() == [0, 1, 2, 3, 4]
+    assert maps.least_labels((), 1).tolist() == [0]
+    assert maps.least_labels((np.zeros(1, dtype=np.uint16),), 1).tolist() == [0]
+
+
+def test_least_labels_join_a_staircase_over_many_rounds(monkeypatch):
+    # R-like blocks {p0, p1}, {p2, p3}, ... and L-like blocks {p1, p2}, {p3, p4},
+    # ... along a path p_j = 19 - j, so the least member 0 sits at the far
+    # end and each pass carries it one block further: a join that a
+    # rectangular D-class (every R-class meeting every L-class) never needs
+    m = 20
+    path = list(range(m - 1, -1, -1))
+    r, l = list(range(m)), list(range(m))
+    for j in range(0, m - 1, 2):
+        r[path[j]] = path[j + 1]
+    for j in range(1, m - 1, 2):
+        l[path[j]] = path[j + 1]
+    rounds = []
+    equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda a, b: rounds.append(1) or equal(a, b))
+    got = maps.least_labels((np.array(r), np.array(l)), m)
+    assert got.tolist() == [0] * m == oracles.union_find_labels((r, l), m)
+    assert len(rounds) > 2

@@ -119,6 +119,14 @@ def test_only_the_numpy_module_imports_numpy():
     assert not imports
 
 
+def test_the_package_has_no_assert_statement():
+    """`python -O` strips `assert`, so every invariant raises AssertionError itself."""
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Assert)]
+    assert not asserts
+
+
 def test_verify_loads_no_numpy_random():
     # n = 3 is the first n whose axiom scan samples triples; every n samples
     # table cells in the proof of the Cayley tables
