@@ -4,32 +4,32 @@ The closure is a worklist fixpoint inside M(B_n): starting from the
 generators, adjoin s + g (known element on the left, generator on the
 right) until nothing new appears.  Every finite sum of generators folds
 left, so right-extension alone reaches the whole additive closure.
-
 Conjugation by Aut(B_n) ≅ S_n permutes M(B_n) by near-semiring
-automorphisms and maps Aff(B_n) onto itself (`maps.index_permutations`).
-So the fixpoint keeps its found set closed under S_n and extends only one
-representative per new orbit (the least index in it): s + g for s = pi(r)
-is pi(r + pi^-1(g)), already found.  Every sum is still ranked with the
-membership check, so the fixpoint stays an independent proof that the
-carrier is the canonical family.
+automorphisms and maps Aff(B_n) onto itself (`maps.index_permutations`),
+so the fixpoint extends one representative per new orbit (its least
+index): s + g for s = pi(r) is pi(r + pi^-1(g)), already found.
 
 Element identity is the canonical rank (`maps.rank`), which checks
 membership by re-rendering, so a sum outside the four shapes raises with
-its table as the witness.  The discovered ranks are a boolean mask over
-the canonical family, so the element list comes out in canonical order
-with no sort, and element indices are stable across runs.  The product
-formulas live in one place, `maps.products`.
+its table as the witness, and the fixpoint stays an independent proof
+that the carrier is the canonical family.  The discovered ranks are a
+boolean mask over that family, so the element list comes out in canonical
+order with no sort.  The product formulas live in `maps.products`.
 
-Both Cayley tables store element indices as uint16.  The S_n symmetry
-of the tables is stated once, as the row identity t[P f] = P[t[f][P^-1]]
-for each generator P (`_conjugated_rows`), and it does two jobs.
-`orbit_tables` ranks the orbit representatives' rows directly, asserting
-pairwise closure under + and o there, and fills every other row from a
-filled one by the identity.  `tables_witness` proves a pair of tables,
-say from a cache: the representatives' rows ranked directly, plus every
-row obeying the identity, prove every cell.  `fill_tables` ranks all m^2
-cells directly; it is the reference the symmetric tables are tested
-against, and it names the first wrong cell when a proof fails.
+Both Cayley tables store element indices as uint16.  Their S_n symmetry
+is stated once, as the row identity t[P f] = P[t[f][P^-1]] for each
+generator P, which `_spread` walks from the orbit representatives' rows
+to every other row.  `orbit_tables` ranks the representatives' rows
+directly, asserting pairwise closure there, and fills the rest by the
+walk; `tables_witness` proves a pair of tables, say from a cache, by the
+same walk.  `fill_tables` ranks all m^2 cells directly: the reference in
+tests, and the source of the witness when a proof fails.
+
+With a proof, `tables_witness` returns the tables' orbit labelling, and
+`ans verify` passes it to the axiom scan and `green`'s per-element scans,
+which then visit one element per orbit (27 of 145 at n = 3).  `ans green`
+and `ans eggbox` keep the default identity labelling: the quotient is
+sound only on tables known to commute with S_n, and nothing proves a cache.
 """
 
 import random
@@ -157,11 +157,11 @@ def fill_tables(elems, n):
 
 def _permutations(index, n):
     """`maps.index_permutations(n)` as permutations of list positions, in
-    TABLE_DTYPE; None when the list is not closed under them."""
+    TABLE_DTYPE; a ValueError when the list is not closed under them."""
     ranks, _, position = index
     perms = tuple(position[P[ranks]] for P in maps.index_permutations(n))
     if any((P < 0).any() for P in perms):
-        return None
+        raise ValueError("element list is not closed under conjugation by S_n")
     return tuple(P.astype(TABLE_DTYPE) for P in perms)
 
 
@@ -170,41 +170,44 @@ def orbit_representatives(perms, m) -> np.ndarray:
     return np.flatnonzero(maps.least_labels(perms, m) == np.arange(m))
 
 
-def _conjugated_rows(t, f, P, P_inv):
-    """Rows P f of a table that commutes with the permutation P, from its
-    rows f: t[P f] = P[t[f][P^-1]], since t[P f, P g] = P t[f, g]."""
-    return P.take(t[f].take(P_inv, axis=1))
+def labelling(orbits, m) -> Tuple[np.ndarray, np.ndarray]:
+    """(labels, reps): `orbits`, or the identity labelling of range(m) when
+    it is None, and its fixed points, the representatives a scan visits."""
+    labels = np.arange(m) if orbits is None else orbits
+    return labels, np.flatnonzero(labels == np.arange(m))
+
+
+def _spread(t, perms, reps):
+    """Rows of a table t commuting with `perms`, spread from its rows `reps`
+    (one per orbit): (g, P f, P[t[f][P^-1]]) for P = perms[g], by t[P f, P g]
+    = P t[f, g], per block of reached f with P f unreached, until all are
+    reached.  The caller may write the rows P f before the next block."""
+    reached = np.zeros(len(t), dtype=bool)
+    reached[reps] = True
+    inverses = [np.argsort(P) for P in perms]
+    while not reached.all():
+        for g, (P, P_inv) in enumerate(zip(perms, inverses)):
+            sources = np.flatnonzero(reached & ~reached[P])  # f reached, P f not
+            for f in maps.row_blocks(sources, len(t)):
+                yield g, P[f], P.take(t[f].take(P_inv, axis=1))
+            reached[P[sources]] = True
 
 
 def orbit_tables(elems, n):
-    """Both Cayley tables, from the orbit representatives' rows.
-
-    The same tables as `fill_tables`, for a list closed under conjugation
-    by S_n (a ValueError otherwise).  The representatives' rows are ranked
-    directly, and a product off the list raises as in `fill_tables`,
-    naming the first such cell in those rows.  Then each unreached row
-    P f is filled from a reached row f by `_conjugated_rows`, generator by
-    generator, until every row is reached, so it stays on the list too.
-    """
+    """Both Cayley tables, the same as `fill_tables`, for a list closed
+    under conjugation by S_n (a ValueError otherwise).  The orbit
+    representatives' rows are ranked directly, raising as `fill_tables`
+    does on a product off the list; `_spread` fills every other row."""
     index = _list_index(elems, n)
     perms = _permutations(index, n)
-    if perms is None:
-        raise ValueError("element list is not closed under conjugation by S_n")
     m = len(elems)
     reps = orbit_representatives(perms, m)
     add_table = np.empty((m, m), dtype=TABLE_DTYPE)
     mul_table = np.empty((m, m), dtype=TABLE_DTYPE)
     add_table[reps], mul_table[reps] = _ranked_rows(index, reps, n)
-    reached = np.zeros(m, dtype=bool)
-    reached[reps] = True
-    inverses = [np.argsort(P) for P in perms]
-    while not reached.all():
-        for P, P_inv in zip(perms, inverses):
-            sources = np.flatnonzero(reached & ~reached[P])  # f reached, P f not
-            for f in maps.row_blocks(sources, m):
-                add_table[P[f]] = _conjugated_rows(add_table, f, P, P_inv)
-                mul_table[P[f]] = _conjugated_rows(mul_table, f, P, P_inv)
-            reached[P[sources]] = True
+    for t in (add_table, mul_table):
+        for _, rows, spread in _spread(t, perms, reps):
+            t[rows] = spread
     return add_table, mul_table
 
 
@@ -216,23 +219,19 @@ def _draw(rng: random.Random, count: int, m: int) -> np.ndarray:
     return (words * m >> 32).astype(np.intp)
 
 
-def _proof_breach(ns: NearSemiring, index) -> str:
+def _proof_breach(ns: NearSemiring, index, perms, orbits) -> str:
     """Which part of the symmetric proof of the tables fails, or "" if none.
 
-    Three parts: the orbit representatives' rows, ranked directly; every
-    row obeying `_conjugated_rows` for each generator P of S_n, compared in
-    row blocks; and a seeded sample of direct cells (a grid, plus whole
-    rows of a few elements that are not representatives).  The first two prove every cell, since each
-    row is the image of a representative's row under a product of
-    generators; the sample keeps a direct check that does not lean on the
-    symmetry argument.
+    Three parts, `orbits` labelling the orbits of `perms`: the
+    representatives' rows, ranked directly; every
+    other row equal to its `_spread` from a row already proved, which
+    proves every cell by induction; and a seeded sample of direct cells (a
+    grid, plus whole rows of a few non-representatives), a check that does
+    not lean on the symmetry argument.
     """
     n, m = ns.n, len(ns)
     tables = {"add": ns.add_table, "mul": ns.mul_table}
-    perms = _permutations(index, n)
-    if perms is None:
-        return "element list is not closed under conjugation by S_n"
-    is_rep = maps.least_labels(perms, m) == np.arange(m)
+    is_rep = orbits == np.arange(m)
     reps, others = np.flatnonzero(is_rep), np.flatnonzero(~is_rep)
     rng = random.Random(_SEED)
     picked = others[_draw(rng, min(_SAMPLE_ROWS, len(others)), len(others))]
@@ -245,17 +244,17 @@ def _proof_breach(ns: NearSemiring, index) -> str:
             if not np.array_equal(t[where], np.concatenate([b[k] for b in blocks])):
                 return f"{label}_table differs from a directly ranked cell"
     for label, t in tables.items():
-        for g, P in enumerate(perms):
-            P_inv = np.argsort(P)
-            for f in maps.row_blocks(np.arange(m), m):
-                if not np.array_equal(t[P[f]], _conjugated_rows(t, f, P, P_inv)):
-                    return f"{label}_table is not invariant under index permutation {g}"
+        for g, rows, spread in _spread(t, perms, reps):
+            if not np.array_equal(t[rows], spread):
+                return f"{label}_table is not invariant under index permutation {g}"
     return ""
 
 
-def tables_witness(ns: NearSemiring) -> str:
-    """"" when both Cayley tables are proved right for the element list,
-    else a witness.
+def tables_witness(ns: NearSemiring) -> Tuple[str, Optional[np.ndarray]]:
+    """("", orbits) when both Cayley tables are proved right for the element
+    list, else (a witness, None).  `orbits` gives each element its least
+    orbit-mate under conjugation by S_n, an automorphism of proved tables,
+    so a scan given it may read its verdicts off the representatives.
 
     On any breach of the symmetric proof (`_proof_breach`), every cell is
     ranked as in `fill_tables`, and the witness is the first cell
@@ -266,10 +265,16 @@ def tables_witness(ns: NearSemiring) -> str:
     try:
         index = _list_index(ns.elements, ns.n)
     except ValueError as e:
-        return str(e)
-    breach = _proof_breach(ns, index)
-    if not breach:
-        return ""
+        return str(e), None
+    try:
+        perms = _permutations(index, ns.n)
+    except ValueError as e:
+        breach = str(e)
+    else:
+        orbits = maps.least_labels(perms, len(ns))
+        breach = _proof_breach(ns, index, perms, orbits)
+        if not breach:
+            return "", orbits
     m = len(ns)
     direct = fill_tables(ns.elements, ns.n)
     for label, got, want in zip(("add", "mul"), (ns.add_table, ns.mul_table), direct):
@@ -277,8 +282,9 @@ def tables_witness(ns: NearSemiring) -> str:
             bad = np.argwhere(got[f] != want[f])
             if bad.size:
                 i, j = int(f[bad[0][0]]), int(bad[0][1])
-                return f"{label}_table[{i},{j}] is {int(got[i, j])}, recomputed {int(want[i, j])}"
-    return breach
+                return (f"{label}_table[{i},{j}] is {int(got[i, j])}, "
+                        f"recomputed {int(want[i, j])}"), None
+    return breach, None
 
 
 def check_n_cap(n: int):
@@ -371,7 +377,7 @@ def _scan(name, fails, blocks, checked) -> AxiomCheck:
     return AxiomCheck(name, True, checked)
 
 
-def verify_near_semiring(ns: NearSemiring) -> ValidationReport:
+def verify_near_semiring(ns: NearSemiring, orbits=None) -> ValidationReport:
     """Check both associativities and left distributivity f(g+h) = fg + fh.
 
     Axioms are scanned exhaustively while the triple count stays under
@@ -380,11 +386,15 @@ def verify_near_semiring(ns: NearSemiring) -> ValidationReport:
     stream from _SEED, laws in order, each law's triples streamed a
     _SCAN_SLICE at a time.  Failures carry the first offending triple
     (row-major, or in sample order) as a witness.
+    With `orbits` (from `tables_witness`) an exhaustive scan lets x run over the
+    representatives only, yet covers and reports all m^3 triples: a failing
+    (x, y, z) fails again at (P x, P y, P z) for every automorphism P.
     """
     m = len(ns)
     total = m ** 3
     rng = random.Random(_SEED)
     ar = np.arange(m)
+    _, reps = labelling(orbits, m)
 
     def product(table):  # the Cayley table as a vectorized binary operation
         flat = table.ravel()
@@ -403,7 +413,7 @@ def verify_near_semiring(ns: NearSemiring) -> ValidationReport:
     for name, fails, exhaustive_max in laws:
         if total <= exhaustive_max:
             checked = total
-            blocks = ((i, ar[:, None], ar[None, :]) for i in range(m))
+            blocks = ((i, ar[:, None], ar[None, :]) for i in reps)
         else:
             checked = min(_AXIOM_SAMPLES, total)
             sizes = [min(_SCAN_SLICE, checked - lo) for lo in range(0, checked, _SCAN_SLICE)]

@@ -47,11 +47,14 @@ class EggBox:
 
 def _j_order_covers(two_sided: np.ndarray, reps: List[int]) -> Tuple[Tuple[int, int], ...]:
     """Hasse covers of the J-order on D-classes, from the packed two-sided
-    ideal rows of `green.ideals`."""
+    ideal rows of `green.ideals`: the pairs a < b with nothing between, where
+    the b over some c over a are the OR of the packed rows of the c over a."""
     # row b: ideal of class b; bool, since ~ on unpacked uint8 is bitwise
     masks = np.unpackbits(two_sided[reps], axis=1, count=two_sided.shape[0]).astype(bool)
     below = masks[:, reps].T & ~np.eye(len(reps), dtype=bool)  # [a, b]: a strictly under b
-    covers = below & ~(below @ below)
+    rows = np.packbits(below, axis=1)
+    through = np.array([np.bitwise_or.reduce(rows[r]) for r in below], np.uint8).reshape(rows.shape)
+    covers = below & ~np.unpackbits(through, axis=1, count=len(reps)).view(bool)
     return tuple(sorted((int(b), int(a)) for a, b in np.argwhere(covers)))
 
 

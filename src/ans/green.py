@@ -6,11 +6,10 @@ adjoined; `ideals` is the one place those ideals are computed, and the
 egg-box J-order reads them from there too.  The analytic route decides
 relatedness from the canonical form alone: `additive_keys` and
 `multiplicative_keys` state the support and projection rules once, as
-per-element R/L/D keys.  `_KEYS_OF_RELATION` says which keys each of the
-five relations compares (J as D, H as R and L together), and
-`analytic_structure` groups a whole reduct by them; two elements are
-related exactly when those keys agree.
-Agreement of the two routes is checked in tests, not assumed here.
+per-element R/L/D keys, and `_KEYS_OF_RELATION` says which keys each of
+the five relations compares (J as D, H as R and L together);
+`analytic_structure` groups a whole reduct by them.  Agreement of the two
+routes is checked in tests, not assumed here.
 
 Every partition is one labelling: each element's least class-mate.
 `_labels` makes it from per-element keys (ideal rows for R, L and J, the
@@ -18,12 +17,14 @@ R and L labels for H, the analytic keys), `maps.least_labels` joins R and
 L into D, and `_classes` gives the class tuples, each ascending and
 ordered by least member, so equal partitions have equal tuples.
 
-Regularity is stated once, as A[x, y] = (x y x == x) on a Cayley table,
-scanned in row blocks (`_xyx_rows`): `regular_elements` takes each row's
-any, `subset_report` keeps A bit-packed for the inverse verdict, and
-`eventual_regularity` advances every element's power at once.  Subset
-checks read the whole table a row block at a time, in global indices;
-only the isomorphism certificates, on small subsets, build a local table.
+Regularity is stated once, as x y x == x (`_xyx`).  The per-element scans
+(`regular_elements`, `eventual_regularity`, and `subset_report`'s
+closedness, regularity and inverse counts) read the rows and columns of
+an orbit labelling's representatives only, a block at a time, in global
+indices, and spread each verdict over its orbit.  `ans verify` passes the
+S_n orbits of the tables it has proved; every other caller keeps the
+identity labelling and scans every element, since a cache is not proved
+(see `closure`).  Only the isomorphism certificates build a local table.
 """
 
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from typing import Dict, Optional, Tuple
 
 from ._numpy import np
 from . import brandt, maps
-from .closure import FiniteSemigroup
+from .closure import FiniteSemigroup, labelling
 from .maps import Constant, Singleton, Zero
 
 RELATIONS = ("R", "L", "D", "J", "H")
@@ -60,10 +61,11 @@ class GreenStructure:
         return d
 
 
-def _labels(keys) -> np.ndarray:
-    """The least index whose hashable key equals each index's key."""
+def _labels(keys, m) -> np.ndarray:
+    """The least index whose hashable key equals each of the m keys' own, in
+    an array made before the keys, so that freeing them lets the heap shrink."""
     first = {}
-    return np.array([first.setdefault(k, i) for i, k in enumerate(keys)], dtype=np.intp)
+    return np.fromiter((first.setdefault(k, i) for i, k in enumerate(keys)), np.intp, m)
 
 
 def _classes(labels) -> Tuple[Tuple[int, ...], ...]:
@@ -75,38 +77,31 @@ def _classes(labels) -> Tuple[Tuple[int, ...], ...]:
     return tuple(map(tuple, members.values()))
 
 
-def idempotents(op: np.ndarray) -> np.ndarray:
-    """Mask of the idempotents x = x x of the Cayley table `op`."""
-    return op.diagonal() == np.arange(op.shape[0])
+def _xyx(op, x, xy) -> np.ndarray:
+    """A[i, j] = (x y x == x) for x = x[i], given xy[i, j] = x y."""
+    return op[xy, x[:, None]] == x[:, None]
 
 
-def _xyx_rows(op: np.ndarray, idx: np.ndarray):
-    """(rows, xy, A[rows]) for consecutive blocks of positions `rows` in the
-    ascending element indices `idx`: xy[i, j] = x y and A[i, j] = (x y x == x)
-    for x = idx[rows][i], y = idx[j] on the Cayley table `op`.  Each block
-    reads whole rows of `op`; A is never held whole."""
-    whole = len(idx) == op.shape[0]  # then idx is every element, in order
-    for rows in maps.row_blocks(np.arange(len(idx)), op.shape[0]):
-        x = idx[rows, None]
-        xy = op[idx[rows]] if whole else op[idx[rows]][:, idx]
-        yield rows, xy, op[xy, x] == x
-
-
-def regular_elements(op: np.ndarray) -> np.ndarray:
-    """Mask of the regular elements: x with x y x = x for some y."""
-    out = np.zeros(op.shape[0], dtype=bool)
-    for rows, _, a in _xyx_rows(op, np.arange(op.shape[0])):
-        out[rows] = a.any(axis=1)
-    return out
-
-
-def eventual_regularity(op: np.ndarray, regular: np.ndarray) -> Tuple[int, ...]:
-    """Least r >= 1 such that the r-th power is regular, per element, given
-    the `regular_elements` mask of `op`.  Every element's power advances
-    at once, x^(r+1) = x^r x, while it is not regular."""
+def regular_elements(op: np.ndarray, orbits=None) -> np.ndarray:
+    """Mask of the regular elements: x with x y x = x for some y, for x over
+    the representatives of `orbits` (see `closure.labelling`), a row block
+    at a time; every element takes its representative's verdict."""
     m = op.shape[0]
+    labels, reps = labelling(orbits, m)
+    out = np.zeros(m, dtype=bool)
+    for x in maps.row_blocks(reps, m):
+        out[x] = _xyx(op, x, op[x]).any(axis=1)
+    return out[labels]
+
+
+def eventual_regularity(op: np.ndarray, regular: np.ndarray, orbits=None) -> Tuple[int, ...]:
+    """Least r >= 1 such that the r-th power is regular, per element, given
+    the `regular_elements` mask of `op`.  The powers of the representatives
+    of `orbits` advance at once, x^(r+1) = x^r x, while not regular."""
+    m = op.shape[0]
+    labels, reps = labelling(orbits, m)
     index = np.ones(m, dtype=np.int64)
-    live = power = np.flatnonzero(~regular)  # ascending; power is x^index[live]
+    live = power = reps[~regular[reps]]  # ascending; power is x^index[live]
     while live.size:
         if index[live[0]] == m:  # pigeonhole: the power sequence has cycled
             raise AssertionError(f"element {int(live[0])} has no regular power")
@@ -114,22 +109,26 @@ def eventual_regularity(op: np.ndarray, regular: np.ndarray) -> Tuple[int, ...]:
         index[live] += 1
         keep = ~regular[power]
         live, power = live[keep], power[keep]
-    return tuple(index.tolist())
+    return tuple(index[labels].tolist())
 
 
-def ideals(op: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+# Each left-ideal block reads op[:, rows], a strided walk of the whole table,
+# so it spans at least _BLOCK_CELLS / _FILL_WIDTH = 64 columns of op.
+_FILL_WIDTH = 1024
+
+
+def ideals(op: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Principal right, left and two-sided ideals aS¹, S¹a, S¹aS¹ of every
-    element of the Cayley table `op`, as bit-packed membership rows.
+    element of the Cayley table `op`, as bit-packed membership rows (row a
+    is `np.packbits` of a length-m mask), then the R and L labels.
 
-    Row a of each array is `np.packbits` of a length-m mask; unpack it with
-    `np.unpackbits(rows, axis=1, count=m).astype(bool)`.  The two-sided
-    ideal is the union of xS¹ over x in S¹a.  xS¹ depends only on x's
+    S¹aS¹ is the union of xS¹ over x in S¹a.  xS¹ depends only on x's
     R-class and S¹a only on a's L-class, so it is one OR per L-class, of
     one right ideal per R-class that meets S¹a.
     """
     m = op.shape[0]
     right, left = (np.empty((m, (m + 7) // 8), dtype=np.uint8) for _ in range(2))
-    for r in maps.row_blocks(range(m), m):  # the elements a whose ideals fill this block
+    for r in maps.row_blocks(range(m), min(m, _FILL_WIDTH)):  # the a whose ideals fill this block
         rows = slice(r.start, r.stop)
         local = np.arange(len(r))
         # aS¹ is row a of op, S¹a column a; each is read in op's memory order
@@ -139,31 +138,29 @@ def ideals(op: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             block[i, members] = True
             block[local, r.start + local] = True  # the adjoined identity
             packed[rows] = np.packbits(block, axis=1)
-    r_first, l_first = (_labels(row.tobytes() for row in rows) for rows in (right, left))
+    r_first, l_first = (_labels((row.tobytes() for row in rows), m) for rows in (right, left))
     two = np.empty_like(right)
     for a in np.flatnonzero(l_first == np.arange(m)):  # the first member of each L-class
         meets = np.zeros(m, dtype=bool)  # the first member of each R-class meeting S¹a
         meets[r_first[np.unpackbits(left[a], count=m).view(bool)]] = True
         two[a] = np.bitwise_or.reduce(right[meets], axis=0)
-    return right, left, two[l_first]
+    return right, left, two[l_first], r_first, l_first
 
 
-def green_brute(sg: FiniteSemigroup, ideal_rows=None) -> GreenStructure:
+def green_brute(sg: FiniteSemigroup, ideal_rows=None, orbits=None) -> GreenStructure:
     """All five relations from principal ideals, with D = J asserted.
-
-    `ideal_rows` is `ideals(sg.op)` when the caller has computed it already.
-    """
+    `ideal_rows` is `ideals(sg.op)` when the caller has it already, R and L
+    labels included; `orbits` labels the regularity scans."""
     m = len(sg)
-    if ideal_rows is None:
-        ideal_rows = ideals(sg.op)
-    r, l, j = (_labels(row.tobytes() for row in rows) for rows in ideal_rows)
-    labels = {"R": r, "L": l, "D": maps.least_labels((r, l), m), "J": j,
-              "H": _labels(zip(r.tolist(), l.tolist()))}
+    _, _, two, r, l = ideals(sg.op) if ideal_rows is None else ideal_rows
+    labels = {"R": r, "L": l, "D": maps.least_labels((r, l), m),
+              "J": _labels((row.tobytes() for row in two), m),
+              "H": _labels(zip(r.tolist(), l.tolist()), m)}
     if not np.array_equal(labels["D"], labels["J"]):
         raise AssertionError("D and J partitions differ on a finite semigroup")
 
     ar = np.arange(m)
-    reg = regular_elements(sg.op)
+    reg = regular_elements(sg.op, orbits)
     return GreenStructure(
         label=sg.label,
         size=m,
@@ -171,9 +168,9 @@ def green_brute(sg: FiniteSemigroup, ideal_rows=None) -> GreenStructure:
         # classes are numbered in order of least member, the labels' fixed points
         class_of={rel: tuple(np.searchsorted(ar[lab == ar], lab).tolist())
                   for rel, lab in labels.items()},
-        idempotent=tuple(idempotents(sg.op).tolist()),
+        idempotent=tuple((sg.op.diagonal() == ar).tolist()),  # x x == x
         regular=tuple(reg.tolist()),
-        eventual_index=eventual_regularity(sg.op, reg),
+        eventual_index=eventual_regularity(sg.op, reg, orbits),
     )
 
 
@@ -250,7 +247,8 @@ def analytic_structure(sg: FiniteSemigroup) -> Dict[str, Tuple[Tuple[int, ...], 
     if keys_of is None:
         raise ValueError(f"unknown reduct label {sg.label!r}")
     keys = [keys_of(c) for c in maps.forms(sg.elements, sg.n)]
-    return {rel: _classes(_labels(tuple(k[r] for r in _KEYS_OF_RELATION[rel]) for k in keys))
+    return {rel: _classes(_labels((tuple(k[r] for r in _KEYS_OF_RELATION[rel]) for k in keys),
+                              len(keys)))
             for rel in RELATIONS}
 
 
@@ -349,46 +347,38 @@ def _iso_certificate(sg: FiniteSemigroup, name, idx):
     return target, check_iso(local, table, np.where(ranks == 0, 0, ranks - shift))
 
 
-def _one_inverse_each(packed: np.ndarray, m: int) -> bool:
-    """Has every x exactly one inverse y, A[x, y] and A[y, x], given A as
-    bit-packed rows?  Checked a row block xs at a time, against the
-    columns A[:, xs] unpacked from the bytes that hold them."""
-    for xs in maps.row_blocks(np.arange(m), m):
-        lo = xs[0] - xs[0] % 8  # the bytes holding A[:, xs] start at bit lo
-        cols = np.unpackbits(packed[:, lo // 8:xs[-1] // 8 + 1], axis=1)[:, xs - lo]
-        both = np.unpackbits(packed[xs], axis=1, count=m) & cols.T
-        if (np.count_nonzero(both, axis=1) != 1).any():
-            return False
-    return True
-
-
-def structural_checks(sg: FiniteSemigroup, subset: str) -> SubsetReport:
+def structural_checks(sg: FiniteSemigroup, subset: str, orbits=None) -> SubsetReport:
     """`subset_report` on the members `subset_indices` selects."""
-    return subset_report(sg, subset, subset_indices(sg, subset))
+    return subset_report(sg, subset, subset_indices(sg, subset), orbits)
 
 
-def subset_report(sg: FiniteSemigroup, subset: str, idx) -> SubsetReport:
+def subset_report(sg: FiniteSemigroup, subset: str, idx, orbits=None) -> SubsetReport:
     """Closure, regularity, inverse/orthodox verdicts, and the isomorphism
     certificate (when one is claimed) for the named subset of one reduct,
-    whose member indices, ascending, are `idx`.
-    Products are read off the reduct's table in global indices, a row
-    block at a time.  The subset's A[x, y] = (x y x == x) is kept
-    bit-packed, m^2/8 bytes, like `ideals`."""
+    whose member indices, ascending, are `idx`.  Closedness, regularity and
+    "exactly one inverse" are read off the row x y and column y x, y in the
+    subset, of each representative x of `orbits`, of which the subset must
+    be a union (a ValueError otherwise)."""
     op, idx = sg.op, np.asarray(idx, dtype=np.intp)
     m = len(idx)
+    labels, _ = labelling(orbits, len(sg))
     inside = np.zeros(len(sg), dtype=bool)
     inside[idx] = True
-    packed = np.empty((m, (m + 7) // 8), dtype=np.uint8)
-    for rows, xy, a in _xyx_rows(op, idx):
+    if not np.array_equal(inside[labels], inside):
+        raise ValueError(f"subset {subset!r} is not a union of orbits")
+    regular = inverse = True
+    for x in maps.row_blocks(idx[labels[idx] == idx], m):
+        xy = op[np.ix_(x, idx)]
         if m < len(sg) and not inside.take(xy).all():  # the whole reduct is closed
             return SubsetReport(subset, sg.label, m, False, False, False, False, False)
-        packed[rows] = np.packbits(a, axis=1)
-    regular = bool(packed.any(axis=1).all())
-    inverse = regular and _one_inverse_each(packed, m)
+        a = _xyx(op, x, xy)
+        b = op[op[np.ix_(idx, x)].T, idx] == idx  # y x y == y
+        regular = regular and bool(a.any(axis=1).all())
+        inverse = inverse and bool((np.count_nonzero(a & b, axis=1) == 1).all())
     idem = idx[op[idx, idx] == idx]
     ef = op[np.ix_(idem, idem)]  # products of idempotent pairs
     commute = bool(np.array_equal(ef, ef.T))
     orthodox = regular and bool(np.all(op[ef, ef] == ef))
     iso_target, iso_holds = _iso_certificate(sg, subset, idx)
     return SubsetReport(subset, sg.label, m, True, regular,
-                        commute, inverse, orthodox, iso_target, iso_holds)
+                        commute, regular and inverse, orthodox, iso_target, iso_holds)

@@ -134,6 +134,40 @@ def test_cover_edges_respect_j_order(closure_of):
     assert (by_size[16], by_size[5]) in pairs
 
 
+def _assert_covers_match_the_bool_product(below):
+    # the covers as the earlier cubic bool product gave them, as
+    # (upper, lower) pairs; the ideal rows of a strict order are below.T
+    # plus the diagonal, and every class is its own representative
+    k = len(below)
+    want = below & ~(below @ below)
+    two_sided = np.packbits(below.T | np.eye(k, dtype=bool), axis=1)
+    got = eggbox._j_order_covers(two_sided, list(range(k)))
+    assert got == tuple(sorted((int(b), int(a)) for a, b in np.argwhere(want)))
+    return int(want.sum())
+
+
+def test_covers_match_the_bool_product_on_the_n4_additive_j_order(closure_of):
+    sg = closure_of(4).reduct("additive")
+    two = green.ideals(sg.op)[2]
+    reps = [c[0] for c in green.green_brute(sg).classes["D"]]
+    masks = np.unpackbits(two[reps], axis=1, count=len(sg)).astype(bool)
+    below = masks[:, reps].T & ~np.eye(len(reps), dtype=bool)
+    assert 0 < _assert_covers_match_the_bool_product(below) < below.sum()
+
+
+def test_covers_match_the_bool_product_on_random_dags():
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        k = int(rng.integers(0, 40))
+        dag = np.triu(rng.random((k, k)) < rng.random(), 1)
+        order = rng.permutation(k)
+        below = dag[np.ix_(order, order)]
+        if trial % 2:  # a strict order: the transitive closure of the DAG
+            for c in range(k):
+                below |= below[:, [c]] & below[[c], :]
+        _assert_covers_match_the_bool_product(below)
+
+
 def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -344,6 +378,21 @@ def test_cli_reports_match_goldens(tmp_path, capsys, cache):
         code, out, _ = run_cli(capsys, argv + cache_dir + ["--out", str(tmp_path / "out")])
         assert code == 0
         assert (tmp_path / "out").read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_cli_verify_report_matches_golden_under_python_O(tmp_path):
+    # python -O strips assert statements: no invariant the report rests on,
+    # such as taking the orbit labels only once the tables are proved, may
+    # hang on one
+    env = dict(os.environ)
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    report = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-O", "-m", "ans.cli", "verify", "--n", "1..3",
+                           "--out", str(report)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert report.read_bytes() == (GOLDEN / "verify_n1-3.json").read_bytes()
 
 
 def _load_npz(path):

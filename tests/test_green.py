@@ -286,7 +286,7 @@ def test_ideals_where_left_ideals_meet_several_r_classes():
     index = {f: i for i, f in enumerate(maps_)}
     op = np.array([[index[tuple(g[x] for x in f)] for g in maps_] for f in maps_],
                   dtype=np.uint16)
-    right, left, _ = green.ideals(op)
+    right, left = green.ideals(op)[:2]
     r_class = [r.tobytes() for r in right]
     meets = [len({r_class[x] for x in np.flatnonzero(np.unpackbits(row, count=27))})
              for row in left]
@@ -305,10 +305,30 @@ def test_ideals_with_blocks_off_byte_boundaries(closure_of, monkeypatch, label):
     _assert_ideals_match_set_definitions(op)
 
 
+def test_ideals_read_at_least_a_floor_of_columns_per_block(closure_of, monkeypatch):
+    # with a table wider than _FILL_WIDTH, a block spans
+    # _BLOCK_CELLS / _FILL_WIDTH columns however wide the table is: here
+    # 10 of the 29 columns, where _BLOCK_CELLS / m would give 3
+    op = closure_of(2).reduct("additive").op
+    whole = green.ideals(op)
+    monkeypatch.setattr(maps, "_BLOCK_CELLS", 100)
+    monkeypatch.setattr(green, "_FILL_WIDTH", 10)
+    widths = []
+    blocks = maps.row_blocks
+
+    def recorded(rows, width):
+        widths.append(width)
+        return blocks(rows, width)
+
+    monkeypatch.setattr(maps, "row_blocks", recorded)
+    assert all(np.array_equal(a, b) for a, b in zip(green.ideals(op), whole))
+    assert widths == [10]
+
+
 def _assert_ideals_match_set_definitions(op):
     m = op.shape[0]
     t = op.tolist()
-    rows = [np.unpackbits(r, axis=1, count=m).astype(bool) for r in green.ideals(op)]
+    rows = [np.unpackbits(r, axis=1, count=m).astype(bool) for r in green.ideals(op)[:3]]
     for a in range(m):
         a_s = {t[a][s] for s in range(m)}
         s_a = {t[s][a] for s in range(m)}
@@ -527,9 +547,9 @@ def test_battery_scans_additive_regularity_once(closure_of, monkeypatch):
     scanned = []
     scan = green.regular_elements
 
-    def counted(op):
+    def counted(op, *orbits):
         scanned.append(op)
-        return scan(op)
+        return scan(op, *orbits)
 
     monkeypatch.setattr(green, "regular_elements", counted)
     results = verify.run_battery(4, ns)

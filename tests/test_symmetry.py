@@ -4,7 +4,7 @@ and the battery's symmetric table check against the direct path."""
 import numpy as np
 import pytest
 
-from ans import brandt, closure, generators, maps, verify
+from ans import brandt, closure, generators, green, maps, verify
 import oracles
 
 TABLES_CHECK = "Cayley tables reproducible from element list"
@@ -162,3 +162,88 @@ def test_wrong_index_permutation_fails_the_check(closure_of, monkeypatch, n):
     check = _tables_check(ns)
     assert not check.passed
     assert check.details == "add_table is not invariant under index permutation 0"
+
+
+# --- the orbit quotient against the identity-labelling scans -------------------
+
+def _orbits(ns):
+    witness, orbits = closure.tables_witness(ns)
+    assert witness == ""
+    return orbits
+
+
+def _subset_names(label):
+    other = {"additive": "N", "multiplicative": "K"}[label]
+    return [name for name in green.SUBSET_NAMES if name != other]
+
+
+@pytest.mark.parametrize("label", ["additive", "multiplicative"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_quotient_scans_match_the_full_scans(closure_of, n, label):
+    ns = closure_of(n)
+    orbits = _orbits(ns)
+    assert len(set(orbits.tolist())) == {1: 3, 2: 15, 3: 27, 4: 39}[n]
+    sg = ns.reduct(label)
+    full = green.regular_elements(sg.op)
+    assert np.array_equal(green.regular_elements(sg.op, orbits), full)
+    assert (green.eventual_regularity(sg.op, full, orbits)
+            == green.eventual_regularity(sg.op, full))
+    assert green.green_brute(sg, orbits=orbits) == green.green_brute(sg)
+    for name in _subset_names(label):
+        assert (repr(green.structural_checks(sg, name, orbits))
+                == repr(green.structural_checks(sg, name)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_quotient_axiom_scan_matches_the_full_scan(closure_of, n):
+    ns = closure_of(n)
+    got = closure.verify_near_semiring(ns, _orbits(ns))
+    want = closure.verify_near_semiring(ns)
+    assert got.passed and got.checks == want.checks
+
+
+def test_quotient_axiom_scan_visits_one_element_per_orbit(closure_of, monkeypatch):
+    # at n = 3 both associativities are exhaustive: x runs over the 27
+    # representatives, yet each law reports all 145^3 triples
+    ns = closure_of(3)
+    visited = []
+    scan = closure._scan
+
+    def counted(name, fails, blocks, checked):
+        blocks = list(blocks)
+        visited.append(len(blocks))
+        return scan(name, fails, iter(blocks), checked)
+
+    monkeypatch.setattr(closure, "_scan", counted)
+    report = closure.verify_near_semiring(ns, _orbits(ns))
+    assert visited[:2] == [27, 27]
+    assert [c.checked for c in report.checks[:2]] == [145 ** 3] * 2
+
+
+def test_subset_report_refuses_a_subset_that_is_not_a_union_of_orbits(closure_of):
+    sg = closure_of(2).reduct("additive")
+    with pytest.raises(ValueError, match="union of orbits"):  # xi(1,1) but not xi(2,2)
+        green.subset_report(sg, "sample", [0, 1], _orbits(closure_of(2)))
+
+
+@pytest.mark.parametrize("table", ["add_table", "mul_table"])
+def test_tables_witness_gives_orbit_labels_only_with_a_proof(closure_of, table):
+    bad = _copy(closure_of(3))
+    t = getattr(bad, table)
+    t[7, 5] = (int(t[7, 5]) + 1) % len(bad)
+    witness, orbits = closure.tables_witness(bad)
+    assert witness == _direct_witness(bad) and orbits is None
+
+
+def test_battery_scans_regularity_on_the_orbit_labels(closure_of, monkeypatch):
+    ns = closure_of(3)
+    seen = []
+    scan = green.regular_elements
+
+    def recorded(op, orbits=None):
+        seen.append(orbits)
+        return scan(op, orbits)
+
+    monkeypatch.setattr(green, "regular_elements", recorded)
+    assert all(r.passed for r in verify.run_battery(3, ns))
+    assert len(seen) == 2 and all(np.array_equal(o, _orbits(ns)) for o in seen)
