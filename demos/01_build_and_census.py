@@ -19,7 +19,7 @@ for n in (1, 2, 3, 4):
     print(f"  expected          {formulas.support_histogram_expected(n)}")
 
     by_shape = {}
-    for c in maps.forms(ns.elements, n):
+    for c in maps.forms(range(len(ns)), n):  # index i is canonical rank i
         shape = type(c).__name__
         by_shape[shape] = by_shape.get(shape, 0) + 1
     print(f"  shapes: {dict(sorted(by_shape.items()))}")
@@ -27,7 +27,7 @@ for n in (1, 2, 3, 4):
 # The n=2 closure is small enough to show in full.
 ns = closure.additive_closure(generators.enumerate_aff(2))
 print("\nall 29 elements of the n=2 closure, in canonical order:")
-print("  " + ", ".join(maps.map_str(f) for f in ns.elements))
+print("  " + ", ".join(maps.tokens(range(len(ns)), 2)))
 
 # Axioms are rechecked from the finished Cayley tables.
 rep = closure.verify_near_semiring(ns)

@@ -37,7 +37,7 @@ for label in ("additive", "multiplicative"):
 sg = ns.reduct("additive")
 gs = green.green_brute(sg)
 profile = {}
-for i, c in enumerate(maps.forms(ns.elements, n)):
+for i, c in enumerate(maps.forms(range(len(ns)), n)):
     shape = type(c).__name__
     profile.setdefault(shape, set()).add(gs.eventual_index[i])
 print("first additively regular power, by shape:")

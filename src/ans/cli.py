@@ -143,8 +143,7 @@ def cmd_green(args) -> int:
 
 def cmd_eggbox(args) -> int:
     from . import eggbox as eggbox_mod
-    ns = load_or_build(args.n, args.cache_dir)
-    eb = eggbox_mod.build_eggbox(ns, args.reduct)
+    eb = eggbox_mod.build_eggbox(load_or_build(args.n, args.cache_dir), args.reduct)
     _emit(eggbox_mod.render(eb, args.format), args.out)
     return 0
 

@@ -7,14 +7,15 @@ left, so right-extension alone reaches the whole additive closure.
 Conjugation by Aut(B_n) ≅ S_n permutes M(B_n) by near-semiring
 automorphisms and maps Aff(B_n) onto itself (`maps.index_permutations`),
 so the fixpoint extends one representative per new orbit (its least
-index): s + g for s = pi(r) is pi(r + pi^-1(g)), already found.
+index, `maps.orbit_labels`): s + g for s = pi(r) is pi(r + pi^-1(g)).
 
 Element identity is the canonical rank (`maps.rank`), which checks
 membership by re-rendering, so a sum outside the four shapes raises with
-its table as the witness, and the fixpoint stays an independent proof
-that the carrier is the canonical family.  The discovered ranks are a
-boolean mask over that family, so the element list comes out in canonical
-order with no sort.  The product formulas live in `maps.products`.
+its table as the witness.  The discovered ranks are a boolean mask over
+the canonical family, and the fixpoint is an independent proof that they
+cover it, or it raises naming the least element missed.  So every Cayley
+table is indexed by rank: index i is `maps.all_canonical(n)[i]`, and no
+element list is kept.  The product formulas live in `maps.products`.
 
 Both Cayley tables store element indices as uint16.  Their S_n symmetry
 is stated once, as the row identity t[P f] = P[t[f][P^-1]] for each
@@ -25,7 +26,7 @@ walk; `tables_witness` proves a pair of tables, say from a cache, by the
 same walk.  `fill_tables` ranks all m^2 cells directly: the reference in
 tests, and the source of the witness when a proof fails.
 
-With a proof, `tables_witness` returns the tables' orbit labelling, and
+With a proof, `tables_witness` returns the orbit labelling, and
 `ans verify` passes it to the axiom scan and `green`'s per-element scans,
 which then visit one element per orbit (27 of 145 at n = 3).  `ans green`
 and `ans eggbox` keep the default identity labelling: the quotient is
@@ -71,70 +72,55 @@ _SCAN_SLICE = 10_000
 
 @dataclass
 class FiniteSemigroup:
-    """One reduct: elements in canonical order plus one Cayley table."""
+    """One reduct: a Cayley table whose index i is `maps.all_canonical(n)[i]`."""
     n: int
     label: str  # "additive" | "multiplicative"
-    elements: Tuple[tuple, ...]
     op: np.ndarray
 
     def __post_init__(self):
-        m = len(self.elements)
+        m = len(self.op)
         if self.op.shape != (m, m):
-            raise ValueError(f"Cayley table shape {self.op.shape} does not match {m} elements")
+            raise ValueError(f"Cayley table shape {self.op.shape} is not square")
         if m and (self.op.min() < 0 or self.op.max() >= m):
             raise ValueError("Cayley table contains out-of-range indices")
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.op)
 
 
 @dataclass
 class NearSemiring:
+    """Both Cayley tables over the canonical family, indexed by rank."""
     n: int
-    elements: Tuple[tuple, ...]
     add_table: np.ndarray
     mul_table: np.ndarray
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.add_table)
 
     def reduct(self, label) -> FiniteSemigroup:
         if label == "additive":
-            return FiniteSemigroup(self.n, label, self.elements, self.add_table)
+            return FiniteSemigroup(self.n, label, self.add_table)
         if label == "multiplicative":
-            return FiniteSemigroup(self.n, label, self.elements, self.mul_table)
+            return FiniteSemigroup(self.n, label, self.mul_table)
         raise ValueError(f"unknown reduct {label!r}")
 
 
-def _list_index(elems, n):
-    """Canonical ranks and tables of an element list, and rank -> list
-    position (-1 off the list; the spare last slot catches rank -1)."""
-    m = len(elems)
-    if m > np.iinfo(TABLE_DTYPE).max + 1:
-        raise ValueError(f"{m} elements do not fit {np.dtype(TABLE_DTYPE)} Cayley tables")
-    ranks = maps.member_ranks(np.array(elems), n)
-    position = np.full(len(maps.canonical_tables(n)) + 1, -1, dtype=np.int64)
-    position[ranks] = np.arange(m)
-    return ranks, maps.canonical_tables(n)[ranks], position
-
-
-def _ranked_blocks(index, rows, cols, n):
-    """(lo, sums, composites) of the listed elements rows x cols, each
-    ranked directly, as list positions, block by block of rows; -1 marks a
-    product off the list."""
-    _, E, position = index
+def _ranked_blocks(rows, cols, n):
+    """((lo, sums), (lo, composites)) of the canonical elements rows x cols,
+    each ranked directly, block by block of rows; -1 marks a product
+    outside the four shapes."""
+    E = maps.canonical_tables(n)
     F, G = E[rows], E[cols]
-    for (lo, sums), (_, comps) in zip(maps.products(F, G, "+", n), maps.products(F, G, "o", n)):
-        yield lo, position[sums], position[comps]
+    return zip(maps.products(F, G, "+", n), maps.products(F, G, "o", n))
 
 
-def _ranked_rows(index, rows, n):
+def _ranked_rows(rows, n):
     """Both tables' `rows`, every cell ranked directly.  Raises if a product
-    falls outside the list, naming the first such cell (row-major)."""
-    m = len(index[1])
-    add_rows = np.empty((len(rows), m), dtype=TABLE_DTYPE)
-    mul_rows = np.empty((len(rows), m), dtype=TABLE_DTYPE)
-    for lo, sums, comps in _ranked_blocks(index, rows, np.arange(m), n):
+    falls outside the four shapes, naming the first such cell (row-major)."""
+    m = len(maps.canonical_tables(n))
+    add_rows, mul_rows = (np.empty((len(rows), m), dtype=TABLE_DTYPE) for _ in range(2))
+    for (lo, sums), (_, comps) in _ranked_blocks(rows, np.arange(m), n):
         bad = np.flatnonzero((sums < 0) | (comps < 0))
         if bad.size:
             i, j = np.unravel_index(bad[0], sums.shape)
@@ -144,30 +130,14 @@ def _ranked_rows(index, rows, n):
     return add_rows, mul_rows
 
 
-def fill_tables(elems, n):
-    """Both Cayley tables over the closed element list, every cell ranked.
+def fill_tables(n):
+    """Both Cayley tables over the canonical family, every cell ranked.
 
-    Every sum and composite is ranked and looked up in the list, which need
-    not be the whole canonical family.  Raises if any falls outside the
-    list, naming the first cell in row-major order, which doubles as the
-    pairwise-closure re-verification.
+    Raises if a sum or composite falls outside the four shapes, naming the
+    first cell in row-major order, which doubles as the pairwise-closure
+    re-verification.
     """
-    return _ranked_rows(_list_index(elems, n), np.arange(len(elems)), n)
-
-
-def _permutations(index, n):
-    """`maps.index_permutations(n)` as permutations of list positions, in
-    TABLE_DTYPE; a ValueError when the list is not closed under them."""
-    ranks, _, position = index
-    perms = tuple(position[P[ranks]] for P in maps.index_permutations(n))
-    if any((P < 0).any() for P in perms):
-        raise ValueError("element list is not closed under conjugation by S_n")
-    return tuple(P.astype(TABLE_DTYPE) for P in perms)
-
-
-def orbit_representatives(perms, m) -> np.ndarray:
-    """The least index in each orbit of 0..m-1, ascending."""
-    return np.flatnonzero(maps.least_labels(perms, m) == np.arange(m))
+    return _ranked_rows(np.arange(len(maps.canonical_tables(n))), n)
 
 
 def labelling(orbits, m) -> Tuple[np.ndarray, np.ndarray]:
@@ -193,20 +163,16 @@ def _spread(t, perms, reps):
             reached[P[sources]] = True
 
 
-def orbit_tables(elems, n):
-    """Both Cayley tables, the same as `fill_tables`, for a list closed
-    under conjugation by S_n (a ValueError otherwise).  The orbit
+def orbit_tables(n):
+    """Both Cayley tables, the same as `fill_tables`.  The orbit
     representatives' rows are ranked directly, raising as `fill_tables`
-    does on a product off the list; `_spread` fills every other row."""
-    index = _list_index(elems, n)
-    perms = _permutations(index, n)
-    m = len(elems)
-    reps = orbit_representatives(perms, m)
-    add_table = np.empty((m, m), dtype=TABLE_DTYPE)
-    mul_table = np.empty((m, m), dtype=TABLE_DTYPE)
-    add_table[reps], mul_table[reps] = _ranked_rows(index, reps, n)
+    does on a product outside the shapes; `_spread` fills every other row."""
+    m = len(maps.canonical_tables(n))
+    _, reps = labelling(maps.orbit_labels(n), m)
+    add_table, mul_table = (np.empty((m, m), dtype=TABLE_DTYPE) for _ in range(2))
+    add_table[reps], mul_table[reps] = _ranked_rows(reps, n)
     for t in (add_table, mul_table):
-        for _, rows, spread in _spread(t, perms, reps):
+        for _, rows, spread in _spread(t, maps.index_permutations(n), reps):
             t[rows] = spread
     return add_table, mul_table
 
@@ -219,15 +185,15 @@ def _draw(rng: random.Random, count: int, m: int) -> np.ndarray:
     return (words * m >> 32).astype(np.intp)
 
 
-def _proof_breach(ns: NearSemiring, index, perms, orbits) -> str:
+def _proof_breach(ns: NearSemiring, orbits) -> str:
     """Which part of the symmetric proof of the tables fails, or "" if none.
 
-    Three parts, `orbits` labelling the orbits of `perms`: the
-    representatives' rows, ranked directly; every
-    other row equal to its `_spread` from a row already proved, which
-    proves every cell by induction; and a seeded sample of direct cells (a
-    grid, plus whole rows of a few non-representatives), a check that does
-    not lean on the symmetry argument.
+    Three parts, `orbits` labelling the orbits of `maps.index_permutations`:
+    the representatives' rows, ranked directly; every other row equal to
+    its `_spread` from a row already proved, which proves every cell by
+    induction; and a seeded sample of direct cells (a grid, plus whole rows
+    of a few non-representatives), a check that does not lean on the
+    symmetry argument.
     """
     n, m = ns.n, len(ns)
     tables = {"add": ns.add_table, "mul": ns.mul_table}
@@ -239,46 +205,34 @@ def _proof_breach(ns: NearSemiring, index, perms, orbits) -> str:
     grid = np.sort(_draw(rng, 2 * _SAMPLE_GRID, m).reshape(2, -1), axis=1)
     for where, rows, cols in (((sample, slice(None)), sample, np.arange(m)),
                               (np.ix_(*grid), *grid)):
-        blocks = list(_ranked_blocks(index, rows, cols, n))
-        for k, (label, t) in enumerate(tables.items(), 1):
-            if not np.array_equal(t[where], np.concatenate([b[k] for b in blocks])):
+        blocks = list(_ranked_blocks(rows, cols, n))
+        for k, (label, t) in enumerate(tables.items()):
+            if not np.array_equal(t[where], np.concatenate([b[k][1] for b in blocks])):
                 return f"{label}_table differs from a directly ranked cell"
     for label, t in tables.items():
-        for g, rows, spread in _spread(t, perms, reps):
+        for g, rows, spread in _spread(t, maps.index_permutations(n), reps):
             if not np.array_equal(t[rows], spread):
                 return f"{label}_table is not invariant under index permutation {g}"
     return ""
 
 
 def tables_witness(ns: NearSemiring) -> Tuple[str, Optional[np.ndarray]]:
-    """("", orbits) when both Cayley tables are proved right for the element
-    list, else (a witness, None).  `orbits` gives each element its least
+    """("", orbits) when both Cayley tables are proved right, else (a
+    witness, None).  `orbits` is `maps.orbit_labels`: each element's least
     orbit-mate under conjugation by S_n, an automorphism of proved tables,
     so a scan given it may read its verdicts off the representatives.
 
     On any breach of the symmetric proof (`_proof_breach`), every cell is
     ranked as in `fill_tables`, and the witness is the first cell
-    (row-major) that differs, or the breach when no cell does.  An element
-    list that cannot be ranked (an element outside the four shapes, or too
-    many elements) is refused with `_list_index`'s message as the witness.
+    (row-major) that differs, or the breach when no cell does.
     """
-    try:
-        index = _list_index(ns.elements, ns.n)
-    except ValueError as e:
-        return str(e), None
-    try:
-        perms = _permutations(index, ns.n)
-    except ValueError as e:
-        breach = str(e)
-    else:
-        orbits = maps.least_labels(perms, len(ns))
-        breach = _proof_breach(ns, index, perms, orbits)
-        if not breach:
-            return "", orbits
-    m = len(ns)
-    direct = fill_tables(ns.elements, ns.n)
+    orbits = maps.orbit_labels(ns.n)
+    breach = _proof_breach(ns, orbits)
+    if not breach:
+        return "", orbits
+    direct = fill_tables(ns.n)
     for label, got, want in zip(("add", "mul"), (ns.add_table, ns.mul_table), direct):
-        for f in maps.row_blocks(np.arange(m), m):
+        for f in maps.row_blocks(np.arange(len(ns)), len(ns)):
             bad = np.argwhere(got[f] != want[f])
             if bad.size:
                 i, j = int(f[bad[0][0]]), int(bad[0][1])
@@ -298,6 +252,8 @@ def additive_closure(gens) -> NearSemiring:
 
     The generator set must be closed under conjugation by S_n, as every
     generator kind is; the fixpoint extends one representative per orbit.
+    The tables are indexed by canonical rank, so a fixpoint that does not
+    reach the whole canonical family raises, naming the least element missed.
     """
     if not len(gens):
         raise ValueError("generator set is empty")
@@ -305,7 +261,7 @@ def additive_closure(gens) -> NearSemiring:
     check_n_cap(n)
     G = np.array(list(gens.members))
     E = maps.canonical_tables(n)
-    label = maps.least_labels(maps.index_permutations(n), len(E))
+    label = maps.orbit_labels(n)
     is_rep = label == np.arange(len(E))  # the least rank in its orbit
 
     def saturate(mask):  # the union of the orbits that meet the mask
@@ -331,10 +287,9 @@ def additive_closure(gens) -> NearSemiring:
         frontier = np.flatnonzero(found & ~seen & is_rep)
         seen |= found
 
-    # the rendered rows equal the discovered ones, since rank checks membership
-    elems = tuple(map(tuple, E[np.flatnonzero(seen)].tolist()))
-    add_table, mul_table = orbit_tables(elems, n)
-    return NearSemiring(n, elems, add_table, mul_table)
+    if not seen.all():  # argmin: the least rank not reached
+        raise ValueError(f"the closure misses {maps.tokens([seen.argmin()], n)[0]}")
+    return NearSemiring(n, *orbit_tables(n))
 
 
 # --- axiom checking -----------------------------------------------------------
@@ -426,7 +381,7 @@ def verify_near_semiring(ns: NearSemiring, orbits=None) -> ValidationReport:
 
 def support_histogram(ns: NearSemiring) -> dict:
     """Element count per support size."""
-    sizes, counts = np.unique(maps.support_sizes(ns.elements), return_counts=True)
+    sizes, counts = np.unique(maps.support_sizes(maps.canonical_tables(ns.n)), return_counts=True)
     return dict(zip(sizes.tolist(), counts.tolist()))
 
 
@@ -438,14 +393,15 @@ def to_dict(ns: NearSemiring) -> dict:
         "format_version": FORMAT_VERSION,
         "n": ns.n,
         "count": len(ns),
-        "elements": maps.tokens(ns.elements, ns.n),
+        "elements": maps.tokens(range(len(ns)), ns.n),
         "add_table": ns.add_table,
         "mul_table": ns.mul_table,
     }
 
 
 def from_dict(d: dict) -> NearSemiring:
-    """Validate a `to_dict` payload; the tables may be nested lists or arrays."""
+    """Validate a `to_dict` payload; the tables may be nested lists or arrays.
+    The element list must be the whole canonical family, in order."""
     if d.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {d.get('format_version')!r}")
     n = d["n"]
@@ -455,10 +411,15 @@ def from_dict(d: dict) -> NearSemiring:
         raise ValueError("declared count does not match the element list")
     if not np.all(np.diff(ranks) > 0):
         raise ValueError("element list is not in canonical order or repeats an element")
-    elems = tuple(map(tuple, maps.canonical_tables(n)[ranks].tolist()))
+    m = len(maps.canonical_tables(n))
+    if len(ranks) < m:  # ascending and distinct, so all m are there iff there are m
+        first = np.setdiff1d(range(m), ranks)[0]
+        raise ValueError(f"element list misses {maps.tokens([first], n)[0]}")
     tables = [np.asarray(d["add_table"]), np.asarray(d["mul_table"])]
     for label, t in zip(("additive", "multiplicative"), tables):
         if t.dtype.kind not in "iu":
             raise ValueError(f"{label} Cayley table is not an integer array")
-        FiniteSemigroup(n, label, elems, t)  # shape and range before the cast wraps 70000 to 4464
-    return NearSemiring(n, elems, *(t.astype(TABLE_DTYPE, copy=False) for t in tables))
+        if t.shape != (m, m):
+            raise ValueError(f"{label} Cayley table shape {t.shape} does not match {m} elements")
+        FiniteSemigroup(n, label, t)  # the range before the cast wraps 70000 to 4464
+    return NearSemiring(n, *(t.astype(TABLE_DTYPE, copy=False) for t in tables))

@@ -60,6 +60,7 @@ def _j_order_covers(two_sided: np.ndarray, reps: List[int]) -> Tuple[Tuple[int, 
 
 def build_eggbox(ns: NearSemiring, label: str) -> EggBox:
     sg = ns.reduct(label)
+    del ns  # frees the other reduct's table, if the caller keeps no reference (cmd_eggbox)
     ideal_rows = ideals(sg.op)
     gs = green_brute(sg, ideal_rows)
     r_of, l_of = gs.class_of["R"], gs.class_of["L"]
@@ -80,9 +81,9 @@ def build_eggbox(ns: NearSemiring, label: str) -> EggBox:
         ))
     covers = _j_order_covers(ideal_rows[2], [b.members[0] for b in boxes])
     return EggBox(
-        n=ns.n,
+        n=sg.n,
         label=label,
-        tokens=tuple(maps.tokens(ns.elements, ns.n)),
+        tokens=tuple(maps.tokens(range(len(sg)), sg.n)),
         idempotent=gs.idempotent,
         boxes=tuple(boxes),
         covers=covers,

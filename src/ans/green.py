@@ -8,8 +8,9 @@ relatedness from the canonical form alone: `additive_keys` and
 `multiplicative_keys` state the support and projection rules once, as
 per-element R/L/D keys, and `_KEYS_OF_RELATION` says which keys each of
 the five relations compares (J as D, H as R and L together);
-`analytic_structure` groups a whole reduct by them.  Agreement of the two
-routes is checked in tests, not assumed here.
+`analytic_structure` groups the canonical family by them, as a reduct's
+index i is `maps.all_canonical(n)[i]`.  Agreement of the two routes is
+checked in tests, not assumed here.
 
 Every partition is one labelling: each element's least class-mate.
 `_labels` makes it from per-element keys (ideal rows for R, L and J, the
@@ -246,7 +247,7 @@ def analytic_structure(sg: FiniteSemigroup) -> Dict[str, Tuple[Tuple[int, ...], 
                "multiplicative": multiplicative_keys}.get(sg.label)
     if keys_of is None:
         raise ValueError(f"unknown reduct label {sg.label!r}")
-    keys = [keys_of(c) for c in maps.forms(sg.elements, sg.n)]
+    keys = [keys_of(c) for c in maps.all_canonical(sg.n)]
     return {rel: _classes(_labels((tuple(k[r] for r in _KEYS_OF_RELATION[rel]) for k in keys),
                               len(keys)))
             for rel in RELATIONS}
@@ -282,7 +283,7 @@ def subset_indices(sg: FiniteSemigroup, name: str) -> Tuple[int, ...]:
         if sg.label != "additive":
             raise ValueError("subset K is defined on the additive reduct")
         return tuple(np.flatnonzero(regular_elements(sg.op)).tolist())
-    sizes = maps.support_sizes(sg.elements)
+    sizes = maps.support_sizes(maps.canonical_tables(n))
     if name == "N":
         if sg.label != "multiplicative":
             raise ValueError("subset N is defined on the multiplicative reduct")
@@ -325,12 +326,13 @@ def check_iso(table_a: np.ndarray, table_b: np.ndarray, bij) -> bool:
 def _iso_certificate(sg: FiniteSemigroup, name, idx):
     """Explicit bijection onto the claimed target, verified cell by cell.
 
-    The bijections are rank arithmetic.  A constant xi_alpha ranks as the
-    code of alpha, the zero map as 0.  A singleton src -> dst (at n=1, the
-    1-support column map) ranks as n^2 + 1 + (src-1)n^2 + (dst-1), with src
-    and dst as pair codes, so its rank minus n^2 is its index in the
-    0-direct union and its pair code in B_{n^2}.  Only these subsets get a
-    table of their own, in local indices: 37 and 1,297 elements at n = 6.
+    The subset indices are canonical ranks, and the bijections are rank
+    arithmetic on them.  A constant xi_alpha ranks as the code of alpha,
+    the zero map as 0.  A singleton src -> dst (at n=1, the 1-support
+    column map) ranks as n^2 + 1 + (src-1)n^2 + (dst-1), with src and dst
+    as pair codes, so its rank minus n^2 is its index in the 0-direct union
+    and its pair code in B_{n^2}.  Only these subsets get a table of their
+    own, in local indices: 37 and 1,297 elements at n = 6.
     """
     n = sg.n
     if name == "constants" and sg.label == "additive":
@@ -342,9 +344,8 @@ def _iso_certificate(sg: FiniteSemigroup, name, idx):
         target, table, shift = f"B_{n * n}", brandt.add_table(n * n), n * n
     else:
         return None, None
-    ranks = maps.member_ranks([sg.elements[i] for i in idx], n)
     local = np.searchsorted(idx, sg.op[np.ix_(idx, idx)])  # idx is ascending
-    return target, check_iso(local, table, np.where(ranks == 0, 0, ranks - shift))
+    return target, check_iso(local, table, np.where(idx == 0, 0, idx - shift))
 
 
 def structural_checks(sg: FiniteSemigroup, subset: str, orbits=None) -> SubsetReport:

@@ -20,12 +20,14 @@ tokens in it.
 At n=1 the unique 1-support closure element fits both the Singleton and the
 NSupport shape; it is NSupport(1, 1, id), so Singleton never occurs at n=1.
 
-Every shape question goes through one element index: `rank` (and its
-checked form `member_ranks`) gives a table's position in canonical order
-by arithmetic, `forms` reads canonical forms off those positions, and
-`products` ranks every pointwise sum or composite of two row sets.
-`index_permutations` gives conjugation by S_n on those positions.  The
-tests check `rank` against a case-by-case classifier of their own.
+Every shape question goes through one element index, the position in
+canonical order, which also indexes every Cayley table.  `rank` (and its
+checked form `member_ranks`, the one step from table rows to positions)
+computes it by arithmetic, `forms` and `tokens` read canonical forms and
+tokens off positions, and `products` ranks every pointwise sum or
+composite of two row sets.  `index_permutations` gives conjugation by S_n
+on positions, and `orbit_labels` its orbits.  The tests check `rank`
+against a case-by-case classifier of their own.
 """
 
 import math
@@ -274,10 +276,19 @@ def index_permutations(n) -> tuple:
     return tuple(out)
 
 
-def forms(rows, n) -> list:
-    """Canonical form of each closure-member table row, read off its rank."""
+@lru_cache(maxsize=None)
+def orbit_labels(n) -> np.ndarray:
+    """Each canonical index's least orbit-mate under conjugation by S_n
+    (`index_permutations`), as a read-only array."""
+    label = least_labels(index_permutations(n), len(canonical_tables(n)))
+    label.setflags(write=False)
+    return label
+
+
+def forms(ranks, n) -> list:
+    """Canonical form of each canonical index."""
     family = all_canonical(n)
-    return [family[r] for r in member_ranks(rows, n).tolist()]
+    return [family[r] for r in ranks]
 
 
 def products(F, G, op, n):
@@ -328,10 +339,10 @@ def _token_index(n) -> dict:
     return {t: r for r, t in enumerate(_token_table(n))}
 
 
-def tokens(rows, n) -> list:
-    """Canonical token of each closure-member table row."""
+def tokens(ranks, n) -> list:
+    """Canonical token of each canonical index."""
     table = _token_table(n)
-    return [table[r] for r in member_ranks(rows, n).tolist()]
+    return [table[r] for r in ranks]
 
 
 def token_ranks(words, n) -> np.ndarray:
@@ -350,4 +361,4 @@ def token_ranks(words, n) -> np.ndarray:
 
 def map_str(f) -> str:
     """Canonical token of a closure-member table."""
-    return tokens([f], map_n(f))[0]
+    return tokens(member_ranks([f], map_n(f)), map_n(f))[0]

@@ -45,8 +45,8 @@ def _diff(measured, expected) -> str:
 
 def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
     """All checks at one n on the closure `ns`.  It may come from a cache;
-    its tables are checked against the element list, so tampered files
-    fail with a witness."""
+    its tables are checked against the canonical family, so tampered
+    files fail with a witness."""
     results: List[CheckResult] = []
     ct = formulas.counts(n)
 
@@ -120,7 +120,7 @@ def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
            bool(np.array_equal(two_f, three_f)))
     ev = add_gs.eventual_index
     ev_ok = max(ev) <= formulas.eventual_regularity_max(n)
-    on_n_support = maps.support_sizes(ns.elements) == n
+    on_n_support = maps.support_sizes(maps.canonical_tables(n)) == n
     if n >= 2:
         ev_ok = ev_ok and np.array_equal(np.equal(ev, 2), on_n_support)
         name = "eventual regularity: index <= 2, index 2 exactly on n-support"

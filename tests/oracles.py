@@ -5,7 +5,8 @@ the definitions, and no code in `ans` calls it: `classify` is the
 reference for `maps.rank` and `maps.forms`, `brute_force_endomorphisms`
 for `generators.enumerate_end`, `add` for `brandt.add_table`,
 `related` for the relation-to-key map inside `green.analytic_structure`,
-and `union_find_labels` for `maps.least_labels`.
+and `union_find_labels` for `maps.least_labels`.  `elements` renders the
+element tables that a closure's or reduct's indices stand for.
 """
 
 from itertools import product
@@ -44,6 +45,12 @@ def perm_inverse(p):
 def support(f):
     """Arguments with nonzero image."""
     return frozenset(x for x, v in enumerate(f) if v != THETA)
+
+
+def elements(s):
+    """Element tables of a closure or reduct `s`: index i stands for the
+    i-th canonical form, `maps.all_canonical(s.n)[i]`, rendered."""
+    return tuple(maps.render(c, s.n) for c in maps.all_canonical(s.n)[:len(s)])
 
 
 def proj2(code, n):

@@ -23,32 +23,28 @@ def test_support_histogram(closure_of, n):
     assert set(closure.support_histogram(ns)) <= {0, 1, n, n * n + 1}
 
 
-def test_support_breakup_check_fails_on_an_intermediate_size(closure_of):
+def test_support_breakup_check_fails_on_an_intermediate_size(closure_of, monkeypatch):
     ns = closure_of(2)
-    i = next(i for i, f in enumerate(ns.elements) if len(oracles.support(f)) == 2)
-    f = list(ns.elements[i])
-    f[f.index(0, 1)] = 1  # one more nonzero image: support size 3, between n and n^2+1
-    bad = closure.NearSemiring(2, ns.elements[:i] + (tuple(f),) + ns.elements[i + 1:],
-                               ns.add_table, ns.mul_table)
-    results = {r.name: r for r in verify.run_battery(2, bad)}
-    hist = closure.support_histogram(bad)
-    assert hist == {0: 1, 1: 16, 2: 7, 3: 1, 5: 4}
+    i = next(i for i, f in enumerate(oracles.elements(ns)) if len(oracles.support(f)) == 2)
+    real, calls = maps.support_sizes, []
+
+    def support_sizes(rows):  # the first call, the histogram's, sees one more
+        calls.append(rows)    # nonzero image: support size 3, between n and n^2+1
+        return real(rows) + (len(calls) == 1) * (np.arange(len(rows)) == i)
+
+    monkeypatch.setattr(maps, "support_sizes", support_sizes)
+    results = {r.name: r for r in verify.run_battery(2, ns)}
+    hist = {0: 1, 1: 16, 2: 7, 3: 1, 5: 4}
     check = results["support breakup matches closed form"]
     assert not check.passed
     assert check.details == (f"measured {hist!r}, "
                              f"expected {formulas.support_histogram_expected(2)!r}")
-    # the element is outside the four shapes, so the table proof names it and
-    # the battery stops there
-    tables = results["Cayley tables reproducible from element list"]
-    assert not tables.passed
-    assert tables.details == f"table {tuple(f)} is outside the four closure shapes"
-    assert list(results)[-1] == tables.name
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_closure_contains_generators(closure_of, n):
     ns = closure_of(n)
-    elems = set(ns.elements)
+    elems = set(oracles.elements(ns))
     for f in generators.enumerate_aff(n):
         assert f in elems
 
@@ -57,14 +53,14 @@ def test_closure_contains_generators(closure_of, n):
 def test_elements_are_exactly_the_canonical_family(closure_of, n):
     ns = closure_of(n)
     expected = tuple(maps.render(c, n) for c in maps.all_canonical(n))
-    assert ns.elements == expected
+    assert oracles.elements(ns) == expected
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_sum_shape_rules(closure_of, n):
     ns = closure_of(n)
     by_shape = {}
-    for f in ns.elements:
+    for f in oracles.elements(ns):
         by_shape.setdefault(type(oracles.classify(f)).__name__, []).append(f)
     nsupp = by_shape["NSupport"]
     consts = by_shape["Constant"]
@@ -85,8 +81,7 @@ def test_near_semiring_axioms(closure_of, n):
 
 def test_axiom_check_reports_witness(closure_of):
     ns = closure_of(2)
-    bad = closure.NearSemiring(2, ns.elements,
-                               ns.add_table.copy(), ns.mul_table.copy())
+    bad = closure.NearSemiring(2, ns.add_table.copy(), ns.mul_table.copy())
     bad.add_table[3, 4] = (bad.add_table[3, 4] + 1) % len(ns)
     report = closure.verify_near_semiring(bad)
     assert not report.passed
@@ -98,8 +93,7 @@ def test_axiom_check_reports_witness(closure_of):
 @pytest.mark.parametrize("add_cell,mul_cell", [((2, 25), (0, 15)), ((9, 4), (13, 20))])
 def test_exhaustive_scan_matches_reference_loop(closure_of, add_cell, mul_cell):
     ns = closure_of(2)
-    bad = closure.NearSemiring(2, ns.elements,
-                               ns.add_table.copy(), ns.mul_table.copy())
+    bad = closure.NearSemiring(2, ns.add_table.copy(), ns.mul_table.copy())
     bad.add_table[add_cell] = (bad.add_table[add_cell] + 1) % len(ns)
     bad.mul_table[mul_cell] = (bad.mul_table[mul_cell] + 1) % len(ns)
     report = closure.verify_near_semiring(bad)  # default bounds: exhaustive at n=2
@@ -134,8 +128,7 @@ def _reference_scan(holds, triples):
 @pytest.mark.parametrize("table", ["add_table", "mul_table"])
 def test_sampled_scan_matches_reference_loop(closure_of, monkeypatch, table):
     ns = closure_of(2)
-    bad = closure.NearSemiring(2, ns.elements,
-                               ns.add_table.copy(), ns.mul_table.copy())
+    bad = closure.NearSemiring(2, ns.add_table.copy(), ns.mul_table.copy())
     getattr(bad, table)[7, 11] = (getattr(bad, table)[7, 11] + 1) % len(ns)
     samples, m = 5_000, len(ns)
     _sample_every_law(monkeypatch, samples)
@@ -166,7 +159,7 @@ def test_sampler_streams_the_same_draws_in_slices(closure_of, monkeypatch):
     # a law that fails before its last slice still draws the rest of its sample,
     # so the later laws scan the same triples whatever the slice size
     ns = closure_of(2)
-    bad = closure.NearSemiring(2, ns.elements, ns.add_table.copy(), ns.mul_table.copy())
+    bad = closure.NearSemiring(2, ns.add_table.copy(), ns.mul_table.copy())
     bad.add_table[7, 11] = (bad.add_table[7, 11] + 1) % len(ns)
 
     def run():
@@ -211,37 +204,52 @@ def test_closure_names_a_sum_outside_the_shapes(monkeypatch):
     assert str(witness) in str(err.value)
 
 
-@pytest.mark.parametrize("n,removed", [(2, 9), (3, 100)])
-def test_fill_tables_names_first_cell_outside_the_list(closure_of, n, removed):
-    ns = closure_of(n)
-    elems = ns.elements[:removed] + ns.elements[removed + 1:]
-    members = set(elems)
-    first = next((i, j, "additively" if maps.pointwise_add(f, g) not in members
-                  else "multiplicatively")
-                 for i, f in enumerate(elems) for j, g in enumerate(elems)
-                 if maps.pointwise_add(f, g) not in members
-                 or maps.compose(f, g) not in members)
-    with pytest.raises(AssertionError,
-                       match=re.escape(f"closure not {first[2]} closed at ({first[0]},{first[1]})")):
-        closure.fill_tables(elems, n)
+@pytest.mark.parametrize("n", [2, 3])
+def test_fill_and_orbit_tables_name_the_first_product_outside_the_shapes(monkeypatch, n):
+    # sums of canonical tables keep a shape, so mark some as outside: on
+    # orbit representatives' rows, which `orbit_tables` ranks directly
+    _, reps = closure.labelling(maps.orbit_labels(n), len(maps.all_canonical(n)))
+    r1, r2 = int(reps[1]), int(reps[-1])
+    # (r1, 11) has both products outside: a sum outside is named first
+    marked = {("+", r2, 3), ("+", r1, 11), ("o", r1, 11), ("o", r1, 7), ("+", r1, 20)}
+    real = maps.products
 
+    def products(F, G, op, n):
+        rows, cols = maps.rank(F, n).tolist(), maps.rank(G, n).tolist()
+        for lo, ranks in real(F, G, op, n):
+            ranks = ranks.copy()
+            for i in range(len(ranks)):
+                for j, g in enumerate(cols):
+                    if (op, rows[lo + i], g) in marked:
+                        ranks[i, j] = -1
+            yield lo, ranks
 
-def test_fill_tables_accepts_a_closed_list_in_any_order(closure_of):
-    ns = closure_of(2)
-    order = np.random.default_rng(0).permutation(len(ns))
-    add_t, mul_t = closure.fill_tables([ns.elements[i] for i in order], 2)
-    assert np.array_equal(add_t, np.argsort(order)[ns.add_table[np.ix_(order, order)]])
-    assert np.array_equal(mul_t, np.argsort(order)[ns.mul_table[np.ix_(order, order)]])
-    assert add_t.dtype == mul_t.dtype == np.uint16
+    monkeypatch.setattr(maps, "products", products)
+    for fill in (closure.fill_tables, closure.orbit_tables):
+        with pytest.raises(AssertionError, match=re.escape(
+                f"closure not multiplicatively closed at ({r1},7)")):
+            fill(n)
+    marked.discard(("o", r1, 7))
+    for fill in (closure.fill_tables, closure.orbit_tables):
+        with pytest.raises(AssertionError, match=re.escape(
+                f"closure not additively closed at ({r1},11)")):
+            fill(n)
 
 
 def test_tables_match_pointwise_definitions(closure_of):
     ns = closure_of(2)
-    idx = {f: i for i, f in enumerate(ns.elements)}
-    for i, f in enumerate(ns.elements):
-        for j, g in enumerate(ns.elements):
+    elems = oracles.elements(ns)
+    idx = {f: i for i, f in enumerate(elems)}
+    for i, f in enumerate(elems):
+        for j, g in enumerate(elems):
             assert ns.add_table[i, j] == idx[maps.pointwise_add(f, g)]
             assert ns.mul_table[i, j] == idx[maps.compose(f, g)]
+
+
+def test_closure_names_the_least_element_it_misses():
+    # constants sum to constants: the fixpoint reaches 5 of the 29 elements
+    with pytest.raises(ValueError, match=re.escape("the closure misses <(1,1)->(1,1)>")):
+        closure.additive_closure(generators.enumerate_constants(2))
 
 
 def test_n_cap_enforced():
@@ -262,7 +270,7 @@ def test_json_round_trip(closure_of):
     d = closure.to_dict(ns)
     text = json.dumps(d, default=np.ndarray.tolist)
     back = closure.from_dict(json.loads(text))
-    assert back.elements == ns.elements
+    assert closure.to_dict(back)["elements"] == d["elements"]
     assert np.array_equal(back.add_table, ns.add_table)
     assert np.array_equal(back.mul_table, ns.mul_table)
 
@@ -317,10 +325,9 @@ def test_from_dict_refuses_int64_table_that_would_wrap(closure_of, value):
 def test_finite_semigroup_validation(closure_of):
     ns = closure_of(1)
     with pytest.raises(ValueError):
-        closure.FiniteSemigroup(1, "additive", ns.elements, np.zeros((2, 5), np.int32))
+        closure.FiniteSemigroup(1, "additive", np.zeros((2, 5), np.int32))
     with pytest.raises(ValueError):
-        closure.FiniteSemigroup(1, "additive", ns.elements,
-                                np.full((3, 3), 9, np.int32))
+        closure.FiniteSemigroup(1, "additive", np.full((3, 3), 9, np.int32))
     with pytest.raises(ValueError):
         ns.reduct("bogus")
 

@@ -367,10 +367,12 @@ def test_cli_enumerate_json_deterministic(tmp_path, capsys):
 
 @pytest.mark.parametrize("cache", ["cold", "warm"])
 def test_cli_reports_match_goldens(tmp_path, capsys, cache):
-    # the verify report and enumerate JSON, byte for byte, from a fresh
-    # build and from the cache that an earlier run wrote
+    # the verify report, enumerate JSON and Green JSON, byte for byte, from
+    # a fresh build and from the cache that an earlier run wrote
     commands = {"verify_n1-3.json": ["verify", "--n", "1..3"],
-                "enumerate_n3.json": ["enumerate", "--n", "3", "--format", "json"]}
+                "enumerate_n3.json": ["enumerate", "--n", "3", "--format", "json"],
+                **{f"green_n3_{r}.json": ["green", "--n", "3", "--reduct", r, "--format", "json"]
+                   for r in ("additive", "multiplicative")}}
     for golden, argv in commands.items():
         cache_dir = ["--cache-dir", str(tmp_path / golden)]
         if cache == "warm":
@@ -467,6 +469,52 @@ def test_cli_verify_reports_bad_cache_as_failure(tmp_path, capsys):
         "verify", "--n", "2", "--cache-dir", str(tmp_path)])
     assert code == 1
     assert "cached closure loads and validates: FAIL" in out
+
+
+def _drop_from_cache(path, token):
+    """Rewrite the cache without one element: count, element list and both
+    tables re-indexed to the 28 left, a product on the dropped element
+    taking the next index (the last, past the end)."""
+    d = _load_npz(path)
+    keep = np.flatnonzero(d["elements"] != token)
+    d["count"], d["elements"] = len(keep), d["elements"][keep]
+    for name in ("add_table", "mul_table"):
+        d[name] = np.minimum(np.searchsorted(keep, d[name][np.ix_(keep, keep)]), len(keep) - 1)
+    _save_npz(path, d)
+
+
+def test_cli_refuses_a_cache_that_misses_an_element(tmp_path, capsys):
+    run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
+    path = cli.cache_path(tmp_path, 2)
+    _drop_from_cache(path, "xi_theta")
+    code, out, err = run_cli(capsys, ["green", "--n", "2", "--cache-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err == f"error: malformed cache {path}: ValueError: element list misses xi_theta\n"
+    report = tmp_path / "r.json"
+    code, out, _ = run_cli(capsys, ["verify", "--n", "2", "--cache-dir", str(tmp_path),
+                                    "--out", str(report)])
+    assert code == 1
+    assert out.splitlines()[1] == "  cached closure loads and validates: FAIL  [" + (
+        f"malformed cache {path}: ValueError: element list misses xi_theta]")
+    assert out.splitlines()[2:] == ["0/1 checks passed"]
+    assert not json.loads(report.read_text())["all_passed"]
+
+
+def test_cli_verify_reports_a_closure_short_of_the_family(tmp_path, capsys, monkeypatch):
+    # constants sum to constants, so the fixpoint stops at 5 of the 29 elements
+    monkeypatch.setattr(generators, "enumerate_aff", generators.enumerate_constants)
+    report = tmp_path / "r.json"
+    code, out, _ = run_cli(capsys, ["verify", "--n", "2", "--out", str(report)])
+    assert code == 1
+    assert out.splitlines() == [
+        "verifying n=2",
+        "  closure builds from the affine generators: FAIL  "
+        "[the closure misses <(1,1)->(1,1)>]",
+        "0/1 checks passed"]
+    assert json.loads(report.read_text()) == {
+        "format_version": closure.FORMAT_VERSION, "all_passed": False,
+        "results": [{"name": "closure builds from the affine generators", "n": 2,
+                     "passed": False, "details": "the closure misses <(1,1)->(1,1)>"}]}
 
 
 def test_cli_green_refuses_a_token_the_writer_never_writes(tmp_path, capsys):

@@ -96,7 +96,7 @@ def test_triple_round_trip(n):
             for sigma in brandt.enumerate_sn(n):
                 f = oracles.triple_to_map(k, q, sigma, n)
                 assert oracles.classify(f) == maps.NSupport(k, q, sigma)
-                assert maps.forms([f], n) == [maps.NSupport(k, q, sigma)]
+                assert maps.forms(maps.member_ranks([f], n), n) == [maps.NSupport(k, q, sigma)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
