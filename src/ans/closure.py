@@ -23,18 +23,17 @@ generator P, which `_spread` walks from the orbit representatives' rows
 to every other row.  `orbit_tables` ranks the representatives' rows
 directly, asserting pairwise closure there, and fills the rest by the
 walk; `tables_witness` proves a pair of tables, say from a cache, by the
-same walk.  `fill_tables` ranks all m^2 cells directly: the reference in
-tests, and the source of the witness when a proof fails.
+same walk, and names the first wrong cell when the proof fails.
 
-With a proof, `tables_witness` returns the orbit labelling, and
-`ans verify` passes it to the axiom scan and `green`'s per-element scans,
-which then visit one element per orbit (27 of 145 at n = 3).  `ans green`
-and `ans eggbox` keep the default identity labelling: the quotient is
-sound only on tables known to commute with S_n, and nothing proves a cache.
+Tables that commute with S_n carry the `symmetric` mark, set only here:
+by `additive_closure`, and by `tables_witness` on the tables it proves.
+`from_dict` never sets it, so a cache hit is unmarked.  On marked tables
+the axiom scan and `green`'s per-element scans visit one element per orbit
+(27 of 145 at n = 3, via `labelling`), and every element otherwise.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 from ._numpy import np
@@ -76,6 +75,7 @@ class FiniteSemigroup:
     n: int
     label: str  # "additive" | "multiplicative"
     op: np.ndarray
+    symmetric: bool = False  # its near-semiring's mark
 
     def __post_init__(self):
         m = len(self.op)
@@ -94,15 +94,16 @@ class NearSemiring:
     n: int
     add_table: np.ndarray
     mul_table: np.ndarray
+    symmetric: bool = False  # commute with `maps.index_permutations(n)`; set only here
 
     def __len__(self):
         return len(self.add_table)
 
     def reduct(self, label) -> FiniteSemigroup:
         if label == "additive":
-            return FiniteSemigroup(self.n, label, self.add_table)
+            return FiniteSemigroup(self.n, label, self.add_table, self.symmetric)
         if label == "multiplicative":
-            return FiniteSemigroup(self.n, label, self.mul_table)
+            return FiniteSemigroup(self.n, label, self.mul_table, self.symmetric)
         raise ValueError(f"unknown reduct {label!r}")
 
 
@@ -130,20 +131,13 @@ def _ranked_rows(rows, n):
     return add_rows, mul_rows
 
 
-def fill_tables(n):
-    """Both Cayley tables over the canonical family, every cell ranked.
-
-    Raises if a sum or composite falls outside the four shapes, naming the
-    first cell in row-major order, which doubles as the pairwise-closure
-    re-verification.
-    """
-    return _ranked_rows(np.arange(len(maps.canonical_tables(n))), n)
-
-
-def labelling(orbits, m) -> Tuple[np.ndarray, np.ndarray]:
-    """(labels, reps): `orbits`, or the identity labelling of range(m) when
-    it is None, and its fixed points, the representatives a scan visits."""
-    labels = np.arange(m) if orbits is None else orbits
+def labelling(s) -> Tuple[np.ndarray, np.ndarray]:
+    """(labels, reps) for a per-element scan of `s`, a near-semiring or a
+    reduct: `maps.orbit_labels(s.n)` when `s` is marked `symmetric`, else
+    the identity labelling of range(len(s)), and the labels' fixed points,
+    the representatives the scan visits."""
+    m = len(s)
+    labels = maps.orbit_labels(s.n) if s.symmetric else np.arange(m)
     return labels, np.flatnonzero(labels == np.arange(m))
 
 
@@ -164,11 +158,11 @@ def _spread(t, perms, reps):
 
 
 def orbit_tables(n):
-    """Both Cayley tables, the same as `fill_tables`.  The orbit
-    representatives' rows are ranked directly, raising as `fill_tables`
-    does on a product outside the shapes; `_spread` fills every other row."""
+    """Both Cayley tables.  The orbit representatives' rows are ranked
+    directly, raising on a product outside the shapes (the first cell,
+    row-major, named); `_spread` fills every other row."""
     m = len(maps.canonical_tables(n))
-    _, reps = labelling(maps.orbit_labels(n), m)
+    reps = np.flatnonzero(maps.orbit_labels(n) == np.arange(m))
     add_table, mul_table = (np.empty((m, m), dtype=TABLE_DTYPE) for _ in range(2))
     add_table[reps], mul_table[reps] = _ranked_rows(reps, n)
     for t in (add_table, mul_table):
@@ -185,10 +179,10 @@ def _draw(rng: random.Random, count: int, m: int) -> np.ndarray:
     return (words * m >> 32).astype(np.intp)
 
 
-def _proof_breach(ns: NearSemiring, orbits) -> str:
+def _proof_breach(ns: NearSemiring) -> str:
     """Which part of the symmetric proof of the tables fails, or "" if none.
 
-    Three parts, `orbits` labelling the orbits of `maps.index_permutations`:
+    Three parts, over the orbits `labelling` gives the marked tables `ns`:
     the representatives' rows, ranked directly; every other row equal to
     its `_spread` from a row already proved, which proves every cell by
     induction; and a seeded sample of direct cells (a grid, plus whole rows
@@ -197,8 +191,8 @@ def _proof_breach(ns: NearSemiring, orbits) -> str:
     """
     n, m = ns.n, len(ns)
     tables = {"add": ns.add_table, "mul": ns.mul_table}
-    is_rep = orbits == np.arange(m)
-    reps, others = np.flatnonzero(is_rep), np.flatnonzero(~is_rep)
+    labels, reps = labelling(ns)
+    others = np.flatnonzero(labels != np.arange(m))
     rng = random.Random(_SEED)
     picked = others[_draw(rng, min(_SAMPLE_ROWS, len(others)), len(others))]
     sample = np.concatenate([reps, np.sort(picked)])
@@ -216,28 +210,28 @@ def _proof_breach(ns: NearSemiring, orbits) -> str:
     return ""
 
 
-def tables_witness(ns: NearSemiring) -> Tuple[str, Optional[np.ndarray]]:
-    """("", orbits) when both Cayley tables are proved right, else (a
-    witness, None).  `orbits` is `maps.orbit_labels`: each element's least
-    orbit-mate under conjugation by S_n, an automorphism of proved tables,
-    so a scan given it may read its verdicts off the representatives.
+def tables_witness(ns: NearSemiring) -> Tuple[str, Optional[NearSemiring]]:
+    """("", proved) when both Cayley tables are proved right, else (a
+    witness, None).  `proved` holds the same arrays, marked `symmetric`:
+    conjugation by S_n is an automorphism of proved tables, so a scan may
+    read its verdicts off the orbit representatives (`labelling`).
 
-    On any breach of the symmetric proof (`_proof_breach`), every cell is
-    ranked as in `fill_tables`, and the witness is the first cell
-    (row-major) that differs, or the breach when no cell does.
+    On any breach of the symmetric proof (`_proof_breach`), rows are ranked
+    directly a block at a time, add table first, until one differs: the
+    witness is its first wrong cell (row-major), else the breach.
     """
-    orbits = maps.orbit_labels(ns.n)
-    breach = _proof_breach(ns, orbits)
+    proved = replace(ns, symmetric=True)
+    breach = _proof_breach(proved)
     if not breach:
-        return "", orbits
-    direct = fill_tables(ns.n)
-    for label, got, want in zip(("add", "mul"), (ns.add_table, ns.mul_table), direct):
-        for f in maps.row_blocks(np.arange(len(ns)), len(ns)):
-            bad = np.argwhere(got[f] != want[f])
+        return "", proved
+    E = maps.canonical_tables(ns.n)
+    for label, op, got in (("add", "+", ns.add_table), ("mul", "o", ns.mul_table)):
+        for lo, want in maps.products(E, E, op, ns.n):
+            bad = np.argwhere(got[lo:lo + len(want)] != want)
             if bad.size:
-                i, j = int(f[bad[0][0]]), int(bad[0][1])
+                i, j = lo + int(bad[0][0]), int(bad[0][1])
                 return (f"{label}_table[{i},{j}] is {int(got[i, j])}, "
-                        f"recomputed {int(want[i, j])}"), None
+                        f"recomputed {int(want[i - lo, j])}"), None
     return breach, None
 
 
@@ -289,7 +283,7 @@ def additive_closure(gens) -> NearSemiring:
 
     if not seen.all():  # argmin: the least rank not reached
         raise ValueError(f"the closure misses {maps.tokens([seen.argmin()], n)[0]}")
-    return NearSemiring(n, *orbit_tables(n))
+    return NearSemiring(n, *orbit_tables(n), symmetric=True)
 
 
 # --- axiom checking -----------------------------------------------------------
@@ -332,7 +326,7 @@ def _scan(name, fails, blocks, checked) -> AxiomCheck:
     return AxiomCheck(name, True, checked)
 
 
-def verify_near_semiring(ns: NearSemiring, orbits=None) -> ValidationReport:
+def verify_near_semiring(ns: NearSemiring) -> ValidationReport:
     """Check both associativities and left distributivity f(g+h) = fg + fh.
 
     Axioms are scanned exhaustively while the triple count stays under
@@ -341,15 +335,15 @@ def verify_near_semiring(ns: NearSemiring, orbits=None) -> ValidationReport:
     stream from _SEED, laws in order, each law's triples streamed a
     _SCAN_SLICE at a time.  Failures carry the first offending triple
     (row-major, or in sample order) as a witness.
-    With `orbits` (from `tables_witness`) an exhaustive scan lets x run over the
-    representatives only, yet covers and reports all m^3 triples: a failing
+    On marked tables an exhaustive scan lets x run over the representatives
+    of `labelling` only, yet covers and reports all m^3 triples: a failing
     (x, y, z) fails again at (P x, P y, P z) for every automorphism P.
     """
     m = len(ns)
     total = m ** 3
     rng = random.Random(_SEED)
     ar = np.arange(m)
-    _, reps = labelling(orbits, m)
+    _, reps = labelling(ns)
 
     def product(table):  # the Cayley table as a vectorized binary operation
         flat = table.ravel()

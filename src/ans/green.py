@@ -21,11 +21,11 @@ ordered by least member, so equal partitions have equal tuples.
 Regularity is stated once, as x y x == x (`_xyx`).  The per-element scans
 (`regular_elements`, `eventual_regularity`, and `subset_report`'s
 closedness, regularity and inverse counts) read the rows and columns of
-an orbit labelling's representatives only, a block at a time, in global
-indices, and spread each verdict over its orbit.  `ans verify` passes the
-S_n orbits of the tables it has proved; every other caller keeps the
-identity labelling and scans every element, since a cache is not proved
-(see `closure`).  Only the isomorphism certificates build a local table.
+the representatives of `closure.labelling` only, a block at a time, in
+global indices, and spread each verdict over its orbit: one element per
+S_n orbit on a reduct that `closure` marked `symmetric`, every element on
+any other, such as a cache hit.  Only the isomorphism certificates build
+a local table.
 """
 
 from dataclasses import dataclass
@@ -83,24 +83,24 @@ def _xyx(op, x, xy) -> np.ndarray:
     return op[xy, x[:, None]] == x[:, None]
 
 
-def regular_elements(op: np.ndarray, orbits=None) -> np.ndarray:
+def regular_elements(sg: FiniteSemigroup) -> np.ndarray:
     """Mask of the regular elements: x with x y x = x for some y, for x over
-    the representatives of `orbits` (see `closure.labelling`), a row block
-    at a time; every element takes its representative's verdict."""
-    m = op.shape[0]
-    labels, reps = labelling(orbits, m)
+    the representatives of `labelling(sg)`, a row block at a time; every
+    element takes its representative's verdict."""
+    op, m = sg.op, len(sg)
+    labels, reps = labelling(sg)
     out = np.zeros(m, dtype=bool)
     for x in maps.row_blocks(reps, m):
         out[x] = _xyx(op, x, op[x]).any(axis=1)
     return out[labels]
 
 
-def eventual_regularity(op: np.ndarray, regular: np.ndarray, orbits=None) -> Tuple[int, ...]:
+def eventual_regularity(sg: FiniteSemigroup, regular: np.ndarray) -> Tuple[int, ...]:
     """Least r >= 1 such that the r-th power is regular, per element, given
-    the `regular_elements` mask of `op`.  The powers of the representatives
-    of `orbits` advance at once, x^(r+1) = x^r x, while not regular."""
-    m = op.shape[0]
-    labels, reps = labelling(orbits, m)
+    the `regular_elements` mask of `sg`.  The powers of the representatives
+    of `labelling(sg)` advance at once, x^(r+1) = x^r x, while not regular."""
+    op, m = sg.op, len(sg)
+    labels, reps = labelling(sg)
     index = np.ones(m, dtype=np.int64)
     live = power = reps[~regular[reps]]  # ascending; power is x^index[live]
     while live.size:
@@ -148,10 +148,10 @@ def ideals(op: np.ndarray) -> Tuple[np.ndarray, ...]:
     return right, left, two[l_first], r_first, l_first
 
 
-def green_brute(sg: FiniteSemigroup, ideal_rows=None, orbits=None) -> GreenStructure:
+def green_brute(sg: FiniteSemigroup, ideal_rows=None) -> GreenStructure:
     """All five relations from principal ideals, with D = J asserted.
     `ideal_rows` is `ideals(sg.op)` when the caller has it already, R and L
-    labels included; `orbits` labels the regularity scans."""
+    labels included."""
     m = len(sg)
     _, _, two, r, l = ideals(sg.op) if ideal_rows is None else ideal_rows
     labels = {"R": r, "L": l, "D": maps.least_labels((r, l), m),
@@ -161,7 +161,7 @@ def green_brute(sg: FiniteSemigroup, ideal_rows=None, orbits=None) -> GreenStruc
         raise AssertionError("D and J partitions differ on a finite semigroup")
 
     ar = np.arange(m)
-    reg = regular_elements(sg.op, orbits)
+    reg = regular_elements(sg)
     return GreenStructure(
         label=sg.label,
         size=m,
@@ -171,7 +171,7 @@ def green_brute(sg: FiniteSemigroup, ideal_rows=None, orbits=None) -> GreenStruc
                   for rel, lab in labels.items()},
         idempotent=tuple((sg.op.diagonal() == ar).tolist()),  # x x == x
         regular=tuple(reg.tolist()),
-        eventual_index=eventual_regularity(sg.op, reg, orbits),
+        eventual_index=eventual_regularity(sg, reg),
     )
 
 
@@ -282,7 +282,7 @@ def subset_indices(sg: FiniteSemigroup, name: str) -> Tuple[int, ...]:
     if name == "K":
         if sg.label != "additive":
             raise ValueError("subset K is defined on the additive reduct")
-        return tuple(np.flatnonzero(regular_elements(sg.op)).tolist())
+        return tuple(np.flatnonzero(regular_elements(sg)).tolist())
     sizes = maps.support_sizes(maps.canonical_tables(n))
     if name == "N":
         if sg.label != "multiplicative":
@@ -348,21 +348,21 @@ def _iso_certificate(sg: FiniteSemigroup, name, idx):
     return target, check_iso(local, table, np.where(idx == 0, 0, idx - shift))
 
 
-def structural_checks(sg: FiniteSemigroup, subset: str, orbits=None) -> SubsetReport:
+def structural_checks(sg: FiniteSemigroup, subset: str) -> SubsetReport:
     """`subset_report` on the members `subset_indices` selects."""
-    return subset_report(sg, subset, subset_indices(sg, subset), orbits)
+    return subset_report(sg, subset, subset_indices(sg, subset))
 
 
-def subset_report(sg: FiniteSemigroup, subset: str, idx, orbits=None) -> SubsetReport:
+def subset_report(sg: FiniteSemigroup, subset: str, idx) -> SubsetReport:
     """Closure, regularity, inverse/orthodox verdicts, and the isomorphism
     certificate (when one is claimed) for the named subset of one reduct,
     whose member indices, ascending, are `idx`.  Closedness, regularity and
     "exactly one inverse" are read off the row x y and column y x, y in the
-    subset, of each representative x of `orbits`, of which the subset must
-    be a union (a ValueError otherwise)."""
+    subset, of each representative x of `labelling(sg)`, of whose orbits the
+    subset must be a union (a ValueError otherwise)."""
     op, idx = sg.op, np.asarray(idx, dtype=np.intp)
     m = len(idx)
-    labels, _ = labelling(orbits, len(sg))
+    labels, _ = labelling(sg)
     inside = np.zeros(len(sg), dtype=bool)
     inside[idx] = True
     if not np.array_equal(inside[labels], inside):

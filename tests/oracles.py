@@ -5,13 +5,14 @@ the definitions, and no code in `ans` calls it: `classify` is the
 reference for `maps.rank` and `maps.forms`, `brute_force_endomorphisms`
 for `generators.enumerate_end`, `add` for `brandt.add_table`,
 `related` for the relation-to-key map inside `green.analytic_structure`,
-and `union_find_labels` for `maps.least_labels`.  `elements` renders the
-element tables that a closure's or reduct's indices stand for.
+`union_find_labels` for `maps.least_labels`, and `fill_tables`, which
+ranks every cell directly, for `closure.orbit_tables`.  `elements`
+renders the element tables that a closure's or reduct's indices stand for.
 """
 
 from itertools import product
 
-from ans import brandt, generators, maps
+from ans import brandt, closure, generators, maps
 from ans.brandt import THETA, pair, unpair
 from ans.maps import Constant, NotAffineElement, NSupport, Singleton, Zero
 
@@ -51,6 +52,12 @@ def elements(s):
     """Element tables of a closure or reduct `s`: index i stands for the
     i-th canonical form, `maps.all_canonical(s.n)[i]`, rendered."""
     return tuple(maps.render(c, s.n) for c in maps.all_canonical(s.n)[:len(s)])
+
+
+def fill_tables(n):
+    """Both Cayley tables over the canonical family, every cell ranked, raising
+    on a product outside the four shapes, named by its first cell (row-major)."""
+    return closure._ranked_rows(range(len(maps.canonical_tables(n))), n)
 
 
 def proj2(code, n):

@@ -382,10 +382,33 @@ def test_cli_reports_match_goldens(tmp_path, capsys, cache):
         assert (tmp_path / "out").read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+@pytest.mark.parametrize("argv", [["green", "--reduct", "multiplicative"],
+                                  ["eggbox", "--reduct", "additive", "--format", "json"]])
+def test_green_and_eggbox_scan_one_element_per_orbit_on_a_build(tmp_path, capsys,
+                                                                 monkeypatch, argv):
+    # the regularity rule sees the 27 orbit representatives at n = 3 on a
+    # build, with no cache or on a miss, and all 145 elements on a hit
+    rows, outs = [], []
+    xyx = green._xyx
+
+    def counted(op, x, xy):
+        rows.append(len(x))
+        return xyx(op, x, xy)
+
+    monkeypatch.setattr(green, "_xyx", counted)
+    for cache_dir, seen in (([], 27), (["--cache-dir", str(tmp_path)], 27),
+                            (["--cache-dir", str(tmp_path)], 145)):
+        rows.clear()
+        code, out, _ = run_cli(capsys, argv + ["--n", "3"] + cache_dir)
+        assert code == 0 and sum(rows) == seen
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_cli_verify_report_matches_golden_under_python_O(tmp_path):
     # python -O strips assert statements: no invariant the report rests on,
-    # such as taking the orbit labels only once the tables are proved, may
-    # hang on one
+    # such as scanning one element per orbit only once the tables are
+    # proved, may hang on one
     env = dict(os.environ)
     src = str(Path(__file__).parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -1,10 +1,14 @@
 """Conjugation by Aut(B_n) ≅ S_n: index permutations, orbit-built tables,
-and the battery's symmetric table check against the direct path."""
+the battery's symmetric table check against the direct path, and the
+`symmetric` mark that lets a scan visit one element per orbit."""
+
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ans import brandt, closure, generators, green, maps, verify
+from ans import brandt, cli, closure, generators, green, maps, verify
 import oracles
 
 TABLES_CHECK = "Cayley tables reproducible from element list"
@@ -35,7 +39,7 @@ def test_index_permutations_at_n4_are_bijections():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orbit_tables_equal_fill_tables(closure_of, n):
     ns = closure_of(n)
-    add_t, mul_t = closure.fill_tables(n)
+    add_t, mul_t = oracles.fill_tables(n)
     for got in (closure.orbit_tables(n), (ns.add_table, ns.mul_table)):
         assert np.array_equal(got[0], add_t) and np.array_equal(got[1], mul_t)
         assert got[0].dtype == got[1].dtype == closure.TABLE_DTYPE
@@ -56,7 +60,7 @@ def test_orbit_representatives_are_the_least_of_each_orbit(closure_of, n, orbits
                 if int(P[f]) not in least:
                     least[int(P[f])] = start
                     frontier.append(int(P[f]))
-    _, reps = closure.labelling(maps.orbit_labels(n), len(ns))
+    _, reps = closure.labelling(ns)  # a build is marked
     assert len(reps) == orbits
     assert reps.tolist() == sorted(set(least.values()))
 
@@ -76,7 +80,7 @@ def test_closure_refuses_generators_not_closed_under_conjugation():
 def _direct_witness(ns):
     """The check's witness as the direct path gives it: the first cell,
     row-major, where a table differs from `fill_tables`."""
-    add_t, mul_t = closure.fill_tables(ns.n)
+    add_t, mul_t = oracles.fill_tables(ns.n)
     for label, got, want in (("add", ns.add_table, add_t), ("mul", ns.mul_table, mul_t)):
         bad = np.argwhere(got != want)
         if bad.size:
@@ -95,7 +99,7 @@ def _copy(ns):
 
 
 def _reps(ns):
-    return closure.labelling(maps.orbit_labels(ns.n), len(ns))[1]
+    return np.flatnonzero(maps.orbit_labels(ns.n) == np.arange(len(ns)))
 
 
 @pytest.mark.parametrize("table", ["add_table", "mul_table"])
@@ -111,6 +115,25 @@ def test_tampered_cell_fails_with_direct_witness(closure_of, table, row_kind):
     assert not check.passed
     assert "recomputed" in check.details
     assert check.details == _direct_witness(bad)
+
+
+@pytest.mark.parametrize("tables", [["add_table"], ["mul_table"], ["add_table", "mul_table"]])
+def test_failed_proof_ranks_the_direct_rows_a_block_at_a_time(closure_of, tables):
+    # the witness needs no second pair of tables: the peak stays below the
+    # bytes of the two under test (1.73 MB at n = 4); with both tampered,
+    # the add table is named though the mul cell comes first row-major
+    bad = _copy(closure_of(4))
+    for row, table in zip((600, 100), tables):
+        t = getattr(bad, table)
+        t[row, 5] = (int(t[row, 5]) + 1) % len(bad)
+    tracemalloc.start()
+    try:
+        witness, proved = closure.tables_witness(bad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert proved is None and witness == _direct_witness(bad)
+    assert peak < bad.add_table.nbytes + bad.mul_table.nbytes
 
 
 def _cell_orbit(perms, f, g):
@@ -157,12 +180,16 @@ def test_wrong_index_permutation_fails_the_check(closure_of, monkeypatch, n):
     assert check.details == "add_table is not invariant under index permutation 0"
 
 
-# --- the orbit quotient against the identity-labelling scans -------------------
+# --- the orbit quotient on marked tables against the full scans on unmarked ---
 
-def _orbits(ns):
-    witness, orbits = closure.tables_witness(ns)
-    assert witness == ""
-    return orbits
+def _marked_and_unmarked(ns):
+    """Two views of the tables of `ns`, arrays shared: marked by the proof
+    of `tables_witness`, and unmarked."""
+    plain = dataclasses.replace(ns, symmetric=False)
+    witness, proved = closure.tables_witness(plain)
+    assert witness == "" and proved.symmetric
+    assert proved.add_table is ns.add_table and proved.mul_table is ns.mul_table
+    return proved, plain
 
 
 def _subset_names(label):
@@ -173,32 +200,33 @@ def _subset_names(label):
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quotient_scans_match_the_full_scans(closure_of, n, label):
-    ns = closure_of(n)
-    orbits = _orbits(ns)
-    assert len(set(orbits.tolist())) == {1: 3, 2: 15, 3: 27, 4: 39}[n]
-    sg = ns.reduct(label)
-    full = green.regular_elements(sg.op)
-    assert np.array_equal(green.regular_elements(sg.op, orbits), full)
-    assert (green.eventual_regularity(sg.op, full, orbits)
-            == green.eventual_regularity(sg.op, full))
-    assert green.green_brute(sg, orbits=orbits) == green.green_brute(sg)
+    marked, plain = _marked_and_unmarked(closure_of(n))
+    labels, _ = closure.labelling(marked)
+    assert len(set(labels.tolist())) == {1: 3, 2: 15, 3: 27, 4: 39}[n]
+    assert np.array_equal(closure.labelling(plain)[1], np.arange(len(plain)))
+    sg, full_sg = marked.reduct(label), plain.reduct(label)
+    assert sg.symmetric and not full_sg.symmetric
+    full = green.regular_elements(full_sg)
+    assert np.array_equal(green.regular_elements(sg), full)
+    assert green.eventual_regularity(sg, full) == green.eventual_regularity(full_sg, full)
+    assert green.green_brute(sg) == green.green_brute(full_sg)
     for name in _subset_names(label):
-        assert (repr(green.structural_checks(sg, name, orbits))
-                == repr(green.structural_checks(sg, name)))
+        assert (repr(green.structural_checks(sg, name))
+                == repr(green.structural_checks(full_sg, name)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quotient_axiom_scan_matches_the_full_scan(closure_of, n):
-    ns = closure_of(n)
-    got = closure.verify_near_semiring(ns, _orbits(ns))
-    want = closure.verify_near_semiring(ns)
+    marked, plain = _marked_and_unmarked(closure_of(n))
+    got = closure.verify_near_semiring(marked)
+    want = closure.verify_near_semiring(plain)
     assert got.passed and got.checks == want.checks
 
 
 def test_quotient_axiom_scan_visits_one_element_per_orbit(closure_of, monkeypatch):
     # at n = 3 both associativities are exhaustive: x runs over the 27
-    # representatives, yet each law reports all 145^3 triples
-    ns = closure_of(3)
+    # representatives on marked tables and all 145 elements on unmarked
+    # ones, and each law reports all 145^3 triples
     visited = []
     scan = closure._scan
 
@@ -208,15 +236,18 @@ def test_quotient_axiom_scan_visits_one_element_per_orbit(closure_of, monkeypatc
         return scan(name, fails, iter(blocks), checked)
 
     monkeypatch.setattr(closure, "_scan", counted)
-    report = closure.verify_near_semiring(ns, _orbits(ns))
-    assert visited[:2] == [27, 27]
-    assert [c.checked for c in report.checks[:2]] == [145 ** 3] * 2
+    for ns, elements in zip(_marked_and_unmarked(closure_of(3)), (27, 145)):
+        visited.clear()
+        report = closure.verify_near_semiring(ns)
+        assert visited[:2] == [elements, elements]
+        assert [c.checked for c in report.checks[:2]] == [145 ** 3] * 2
 
 
 def test_subset_report_refuses_a_subset_that_is_not_a_union_of_orbits(closure_of):
-    sg = closure_of(2).reduct("additive")
+    marked, plain = _marked_and_unmarked(closure_of(2))
     with pytest.raises(ValueError, match="union of orbits"):  # xi(1,1) but not xi(2,2)
-        green.subset_report(sg, "sample", [0, 1], _orbits(closure_of(2)))
+        green.subset_report(marked.reduct("additive"), "sample", [0, 1])
+    assert green.subset_report(plain.reduct("additive"), "sample", [0, 1]).size == 2
 
 
 @pytest.mark.parametrize("table", ["add_table", "mul_table"])
@@ -224,19 +255,48 @@ def test_tables_witness_gives_orbit_labels_only_with_a_proof(closure_of, table):
     bad = _copy(closure_of(3))
     t = getattr(bad, table)
     t[7, 5] = (int(t[7, 5]) + 1) % len(bad)
-    witness, orbits = closure.tables_witness(bad)
-    assert witness == _direct_witness(bad) and orbits is None
+    for tampered in (bad, dataclasses.replace(bad, symmetric=True)):
+        witness, proved = closure.tables_witness(tampered)
+        assert witness == _direct_witness(bad) and proved is None
+
+
+@pytest.mark.parametrize("table", ["add_table", "mul_table"])
+def test_marked_tables_still_need_the_proof(closure_of, monkeypatch, table):
+    bad = dataclasses.replace(_copy(closure_of(3)), symmetric=True)
+    t = getattr(bad, table)
+    t[7, 5] = (int(t[7, 5]) + 1) % len(bad)
+    scans = []
+    for module, name in ((closure, "verify_near_semiring"), (green, "green_brute"),
+                         (green, "regular_elements"), (green, "subset_report"),
+                         (green, "structural_checks")):
+        monkeypatch.setattr(module, name, lambda *a, name=name: scans.append(name))
+    results = verify.run_battery(3, bad)
+    assert results[-1].name == TABLES_CHECK and not results[-1].passed
+    assert results[-1].details == _direct_witness(bad)
+    assert scans == []
+
+
+def test_from_dict_never_marks_tables(tmp_path):
+    built = cli.load_or_build(2, tmp_path)  # a miss: built, marked, and written
+    hit = cli.load_or_build(2, tmp_path)
+    assert built.symmetric and not hit.symmetric
+    assert np.array_equal(hit.add_table, built.add_table)
+    d = closure.to_dict(built)
+    assert "symmetric" not in d
+    d["symmetric"] = True
+    assert not closure.from_dict(d).symmetric
 
 
 def test_battery_scans_regularity_on_the_orbit_labels(closure_of, monkeypatch):
-    ns = closure_of(3)
+    # given unmarked tables, the battery scans the marked ones its proof returns
+    _, plain = _marked_and_unmarked(closure_of(3))
     seen = []
     scan = green.regular_elements
 
-    def recorded(op, orbits=None):
-        seen.append(orbits)
-        return scan(op, orbits)
+    def recorded(sg):
+        seen.append(closure.labelling(sg)[0])
+        return scan(sg)
 
     monkeypatch.setattr(green, "regular_elements", recorded)
-    assert all(r.passed for r in verify.run_battery(3, ns))
-    assert len(seen) == 2 and all(np.array_equal(o, _orbits(ns)) for o in seen)
+    assert all(r.passed for r in verify.run_battery(3, plain))
+    assert len(seen) == 2 and all(np.array_equal(o, maps.orbit_labels(3)) for o in seen)
