@@ -19,16 +19,17 @@ element list is kept.  The product formulas live in `maps.products`.
 
 Both Cayley tables store element indices as uint16.  Their S_n symmetry
 is stated once, as the row identity t[P f] = P[t[f][P^-1]] for each
-generator P, which `_spread` walks from the orbit representatives' rows
-to every other row.  `orbit_tables` ranks the representatives' rows
-directly, asserting pairwise closure there, and fills the rest by the
+generator P (`_conjugate_rows`).  `spread` walks the orbit representatives'
+rows of any per-element table to every other row by such a rule, this one
+or `green`'s for ideal rows.  `orbit_tables` ranks the representatives'
+rows directly, asserting pairwise closure there, and fills the rest by the
 walk; `tables_witness` proves a pair of tables, say from a cache, by the
 same walk, and names the first wrong cell when the proof fails.
 
 Tables that commute with S_n carry the `symmetric` mark, set only here:
 by `additive_closure`, and by `tables_witness` on the tables it proves.
 `from_dict` never sets it, so a cache hit is unmarked.  On marked tables
-the axiom scan and `green`'s per-element scans visit one element per orbit
+the axiom scan and `green`'s scans and ideals visit one element per orbit
 (27 of 145 at n = 3, via `labelling`), and every element otherwise.
 """
 
@@ -131,21 +132,23 @@ def _ranked_rows(rows, n):
     return add_rows, mul_rows
 
 
-def labelling(s) -> Tuple[np.ndarray, np.ndarray]:
-    """(labels, reps) for a per-element scan of `s`, a near-semiring or a
-    reduct: `maps.orbit_labels(s.n)` when `s` is marked `symmetric`, else
-    the identity labelling of range(len(s)), and the labels' fixed points,
-    the representatives the scan visits."""
+def labelling(s) -> Tuple[np.ndarray, np.ndarray, tuple]:
+    """(labels, reps, perms) for a per-element scan of `s`, a near-semiring
+    or a reduct: `maps.orbit_labels` and `maps.index_permutations` of s.n
+    when `s` is marked `symmetric`, else the identity labelling and no
+    permutation; reps are the labels' fixed points, which the scan visits."""
     m = len(s)
     labels = maps.orbit_labels(s.n) if s.symmetric else np.arange(m)
-    return labels, np.flatnonzero(labels == np.arange(m))
+    perms = maps.index_permutations(s.n) if s.symmetric else ()
+    return labels, np.flatnonzero(labels == np.arange(m)), perms
 
 
-def _spread(t, perms, reps):
-    """Rows of a table t commuting with `perms`, spread from its rows `reps`
-    (one per orbit): (g, P f, P[t[f][P^-1]]) for P = perms[g], by t[P f, P g]
-    = P t[f, g], per block of reached f with P f unreached, until all are
-    reached.  The caller may write the rows P f before the next block."""
+def spread(t, perms, reps, move):
+    """Rows of a per-element table t, spread from its rows `reps` (one per
+    orbit of `perms`): (g, P f, move(t[f], P, P^-1)) for P = perms[g], per
+    block of reached f with P f unreached, until all are reached.  `move`
+    gives the rows of P f from those of f; the caller may write them into
+    t before the next block."""
     reached = np.zeros(len(t), dtype=bool)
     reached[reps] = True
     inverses = [np.argsort(P) for P in perms]
@@ -153,21 +156,26 @@ def _spread(t, perms, reps):
         for g, (P, P_inv) in enumerate(zip(perms, inverses)):
             sources = np.flatnonzero(reached & ~reached[P])  # f reached, P f not
             for f in maps.row_blocks(sources, len(t)):
-                yield g, P[f], P.take(t[f].take(P_inv, axis=1))
+                yield g, P[f], move(t[f], P, P_inv)
             reached[P[sources]] = True
+
+
+def _conjugate_rows(rows, P, P_inv):
+    """The Cayley rows of P f from those of f: t[P f] = P[t[f][P^-1]]."""
+    return P.take(rows.take(P_inv, axis=1))
 
 
 def orbit_tables(n):
     """Both Cayley tables.  The orbit representatives' rows are ranked
     directly, raising on a product outside the shapes (the first cell,
-    row-major, named); `_spread` fills every other row."""
+    row-major, named); `spread` fills every other row."""
     m = len(maps.canonical_tables(n))
     reps = np.flatnonzero(maps.orbit_labels(n) == np.arange(m))
     add_table, mul_table = (np.empty((m, m), dtype=TABLE_DTYPE) for _ in range(2))
     add_table[reps], mul_table[reps] = _ranked_rows(reps, n)
     for t in (add_table, mul_table):
-        for _, rows, spread in _spread(t, maps.index_permutations(n), reps):
-            t[rows] = spread
+        for _, rows, moved in spread(t, maps.index_permutations(n), reps, _conjugate_rows):
+            t[rows] = moved
     return add_table, mul_table
 
 
@@ -184,14 +192,14 @@ def _proof_breach(ns: NearSemiring) -> str:
 
     Three parts, over the orbits `labelling` gives the marked tables `ns`:
     the representatives' rows, ranked directly; every other row equal to
-    its `_spread` from a row already proved, which proves every cell by
+    its `spread` from a row already proved, which proves every cell by
     induction; and a seeded sample of direct cells (a grid, plus whole rows
     of a few non-representatives), a check that does not lean on the
     symmetry argument.
     """
     n, m = ns.n, len(ns)
     tables = {"add": ns.add_table, "mul": ns.mul_table}
-    labels, reps = labelling(ns)
+    labels, reps, perms = labelling(ns)
     others = np.flatnonzero(labels != np.arange(m))
     rng = random.Random(_SEED)
     picked = others[_draw(rng, min(_SAMPLE_ROWS, len(others)), len(others))]
@@ -204,8 +212,8 @@ def _proof_breach(ns: NearSemiring) -> str:
             if not np.array_equal(t[where], np.concatenate([b[k][1] for b in blocks])):
                 return f"{label}_table differs from a directly ranked cell"
     for label, t in tables.items():
-        for g, rows, spread in _spread(t, maps.index_permutations(n), reps):
-            if not np.array_equal(t[rows], spread):
+        for g, rows, moved in spread(t, perms, reps, _conjugate_rows):
+            if not np.array_equal(t[rows], moved):
                 return f"{label}_table is not invariant under index permutation {g}"
     return ""
 
@@ -343,7 +351,7 @@ def verify_near_semiring(ns: NearSemiring) -> ValidationReport:
     total = m ** 3
     rng = random.Random(_SEED)
     ar = np.arange(m)
-    _, reps = labelling(ns)
+    _, reps, _ = labelling(ns)
 
     def product(table):  # the Cayley table as a vectorized binary operation
         flat = table.ravel()

@@ -4,7 +4,7 @@ Cells are H-classes; idempotent elements carry a star.  Blocks, rows and
 columns are ordered by the canonical order of their least element, so all
 three output formats (text grid, GraphViz DOT with one cluster per
 D-class, JSON) are deterministic.  `build_eggbox` computes `green.ideals`
-once, for both `green_brute` and the J-order covers.
+once (per orbit on a build), for both `green_brute` and the J-order covers.
 """
 
 import json
@@ -61,7 +61,7 @@ def _j_order_covers(two_sided: np.ndarray, reps: List[int]) -> Tuple[Tuple[int, 
 def build_eggbox(ns: NearSemiring, label: str) -> EggBox:
     sg = ns.reduct(label)
     del ns  # frees the other reduct's table, if the caller keeps no reference (cmd_eggbox)
-    ideal_rows = ideals(sg.op)
+    ideal_rows = ideals(sg)
     gs = green_brute(sg, ideal_rows)
     r_of, l_of = gs.class_of["R"], gs.class_of["L"]
     boxes = []

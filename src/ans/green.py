@@ -19,13 +19,13 @@ L into D, and `_classes` gives the class tuples, each ascending and
 ordered by least member, so equal partitions have equal tuples.
 
 Regularity is stated once, as x y x == x (`_xyx`).  The per-element scans
-(`regular_elements`, `eventual_regularity`, and `subset_report`'s
+(`ideals`, `regular_elements`, `eventual_regularity`, and `subset_report`'s
 closedness, regularity and inverse counts) read the rows and columns of
 the representatives of `closure.labelling` only, a block at a time, in
-global indices, and spread each verdict over its orbit: one element per
-S_n orbit on a reduct that `closure` marked `symmetric`, every element on
-any other, such as a cache hit.  Only the isomorphism certificates build
-a local table.
+global indices, and spread each verdict (each ideal row by `closure.spread`)
+over its orbit: one element per S_n orbit on a reduct that `closure` marked
+`symmetric`, every element on any other, such as a cache hit.  Only the
+isomorphism certificates build a local table.
 """
 
 from dataclasses import dataclass
@@ -33,7 +33,7 @@ from typing import Dict, Optional, Tuple
 
 from ._numpy import np
 from . import brandt, maps
-from .closure import FiniteSemigroup, labelling
+from .closure import FiniteSemigroup, labelling, spread
 from .maps import Constant, Singleton, Zero
 
 RELATIONS = ("R", "L", "D", "J", "H")
@@ -88,7 +88,7 @@ def regular_elements(sg: FiniteSemigroup) -> np.ndarray:
     the representatives of `labelling(sg)`, a row block at a time; every
     element takes its representative's verdict."""
     op, m = sg.op, len(sg)
-    labels, reps = labelling(sg)
+    labels, reps, _ = labelling(sg)
     out = np.zeros(m, dtype=bool)
     for x in maps.row_blocks(reps, m):
         out[x] = _xyx(op, x, op[x]).any(axis=1)
@@ -100,7 +100,7 @@ def eventual_regularity(sg: FiniteSemigroup, regular: np.ndarray) -> Tuple[int, 
     the `regular_elements` mask of `sg`.  The powers of the representatives
     of `labelling(sg)` advance at once, x^(r+1) = x^r x, while not regular."""
     op, m = sg.op, len(sg)
-    labels, reps = labelling(sg)
+    labels, reps, _ = labelling(sg)
     index = np.ones(m, dtype=np.int64)
     live = power = reps[~regular[reps]]  # ascending; power is x^index[live]
     while live.size:
@@ -113,47 +113,59 @@ def eventual_regularity(sg: FiniteSemigroup, regular: np.ndarray) -> Tuple[int, 
     return tuple(index[labels].tolist())
 
 
-# Each left-ideal block reads op[:, rows], a strided walk of the whole table,
+# Each left-ideal block reads columns a of op, a strided walk of the whole table,
 # so it spans at least _BLOCK_CELLS / _FILL_WIDTH = 64 columns of op.
 _FILL_WIDTH = 1024
 
 
-def ideals(op: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Principal right, left and two-sided ideals aS¹, S¹a, S¹aS¹ of every
-    element of the Cayley table `op`, as bit-packed membership rows (row a
-    is `np.packbits` of a length-m mask), then the R and L labels.
+def _conjugate_members(rows, P, P_inv):
+    """Packed ideal rows of P a from those of a: an automorphism P carries
+    aS¹ onto (P a)S¹, so the row of P a is the row of a read at P^-1."""
+    return np.packbits(np.unpackbits(rows, axis=1, count=len(P)).take(P_inv, axis=1), axis=1)
 
-    S¹aS¹ is the union of xS¹ over x in S¹a.  xS¹ depends only on x's
-    R-class and S¹a only on a's L-class, so it is one OR per L-class, of
-    one right ideal per R-class that meets S¹a.
+
+def ideals(sg: FiniteSemigroup) -> Tuple[np.ndarray, ...]:
+    """Principal right, left and two-sided ideals aS¹, S¹a, S¹aS¹ of every
+    element of the reduct `sg`, as bit-packed membership rows (row a is
+    `np.packbits` of a length-m mask), then the R and L labels.
+
+    The representatives of `labelling(sg)` are filled and `spread` to the
+    rest.  S¹aS¹ is the union of xS¹ over x in S¹a.  xS¹ depends only on x's
+    R-class and S¹a only on a's L-class, so it is one OR per L-class meeting
+    the representatives, of one right ideal per R-class that meets S¹a.
     """
-    m = op.shape[0]
-    right, left = (np.empty((m, (m + 7) // 8), dtype=np.uint8) for _ in range(2))
-    for r in maps.row_blocks(range(m), min(m, _FILL_WIDTH)):  # the a whose ideals fill this block
-        rows = slice(r.start, r.stop)
-        local = np.arange(len(r))
-        # aS¹ is row a of op, S¹a column a; each is read in op's memory order
-        for packed, i, members in ((right, local[:, None], op[rows]),
-                                   (left, local, op[:, rows])):
-            block = np.zeros((len(r), m), dtype=bool)
+    op, m = sg.op, len(sg)
+    _, reps, perms = labelling(sg)
+    right, left, two = (np.empty((m, (m + 7) // 8), dtype=np.uint8) for _ in range(3))
+    for a in maps.row_blocks(reps, min(m, _FILL_WIDTH)):  # the a whose ideals fill this block
+        local = np.arange(len(a))
+        # aS¹ is row a of op, S¹a column a; `take` gathers columns faster than op[:, a]
+        for packed, i, members in ((right, local[:, None], op[a]),
+                                   (left, local, op.take(a, axis=1))):
+            block = np.zeros((len(a), m), dtype=bool)
             block[i, members] = True
-            block[local, r.start + local] = True  # the adjoined identity
-            packed[rows] = np.packbits(block, axis=1)
+            block[local, a] = True  # the adjoined identity
+            packed[a] = np.packbits(block, axis=1)
+    for rows in (right, left):
+        for _, to, moved in spread(rows, perms, reps, _conjugate_members):
+            rows[to] = moved
     r_first, l_first = (_labels((row.tobytes() for row in rows), m) for rows in (right, left))
-    two = np.empty_like(right)
-    for a in np.flatnonzero(l_first == np.arange(m)):  # the first member of each L-class
+    for a in set(l_first[reps].tolist()):  # the first member of each L-class meeting `reps`
         meets = np.zeros(m, dtype=bool)  # the first member of each R-class meeting S¹a
         meets[r_first[np.unpackbits(left[a], count=m).view(bool)]] = True
         two[a] = np.bitwise_or.reduce(right[meets], axis=0)
-    return right, left, two[l_first], r_first, l_first
+    two[reps] = two[l_first[reps]]
+    for _, to, moved in spread(two, perms, reps, _conjugate_members):
+        two[to] = moved
+    return right, left, two, r_first, l_first
 
 
 def green_brute(sg: FiniteSemigroup, ideal_rows=None) -> GreenStructure:
     """All five relations from principal ideals, with D = J asserted.
-    `ideal_rows` is `ideals(sg.op)` when the caller has it already, R and L
+    `ideal_rows` is `ideals(sg)` when the caller has it already, R and L
     labels included."""
     m = len(sg)
-    _, _, two, r, l = ideals(sg.op) if ideal_rows is None else ideal_rows
+    _, _, two, r, l = ideals(sg) if ideal_rows is None else ideal_rows
     labels = {"R": r, "L": l, "D": maps.least_labels((r, l), m),
               "J": _labels((row.tobytes() for row in two), m),
               "H": _labels(zip(r.tolist(), l.tolist()), m)}
@@ -362,7 +374,7 @@ def subset_report(sg: FiniteSemigroup, subset: str, idx) -> SubsetReport:
     subset must be a union (a ValueError otherwise)."""
     op, idx = sg.op, np.asarray(idx, dtype=np.intp)
     m = len(idx)
-    labels, _ = labelling(sg)
+    labels, _, _ = labelling(sg)
     inside = np.zeros(len(sg), dtype=bool)
     inside[idx] = True
     if not np.array_equal(inside[labels], inside):

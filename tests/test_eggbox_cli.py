@@ -148,7 +148,7 @@ def _assert_covers_match_the_bool_product(below):
 
 def test_covers_match_the_bool_product_on_the_n4_additive_j_order(closure_of):
     sg = closure_of(4).reduct("additive")
-    two = green.ideals(sg.op)[2]
+    two = green.ideals(closure.FiniteSemigroup(4, "additive", sg.op))[2]  # unmarked
     reps = [c[0] for c in green.green_brute(sg).classes["D"]]
     masks = np.unpackbits(two[reps], axis=1, count=len(sg)).astype(bool)
     below = masks[:, reps].T & ~np.eye(len(reps), dtype=bool)
@@ -386,21 +386,30 @@ def test_cli_reports_match_goldens(tmp_path, capsys, cache):
                                   ["eggbox", "--reduct", "additive", "--format", "json"]])
 def test_green_and_eggbox_scan_one_element_per_orbit_on_a_build(tmp_path, capsys,
                                                                  monkeypatch, argv):
-    # the regularity rule sees the 27 orbit representatives at n = 3 on a
-    # build, with no cache or on a miss, and all 145 elements on a hit
-    rows, outs = [], []
-    xyx = green._xyx
+    # the regularity rule and the ideal fill see the 27 orbit representatives
+    # at n = 3 on a build, with no cache or on a miss, and all 145 elements
+    # on a hit; the fill is the one row-block scan 77 columns wide
+    rows, filled, outs = [], [], []
+    xyx, blocks = green._xyx, maps.row_blocks
 
     def counted(op, x, xy):
         rows.append(len(x))
         return xyx(op, x, xy)
 
+    def fill_blocks(reps, width):
+        if width == 77:
+            filled.append(len(reps))
+        return blocks(reps, width)
+
     monkeypatch.setattr(green, "_xyx", counted)
+    monkeypatch.setattr(green, "_FILL_WIDTH", 77)
+    monkeypatch.setattr(maps, "row_blocks", fill_blocks)
     for cache_dir, seen in (([], 27), (["--cache-dir", str(tmp_path)], 27),
                             (["--cache-dir", str(tmp_path)], 145)):
         rows.clear()
+        filled.clear()
         code, out, _ = run_cli(capsys, argv + ["--n", "3"] + cache_dir)
-        assert code == 0 and sum(rows) == seen
+        assert code == 0 and sum(rows) == seen and filled == [seen]
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
 

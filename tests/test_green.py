@@ -274,7 +274,7 @@ def test_green_structure_json_export(green_of):
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ideals_match_set_definitions(closure_of, n, label):
-    _assert_ideals_match_set_definitions(closure_of(n).reduct(label).op)
+    _assert_ideals_match_set_definitions(closure_of(n).reduct(label))
 
 
 def test_ideals_where_left_ideals_meet_several_r_classes():
@@ -286,31 +286,33 @@ def test_ideals_where_left_ideals_meet_several_r_classes():
     index = {f: i for i, f in enumerate(maps_)}
     op = np.array([[index[tuple(g[x] for x in f)] for g in maps_] for f in maps_],
                   dtype=np.uint16)
-    right, left = green.ideals(op)[:2]
+    sg = closure.FiniteSemigroup(1, "multiplicative", op)  # unmarked: every row filled
+    right, left = green.ideals(sg)[:2]
     r_class = [r.tobytes() for r in right]
     meets = [len({r_class[x] for x in np.flatnonzero(np.unpackbits(row, count=27))})
              for row in left]
     assert sorted(set(meets)) == [1, 4, 5]
-    _assert_ideals_match_set_definitions(op)
+    _assert_ideals_match_set_definitions(sg)
 
 
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])
 def test_ideals_with_blocks_off_byte_boundaries(closure_of, monkeypatch, label):
-    op = closure_of(2).reduct(label).op
-    whole = green.ideals(op)
+    sg = closure.FiniteSemigroup(2, label, closure_of(2).reduct(label).op)  # unmarked
+    op = sg.op
+    whole = green.ideals(sg)
     monkeypatch.setattr(maps, "_BLOCK_CELLS", 100)  # 3 rows of the 29-element table
     starts = [int(b[0]) for b in maps.row_blocks(np.arange(len(op)), len(op))]
     assert len(op) % 8 and any(s % 8 for s in starts)
-    assert all(np.array_equal(a, b) for a, b in zip(green.ideals(op), whole))
-    _assert_ideals_match_set_definitions(op)
+    assert all(np.array_equal(a, b) for a, b in zip(green.ideals(sg), whole))
+    _assert_ideals_match_set_definitions(sg)
 
 
 def test_ideals_read_at_least_a_floor_of_columns_per_block(closure_of, monkeypatch):
     # with a table wider than _FILL_WIDTH, a block spans
     # _BLOCK_CELLS / _FILL_WIDTH columns however wide the table is: here
     # 10 of the 29 columns, where _BLOCK_CELLS / m would give 3
-    op = closure_of(2).reduct("additive").op
-    whole = green.ideals(op)
+    sg = closure.FiniteSemigroup(2, "additive", closure_of(2).reduct("additive").op)
+    whole = green.ideals(sg)  # unmarked: every row filled
     monkeypatch.setattr(maps, "_BLOCK_CELLS", 100)
     monkeypatch.setattr(green, "_FILL_WIDTH", 10)
     widths = []
@@ -321,14 +323,14 @@ def test_ideals_read_at_least_a_floor_of_columns_per_block(closure_of, monkeypat
         return blocks(rows, width)
 
     monkeypatch.setattr(maps, "row_blocks", recorded)
-    assert all(np.array_equal(a, b) for a, b in zip(green.ideals(op), whole))
+    assert all(np.array_equal(a, b) for a, b in zip(green.ideals(sg), whole))
     assert widths == [10]
 
 
-def _assert_ideals_match_set_definitions(op):
-    m = op.shape[0]
-    t = op.tolist()
-    rows = [np.unpackbits(r, axis=1, count=m).astype(bool) for r in green.ideals(op)[:3]]
+def _assert_ideals_match_set_definitions(sg):
+    m = len(sg)
+    t = sg.op.tolist()
+    rows = [np.unpackbits(r, axis=1, count=m).astype(bool) for r in green.ideals(sg)[:3]]
     for a in range(m):
         a_s = {t[a][s] for s in range(m)}
         s_a = {t[s][a] for s in range(m)}

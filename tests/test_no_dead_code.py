@@ -1,4 +1,5 @@
-"""Every module-level function, class and constant in `ans` is used in `ans`.
+"""Every module-level function, class and constant in `ans` is used in `ans`,
+and no module of `ans` reads another's private (`_`-prefixed) name.
 
 A constant is a non-dunder name bound by a module-level assignment.
 Dunder functions are exempt: the interpreter calls them as module hooks
@@ -54,8 +55,16 @@ def _definitions(tree):
                         yield node.id, top.lineno
 
 
+def _trees():
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def test_every_definition_in_the_package_has_a_caller():
-    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     defined = [(module, name, line) for module, tree in trees.items()
                for name, line in _definitions(tree)]
     used = {ref for module, tree in trees.items()
@@ -63,3 +72,23 @@ def test_every_definition_in_the_package_has_a_caller():
     dead = [f"{module}.py:{line} {name}" for module, name, line in defined
             if (module, name) not in used]
     assert not dead, "defined in ans but referenced nowhere in ans: " + ", ".join(dead)
+
+
+def _private_reads(trees):
+    """`module._name` or `from .module import _name` in another module."""
+    return sorted({f"{module}.py reads {owner}.{name}" for module, tree in trees.items()
+                   for (owner, name), _ in _references(module, tree)
+                   if owner != module and _private(name)})
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a helper two modules share is public, as `closure.spread` is
+    reads = _private_reads(_trees())
+    assert not reads, "private names read across modules: " + ", ".join(reads)
+
+
+def test_the_private_read_check_sees_both_forms():
+    tree = ast.parse("from . import maps as m\nfrom .closure import _scan, spread\n"
+                     "m._BLOCK_CELLS, m.rank, _own\n")
+    assert _private_reads({"green": tree}) == ["green.py reads closure._scan",
+                                               "green.py reads maps._BLOCK_CELLS"]

@@ -10,6 +10,7 @@ import pytest
 
 from ans import brandt, cli, closure, generators, green, maps, verify
 import oracles
+from test_green import _assert_ideals_match_set_definitions
 
 TABLES_CHECK = "Cayley tables reproducible from element list"
 
@@ -60,7 +61,7 @@ def test_orbit_representatives_are_the_least_of_each_orbit(closure_of, n, orbits
                 if int(P[f]) not in least:
                     least[int(P[f])] = start
                     frontier.append(int(P[f]))
-    _, reps = closure.labelling(ns)  # a build is marked
+    _, reps, _ = closure.labelling(ns)  # a build is marked
     assert len(reps) == orbits
     assert reps.tolist() == sorted(set(least.values()))
 
@@ -201,7 +202,7 @@ def _subset_names(label):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quotient_scans_match_the_full_scans(closure_of, n, label):
     marked, plain = _marked_and_unmarked(closure_of(n))
-    labels, _ = closure.labelling(marked)
+    labels, _, _ = closure.labelling(marked)
     assert len(set(labels.tolist())) == {1: 3, 2: 15, 3: 27, 4: 39}[n]
     assert np.array_equal(closure.labelling(plain)[1], np.arange(len(plain)))
     sg, full_sg = marked.reduct(label), plain.reduct(label)
@@ -213,6 +214,38 @@ def test_quotient_scans_match_the_full_scans(closure_of, n, label):
     for name in _subset_names(label):
         assert (repr(green.structural_checks(sg, name))
                 == repr(green.structural_checks(full_sg, name)))
+
+
+@pytest.mark.parametrize("label", ["additive", "multiplicative"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_quotient_ideals_match_the_full_fill(closure_of, n, label):
+    marked, plain = _marked_and_unmarked(closure_of(n))
+    got, want = green.ideals(marked.reduct(label)), green.ideals(plain.reduct(label))
+    assert len(got) == len(want) == 5
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    if n == 3:
+        _assert_ideals_match_set_definitions(marked.reduct(label))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_spread_yields_each_other_row_once_from_a_reached_row(closure_of, n):
+    # both moves: Cayley rows by P[t[f][P^-1]], packed ideal rows read at P^-1
+    marked, plain = _marked_and_unmarked(closure_of(n))
+    labels, reps, perms = closure.labelling(marked)
+    others = np.flatnonzero(labels != np.arange(len(marked)))
+    moved_by = [(t, closure._conjugate_rows) for t in (marked.add_table, marked.mul_table)]
+    for label in ("additive", "multiplicative"):
+        moved_by += [(rows, green._conjugate_members)
+                     for rows in green.ideals(plain.reduct(label))[:3]]
+    for t, move in moved_by:
+        reached, yielded = np.zeros(len(marked), dtype=bool), []
+        reached[reps] = True
+        for g, to, rows in closure.spread(t, perms, reps, move):
+            assert reached[np.argsort(perms[g])[to]].all()  # each source row was reached
+            assert np.array_equal(rows, t[to])
+            reached[to] = True
+            yielded += to.tolist()
+        assert sorted(yielded) == others.tolist()  # each other row exactly once
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
