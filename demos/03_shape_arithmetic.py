@@ -13,10 +13,10 @@ n = 2
 
 
 def show(op, f, g):
-    h = op(f, g)
-    sym = "+" if op is maps.pointwise_add else "o"
-    print(f"  {maps.map_str(f)} {sym} {maps.map_str(g)} = {maps.map_str(h)}")
-    return h
+    """Print f op g, for op "+" (pointwise sum) or "o" (composite), ranked
+    by the product kernel that fills the Cayley tables."""
+    [(_, ranks)] = maps.products([f], [g], op, n)
+    print(f"  {maps.map_str(f)} {op} {maps.map_str(g)} = {maps.tokens(ranks[0], n)[0]}")
 
 
 print("sums of shapes:")
@@ -25,15 +25,15 @@ const12 = maps.render(maps.Constant((1, 2)), n)
 col1 = maps.render(maps.NSupport(1, 1, (1, 2)), n)
 col1_swap = maps.render(maps.NSupport(1, 1, (2, 1)), n)
 col2 = maps.render(maps.NSupport(2, 2, (1, 2)), n)
-show(maps.pointwise_add, const11, const12)
-show(maps.pointwise_add, col1, col1_swap)   # same column: collapses to a singleton
-show(maps.pointwise_add, col1, col2)        # different columns: annihilates
-show(maps.pointwise_add, const11, col1)     # constant then column map
+show("+", const11, const12)
+show("+", col1, col1_swap)     # same column: collapses to a singleton
+show("+", col1, col2)          # different columns: annihilates
+show("+", const11, col1)       # constant then column map
 
 print("composites of shapes:")
-show(maps.compose, col1, col2)              # matching column and row chain
-show(maps.compose, col1, const12)           # constants absorb on the right
-show(maps.compose, const12, col2)
+show("o", col1, col2)          # matching column and row chain
+show("o", col1, const12)       # constants absorb on the right
+show("o", const12, col2)
 
 # The analytic rules are per-element keys of a canonical form: two elements
 # are R-, L- or D-related exactly when those keys agree.  J is D on a finite

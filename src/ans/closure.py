@@ -10,12 +10,13 @@ so the fixpoint extends one representative per new orbit (its least
 index, `maps.orbit_labels`): s + g for s = pi(r) is pi(r + pi^-1(g)).
 
 Element identity is the canonical rank (`maps.rank`), which checks
-membership by re-rendering, so a sum outside the four shapes raises with
-its table as the witness.  The discovered ranks are a boolean mask over
-the canonical family, and the fixpoint is an independent proof that they
-cover it, or it raises naming the least element missed.  So every Cayley
-table is indexed by rank: index i is `maps.all_canonical(n)[i]`, and no
-element list is kept.  The product formulas live in `maps.products`.
+membership by re-rendering.  The fixpoint reads each sum off the additive
+table (`orbit_tables`, built first), at orbit representatives' rows, which
+are ranked directly.  The discovered ranks are a boolean mask over the
+canonical family, and the fixpoint is an independent proof that they cover
+it, or it raises naming the least element missed.  So every Cayley table
+is indexed by rank: index i is `maps.all_canonical(n)[i]`, and no element
+list is kept.  The product formulas live in `maps.products`.
 
 Both Cayley tables store element indices as uint16.  Their S_n symmetry
 is stated once, as the row identity t[P f] = P[t[f][P^-1]] for each
@@ -148,16 +149,19 @@ def spread(t, perms, reps, move):
     orbit of `perms`): (g, P f, move(t[f], P, P^-1)) for P = perms[g], per
     block of reached f with P f unreached, until all are reached.  `move`
     gives the rows of P f from those of f; the caller may write them into
-    t before the next block."""
+    t before the next block; a round that reaches no new row raises."""
     reached = np.zeros(len(t), dtype=bool)
     reached[reps] = True
     inverses = [np.argsort(P) for P in perms]
     while not reached.all():
+        before = np.count_nonzero(reached)
         for g, (P, P_inv) in enumerate(zip(perms, inverses)):
             sources = np.flatnonzero(reached & ~reached[P])  # f reached, P f not
             for f in maps.row_blocks(sources, len(t)):
                 yield g, P[f], move(t[f], P, P_inv)
             reached[P[sources]] = True
+        if np.count_nonzero(reached) == before:
+            raise AssertionError(f"{len(t) - before} rows lie in no orbit of the representatives")
 
 
 def _conjugate_rows(rows, P, P_inv):
@@ -253,45 +257,39 @@ def additive_closure(gens) -> NearSemiring:
     """Close the generators under pointwise + and return both reducts' tables.
 
     The generator set must be closed under conjugation by S_n, as every
-    generator kind is; the fixpoint extends one representative per orbit.
-    The tables are indexed by canonical rank, so a fixpoint that does not
-    reach the whole canonical family raises, naming the least element missed.
+    generator kind is.  The fixpoint reads r + g off the additive table for
+    each new representative r, and raises naming the least element it misses.
     """
     if not len(gens):
         raise ValueError("generator set is empty")
     n = gens.n
     check_n_cap(n)
-    G = np.array(list(gens.members))
-    E = maps.canonical_tables(n)
     label = maps.orbit_labels(n)
-    is_rep = label == np.arange(len(E))  # the least rank in its orbit
+    is_rep = label == np.arange(len(label))  # the least rank in its orbit
 
     def saturate(mask):  # the union of the orbits that meet the mask
-        hit = np.zeros(len(E), dtype=bool)
+        hit = np.zeros_like(is_rep)
         hit[label[mask]] = True
         return hit[label]
 
-    seen = np.zeros(len(E), dtype=bool)
-    seen[maps.member_ranks(G, n)] = True
+    seen = np.zeros_like(is_rep)
+    seen[maps.member_ranks(np.array(list(gens.members)), n)] = True
     if not np.array_equal(saturate(seen), seen):
         raise ValueError("generator set is not closed under conjugation by S_n")
+    add_table, mul_table = orbit_tables(n)
+    gen = np.flatnonzero(seen)
     frontier = np.flatnonzero(seen & is_rep)
     while frontier.size:
-        found = np.zeros(len(E), dtype=bool)
-        for lo, sums in maps.products(E[frontier], G, "+", n):
-            bad = np.flatnonzero(sums < 0)
-            if bad.size:  # re-derive the first sum outside the shapes, to name it
-                i, j = divmod(int(bad[0]), len(G))
-                witness = maps.pointwise_add(E[frontier[lo + i]].tolist(), G[j].tolist())
-                raise maps.NotAffineElement(f"table {witness} is outside the four closure shapes")
-            found[sums.ravel()] = True
+        found = np.zeros_like(is_rep)
+        for rows in maps.row_blocks(frontier, len(gen)):
+            found[add_table[np.ix_(rows, gen)].ravel()] = True
         found = saturate(found)
         frontier = np.flatnonzero(found & ~seen & is_rep)
         seen |= found
 
     if not seen.all():  # argmin: the least rank not reached
         raise ValueError(f"the closure misses {maps.tokens([seen.argmin()], n)[0]}")
-    return NearSemiring(n, *orbit_tables(n), symmetric=True)
+    return NearSemiring(n, add_table, mul_table, symmetric=True)
 
 
 # --- axiom checking -----------------------------------------------------------

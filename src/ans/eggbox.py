@@ -3,8 +3,8 @@
 Cells are H-classes; idempotent elements carry a star.  Blocks, rows and
 columns are ordered by the canonical order of their least element, so all
 three output formats (text grid, GraphViz DOT with one cluster per
-D-class, JSON) are deterministic.  `build_eggbox` computes `green.ideals`
-once (per orbit on a build), for both `green_brute` and the J-order covers.
+D-class, JSON) are deterministic.  `build_eggbox` calls `green_brute` only,
+and draws the J-order covers from the J-classes' ideal rows it keeps.
 """
 
 import json
@@ -14,7 +14,7 @@ from typing import List, Tuple
 from ._numpy import np
 from . import maps
 from .closure import NearSemiring
-from .green import green_brute, ideals
+from .green import green_brute
 
 
 @dataclass
@@ -45,13 +45,14 @@ class EggBox:
         return sum(self.idempotent)
 
 
-def _j_order_covers(two_sided: np.ndarray, reps: List[int]) -> Tuple[Tuple[int, int], ...]:
-    """Hasse covers of the J-order on D-classes, from the packed two-sided
-    ideal rows of `green.ideals`: the pairs a < b with nothing between, where
-    the b over some c over a are the OR of the packed rows of the c over a."""
-    # row b: ideal of class b; bool, since ~ on unpacked uint8 is bitwise
-    masks = np.unpackbits(two_sided[reps], axis=1, count=two_sided.shape[0]).astype(bool)
-    below = masks[:, reps].T & ~np.eye(len(reps), dtype=bool)  # [a, b]: a strictly under b
+def _j_order_covers(two_sided, reps: List[int]) -> Tuple[Tuple[int, int], ...]:
+    """Hasse covers of the J-order on J-classes, from two_sided[b], the
+    packed two-sided ideal of class b's least member reps[b]: the pairs
+    a < b with nothing between, where the b over some c over a are the OR
+    of the packed rows of the c over a."""
+    # row b: class b's ideal at the least members (reshaped: with no class it is 1-D)
+    masks = np.array([np.unpackbits(np.frombuffer(r, np.uint8))[reps] for r in two_sided], bool)
+    below = masks.reshape((len(reps),) * 2).T & ~np.eye(len(reps), dtype=bool)  # [a, b]: a < b
     rows = np.packbits(below, axis=1)
     through = np.array([np.bitwise_or.reduce(rows[r]) for r in below], np.uint8).reshape(rows.shape)
     covers = below & ~np.unpackbits(through, axis=1, count=len(reps)).view(bool)
@@ -61,8 +62,7 @@ def _j_order_covers(two_sided: np.ndarray, reps: List[int]) -> Tuple[Tuple[int, 
 def build_eggbox(ns: NearSemiring, label: str) -> EggBox:
     sg = ns.reduct(label)
     del ns  # frees the other reduct's table, if the caller keeps no reference (cmd_eggbox)
-    ideal_rows = ideals(sg)
-    gs = green_brute(sg, ideal_rows)
+    gs = green_brute(sg)
     r_of, l_of = gs.class_of["R"], gs.class_of["L"]
     boxes = []
     for bi, members in enumerate(gs.classes["D"]):
@@ -79,7 +79,7 @@ def build_eggbox(ns: NearSemiring, label: str) -> EggBox:
             l_classes=tuple(gs.classes["L"][lc] for lc in cols),
             cells=cells,
         ))
-    covers = _j_order_covers(ideal_rows[2], [b.members[0] for b in boxes])
+    covers = _j_order_covers(gs.j_ideals, [b.members[0] for b in boxes])
     return EggBox(
         n=sg.n,
         label=label,

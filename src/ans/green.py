@@ -2,10 +2,10 @@
 
 Two independent routes are provided.  `green_brute` works on any Cayley
 table, straight from the principal-ideal definitions with an identity
-adjoined; `ideals` is the one place those ideals are computed, and the
-egg-box J-order reads them from there too.  The analytic route decides
-relatedness from the canonical form alone: `additive_keys` and
-`multiplicative_keys` state the support and projection rules once, as
+adjoined, from `ideals`, the one place those ideals are computed; it
+keeps each J-class's two-sided row for the egg-box J-order.  The analytic
+route decides relatedness from the canonical form alone: `additive_keys`
+and `multiplicative_keys` state the support and projection rules once, as
 per-element R/L/D keys, and `_KEYS_OF_RELATION` says which keys each of
 the five relations compares (J as D, H as R and L together);
 `analytic_structure` groups the canonical family by them, as a reduct's
@@ -53,6 +53,7 @@ class GreenStructure:
     idempotent: Tuple[bool, ...]
     regular: Tuple[bool, ...]
     eventual_index: Tuple[int, ...]
+    j_ideals: Tuple[bytes, ...]  # packed S¹aS¹ of each J-class's least member a
 
     def to_dict(self) -> dict:
         d = {rel: [list(c) for c in self.classes[rel]] for rel in RELATIONS}
@@ -160,12 +161,12 @@ def ideals(sg: FiniteSemigroup) -> Tuple[np.ndarray, ...]:
     return right, left, two, r_first, l_first
 
 
-def green_brute(sg: FiniteSemigroup, ideal_rows=None) -> GreenStructure:
-    """All five relations from principal ideals, with D = J asserted.
-    `ideal_rows` is `ideals(sg)` when the caller has it already, R and L
-    labels included."""
+def green_brute(sg: FiniteSemigroup) -> GreenStructure:
+    """All five relations from one `ideals(sg)`, with D = J asserted.  Of
+    its arrays only the J-classes' two-sided rows are kept (`j_ideals`), for
+    the egg-box J-order."""
     m = len(sg)
-    _, _, two, r, l = ideals(sg) if ideal_rows is None else ideal_rows
+    _, _, two, r, l = ideals(sg)
     labels = {"R": r, "L": l, "D": maps.least_labels((r, l), m),
               "J": _labels((row.tobytes() for row in two), m),
               "H": _labels(zip(r.tolist(), l.tolist()), m)}
@@ -184,6 +185,7 @@ def green_brute(sg: FiniteSemigroup, ideal_rows=None) -> GreenStructure:
         idempotent=tuple((sg.op.diagonal() == ar).tolist()),  # x x == x
         regular=tuple(reg.tolist()),
         eventual_index=eventual_regularity(sg, reg),
+        j_ideals=tuple(two[a].tobytes() for a in np.flatnonzero(labels["J"] == ar)),
     )
 
 
@@ -385,7 +387,7 @@ def subset_report(sg: FiniteSemigroup, subset: str, idx) -> SubsetReport:
         if m < len(sg) and not inside.take(xy).all():  # the whole reduct is closed
             return SubsetReport(subset, sg.label, m, False, False, False, False, False)
         a = _xyx(op, x, xy)
-        b = op[op[np.ix_(idx, x)].T, idx] == idx  # y x y == y
+        b = _xyx(op, idx, op[np.ix_(idx, x)]).T  # y x y == y
         regular = regular and bool(a.any(axis=1).all())
         inverse = inverse and bool((np.count_nonzero(a & b, axis=1) == 1).all())
     idem = idx[op[idx, idx] == idx]

@@ -52,12 +52,6 @@ def map_n(f):
     return n
 
 
-def _same_n(f, g):
-    if len(f) != len(g):
-        raise ValueError(f"table size mismatch: {len(f)} vs {len(g)}")
-    return map_n(f)
-
-
 def constant_map(alpha, n):
     """xi_alpha: every argument goes to alpha."""
     brandt.unpair(alpha, n)
@@ -68,16 +62,11 @@ def zero_map(n):
     return constant_map(THETA, n)
 
 
-def pointwise_add(f, g):
-    """x(f+g) = xf + xg in B_n."""
-    n = _same_n(f, g)
-    t = brandt.add_table(n)
-    return tuple(int(v) for v in t[list(f), list(g)])
-
-
 def compose(f, g):
     """x(f o g) = (xf)g: apply f first, then g."""
-    _same_n(f, g)
+    if len(f) != len(g):
+        raise ValueError(f"table size mismatch: {len(f)} vs {len(g)}")
+    map_n(f)
     return tuple(g[v] for v in f)
 
 

@@ -4,10 +4,12 @@ Each one decides a fact a second way, by plain loops or case analysis on
 the definitions, and no code in `ans` calls it: `classify` is the
 reference for `maps.rank` and `maps.forms`, `brute_force_endomorphisms`
 for `generators.enumerate_end`, `add` for `brandt.add_table`,
-`related` for the relation-to-key map inside `green.analytic_structure`,
-`union_find_labels` for `maps.least_labels`, and `fill_tables`, which
-ranks every cell directly, for `closure.orbit_tables`.  `elements`
-renders the element tables that a closure's or reduct's indices stand for.
+`pointwise_add`, which sums two tables cell by cell with `add`, for the
+sums that `maps.products` ranks, `related` for the relation-to-key map
+inside `green.analytic_structure`, `union_find_labels` for
+`maps.least_labels`, and `fill_tables`, which ranks every cell directly,
+for `closure.orbit_tables`.  `elements` renders the element tables that a
+closure's or reduct's indices stand for.
 """
 
 from itertools import product
@@ -46,6 +48,14 @@ def perm_inverse(p):
 def support(f):
     """Arguments with nonzero image."""
     return frozenset(x for x, v in enumerate(f) if v != THETA)
+
+
+def pointwise_add(f, g):
+    """x(f+g) = xf + xg in B_n."""
+    if len(f) != len(g):
+        raise ValueError(f"table size mismatch: {len(f)} vs {len(g)}")
+    n = maps.map_n(f)
+    return tuple(add(a, b, n) for a, b in zip(f, g))
 
 
 def elements(s):
@@ -141,7 +151,7 @@ def triple_to_map(k, q, sigma, n):
     """The column map with support column k: phi_sigma + xi_(k sigma, q)."""
     brandt.check_perm(sigma)
     const = maps.constant_map(pair(sigma[k - 1], q, n), n)
-    return maps.pointwise_add(generators.phi_sigma(sigma, n), const)
+    return pointwise_add(generators.phi_sigma(sigma, n), const)
 
 
 # --- Green's relations from the analytic keys -----------------------------------

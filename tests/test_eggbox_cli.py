@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+import weakref
 import zipfile
 from pathlib import Path
 
@@ -141,7 +143,7 @@ def _assert_covers_match_the_bool_product(below):
     k = len(below)
     want = below & ~(below @ below)
     two_sided = np.packbits(below.T | np.eye(k, dtype=bool), axis=1)
-    got = eggbox._j_order_covers(two_sided, list(range(k)))
+    got = eggbox._j_order_covers([row.tobytes() for row in two_sided], list(range(k)))
     assert got == tuple(sorted((int(b), int(a)) for a, b in np.argwhere(want)))
     return int(want.sum())
 
@@ -153,6 +155,31 @@ def test_covers_match_the_bool_product_on_the_n4_additive_j_order(closure_of):
     masks = np.unpackbits(two[reps], axis=1, count=len(sg)).astype(bool)
     below = masks[:, reps].T & ~np.eye(len(reps), dtype=bool)
     assert 0 < _assert_covers_match_the_bool_product(below) < below.sum()
+
+
+@pytest.mark.parametrize("label", ["additive", "multiplicative"])
+def test_eggbox_fills_the_ideals_once_and_frees_them_before_the_boxes(capsys, monkeypatch,
+                                                                      label):
+    # green_brute is the one caller of `ideals`, and keeps none of its arrays
+    assert list(inspect.signature(green.green_brute).parameters) == ["sg"]
+    assert not hasattr(eggbox, "ideals")
+    fills, alive = [], []
+    real_ideals, real_brute = green.ideals, eggbox.green_brute
+
+    def ideals(sg):
+        rows = real_ideals(sg)
+        fills.extend(weakref.ref(a) for a in rows[:3])
+        return rows
+
+    def green_brute(sg):
+        gs = real_brute(sg)
+        alive.extend(ref() is not None for ref in fills)
+        return gs
+
+    monkeypatch.setattr(green, "ideals", ideals)
+    monkeypatch.setattr(eggbox, "green_brute", green_brute)
+    code, _, _ = run_cli(capsys, ["eggbox", "--n", "3", "--reduct", label])
+    assert code == 0 and len(fills) == 3 and alive == [False] * 3
 
 
 def test_covers_match_the_bool_product_on_random_dags():

@@ -78,7 +78,7 @@ def test_aff_shapes_and_order(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_aff_matches_per_pair_construction(n):
-    sums = {maps.pointwise_add(g, c)
+    sums = {oracles.pointwise_add(g, c)
             for g in generators.enumerate_end(n) for c in generators.enumerate_constants(n)}
     expected = sorted(sums, key=lambda f: oracles.canonical_key(oracles.classify(f)))
     assert generators.enumerate_aff(n).members == tuple(expected)

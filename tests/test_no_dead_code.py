@@ -1,5 +1,6 @@
 """Every module-level function, class and constant in `ans` is used in `ans`,
-and no module of `ans` reads another's private (`_`-prefixed) name.
+no module of `ans` reads another's private (`_`-prefixed) name, and every
+defaulted parameter of a function in `ans` is passed by some call in `ans`.
 
 A constant is a non-dunder name bound by a module-level assignment.
 Dunder functions are exempt: the interpreter calls them as module hooks
@@ -7,7 +8,10 @@ Dunder functions are exempt: the interpreter calls them as module hooks
 reference is a name read in the defining module outside the definition
 itself, `module.name` on a module imported with `from . import module`
 (under any alias), or `from .module import name`.  Test-only references
-live in `tests/oracles.py`, not in the package.
+live in `tests/oracles.py`, not in the package.  A call passes a parameter
+when it is a call by the function's name with an argument at the
+parameter's position (after `self` for a method) or its keyword, or with
+`*` or `**`; the console entry point `cli.main(argv)` is exempt.
 """
 
 import ast
@@ -92,3 +96,59 @@ def test_the_private_read_check_sees_both_forms():
                      "m._BLOCK_CELLS, m.rank, _own\n")
     assert _private_reads({"green": tree}) == ["green.py reads closure._scan",
                                                "green.py reads maps._BLOCK_CELLS"]
+
+
+# the console entry point: `ans` calls main() with no argument, tests pass argv
+_ENTRY_POINTS = {("cli", "main", "argv")}
+
+
+def _passes(call, param, at):
+    """Does `call` pass `param`, the `at`-th positional argument (None if
+    keyword-only)?"""
+    return (any(k.arg in (param, None) for k in call.keywords)
+            or at is not None and (len(call.args) > at
+                                   or any(isinstance(x, ast.Starred) for x in call.args)))
+
+
+def _unpassed_defaults(trees):
+    """`module.py:line function(parameter)` for each defaulted parameter
+    that no call in `trees` passes."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    found = []
+    for module, tree in trees.items():
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for f in (f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)):
+            a, self_ = f.args, id(f) in methods
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            defaulted = [(p.arg, i - self_) for i, p in enumerate(positional) if i >= first]
+            defaulted += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            found += [f"{module}.py:{f.lineno} {f.name}({param})" for param, at in defaulted
+                      if (module, f.name, param) not in _ENTRY_POINTS
+                      and not any(_passes(c, param, at) for c in calls.get(f.name, []))]
+    return found
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    # a default that no caller overrides is a knob nothing turns: a constant
+    knobs = _unpassed_defaults(_trees())
+    assert not knobs, "defaulted parameters no call in ans passes: " + ", ".join(knobs)
+
+
+def test_the_default_check_sees_every_way_to_pass():
+    tree = ast.parse("def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+                     "def g(x=0): pass\n"
+                     "def h(y=0, z=0): pass\n"
+                     "def k(u=0): pass\n"
+                     "class K:\n"
+                     "    def m(self, w=0, v=0): pass\n"
+                     "def main(argv=None): pass\n"
+                     "f(0, 1, e=5)\nh(*args)\nk(**kw)\nK().m(1)\n")
+    assert _unpassed_defaults({"cli": tree}) == [
+        "cli.py:1 f(c)", "cli.py:1 f(d)", "cli.py:2 g(x)", "cli.py:6 m(v)"]

@@ -3,6 +3,7 @@ the battery's symmetric table check against the direct path, and the
 `symmetric` mark that lets a scan visit one element per orbit."""
 
 import dataclasses
+import signal
 import tracemalloc
 
 import numpy as np
@@ -246,6 +247,32 @@ def test_spread_yields_each_other_row_once_from_a_reached_row(closure_of, n):
             reached[to] = True
             yielded += to.tolist()
         assert sorted(yielded) == others.tolist()  # each other row exactly once
+
+
+def test_spread_refuses_representatives_that_miss_an_orbit(closure_of):
+    # a round over the permutations that reaches no new row raises, naming
+    # the rows left, rather than looping: one representative dropped, and
+    # no permutation at all
+    ns = closure_of(2)
+    labels = maps.orbit_labels(2)
+    reps = np.flatnonzero(labels == np.arange(len(ns)))
+    cases = ((maps.index_permutations(2), reps[:-1], np.count_nonzero(labels == reps[-1])),
+             ((), reps, len(ns) - len(reps)))
+
+    def hung(signum, frame):
+        raise TimeoutError("spread is still walking after 10 s")
+
+    before = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        for perms, kept, unreached in cases:
+            with pytest.raises(AssertionError,
+                               match=f"^{unreached} rows lie in no orbit of the representatives$"):
+                for _ in closure.spread(ns.add_table, perms, kept, closure._conjugate_rows):
+                    pass
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, before)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
