@@ -95,6 +95,16 @@ def sn_generators(n):
     return (transposition,) if n == 2 else (transposition, cycle)
 
 
+def automorphism(sigma, n):
+    """phi_sigma as a code array: (i,j) -> (i sigma, j sigma), theta -> theta."""
+    p = np.array(check_perm(sigma)) - 1  # sigma on 0-based points
+    if len(p) != n:
+        raise ValueError(f"permutation length {len(p)} != n={n}")
+    phi = np.zeros(size(n), dtype=np.int32)
+    phi[1:] = (p[:, None] * n + p + 1).ravel()
+    return phi
+
+
 def perm_compose(p, q):
     """Left-action composition: i(pq) = (ip)q."""
     if len(p) != len(q):

@@ -10,20 +10,19 @@ so the fixpoint extends one representative per new orbit (its least
 index, `maps.orbit_labels`): s + g for s = pi(r) is pi(r + pi^-1(g)).
 
 Element identity is the canonical rank (`maps.rank`), which checks
-membership by re-rendering.  The fixpoint reads each sum off the additive
-table (`orbit_tables`, built first), at orbit representatives' rows, which
-are ranked directly.  The discovered ranks are a boolean mask over the
-canonical family, and the fixpoint is an independent proof that they cover
-it, or it raises naming the least element missed.  So every Cayley table
-is indexed by rank: index i is `maps.all_canonical(n)[i]`, and no element
-list is kept.  The product formulas live in `maps.products`.
+membership by re-rendering.  `fixpoint` reads each sum off the additive
+rows of the orbit representatives, ranked directly before any table is
+allocated.  Its ranks are a boolean mask over the canonical family, an
+independent proof that they cover it: `additive_closure` refuses a miss,
+naming the least element, and `ans verify` reruns it on every closure.  So
+every Cayley table is indexed by rank: index i is `maps.all_canonical(n)[i]`,
+and no element list is kept.  The product formulas live in `maps.products`.
 
 Both Cayley tables store element indices as uint16.  Their S_n symmetry
 is stated once, as the row identity t[P f] = P[t[f][P^-1]] for each
 generator P (`_conjugate_rows`).  `spread` walks the orbit representatives'
 rows of any per-element table to every other row by such a rule, this one
-or `green`'s for ideal rows.  `orbit_tables` ranks the representatives'
-rows directly, asserting pairwise closure there, and fills the rest by the
+or `green`'s for ideal rows.  `additive_closure` fills the tables by the
 walk; `tables_witness` proves a pair of tables, say from a cache, by the
 same walk, and names the first wrong cell when the proof fails.
 
@@ -62,8 +61,7 @@ _SAMPLE_GRID = 64
 
 # The axiom scan checks every triple of a law while there are at most this
 # many, and this many sampled triples beyond that.
-_ASSOC_EXHAUSTIVE_MAX = 4_000_000
-_DISTRIB_EXHAUSTIVE_MAX = 100_000
+_EXHAUSTIVE_MAX = 4_000_000
 _AXIOM_SAMPLES = 100_000
 
 # Sampled axiom triples drawn and checked per vectorized step, each slice just
@@ -169,20 +167,6 @@ def _conjugate_rows(rows, P, P_inv):
     return P.take(rows.take(P_inv, axis=1))
 
 
-def orbit_tables(n):
-    """Both Cayley tables.  The orbit representatives' rows are ranked
-    directly, raising on a product outside the shapes (the first cell,
-    row-major, named); `spread` fills every other row."""
-    m = len(maps.canonical_tables(n))
-    reps = np.flatnonzero(maps.orbit_labels(n) == np.arange(m))
-    add_table, mul_table = (np.empty((m, m), dtype=TABLE_DTYPE) for _ in range(2))
-    add_table[reps], mul_table[reps] = _ranked_rows(reps, n)
-    for t in (add_table, mul_table):
-        for _, rows, moved in spread(t, maps.index_permutations(n), reps, _conjugate_rows):
-            t[rows] = moved
-    return add_table, mul_table
-
-
 def _draw(rng: random.Random, count: int, m: int) -> np.ndarray:
     """`count` seeded draws from range(m): 32-bit words of `rng.randbytes`,
     each mapped to w m >> 32 (multiply-shift; bias under m / 2^32).  The
@@ -253,42 +237,61 @@ def check_n_cap(n: int):
         raise ValueError(f"n={n} exceeds cap {DEFAULT_N_CAP}")
 
 
+def _generator_mask(gens) -> np.ndarray:
+    """The generators' ranks as a mask; refuses an empty set, an n over the cap,
+    a generator outside the shapes (named) and a set not closed under S_n."""
+    if not len(gens):
+        raise ValueError("generator set is empty")
+    check_n_cap(gens.n)
+    seen = np.zeros(len(maps.canonical_tables(gens.n)), dtype=bool)
+    seen[maps.member_ranks(np.array(list(gens.members)), gens.n)] = True
+    label = maps.orbit_labels(gens.n)
+    if not np.array_equal(np.isin(label, label[seen]), seen):  # a union of orbits
+        raise ValueError("generator set is not closed under conjugation by S_n")
+    return seen
+
+
+def fixpoint(gens, add_rows) -> np.ndarray:
+    """The mask of the canonical elements that finite sums of the generators
+    reach, refusing them as `_generator_mask` does.  `add_rows` are the
+    additive rows of the orbit representatives, in rank order: the worklist
+    reads no other, as it extends each new orbit's representative r by r + g."""
+    seen = _generator_mask(gens)
+    label = maps.orbit_labels(gens.n)
+    reps = np.flatnonzero(label == np.arange(len(label)))  # least in each orbit
+    gen = np.flatnonzero(seen)
+    frontier = np.flatnonzero(seen[reps])  # rows of add_rows
+    while frontier.size:
+        found = np.zeros_like(seen)
+        for rows in maps.row_blocks(frontier, len(gen)):
+            found[add_rows[np.ix_(rows, gen)].ravel()] = True
+        found = np.isin(label, label[found])  # the orbits that meet it
+        frontier = np.flatnonzero((found & ~seen)[reps])
+        seen |= found
+    return seen
+
+
 def additive_closure(gens) -> NearSemiring:
     """Close the generators under pointwise + and return both reducts' tables.
 
-    The generator set must be closed under conjugation by S_n, as every
-    generator kind is.  The fixpoint reads r + g off the additive table for
-    each new representative r, and raises naming the least element it misses.
+    The representatives' rows are ranked directly, raising on a product
+    outside the shapes (the first cell, row-major), and `fixpoint` reads
+    them; a closure that misses an element is refused, naming the least.
+    Only then are both tables allocated, and `spread` fills the other rows.
     """
-    if not len(gens):
-        raise ValueError("generator set is empty")
-    n = gens.n
-    check_n_cap(n)
-    label = maps.orbit_labels(n)
-    is_rep = label == np.arange(len(label))  # the least rank in its orbit
-
-    def saturate(mask):  # the union of the orbits that meet the mask
-        hit = np.zeros_like(is_rep)
-        hit[label[mask]] = True
-        return hit[label]
-
-    seen = np.zeros_like(is_rep)
-    seen[maps.member_ranks(np.array(list(gens.members)), n)] = True
-    if not np.array_equal(saturate(seen), seen):
-        raise ValueError("generator set is not closed under conjugation by S_n")
-    add_table, mul_table = orbit_tables(n)
-    gen = np.flatnonzero(seen)
-    frontier = np.flatnonzero(seen & is_rep)
-    while frontier.size:
-        found = np.zeros_like(is_rep)
-        for rows in maps.row_blocks(frontier, len(gen)):
-            found[add_table[np.ix_(rows, gen)].ravel()] = True
-        found = saturate(found)
-        frontier = np.flatnonzero(found & ~seen & is_rep)
-        seen |= found
-
+    _generator_mask(gens)  # refuse bad generators before ranking any row
+    n, m = gens.n, len(maps.canonical_tables(gens.n))
+    reps = np.flatnonzero(maps.orbit_labels(n) == np.arange(m))
+    add_rows, mul_rows = _ranked_rows(reps, n)
+    seen = fixpoint(gens, add_rows)
     if not seen.all():  # argmin: the least rank not reached
         raise ValueError(f"the closure misses {maps.tokens([seen.argmin()], n)[0]}")
+    add_table, mul_table = (np.empty((m, m), dtype=TABLE_DTYPE) for _ in range(2))
+    add_table[reps], mul_table[reps] = add_rows, mul_rows
+    del add_rows, mul_rows  # the walk below sets the peak
+    for t in (add_table, mul_table):
+        for _, rows, moved in spread(t, maps.index_permutations(n), reps, _conjugate_rows):
+            t[rows] = moved
     return NearSemiring(n, add_table, mul_table, symmetric=True)
 
 
@@ -335,12 +338,11 @@ def _scan(name, fails, blocks, checked) -> AxiomCheck:
 def verify_near_semiring(ns: NearSemiring) -> ValidationReport:
     """Check both associativities and left distributivity f(g+h) = fg + fh.
 
-    Axioms are scanned exhaustively while the triple count stays under
-    _ASSOC_EXHAUSTIVE_MAX (_DISTRIB_EXHAUSTIVE_MAX for distributivity), and
-    on _AXIOM_SAMPLES deterministic random triples beyond that: one `_draw`
-    stream from _SEED, laws in order, each law's triples streamed a
-    _SCAN_SLICE at a time.  Failures carry the first offending triple
-    (row-major, or in sample order) as a witness.
+    Each law is scanned exhaustively while its m^3 triples number at most
+    _EXHAUSTIVE_MAX (up to n = 3), and on _AXIOM_SAMPLES deterministic
+    random triples beyond that: one `_draw` stream from _SEED, laws in
+    order, each law's triples streamed a _SCAN_SLICE at a time.  Failures
+    carry the first offending triple (row-major, or in sample order).
     On marked tables an exhaustive scan lets x run over the representatives
     of `labelling` only, yet covers and reports all m^3 triples: a failing
     (x, y, z) fails again at (P x, P y, P z) for every automorphism P.
@@ -359,14 +361,13 @@ def verify_near_semiring(ns: NearSemiring) -> ValidationReport:
         return lambda a, b, c: op(op(a, b), c) != op(a, op(b, c))
 
     add, mul = product(ns.add_table), product(ns.mul_table)
-    laws = [("additive associativity", assoc(add), _ASSOC_EXHAUSTIVE_MAX),
-            ("multiplicative associativity", assoc(mul), _ASSOC_EXHAUSTIVE_MAX),
+    laws = [("additive associativity", assoc(add)),
+            ("multiplicative associativity", assoc(mul)),
             ("left distributivity",
-             lambda f, g, h: mul(f, add(g, h)) != add(mul(f, g), mul(f, h)),
-             _DISTRIB_EXHAUSTIVE_MAX)]
+             lambda f, g, h: mul(f, add(g, h)) != add(mul(f, g), mul(f, h)))]
     report = ValidationReport()
-    for name, fails, exhaustive_max in laws:
-        if total <= exhaustive_max:
+    for name, fails in laws:
+        if total <= _EXHAUSTIVE_MAX:
             checked = total
             blocks = ((i, ar[:, None], ar[None, :]) for i in reps)
         else:

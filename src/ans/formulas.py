@@ -9,7 +9,7 @@ n-support shape, so the census rows are fixed constants there instead of
 the n >= 2 polynomials.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import factorial
 from typing import Dict
 
@@ -28,16 +28,7 @@ class CountsTable:
     multiplicative: Dict[str, int]  # {"r", "l", "d", "h", "idempotents"}
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "end_count": self.end_count,
-            "aut_count": self.aut_count,
-            "aff_count": self.aff_count,
-            "a_plus_total": self.a_plus_total,
-            "breakup": dict(self.breakup),
-            "additive": dict(self.additive),
-            "multiplicative": dict(self.multiplicative),
-        }
+        return asdict(self)
 
 
 def counts(n: int) -> CountsTable:

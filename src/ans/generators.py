@@ -18,7 +18,6 @@ from typing import Tuple
 
 from ._numpy import np
 from . import brandt, closure, maps
-from .brandt import THETA
 from .formulas import KINDS
 from .maps import NotAffineElement
 
@@ -43,15 +42,8 @@ class GeneratorSet:
 
 
 def phi_sigma(sigma, n):
-    """The automorphism (i,j) -> (i sigma, j sigma), theta -> theta."""
-    brandt.check_perm(sigma)
-    if len(sigma) != n:
-        raise ValueError(f"permutation length {len(sigma)} != n={n}")
-    t = [THETA] * brandt.size(n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            t[brandt.pair(i, j, n)] = brandt.pair(sigma[i - 1], sigma[j - 1], n)
-    return tuple(t)
+    """The automorphism (i,j) -> (i sigma, j sigma), theta -> theta, as a tuple."""
+    return tuple(brandt.automorphism(sigma, n).tolist())
 
 
 def enumerate_aut(n) -> GeneratorSet:

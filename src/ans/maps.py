@@ -246,16 +246,15 @@ def index_permutations(n) -> tuple:
 
     For each generator pi of `brandt.sn_generators(n)`, entry r is the rank
     of phi^-1 f phi, where f is the r-th canonical table and phi = phi_pi
-    sends (i,j) to (i pi, j pi).  Conjugation preserves + and o, so these
-    are near-semiring automorphisms: t[P[f], P[g]] = P[t[f, g]] in both
-    Cayley tables.  Read-only uint16 arrays, each checked to be a bijection.
+    sends (i,j) to (i pi, j pi), built as for `generators.phi_sigma` (by
+    `brandt.automorphism`).  Conjugation preserves + and o, so these are
+    near-semiring automorphisms: t[P[f], P[g]] = P[t[f, g]] in both Cayley
+    tables.  Read-only uint16 arrays, each checked to be a bijection.
     """
     E = canonical_tables(n)
     out = []
     for pi in brandt.sn_generators(n):
-        p = np.array(pi) - 1                               # pi on 0-based points
-        phi = np.zeros(E.shape[1], dtype=E.dtype)          # theta stays theta
-        phi[1:] = (p[:, None] * n + p + 1).ravel()         # (i,j) -> (i pi, j pi)
+        phi = brandt.automorphism(pi, n)
         P = member_ranks(phi[E[:, np.argsort(phi)]], n).astype(np.uint16)
         if not np.array_equal(np.sort(P), np.arange(len(E))):
             raise AssertionError(f"conjugation by phi{brandt.perm_str(pi)} "
@@ -297,9 +296,9 @@ def products(F, G, op, n):
         flat, left, right = G.ravel(), F, np.arange(len(G))[:, None] * w
     else:
         raise ValueError(f"unknown product {op!r}; expected '+' or 'o'")
-    for block in row_blocks(range(len(F)), len(G) * w):
-        cells = flat.take(left[block.start:block.stop, None, :] + right)
-        yield block.start, rank(cells.reshape(-1, w), n).reshape(cells.shape[:2])
+    for block in row_blocks(range(len(F)), len(G) * w):  # cells freed before the yield
+        ranks = rank(flat.take(left[block.start:block.stop, None, :] + right).reshape(-1, w), n)
+        yield block.start, ranks.reshape(len(block), len(G))
 
 
 # --- text forms --------------------------------------------------------------

@@ -5,12 +5,13 @@ brute-force Green structure) against an independent expectation (closed
 form, analytic classifier, explicit isomorphism certificate) and reports
 pass/fail with a minimal witness on failure.
 
-The Cayley tables, which may come from a cache, are checked by
-`closure.tables_witness`, which proves them by the S_n symmetry without
-a second full fill, and names the first wrong cell on a failure.  Later
-checks read the tables it returns, marked by the proof, never the mark of
-the closure given, so the axiom scan and `green`'s scans lean on the
-symmetry only where it is proved, for a fresh build as for a cache.
+The closure, which may come from a cache, is measured as a build is:
+`closure.fixpoint` counts what the affine generators reach on its additive
+rows, and `closure.tables_witness` proves its Cayley tables by the S_n
+symmetry, naming the first wrong cell on a failure.  Later checks read
+the tables it returns, marked by the proof, never the mark of the closure
+given, so the axiom scan and `green`'s scans lean on the symmetry only
+where it is proved, for a fresh build as for a cache.
 """
 
 from dataclasses import dataclass
@@ -51,17 +52,23 @@ def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
     ct = formulas.counts(n)
 
     # generator layer
-    gen_sizes = {kind: len(generators.enumerate_kind(kind, n))
-                 for kind in generators.KINDS}
+    gens = {kind: generators.enumerate_kind(kind, n) for kind in generators.KINDS}
+    gen_sizes = {kind: len(g) for kind, g in gens.items()}
     expected_sizes = {"end": ct.end_count, "aut": ct.aut_count,
                       "aff": ct.aff_count, "const": n * n + 1}
     _check(results, "generator censuses match closed forms", n,
            gen_sizes == expected_sizes, _diff(gen_sizes, expected_sizes))
     _check(results, "Aut(B_n) isomorphic to S_n", n, generators.aut_iso_sn(n))
 
-    # closure layer
-    _check(results, "closure size matches closed form", n,
-           len(ns) == ct.a_plus_total, _diff(len(ns), ct.a_plus_total))
+    # closure layer: the build's fixpoint, rerun on the additive table given
+    reps = maps.orbit_labels(n) == np.arange(len(ns))
+    try:  # pop: the Aff set is not held to the end
+        reached = closure_mod.fixpoint(gens.pop("aff"), ns.add_table[reps])
+        size, cause = int(np.count_nonzero(reached)), ""
+    except ValueError as e:  # a generator refused
+        size, cause = None, str(e)
+    _check(results, "closure size matches closed form", n, size == ct.a_plus_total,
+           cause or _diff(size, ct.a_plus_total))
     hist = closure_mod.support_histogram(ns)
     expected_hist = formulas.support_histogram_expected(n)
     _check(results, "support breakup matches closed form", n,

@@ -7,12 +7,16 @@ for `generators.enumerate_end`, `add` for `brandt.add_table`,
 `pointwise_add`, which sums two tables cell by cell with `add`, for the
 sums that `maps.products` ranks, `related` for the relation-to-key map
 inside `green.analytic_structure`, `union_find_labels` for
-`maps.least_labels`, and `fill_tables`, which ranks every cell directly,
-for `closure.orbit_tables`.  `elements` renders the element tables that a
-closure's or reduct's indices stand for.
+`maps.least_labels`, and `fill_tables`, which ranks every cell through the
+public `maps.products` (itself checked against `pointwise_add`), for the
+tables that `closure.additive_closure` fills from orbit representatives.
+`elements` renders the element tables that a closure's or reduct's indices
+stand for.
 """
 
 from itertools import product
+
+import numpy as np
 
 from ans import brandt, closure, generators, maps
 from ans.brandt import THETA, pair, unpair
@@ -65,9 +69,17 @@ def elements(s):
 
 
 def fill_tables(n):
-    """Both Cayley tables over the canonical family, every cell ranked, raising
-    on a product outside the four shapes, named by its first cell (row-major)."""
-    return closure._ranked_rows(range(len(maps.canonical_tables(n))), n)
+    """Both Cayley tables over the canonical family, every cell ranked by
+    `maps.products`, raising on a product outside the four shapes, named by
+    its first cell (row-major), a sum before a composite."""
+    E = maps.canonical_tables(n)
+    add_t, mul_t = (np.concatenate([r for _, r in maps.products(E, E, op, n)]) for op in "+o")
+    bad = np.argwhere((add_t < 0) | (mul_t < 0))  # row-major
+    if bad.size:
+        i, j = bad[0]
+        kind = "additively" if add_t[i, j] < 0 else "multiplicatively"
+        raise AssertionError(f"closure not {kind} closed at ({i},{j})")
+    return add_t.astype(closure.TABLE_DTYPE), mul_t.astype(closure.TABLE_DTYPE)
 
 
 def proj2(code, n):

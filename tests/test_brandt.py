@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,23 @@ def test_zero_is_absorbing(n):
     t = brandt.add_table(n)
     assert (t[brandt.THETA, :] == brandt.THETA).all()
     assert (t[:, brandt.THETA] == brandt.THETA).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_automorphism_moves_each_pair_by_sigma(n):
+    for sigma in brandt.enumerate_sn(n):
+        phi = brandt.automorphism(sigma, n)
+        assert phi[brandt.THETA] == brandt.THETA and len(phi) == brandt.size(n)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                assert phi[brandt.pair(i, j, n)] == brandt.pair(sigma[i - 1], sigma[j - 1], n)
+
+
+def test_automorphism_refuses_a_permutation_of_another_length():
+    with pytest.raises(ValueError, match=re.escape("permutation length 2 != n=3")):
+        brandt.automorphism((2, 1), 3)
+    with pytest.raises(ValueError, match="not a permutation"):
+        brandt.automorphism((1, 1), 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,12 +110,17 @@ def test_exhaustive_scan_matches_reference_loop(closure_of, add_cell, mul_cell):
     assert not any(ok for ok, _ in expected)
 
 
+def test_every_law_is_scanned_exhaustively_at_n3(closure_of):
+    report = closure.verify_near_semiring(closure_of(3))
+    assert report.passed
+    assert [c.checked for c in report.checks] == [145 ** 3] * 3
+
+
 def _sample_every_law(monkeypatch, samples):
     """Sample `samples` triples of every law, from seed 3, at any size."""
     monkeypatch.setattr(closure, "_AXIOM_SAMPLES", samples)
     monkeypatch.setattr(closure, "_SEED", 3)
-    monkeypatch.setattr(closure, "_ASSOC_EXHAUSTIVE_MAX", 0)
-    monkeypatch.setattr(closure, "_DISTRIB_EXHAUSTIVE_MAX", 0)
+    monkeypatch.setattr(closure, "_EXHAUSTIVE_MAX", 0)
 
 
 def _reference_scan(holds, triples):
@@ -184,8 +190,8 @@ def test_closure_rejects_generators_whose_sums_leave_the_shapes():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_closure_ranks_each_representative_row_once_per_product(monkeypatch, n):
-    # the fixpoint reads its sums off the additive table, so the product
-    # kernel sees only `orbit_tables`' rows: each representative's, once
+    # the fixpoint reads its sums off the representatives' additive rows, so
+    # the product kernel sees only those rows, each ranked once
     gens = generators.enumerate_aff(n)  # before the count: it ranks End x Const
     real, received = maps.products, {"+": [], "o": []}
 
@@ -199,10 +205,27 @@ def test_closure_ranks_each_representative_row_once_per_product(monkeypatch, n):
     assert received == {"+": reps.tolist(), "o": reps.tolist()}
 
 
+def test_a_closure_that_misses_is_refused_before_any_table_is_allocated():
+    # sums of constants are constants, so the closure misses the first singleton
+    gens = generators.enumerate_constants(4)
+    missed = re.escape("the closure misses <(1,1)->(1,1)>")
+    with pytest.raises(ValueError, match=missed):  # fills the caches the build reads
+        closure.additive_closure(gens)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=missed):
+            closure.additive_closure(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 657 ** 2 * np.dtype(closure.TABLE_DTYPE).itemsize  # one table, 0.86 MB
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_fill_and_orbit_tables_name_the_first_product_outside_the_shapes(monkeypatch, n):
     # sums of canonical tables keep a shape, so mark some as outside: on
-    # orbit representatives' rows, which `orbit_tables` ranks directly
+    # orbit representatives' rows, which `additive_closure` ranks directly
+    gens = generators.enumerate_aff(n)  # before the patch: it ranks End x Const
     reps = np.flatnonzero(maps.orbit_labels(n) == np.arange(len(maps.all_canonical(n))))
     r1, r2 = int(reps[1]), int(reps[-1])
     # (r1, 11) has both products outside: a sum outside is named first
@@ -220,12 +243,16 @@ def test_fill_and_orbit_tables_name_the_first_product_outside_the_shapes(monkeyp
             yield lo, ranks
 
     monkeypatch.setattr(maps, "products", products)
-    for fill in (oracles.fill_tables, closure.orbit_tables):
+
+    def build(n):
+        return closure.additive_closure(gens)
+
+    for fill in (oracles.fill_tables, build):
         with pytest.raises(AssertionError, match=re.escape(
                 f"closure not multiplicatively closed at ({r1},7)")):
             fill(n)
     marked.discard(("o", r1, 7))
-    for fill in (oracles.fill_tables, closure.orbit_tables):
+    for fill in (oracles.fill_tables, build):
         with pytest.raises(AssertionError, match=re.escape(
                 f"closure not additively closed at ({r1},11)")):
             fill(n)

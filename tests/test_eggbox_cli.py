@@ -605,7 +605,9 @@ def test_cli_verify_reports_a_generator_census_off_its_closed_form(tmp_path, cap
     measured = {"end": 4, "aut": 2, "aff": 11, "const": 5}  # Aff loses xi_(1,1), xi_(1,2)
     expected = {"end": 5, "aut": 2, "aff": 13, "const": 5}
     assert failed == ["generator censuses match closed forms: FAIL  "
-                      f"[measured {measured!r}, expected {expected!r}]"]
+                      f"[measured {measured!r}, expected {expected!r}]",
+                      "closure size matches closed form: FAIL  "
+                      "[generator set is not closed under conjugation by S_n]"]
 
 
 def test_cli_verify_reports_a_failed_cold_build_as_a_build_failure(tmp_path, capsys,
@@ -625,6 +627,19 @@ def test_cli_verify_reports_a_failed_cold_build_as_a_build_failure(tmp_path, cap
     assert failed == ["closure builds from the affine generators: FAIL  "
                       "[generator set is not closed under conjugation by S_n]"]
     assert not cli.cache_path(tmp_path, 2).exists()
+
+
+def test_cli_verify_reruns_the_closure_fixpoint_on_a_cache_hit(tmp_path, capsys):
+    # every sum at a representative now reads xi_theta, so the affine
+    # generators reach only themselves: 13 of the 29 elements
+    run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
+    path = cli.cache_path(tmp_path, 2)
+    d = _load_npz(path)
+    d["add_table"][maps.orbit_labels(2) == np.arange(29)] = 0
+    _save_npz(path, d)
+    code, out, _ = run_cli(capsys, ["verify", "--n", "2", "--cache-dir", str(tmp_path)])
+    assert code == 1
+    assert "  closure size matches closed form: FAIL  [measured 13, expected 29]" in out
 
 
 def _damaged(clean, damage):
