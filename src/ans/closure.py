@@ -23,8 +23,9 @@ is stated once, as the row identity t[P f] = P[t[f][P^-1]] for each
 generator P (`_conjugate_rows`).  `spread` walks the orbit representatives'
 rows of any per-element table to every other row by such a rule, this one
 or `green`'s for ideal rows.  `additive_closure` fills the tables by the
-walk; `tables_witness` proves a pair of tables, say from a cache, by the
-same walk, and names the first wrong cell when the proof fails.
+walk; `tables_witness` proves each table alone, say from a cache, by a
+direct sample and the same walk, and ranks only a table whose proof fails,
+naming its first wrong cell.
 
 Tables that commute with S_n carry the `symmetric` mark, set only here:
 by `additive_closure`, and by `tables_witness` on the tables it proves.
@@ -107,21 +108,13 @@ class NearSemiring:
         raise ValueError(f"unknown reduct {label!r}")
 
 
-def _ranked_blocks(rows, cols, n):
-    """((lo, sums), (lo, composites)) of the canonical elements rows x cols,
-    each ranked directly, block by block of rows; -1 marks a product
-    outside the four shapes."""
-    E = maps.canonical_tables(n)
-    F, G = E[rows], E[cols]
-    return zip(maps.products(F, G, "+", n), maps.products(F, G, "o", n))
-
-
 def _ranked_rows(rows, n):
     """Both tables' `rows`, every cell ranked directly.  Raises if a product
     falls outside the four shapes, naming the first such cell (row-major)."""
-    m = len(maps.canonical_tables(n))
-    add_rows, mul_rows = (np.empty((len(rows), m), dtype=TABLE_DTYPE) for _ in range(2))
-    for (lo, sums), (_, comps) in _ranked_blocks(rows, np.arange(m), n):
+    E = maps.canonical_tables(n)
+    add_rows, mul_rows = (np.empty((len(rows), len(E)), dtype=TABLE_DTYPE) for _ in range(2))
+    F = E[rows]
+    for (lo, sums), (_, comps) in zip(maps.products(F, E, "+", n), maps.products(F, E, "o", n)):
         bad = np.flatnonzero((sums < 0) | (comps < 0))
         if bad.size:
             i, j = np.unravel_index(bad[0], sums.shape)
@@ -175,34 +168,17 @@ def _draw(rng: random.Random, count: int, m: int) -> np.ndarray:
     return (words * m >> 32).astype(np.intp)
 
 
-def _proof_breach(ns: NearSemiring) -> str:
-    """Which part of the symmetric proof of the tables fails, or "" if none.
-
-    Three parts, over the orbits `labelling` gives the marked tables `ns`:
-    the representatives' rows, ranked directly; every other row equal to
-    its `spread` from a row already proved, which proves every cell by
-    induction; and a seeded sample of direct cells (a grid, plus whole rows
-    of a few non-representatives), a check that does not lean on the
-    symmetry argument.
-    """
-    n, m = ns.n, len(ns)
-    tables = {"add": ns.add_table, "mul": ns.mul_table}
-    labels, reps, perms = labelling(ns)
-    others = np.flatnonzero(labels != np.arange(m))
-    rng = random.Random(_SEED)
-    picked = others[_draw(rng, min(_SAMPLE_ROWS, len(others)), len(others))]
-    sample = np.concatenate([reps, np.sort(picked)])
-    grid = np.sort(_draw(rng, 2 * _SAMPLE_GRID, m).reshape(2, -1), axis=1)
-    for where, rows, cols in (((sample, slice(None)), sample, np.arange(m)),
-                              (np.ix_(*grid), *grid)):
-        blocks = list(_ranked_blocks(rows, cols, n))
-        for k, (label, t) in enumerate(tables.items()):
-            if not np.array_equal(t[where], np.concatenate([b[k][1] for b in blocks])):
-                return f"{label}_table differs from a directly ranked cell"
-    for label, t in tables.items():
-        for g, rows, moved in spread(t, perms, reps, _conjugate_rows):
-            if not np.array_equal(t[rows], moved):
-                return f"{label}_table is not invariant under index permutation {g}"
+def _first_wrong(label, t, op, rows, cols, n) -> str:
+    """The first cell of t[rows x cols] (row-major) that differs from its
+    product ranked directly, as a witness, or "" if none.  Rows are ranked
+    a block at a time, and the scan stops at the first block that differs."""
+    E = maps.canonical_tables(n)
+    for lo, want in maps.products(E[rows], E[cols], op, n):
+        bad = np.argwhere(t[rows[lo:lo + len(want)]].take(cols, axis=1) != want)
+        if bad.size:
+            i, j = bad[0]
+            a, b = int(rows[lo + i]), int(cols[j])
+            return f"{label}_table[{a},{b}] is {int(t[a, b])}, recomputed {int(want[i, j])}"
     return ""
 
 
@@ -212,23 +188,33 @@ def tables_witness(ns: NearSemiring) -> Tuple[str, Optional[NearSemiring]]:
     conjugation by S_n is an automorphism of proved tables, so a scan may
     read its verdicts off the orbit representatives (`labelling`).
 
-    On any breach of the symmetric proof (`_proof_breach`), rows are ranked
-    directly a block at a time, add table first, until one differs: the
-    witness is its first wrong cell (row-major), else the breach.
+    Each table is proved alone, add then mul, over the orbits of `labelling`:
+    a seeded sample of direct cells (the representatives' rows, whole rows
+    of a few others, a grid), then, if it holds, every other row equal to
+    its `spread` from a row already proved, so every cell by induction.  A
+    table that fails has its rows ranked directly from row 0 until a block
+    differs: the witness is its first wrong cell (row-major), else the
+    breach.  A table that passes has no wrong cell, so add is named first.
     """
     proved = replace(ns, symmetric=True)
-    breach = _proof_breach(proved)
-    if not breach:
-        return "", proved
-    E = maps.canonical_tables(ns.n)
-    for label, op, got in (("add", "+", ns.add_table), ("mul", "o", ns.mul_table)):
-        for lo, want in maps.products(E, E, op, ns.n):
-            bad = np.argwhere(got[lo:lo + len(want)] != want)
-            if bad.size:
-                i, j = lo + int(bad[0][0]), int(bad[0][1])
-                return (f"{label}_table[{i},{j}] is {int(got[i, j])}, "
-                        f"recomputed {int(want[i - lo, j])}"), None
-    return breach, None
+    n, m = ns.n, len(ns)
+    labels, reps, perms = labelling(proved)
+    every = np.arange(m)
+    others = np.flatnonzero(labels != every)
+    rng = random.Random(_SEED)
+    picked = others[_draw(rng, min(_SAMPLE_ROWS, len(others)), len(others))]
+    sample = [(np.concatenate([reps, np.sort(picked)]), every),
+              np.sort(_draw(rng, 2 * _SAMPLE_GRID, m).reshape(2, -1), axis=1)]
+    for label, op, t in (("add", "+", ns.add_table), ("mul", "o", ns.mul_table)):
+        if any(_first_wrong(label, t, op, rows, cols, n) for rows, cols in sample):
+            breach = f"{label}_table differs from a directly ranked cell"
+        else:
+            breach = next((f"{label}_table is not invariant under index permutation {g}"
+                           for g, rows, moved in spread(t, perms, reps, _conjugate_rows)
+                           if not np.array_equal(t[rows], moved)), "")
+        if breach:
+            return _first_wrong(label, t, op, every, every, n) or breach, None
+    return "", proved
 
 
 def check_n_cap(n: int):

@@ -397,6 +397,7 @@ def test_cli_reports_match_goldens(tmp_path, capsys, cache):
     # the verify report, enumerate JSON and Green JSON, byte for byte, from
     # a fresh build and from the cache that an earlier run wrote
     commands = {"verify_n1-3.json": ["verify", "--n", "1..3"],
+                "verify_n4.json": ["verify", "--n", "4"],
                 "enumerate_n3.json": ["enumerate", "--n", "3", "--format", "json"],
                 **{f"green_n3_{r}.json": ["green", "--n", "3", "--reduct", r, "--format", "json"]
                    for r in ("additive", "multiplicative")}}

@@ -3,6 +3,7 @@ the battery's symmetric table check against the direct path, and the
 `symmetric` mark that lets a scan visit one element per orbit."""
 
 import dataclasses
+import random
 import signal
 import tracemalloc
 
@@ -135,6 +136,41 @@ def test_failed_proof_ranks_the_direct_rows_a_block_at_a_time(closure_of, tables
         tracemalloc.stop()
     assert proved is None and witness == _direct_witness(bad)
     assert peak < bad.add_table.nbytes + bad.mul_table.nbytes
+
+
+def test_a_late_mul_breach_ranks_only_the_mul_table(closure_of, monkeypatch):
+    # only the last mul cell is wrong: the add table passes its own proof,
+    # so no sum is ranked over all 657 rows before the mul table is named
+    bad = _copy(closure_of(4))
+    bad.mul_table[-1, -1] = (int(bad.mul_table[-1, -1]) + 1) % len(bad)
+    expected = _direct_witness(bad)
+    calls, products = [], maps.products
+
+    def counted(F, G, op, n):
+        calls.append((op, len(F)))
+        return products(F, G, op, n)
+
+    monkeypatch.setattr(maps, "products", counted)
+    witness, proved = closure.tables_witness(bad)
+    assert proved is None and witness == expected and expected.startswith("mul_table[656,656]")
+    assert ("o", len(bad)) in calls and ("+", len(bad)) not in calls
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_seeded_tampers_fail_with_direct_witness(closure_of, case):
+    # 1-3 cells per tampered table, in one table or both, each on a
+    # representative or another row, at a seeded random column
+    rng = random.Random(case)
+    bad = _copy(closure_of(3))
+    m, reps = len(bad), _reps(bad)
+    others = np.setdiff1d(np.arange(m), reps)
+    for table in rng.choice([["add_table"], ["mul_table"], ["add_table", "mul_table"]]):
+        t = getattr(bad, table)
+        for _ in range(rng.randint(1, 3)):
+            i, j = int(rng.choice(rng.choice([reps, others]))), rng.randrange(m)
+            t[i, j] = (int(t[i, j]) + rng.randrange(1, m)) % m
+    witness, proved = closure.tables_witness(bad)
+    assert proved is None and witness == _direct_witness(bad) != ""
 
 
 def _cell_orbit(perms, f, g):
