@@ -12,11 +12,11 @@ ns = closure.additive_closure(generators.enumerate_aff(2))
 for label in ("additive", "multiplicative"):
     sg = ns.reduct(label)
     gs = green.green_brute(sg)
-    rec = green.class_counts(gs)
     print(f"{label} reduct:")
     for rel in green.RELATIONS:
-        print(f"  {rel}-classes: {rec.classes[rel]}  sizes {rec.class_sizes[rel]}")
-    print(f"  idempotents {rec.idempotents}, regular {rec.regular}")
+        sizes = tuple(sorted(len(c) for c in gs.classes[rel]))
+        print(f"  {rel}-classes: {len(sizes)}  sizes {sizes}")
+    print(f"  idempotents {sum(gs.idempotent)}, regular {sum(gs.regular)}")
     print()
 
 # The egg-box diagram draws each D-class as an R-by-L grid of H-cells,

@@ -46,7 +46,7 @@ def _read_cache(path: Path, n: int) -> "NearSemiring":
                 d[name.removesuffix(".npy")] = v.item() if v.ndim == 0 else v
     except Exception as e:  # damaged zip and .npy headers raise many error types
         raise ValueError(f"unreadable cache {path}: {type(e).__name__}: {e}") from None
-    if not isinstance(d.get("n"), int) or d["n"] != n:
+    if type(d.get("n")) is not int or d["n"] != n:  # a bool is an int, and True == 1
         raise ValueError(f"cache {path} holds n={d.get('n')!r}, not n={n}")
     try:
         return closure_mod.from_dict(d)
@@ -121,21 +121,20 @@ def cmd_green(args) -> int:
     # hold one reduct only, so the other table is freed before the ideals
     sg = load_or_build(args.n, args.cache_dir).reduct(args.reduct)
     gs = green.green_brute(sg)
-    rec = green.class_counts(gs)
     if args.format == "json":
         d = gs.to_dict()
         d["n"] = args.n
         d["reduct"] = args.reduct
-        d["counts"] = rec.classes
+        d["counts"] = {rel: len(gs.classes[rel]) for rel in green.RELATIONS}
         _emit(_json_text(d), args.out)
         return 0
     lines = [f"Green structure: {args.reduct} reduct, n={args.n}, {len(sg)} elements"]
     for rel in green.RELATIONS:
-        sizes = rec.class_sizes[rel]
-        lines.append(f"  {rel}-classes: {rec.classes[rel]} "
-                     f"(sizes min {sizes[0]}, max {sizes[-1]})")
-    lines.append(f"  idempotents: {rec.idempotents}")
-    lines.append(f"  regular elements: {rec.regular}")
+        sizes = [len(c) for c in gs.classes[rel]]
+        lines.append(f"  {rel}-classes: {len(sizes)} "
+                     f"(sizes min {min(sizes)}, max {max(sizes)})")
+    lines.append(f"  idempotents: {sum(gs.idempotent)}")
+    lines.append(f"  regular elements: {sum(gs.regular)}")
     lines.append(f"  max eventual-regularity index: {max(gs.eventual_index)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -22,8 +22,6 @@ class Box:
     """One D-class: members plus its R x L grid of H-class cells."""
     index: int
     members: Tuple[int, ...]
-    r_classes: Tuple[Tuple[int, ...], ...]
-    l_classes: Tuple[Tuple[int, ...], ...]
     cells: Tuple[Tuple[Tuple[int, ...], ...], ...]
 
     @property
@@ -75,8 +73,6 @@ def build_eggbox(ns: NearSemiring, label: str) -> EggBox:
         boxes.append(Box(
             index=bi + 1,
             members=tuple(members),
-            r_classes=tuple(gs.classes["R"][rc] for rc in rows),
-            l_classes=tuple(gs.classes["L"][lc] for lc in cols),
             cells=cells,
         ))
     covers = _j_order_covers(gs.j_ideals, [b.members[0] for b in boxes])
@@ -109,8 +105,8 @@ def eggbox_text(eb: EggBox) -> str:
     for box in eb.boxes:
         lines.append("")
         lines.append(f"D-class {box.index}: {_plural(len(box.members), 'element')}, "
-                     f"{_plural(len(box.r_classes), 'R-class')} x "
-                     f"{_plural(len(box.l_classes), 'L-class')}")
+                     f"{_plural(len(box.cells), 'R-class')} x "
+                     f"{_plural(len(box.cells[0]), 'L-class')}")
         grid = [[_cell_text(eb, cell) for cell in row] for row in box.cells]
         widths = [max(len(grid[r][c]) for r in range(len(grid)))
                   for c in range(len(grid[0]))]
@@ -160,8 +156,8 @@ def eggbox_json(eb: EggBox) -> dict:
             {
                 "index": box.index,
                 "size": len(box.members),
-                "r_classes": len(box.r_classes),
-                "l_classes": len(box.l_classes),
+                "r_classes": len(box.cells),
+                "l_classes": len(box.cells[0]),
                 "cells": [[[eb.tokens[i] for i in cell] for cell in row]
                           for row in box.cells],
                 "stars": [[any(eb.idempotent[i] for i in cell) for cell in row]

@@ -47,7 +47,6 @@ SUBSET_NAMES = ("all", "K", "N", "constants", "singleton-ideal")
 class GreenStructure:
     """Partitions of one reduct under R, L, D, J, H plus element flags."""
     label: str
-    size: int
     classes: Dict[str, Tuple[Tuple[int, ...], ...]]
     class_of: Dict[str, Tuple[int, ...]]
     idempotent: Tuple[bool, ...]
@@ -177,7 +176,6 @@ def green_brute(sg: FiniteSemigroup) -> GreenStructure:
     reg = regular_elements(sg)
     return GreenStructure(
         label=sg.label,
-        size=m,
         classes={rel: _classes(lab) for rel, lab in labels.items()},
         # classes are numbered in order of least member, the labels' fixed points
         class_of={rel: tuple(np.searchsorted(ar[lab == ar], lab).tolist())
@@ -186,24 +184,6 @@ def green_brute(sg: FiniteSemigroup) -> GreenStructure:
         regular=tuple(reg.tolist()),
         eventual_index=eventual_regularity(sg, reg),
         j_ideals=tuple(two[a].tobytes() for a in np.flatnonzero(labels["J"] == ar)),
-    )
-
-
-@dataclass
-class CountsRecord:
-    classes: Dict[str, int]
-    class_sizes: Dict[str, Tuple[int, ...]]
-    idempotents: int
-    regular: int
-
-
-def class_counts(gs: GreenStructure) -> CountsRecord:
-    return CountsRecord(
-        classes={rel: len(gs.classes[rel]) for rel in RELATIONS},
-        class_sizes={rel: tuple(sorted(len(c) for c in gs.classes[rel]))
-                     for rel in RELATIONS},
-        idempotents=sum(gs.idempotent),
-        regular=sum(gs.regular),
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import io
 import json
@@ -57,14 +58,20 @@ def test_n1_additive_three_starred_singletons(closure_of):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])
-def test_cells_partition_each_d_class(closure_of, n, label):
+def test_cells_partition_each_d_class(closure_of, green_of, n, label):
     eb = eggbox.build_eggbox(closure_of(n), label)
+    r_of, l_of = (green_of(n, label).class_of[rel] for rel in ("R", "L"))
     seen = []
     for box in eb.boxes:
         flat = [i for row in box.cells for cell in row for i in cell]
         assert sorted(flat) == sorted(box.members)
-        assert len(box.cells) == len(box.r_classes)
-        assert all(len(row) == len(box.l_classes) for row in box.cells)
+        # each row lies in one R-class and each column in one L-class, all distinct
+        rows = [{r_of[i] for cell in row for i in cell} for row in box.cells]
+        cols = [{l_of[i] for row in box.cells for i in row[c]} for c in range(len(box.cells[0]))]
+        assert all(len(row) == len(box.cells[0]) for row in box.cells)
+        for classes in (rows, cols):
+            assert all(len(k) == 1 for k in classes)
+            assert len(set.union(*classes)) == len(classes)
         assert box.empty_cells == 0
         seen += flat
     assert sorted(seen) == list(range(len(eb.tokens)))
@@ -398,6 +405,7 @@ def test_cli_reports_match_goldens(tmp_path, capsys, cache):
     # a fresh build and from the cache that an earlier run wrote
     commands = {"verify_n1-3.json": ["verify", "--n", "1..3"],
                 "verify_n4.json": ["verify", "--n", "4"],
+                "verify_n5.json": ["verify", "--n", "5"],
                 "enumerate_n3.json": ["enumerate", "--n", "3", "--format", "json"],
                 **{f"green_n3_{r}.json": ["green", "--n", "3", "--reduct", r, "--format", "json"]
                    for r in ("additive", "multiplicative")}}
@@ -408,6 +416,25 @@ def test_cli_reports_match_goldens(tmp_path, capsys, cache):
         code, out, _ = run_cli(capsys, argv + cache_dir + ["--out", str(tmp_path / "out")])
         assert code == 0
         assert (tmp_path / "out").read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+# SHA-256 of `ans green|eggbox --n 5 --reduct R --format json`, 150-520 KB each,
+# too big for goldens
+N5_JSON_SHA256 = {
+    ("green", "additive"): "8ef69710e4354161eff4503c8ef90c7da6f04d50a4881d8524e3502633c7e928",
+    ("green", "multiplicative"): "ef474a41937ceb72cf2604fe991fce2b5f609639467cf0514eb32e69695ef0dc",
+    ("eggbox", "additive"): "cb777609f29a2bc90e098f858779c0d4f028e6601eee98c00141277009007847",
+    ("eggbox", "multiplicative"): "b80c195cfe3ed3141da9d7c146c67db06ef8af8383baaae924e5181b48a4ae13",
+}
+
+
+@pytest.mark.parametrize("command, reduct", list(N5_JSON_SHA256))
+def test_cli_json_at_n5_matches_its_pinned_hash(tmp_path, capsys, command, reduct):
+    target = tmp_path / "out.json"
+    code, _, _ = run_cli(capsys, [command, "--n", "5", "--reduct", reduct, "--format", "json",
+                                  "--out", str(target)])
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == N5_JSON_SHA256[command, reduct]
 
 
 @pytest.mark.parametrize("argv", [["green", "--reduct", "multiplicative"],
@@ -572,7 +599,7 @@ def test_cli_verify_reports_a_closure_short_of_the_family(tmp_path, capsys, monk
         "[the closure misses <(1,1)->(1,1)>]",
         "0/1 checks passed"]
     assert json.loads(report.read_text()) == {
-        "format_version": closure.FORMAT_VERSION, "all_passed": False,
+        "format_version": verify.REPORT_VERSION, "all_passed": False,
         "results": [{"name": "closure builds from the affine generators", "n": 2,
                      "passed": False, "details": "the closure misses <(1,1)->(1,1)>"}]}
 
@@ -693,6 +720,29 @@ def test_cli_green_refuses_cache_of_another_n(tmp_path, capsys):
         "green", "--n", "2", "--cache-dir", str(tmp_path)])
     assert code == 2 and out == ""
     assert err.startswith("error:") and str(cli.cache_path(tmp_path, 2)) in err
+
+
+@pytest.mark.parametrize("key", ["n", "format_version"])
+def test_cli_refuses_a_cache_that_stores_an_int_as_a_bool(tmp_path, capsys, key):
+    # True == 1, so a bool n or format_version would pass an equality check at n = 1
+    run_cli(capsys, ["enumerate", "--n", "1", "--cache-dir", str(tmp_path)])
+    path = cli.cache_path(tmp_path, 1)
+    _save_npz(path, dict(_load_npz(path), **{key: np.array(True)}))
+    code, out, err = run_cli(capsys, ["eggbox", "--n", "1", "--cache-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and str(path) in err
+    code, out, _ = run_cli(capsys, ["verify", "--n", "1", "--cache-dir", str(tmp_path)])
+    assert code == 1
+    assert "cached closure loads and validates: FAIL" in out and str(path) in out
+
+
+def test_verify_report_version_is_not_the_cache_format_version(tmp_path, capsys,
+                                                                monkeypatch):
+    monkeypatch.setattr(closure, "FORMAT_VERSION", closure.FORMAT_VERSION + 1)
+    report = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, ["verify", "--n", "1", "--out", str(report)])
+    assert code == 0
+    assert json.loads(report.read_text())["format_version"] == verify.REPORT_VERSION == 1
 
 
 @pytest.mark.parametrize("kind", generators.KINDS)
