@@ -65,10 +65,6 @@ _SAMPLE_GRID = 64
 _EXHAUSTIVE_MAX = 4_000_000
 _AXIOM_SAMPLES = 100_000
 
-# Sampled axiom triples drawn and checked per vectorized step, each slice just
-# before its scan; bigger slices raise peak memory without making it faster.
-_SCAN_SLICE = 10_000
-
 
 @dataclass
 class FiniteSemigroup:
@@ -216,7 +212,9 @@ def tables_witness(ns: NearSemiring) -> Tuple[str, Optional[NearSemiring]]:
 
 
 def check_n_cap(n: int):
-    """Refuse an n above the cap, before any work on it starts."""
+    """Refuse a non-int n, a bool too, or one above the cap, before any work starts."""
+    if type(n) is not int:
+        raise ValueError(f"n={n!r} is not an int")
     if n > DEFAULT_N_CAP:
         raise ValueError(f"n={n} exceeds cap {DEFAULT_N_CAP}")
 
@@ -325,8 +323,8 @@ def verify_near_semiring(ns: NearSemiring) -> ValidationReport:
     Each law is scanned exhaustively while its m^3 triples number at most
     _EXHAUSTIVE_MAX (up to n = 3), and on _AXIOM_SAMPLES deterministic
     random triples beyond that: one `_draw` stream from _SEED, laws in
-    order, each law's triples streamed a _SCAN_SLICE at a time.  Failures
-    carry the first offending triple (row-major, or in sample order).
+    order, each law's triples drawn a `maps.row_blocks` slice at a time.
+    Failures carry the first offending triple (row-major, or in sample order).
     On marked tables an exhaustive scan lets x run over the representatives
     of `labelling` only, yet covers and reports all m^3 triples: a failing
     (x, y, z) fails again at (P x, P y, P z) for every automorphism P.
@@ -356,8 +354,10 @@ def verify_near_semiring(ns: NearSemiring) -> ValidationReport:
             blocks = ((i, ar[:, None], ar[None, :]) for i in reps)
         else:
             checked = min(_AXIOM_SAMPLES, total)
-            sizes = [min(_SCAN_SLICE, checked - lo) for lo in range(0, checked, _SCAN_SLICE)]
-            blocks = (_draw(rng, 3 * k, m).reshape(k, 3).T for k in sizes)
+            # a triple is a row of 6 cells, its draws and about as many products,
+            # so a slice holds 10,922; bigger slices raise peak memory, not speed
+            blocks = (_draw(rng, 3 * len(part), m).reshape(-1, 3).T
+                      for part in maps.row_blocks(range(checked), 6))
         report.checks.append(_scan(name, fails, blocks, checked))
         for _ in blocks:  # draw what a failure left, so the next law's sample stays put
             pass

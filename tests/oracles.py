@@ -11,7 +11,8 @@ inside `green.analytic_structure`, `union_find_labels` for
 public `maps.products` (itself checked against `pointwise_add`), for the
 tables that `closure.additive_closure` fills from orbit representatives.
 `elements` renders the element tables that a closure's or reduct's indices
-stand for.
+stand for.  `check_iso`, which tests an explicit bijection cell by cell, is
+the reference for the isomorphism certificates of `green.subset_report`.
 """
 
 from itertools import product
@@ -199,3 +200,14 @@ def union_find_labels(maps_, m):
             a, b = find(i), find(int(j))
             parent[max(a, b)] = min(a, b)
     return [find(i) for i in range(m)]
+
+
+# --- isomorphisms ---------------------------------------------------------------
+
+def check_iso(table_a, table_b, bij) -> bool:
+    """Does the bijection carry table_a onto table_b?"""
+    bij = np.asarray(bij, dtype=np.int64)
+    m = table_a.shape[0]
+    if table_b.shape != (m, m) or sorted(bij.tolist()) != list(range(m)):
+        return False
+    return bool(np.array_equal(table_b[bij[:, None], bij[None, :]], bij[table_a]))

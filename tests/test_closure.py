@@ -2,6 +2,7 @@ import json
 import random
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -152,12 +153,11 @@ def test_sampled_scan_matches_reference_loop(closure_of, monkeypatch, table):
 
 
 def test_sampler_streams_the_same_draws_in_slices(closure_of, monkeypatch):
-    count = 3 * (2 * closure._SCAN_SLICE + 5_000)
+    count = 3 * (2 * 10_922 + 5_000)
     for m in (1, 2, 29, 657, 27_253):
         whole = closure._draw(random.Random(3), count, m)
         rng = random.Random(3)
-        sliced = [closure._draw(rng, 3 * k, m)
-                  for k in (closure._SCAN_SLICE, closure._SCAN_SLICE, 5_000)]
+        sliced = [closure._draw(rng, 3 * k, m) for k in (10_922, 10_922, 5_000)]
         assert np.array_equal(np.concatenate(sliced), whole)
         assert whole.dtype == np.intp and 0 <= whole.min() and whole.max() < m
         assert m > 657 or len(np.unique(whole)) == m  # every index is drawn
@@ -174,7 +174,7 @@ def test_sampler_streams_the_same_draws_in_slices(closure_of, monkeypatch):
 
     _sample_every_law(monkeypatch, 5_000)
     whole = run()
-    monkeypatch.setattr(closure, "_SCAN_SLICE", 700)
+    monkeypatch.setattr(maps, "_BLOCK_CELLS", 6 * 700)  # 700 triples per slice
     assert run() == whole and not whole[0][0]
 
 
@@ -333,6 +333,18 @@ def test_from_dict_rejects_bad_payloads(closure_of):
 def test_from_dict_refuses_n_over_cap(closure_of):
     with pytest.raises(ValueError, match="exceeds cap"):
         closure.from_dict(dict(closure.to_dict(closure_of(1)), n=closure.DEFAULT_N_CAP + 1))
+
+
+@pytest.mark.parametrize("n", [True, 1.0])
+def test_library_entry_points_refuse_an_n_that_is_not_an_int(closure_of, n):
+    # True == 1.0 == 1, so only the type tells them from the n = 1 closure's n
+    payload = dict(closure.to_dict(closure_of(1)), n=n)
+    calls = [partial(closure.check_n_cap, n), partial(closure.from_dict, payload),
+             partial(generators.enumerate_aff, n)]
+    calls += [partial(generators.enumerate_kind, kind, n) for kind in formulas.KINDS]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"n={n!r} is not an int")):
+            call()
 
 
 @pytest.mark.parametrize("value", [70000, -1, 65536 + 3])

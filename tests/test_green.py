@@ -245,11 +245,42 @@ def test_zero_direct_union_table_shape_and_zero():
 
 def test_check_iso_detects_mismatch():
     t = brandt.add_table(2)
-    assert green.check_iso(np.asarray(t), np.asarray(t), list(range(5)))
+    assert oracles.check_iso(np.asarray(t), np.asarray(t), list(range(5)))
     twisted = np.asarray(t).copy()
     twisted[1, 2] = 0
-    assert not green.check_iso(np.asarray(t), twisted, list(range(5)))
-    assert not green.check_iso(np.asarray(t), np.asarray(t), [0, 1, 2, 3, 3])
+    assert not oracles.check_iso(np.asarray(t), twisted, list(range(5)))
+    assert not oracles.check_iso(np.asarray(t), np.asarray(t), [0, 1, 2, 3, 3])
+
+
+# (reduct, subset) of every isomorphism certificate
+_CERTIFIED = [("additive", "constants"), ("additive", "singleton-ideal"),
+              ("multiplicative", "singleton-ideal")]
+
+
+@pytest.mark.parametrize("label, name", _CERTIFIED)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rank_order_is_the_certified_bijection(closure_of, n, label, name):
+    # the certificate compares tables as they stand, because the bijection
+    # the canonical forms give is the identity on the rank-ordered members
+    sg = closure_of(n).reduct(label)
+    idx = green.subset_indices(sg, name)
+    _, _, bij = _oracle_bijection(sg, name, idx)
+    assert np.array_equal(bij, np.arange(len(idx)))
+
+
+@pytest.mark.parametrize("label, name", _CERTIFIED)
+@pytest.mark.parametrize("n", [2, 3])
+def test_certificate_refuses_one_wrong_product_inside_the_subset(closure_of, n, label, name):
+    ns = closure_of(n)
+    unmarked = closure.NearSemiring(n, ns.add_table.copy(), ns.mul_table.copy())
+    sg = unmarked.reduct(label)
+    assert green.structural_checks(sg, name).iso_holds
+    idx = np.array(green.subset_indices(sg, name))
+    a, b = idx[len(idx) // 2], idx[-1]
+    at = np.searchsorted(idx, sg.op[a, b])
+    sg.op[a, b] = idx[(at + 1) % len(idx)]  # another member, so the subset stays closed
+    rep = green.structural_checks(sg, name)
+    assert rep.closed and rep.iso_holds is False
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -418,7 +449,8 @@ def _subsets(label):
 # --- the subset checks against the earlier restricted-table implementation ----
 # `_restrict` and `_oracle_iso` are the earlier code, kept as the oracle: they
 # copy the subset's products into a table of its own, in local indices,
-# which `subset_report` no longer does.
+# which `subset_report` no longer does, and test an explicit bijection onto
+# each certified target, which `subset_report` no longer builds.
 
 def _restrict(sg, idx):
     """Restricted table in local indices, in TABLE_DTYPE, and whether the
@@ -436,19 +468,26 @@ def _restrict(sg, idx):
     return local[sub], True
 
 
-def _oracle_iso(sg, name, idx, sub):
+def _oracle_bijection(sg, name, idx):
+    """(target, its table, the bijection onto it) of a certified subset, the
+    bijection derived from the members' canonical forms; else Nones."""
     n = sg.n
     elems = oracles.elements(sg)
     ranks = maps.member_ranks([elems[i] for i in idx], n)
     singleton_bij = np.where(ranks == 0, 0, ranks - n * n)
     if name == "constants" and sg.label == "additive":
-        return f"B_{n}", green.check_iso(sub, brandt.add_table(n), ranks)
+        return f"B_{n}", brandt.add_table(n), ranks
     if name == "singleton-ideal" and sg.label == "additive":
         return (f"0-direct union of {n * n} copies of B_{n}",
-                green.check_iso(sub, green.zero_direct_union_table(n * n, n), singleton_bij))
+                green.zero_direct_union_table(n * n, n), singleton_bij)
     if name == "singleton-ideal" and sg.label == "multiplicative":
-        return f"B_{n * n}", green.check_iso(sub, brandt.add_table(n * n), singleton_bij)
-    return None, None
+        return f"B_{n * n}", brandt.add_table(n * n), singleton_bij
+    return None, None, None
+
+
+def _oracle_iso(sg, name, idx, sub):
+    target, table, bij = _oracle_bijection(sg, name, idx)
+    return target, None if target is None else oracles.check_iso(sub, table, bij)
 
 
 def _oracle_report(sg, name, idx):
