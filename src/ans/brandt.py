@@ -55,12 +55,27 @@ def elements(n):
 
 
 @lru_cache(maxsize=None)
+def add_lookups(n):
+    """The operation of B_n as four read-only lookups on codes, `right`,
+    `left`, `base` and `tail`: a + b is base[a] + tail[b] where right[a] ==
+    left[b], else theta.  For a = (i,j) and b = (k,l), right[a] = j - 1 and
+    left[b] = k - 1, and base[a] + tail[b] is the code of (i,l); theta's
+    keys, n and n + 1, match no key."""
+    code = np.arange(size(n))
+    i, j = np.divmod(code - 1, n)  # 0-based pairs of codes 1..n^2
+    pair = code > 0
+    out = tuple(np.where(pair, x, y).astype(np.int32)
+                for x, y in ((j, n), (i, n + 1), (i * n, 0), (j + 1, 0)))
+    for t in out:
+        t.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
 def add_table(n):
     """Cayley table of B_n as a read-only (n^2+1) x (n^2+1) array."""
-    m = size(n)
-    i, j = np.divmod(np.arange(m - 1, dtype=np.int32), n)  # 0-based pairs of codes 1..n^2
-    t = np.zeros((m, m), dtype=np.int32)
-    t[1:, 1:] = np.where(j[:, None] == i, i[:, None] * n + j + 1, THETA)
+    right, left, base, tail = add_lookups(n)
+    t = np.where(right[:, None] == left, base[:, None] + tail, THETA)
     t.setflags(write=False)
     return t
 

@@ -23,6 +23,9 @@ if TYPE_CHECKING:
 
 REDUCTS = ("additive", "multiplicative")
 
+# The version of `enumerate --format json`'s schema, kept apart from the cache's.
+ENUMERATE_VERSION = 1
+
 
 def cache_path(cache_dir: Path, n: int) -> Path:
     from . import closure as closure_mod
@@ -90,11 +93,13 @@ def _json_text(obj) -> str:
 
 
 def cmd_enumerate(args) -> int:
-    from . import closure as closure_mod
+    from . import closure as closure_mod, maps
     ns = load_or_build(args.n, args.cache_dir)
     hist = closure_mod.support_histogram(ns)
     if args.format == "json":
-        _emit(_json_text(closure_mod.to_dict(ns)), args.out)
+        _emit(_json_text({"format_version": ENUMERATE_VERSION, "n": ns.n, "count": len(ns),
+                          "elements": maps.tokens(range(len(ns)), ns.n),
+                          "add_table": ns.add_table, "mul_table": ns.mul_table}), args.out)
         return 0
     lines = [f"{len(ns)} elements",
              "support histogram: "

@@ -23,15 +23,19 @@ is stated once, as the row identity t[P f] = P[t[f][P^-1]] for each
 generator P (`_conjugate_rows`).  `spread` walks the orbit representatives'
 rows of any per-element table to every other row by such a rule, this one
 or `green`'s for ideal rows.  `additive_closure` fills the tables by the
-walk; `tables_witness` proves each table alone, say from a cache, by a
-direct sample and the same walk, and ranks only a table whose proof fails,
-naming its first wrong cell.
+walk.  A cell is proved by checking it, not ranking it: its element's
+table must be its product's (`_first_wrong`), which holds for one element
+only, since the canonical tables are distinct.  `tables_witness` proves
+each table alone by a sample of such checks and the same walk, and checks
+every cell only of a table whose proof fails, naming its first wrong cell.
+The cache (`to_dict`) stores only the representatives' rows; `from_dict`
+checks every stored cell, then fills the tables by the walk.
 
 Tables that commute with S_n carry the `symmetric` mark, set only here:
-by `additive_closure`, and by `tables_witness` on the tables it proves.
-`from_dict` never sets it, so a cache hit is unmarked.  On marked tables
-the axiom scan and `green`'s scans and ideals visit one element per orbit
-(27 of 145 at n = 3, via `labelling`), and every element otherwise.
+by `additive_closure`, by `from_dict` on the rows it proves, and by
+`tables_witness` on the tables it proves.  On marked tables the axiom scan
+and `green`'s scans and ideals visit one element per orbit (27 of 145 at
+n = 3, via `labelling`), and every element otherwise.
 """
 
 import random
@@ -45,7 +49,8 @@ from . import maps
 # intended resource envelope, so the engine refuses early by default.
 DEFAULT_N_CAP = 6
 
-FORMAT_VERSION = 1
+# The .npz cache's schema (`to_dict`): the representatives' rows since 2.
+FORMAT_VERSION = 2
 
 # Cayley tables hold element indices; at the cap n=6 there are 27,253
 # elements, so uint16 is wide enough and halves the memory of int32.
@@ -120,6 +125,12 @@ def _ranked_rows(rows, n):
     return add_rows, mul_rows
 
 
+def _representatives(n) -> np.ndarray:
+    """The least index of each orbit of `maps.orbit_labels(n)`, ascending."""
+    labels = maps.orbit_labels(n)
+    return np.flatnonzero(labels == np.arange(len(labels)))
+
+
 def labelling(s) -> Tuple[np.ndarray, np.ndarray, tuple]:
     """(labels, reps, perms) for a per-element scan of `s`, a near-semiring
     or a reduct: `maps.orbit_labels` and `maps.index_permutations` of s.n
@@ -131,20 +142,21 @@ def labelling(s) -> Tuple[np.ndarray, np.ndarray, tuple]:
     return labels, np.flatnonzero(labels == np.arange(m)), perms
 
 
-def spread(t, perms, reps, move):
+def spread(t, perms, reps, move, width):
     """Rows of a per-element table t, spread from its rows `reps` (one per
     orbit of `perms`): (g, P f, move(t[f], P, P^-1)) for P = perms[g], per
     block of reached f with P f unreached, until all are reached.  `move`
-    gives the rows of P f from those of f; the caller may write them into
-    t before the next block; a round that reaches no new row raises."""
+    gives the rows of P f from those of f, building about `width` cells per
+    row, which sizes the blocks (`maps.row_blocks`); the caller may write
+    them into t before the next block; a round that reaches no new row raises."""
     reached = np.zeros(len(t), dtype=bool)
     reached[reps] = True
-    inverses = [np.argsort(P) for P in perms]
+    inverses = [maps.inverse(P) for P in perms]
     while not reached.all():
         before = np.count_nonzero(reached)
         for g, (P, P_inv) in enumerate(zip(perms, inverses)):
             sources = np.flatnonzero(reached & ~reached[P])  # f reached, P f not
-            for f in maps.row_blocks(sources, len(t)):
+            for f in maps.row_blocks(sources, width):
                 yield g, P[f], move(t[f], P, P_inv)
             reached[P[sources]] = True
         if np.count_nonzero(reached) == before:
@@ -152,7 +164,9 @@ def spread(t, perms, reps, move):
 
 
 def _conjugate_rows(rows, P, P_inv):
-    """The Cayley rows of P f from those of f: t[P f] = P[t[f][P^-1]]."""
+    """The Cayley rows of P f from those of f: t[P f] = P[t[f][P^-1]].
+    `P.take` makes an 8-byte index of each 2-byte cell, so moving a row
+    costs about four rows of cells: `spread` it with width 4m."""
     return P.take(rows.take(P_inv, axis=1))
 
 
@@ -164,17 +178,21 @@ def _draw(rng: random.Random, count: int, m: int) -> np.ndarray:
     return (words * m >> 32).astype(np.intp)
 
 
-def _first_wrong(label, t, op, rows, cols, n) -> str:
-    """The first cell of t[rows x cols] (row-major) that differs from its
-    product ranked directly, as a witness, or "" if none.  Rows are ranked
-    a block at a time, and the scan stops at the first block that differs."""
+def _first_wrong(label, claimed, op, rows, cols, n) -> str:
+    """The first cell of `claimed` (row-major) that is not its product, as a
+    witness, or "" if none: claimed[i, j] is the table's claim for rows[i]
+    op cols[j], and holds when its element's table is the product's.  Only
+    a wrong cell is ranked, for its witness; the check stops at the first
+    `maps.product_tables` block that holds one."""
     E = maps.canonical_tables(n)
-    for lo, want in maps.products(E[rows], E[cols], op, n):
-        bad = np.argwhere(t[rows[lo:lo + len(want)]].take(cols, axis=1) != want)
+    for lo, cells in maps.product_tables(E[rows], E[cols], op, n):
+        got = claimed[lo:lo + len(cells)]
+        bad = np.argwhere((E[got] != cells).any(axis=2))
         if bad.size:
             i, j = bad[0]
-            a, b = int(rows[lo + i]), int(cols[j])
-            return f"{label}_table[{a},{b}] is {int(t[a, b])}, recomputed {int(want[i, j])}"
+            want = maps.rank(cells[i, j][None], n)[0]
+            return (f"{label}_table[{int(rows[lo + i])},{int(cols[j])}] is {int(got[i, j])}, "
+                    f"recomputed {int(want)}")
     return ""
 
 
@@ -185,12 +203,13 @@ def tables_witness(ns: NearSemiring) -> Tuple[str, Optional[NearSemiring]]:
     read its verdicts off the orbit representatives (`labelling`).
 
     Each table is proved alone, add then mul, over the orbits of `labelling`:
-    a seeded sample of direct cells (the representatives' rows, whole rows
-    of a few others, a grid), then, if it holds, every other row equal to
-    its `spread` from a row already proved, so every cell by induction.  A
-    table that fails has its rows ranked directly from row 0 until a block
-    differs: the witness is its first wrong cell (row-major), else the
-    breach.  A table that passes has no wrong cell, so add is named first.
+    a seeded sample of cells checked against their products (the
+    representatives' rows, whole rows of a few others, a grid), then, if it
+    holds, every other row equal to its `spread` from a row already proved,
+    so every cell by induction.  A table that fails has its rows checked
+    from row 0 until a block holds a wrong cell: the witness is its first
+    wrong cell (row-major), else the breach.  A table that passes has no
+    wrong cell, so add is named first.
     """
     proved = replace(ns, symmetric=True)
     n, m = ns.n, len(ns)
@@ -202,9 +221,10 @@ def tables_witness(ns: NearSemiring) -> Tuple[str, Optional[NearSemiring]]:
     sample = [(np.concatenate([reps, np.sort(picked)]), every),
               np.sort(_draw(rng, 2 * _SAMPLE_GRID, m).reshape(2, -1), axis=1)]
     for label, op, t in (("add", "+", ns.add_table), ("mul", "o", ns.mul_table)):
-        breach = any(_first_wrong(label, t, op, rows, cols, n) for rows, cols in sample) or next(
+        breach = any(_first_wrong(label, t[np.ix_(rows, cols)], op, rows, cols, n)
+                     for rows, cols in sample) or next(
             (f"{label}_table is not invariant under index permutation {g}"
-             for g, rows, moved in spread(t, perms, reps, _conjugate_rows)
+             for g, rows, moved in spread(t, perms, reps, _conjugate_rows, 4 * m)
              if not np.array_equal(t[rows], moved)), "")
         if breach:
             return _first_wrong(label, t, op, every, every, n) or breach, None
@@ -239,8 +259,7 @@ def fixpoint(gens, add_rows) -> np.ndarray:
     additive rows of the orbit representatives, in rank order: the worklist
     reads no other, as it extends each new orbit's representative r by r + g."""
     seen = _generator_mask(gens)
-    label = maps.orbit_labels(gens.n)
-    reps = np.flatnonzero(label == np.arange(len(label)))  # least in each orbit
+    label, reps = maps.orbit_labels(gens.n), _representatives(gens.n)
     gen = np.flatnonzero(seen)
     frontier = np.flatnonzero(seen[reps])  # rows of add_rows
     while frontier.size:
@@ -259,22 +278,31 @@ def additive_closure(gens) -> NearSemiring:
     The representatives' rows are ranked directly, raising on a product
     outside the shapes (the first cell, row-major), and `fixpoint` reads
     them; a closure that misses an element is refused, naming the least.
-    Only then are both tables allocated, and `spread` fills the other rows.
+    Only then are both tables filled (`_spread_tables`).
     """
     _generator_mask(gens)  # refuse bad generators before ranking any row
-    n, m = gens.n, len(maps.canonical_tables(gens.n))
-    reps = np.flatnonzero(maps.orbit_labels(n) == np.arange(m))
-    add_rows, mul_rows = _ranked_rows(reps, n)
-    seen = fixpoint(gens, add_rows)
+    n = gens.n
+    reps = _representatives(n)
+    rows = list(_ranked_rows(reps, n))
+    seen = fixpoint(gens, rows[0])
     if not seen.all():  # argmin: the least rank not reached
         raise ValueError(f"the closure misses {maps.tokens([seen.argmin()], n)[0]}")
-    add_table, mul_table = (np.empty((m, m), dtype=TABLE_DTYPE) for _ in range(2))
-    add_table[reps], mul_table[reps] = add_rows, mul_rows
-    del add_rows, mul_rows  # the walk below sets the peak
-    for t in (add_table, mul_table):
-        for _, rows, moved in spread(t, maps.index_permutations(n), reps, _conjugate_rows):
-            t[rows] = moved
-    return NearSemiring(n, add_table, mul_table, symmetric=True)
+    return _spread_tables(n, reps, rows)
+
+
+def _spread_tables(n, reps, rows) -> NearSemiring:
+    """Both Cayley tables from `rows`, the list of their right rows `reps`,
+    add then mul, which it empties so that the walk does not hold them; every
+    other row is filled by `spread`.  Marked `symmetric`, since conjugation
+    by S_n is an automorphism of the products the right rows state."""
+    m = len(maps.canonical_tables(n))
+    tables = [np.empty((m, m), dtype=TABLE_DTYPE) for _ in rows]
+    for t in tables:
+        t[reps] = rows.pop(0)
+    for t in tables:
+        for _, to, moved in spread(t, maps.index_permutations(n), reps, _conjugate_rows, 4 * m):
+            t[to] = moved
+    return NearSemiring(n, *tables, symmetric=True)
 
 
 # --- axiom checking -----------------------------------------------------------
@@ -370,41 +398,43 @@ def support_histogram(ns: NearSemiring) -> dict:
     return dict(zip(sizes.tolist(), counts.tolist()))
 
 
-# --- interchange: the JSON output and the .npz cache share this schema --------
+# --- the .npz cache ------------------------------------------------------------
 
 def to_dict(ns: NearSemiring) -> dict:
-    """Tables stay arrays: `np.savez` stores them, and JSON lists them via `default`."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "n": ns.n,
-        "count": len(ns),
-        "elements": maps.tokens(range(len(ns)), ns.n),
-        "add_table": ns.add_table,
-        "mul_table": ns.mul_table,
-    }
+    """Both tables' rows at the orbit representatives, ascending, as uint16:
+    they determine the rest, since both tables commute with S_n."""
+    reps = _representatives(ns.n)
+    return {"format_version": FORMAT_VERSION, "n": ns.n,
+            "add_table": ns.add_table[reps], "mul_table": ns.mul_table[reps]}
 
 
 def from_dict(d: dict) -> NearSemiring:
-    """Validate a `to_dict` payload; the tables may be nested lists or arrays.
-    The element list must be the whole canonical family, in order."""
+    """Both tables from a `to_dict` payload, whose rows may be nested lists
+    or arrays.  A wrong version, n, dtype, shape or cell range is refused
+    before any product is taken; then every stored cell is checked against
+    its product, add then mul, raising on the first wrong one (row-major),
+    named as `tables_witness` names it, and the proved rows are spread to
+    both tables, marked `symmetric`."""
     if type(d.get("format_version")) is not int or d["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {d.get('format_version')!r}")
     n = d["n"]
-    check_n_cap(n)  # the token table grows with n!
-    ranks = maps.token_ranks(d["elements"], n)
-    if d["count"] != len(ranks):
-        raise ValueError("declared count does not match the element list")
-    if not np.all(np.diff(ranks) > 0):
-        raise ValueError("element list is not in canonical order or repeats an element")
+    check_n_cap(n)
+    reps = _representatives(n)
     m = len(maps.canonical_tables(n))
-    if len(ranks) < m:  # ascending and distinct, so all m are there iff there are m
-        first = np.setdiff1d(range(m), ranks)[0]
-        raise ValueError(f"element list misses {maps.tokens([first], n)[0]}")
-    tables = [np.asarray(d["add_table"]), np.asarray(d["mul_table"])]
-    for label, t in zip(("additive", "multiplicative"), tables):
+    rows = []
+    for label, t in (("additive", d["add_table"]), ("multiplicative", d["mul_table"])):
+        t = np.asarray(t)
         if t.dtype.kind not in "iu":
             raise ValueError(f"{label} Cayley table is not an integer array")
-        if t.shape != (m, m):
-            raise ValueError(f"{label} Cayley table shape {t.shape} does not match {m} elements")
-        FiniteSemigroup(n, label, t)  # the range before the cast wraps 70000 to 4464
-    return NearSemiring(n, *(t.astype(TABLE_DTYPE, copy=False) for t in tables))
+        if t.shape != (len(reps), m):
+            raise ValueError(f"{label} Cayley table shape {t.shape} is not the rows of the "
+                             f"{len(reps)} orbit representatives over {m} elements")
+        if t.min() < 0 or t.max() >= m:  # before the cast wraps 70000 to 4464
+            raise ValueError("Cayley table contains out-of-range indices")
+        rows.append(t.astype(TABLE_DTYPE, copy=False))
+    every = np.arange(m)
+    for (label, op), t in zip((("add", "+"), ("mul", "o")), rows):
+        witness = _first_wrong(label, t, op, reps, every, n)
+        if witness:
+            raise ValueError(witness)
+    return _spread_tables(n, reps, rows)

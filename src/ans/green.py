@@ -148,7 +148,7 @@ def ideals(sg: FiniteSemigroup) -> Tuple[np.ndarray, ...]:
             block[local, a] = True  # the adjoined identity
             packed[a] = np.packbits(block, axis=1)
     for rows in (right, left):
-        for _, to, moved in spread(rows, perms, reps, _conjugate_members):
+        for _, to, moved in spread(rows, perms, reps, _conjugate_members, m):
             rows[to] = moved
     r_first, l_first = (_labels((row.tobytes() for row in rows), m) for rows in (right, left))
     for a in set(l_first[reps].tolist()):  # the first member of each L-class meeting `reps`
@@ -156,7 +156,7 @@ def ideals(sg: FiniteSemigroup) -> Tuple[np.ndarray, ...]:
         meets[r_first[np.unpackbits(left[a], count=m).view(bool)]] = True
         two[a] = np.bitwise_or.reduce(right[meets], axis=0)
     two[reps] = two[l_first[reps]]
-    for _, to, moved in spread(two, perms, reps, _conjugate_members):
+    for _, to, moved in spread(two, perms, reps, _conjugate_members, m):
         two[to] = moved
     return right, left, two, r_first, l_first
 

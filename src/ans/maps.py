@@ -12,10 +12,9 @@ captured by the canonical forms:
     Singleton(src, dst)    src -> dst, everything else -> theta
     NSupport(k, q, sigma)  support is column k and (i,k) -> (i sigma, q)
 
-Canonical text tokens (used in the cache, JSON exports and egg-box cells):
+Canonical text tokens (used in JSON exports and egg-box cells):
 "xi_theta", "xi(i,j)", "<(k,l)->(p,q)>", "(k,q;[sigma])".  One table per
-n spells every element (`tokens`); `token_ranks` reads back exactly the
-tokens in it.
+n spells every element (`tokens`).
 
 At n=1 the unique 1-support closure element fits both the Singleton and the
 NSupport shape; it is NSupport(1, 1, id), so Singleton never occurs at n=1.
@@ -24,10 +23,10 @@ Every shape question goes through one element index, the position in
 canonical order, which also indexes every Cayley table.  `rank` (and its
 checked form `member_ranks`, the one step from table rows to positions)
 computes it by arithmetic, `forms` and `tokens` read canonical forms and
-tokens off positions, and `products` ranks every pointwise sum or
-composite of two row sets.  `index_permutations` gives conjugation by S_n
-on positions, and `orbit_labels` its orbits.  The tests check `rank`
-against a case-by-case classifier of their own.
+tokens off positions, `product_tables` builds every pointwise sum or
+composite of two row sets, and `products` ranks them.  `index_permutations`
+gives conjugation by S_n on positions, and `orbit_labels` its orbits.  The
+tests check `rank` against a case-by-case classifier of their own.
 """
 
 import math
@@ -240,6 +239,13 @@ def member_ranks(rows, n) -> np.ndarray:
     return r
 
 
+def inverse(P) -> np.ndarray:
+    """The inverse of a permutation array P of range(len(P)), by scatter."""
+    out = np.empty(len(P), dtype=np.intp)
+    out[P] = np.arange(len(P))
+    return out
+
+
 @lru_cache(maxsize=None)
 def index_permutations(n) -> tuple:
     """Conjugation by Aut(B_n) ≅ S_n as permutations of canonical indices.
@@ -255,8 +261,8 @@ def index_permutations(n) -> tuple:
     out = []
     for pi in brandt.sn_generators(n):
         phi = brandt.automorphism(pi, n)
-        P = member_ranks(phi[E[:, np.argsort(phi)]], n).astype(np.uint16)
-        if not np.array_equal(np.sort(P), np.arange(len(E))):
+        P = member_ranks(phi[E[:, inverse(phi)]], n).astype(np.uint16)
+        if not np.all(np.bincount(P, minlength=len(E)) == 1):
             raise AssertionError(f"conjugation by phi{brandt.perm_str(pi)} "
                                  "does not permute the canonical family")
         P.setflags(write=False)
@@ -279,26 +285,42 @@ def forms(ranks, n) -> list:
     return [family[r] for r in ranks]
 
 
-def products(F, G, op, n):
-    """Ranks of F[i] + G[j] (op "+") or F[i] o G[j] (op "o"), every i and j.
+def product_tables(F, G, op, n):
+    """Tables of F[i] + G[j] (op "+") or F[i] o G[j] (op "o"), every i and j.
 
-    Yields `(lo, ranks)` for consecutive blocks of F's rows, where
-    ranks[i, j] is the `rank` of the product of F[lo + i] and G[j] (-1
-    outside the four shapes).  Blocks come from `row_blocks`, so memory
-    stays flat however many rows F has.
+    Yields `(lo, cells)` for consecutive `row_blocks` of F's rows, where
+    cells[i, j] is the table of the product of F[lo + i] and G[j].  Each
+    row of F is built alone, as G's columns or from uint8 lookups of G's
+    cells, so no index grows with the block or outgrows a row of G.
     """
     E = canonical_tables(n)
-    F, G = np.asarray(F), np.asarray(G)
+    F, G = (np.asarray(a, dtype=E.dtype) for a in (F, G))
     w = E.shape[1]
-    if op == "+":    # x(f+g) = xf + xg, at flat index xf * w + xg of the B_n table
-        flat, left, right = brandt.add_table(n).astype(E.dtype).ravel(), F.astype(np.intp) * w, G
-    elif op == "o":  # x(f o g) = (xf)g, at flat index g * w + xf of G
-        flat, left, right = G.ravel(), F, np.arange(len(G))[:, None] * w
+    if op == "+":    # x(f+g) = xf + xg, by `brandt.add_lookups`
+        right, left, base, tail = (t.astype(E.dtype) for t in brandt.add_lookups(n))
+        g_left, g_tail = left[G], tail[G]
+
+        def gather(f, out):
+            np.add(g_tail, base[f], out=out)
+            np.multiply(out, g_left == right[f], out=out)
+    elif op == "o":  # x(f o g) = (xf)g: column xf of G
+        def gather(f, out):  # codes index in range: "clip" writes `out` unbuffered
+            G.take(f, axis=1, out=out, mode="clip")
     else:
         raise ValueError(f"unknown product {op!r}; expected '+' or 'o'")
-    for block in row_blocks(range(len(F)), len(G) * w):  # cells freed before the yield
-        ranks = rank(flat.take(left[block.start:block.stop, None, :] + right).reshape(-1, w), n)
-        yield block.start, ranks.reshape(len(block), len(G))
+    for block in row_blocks(range(len(F)), len(G) * w):
+        cells = np.empty((len(block), len(G), w), dtype=E.dtype)
+        for f, out in zip(F[block.start:block.stop], cells):
+            gather(f, out)
+        yield block.start, cells
+
+
+def products(F, G, op, n):
+    """Ranks of F[i] + G[j] (op "+") or F[i] o G[j] (op "o"), every i and j:
+    `(lo, ranks)` per block of `product_tables`, ranks[i, j] the `rank` of
+    cells[i, j] (-1 outside the four shapes)."""
+    for lo, cells in product_tables(F, G, op, n):
+        yield lo, rank(cells.reshape(-1, cells.shape[2]), n).reshape(cells.shape[:2])
 
 
 # --- text forms --------------------------------------------------------------
@@ -321,30 +343,10 @@ def _token_table(n) -> tuple:
     return tuple(canonical_str(c) for c in all_canonical(n))
 
 
-@lru_cache(maxsize=None)
-def _token_index(n) -> dict:
-    """{token: rank}, the inverse of _token_table(n)."""
-    return {t: r for r, t in enumerate(_token_table(n))}
-
-
 def tokens(ranks, n) -> list:
     """Canonical token of each canonical index."""
     table = _token_table(n)
     return [table[r] for r in ranks]
-
-
-def token_ranks(words, n) -> np.ndarray:
-    """Canonical index of each token, the exact inverse of `tokens`: any
-    token that is not in the table for this n is refused, named."""
-    index = _token_index(n)
-
-    def one(s):
-        if isinstance(s, str) and s in index:
-            return index[s]
-        raise ValueError(f"not a canonical element token at n={n}: "
-                         f"{(str(s) if isinstance(s, str) else s)!r}")
-
-    return np.array([one(s) for s in words], dtype=np.int64)
 
 
 def map_str(f) -> str:

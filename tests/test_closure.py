@@ -292,42 +292,81 @@ def test_json_round_trip(closure_of):
     d = closure.to_dict(ns)
     text = json.dumps(d, default=np.ndarray.tolist)
     back = closure.from_dict(json.loads(text))
-    assert closure.to_dict(back)["elements"] == d["elements"]
+    assert back.symmetric
     assert np.array_equal(back.add_table, ns.add_table)
     assert np.array_equal(back.mul_table, ns.mul_table)
+    again = closure.to_dict(back)
+    assert all(np.array_equal(again[k], d[k]) for k in d) and again.keys() == d.keys()
+
+
+def test_to_dict_stores_the_representatives_rows_only(closure_of):
+    # 15 of the 29 rows at n = 2, as uint16, and no element list
+    ns = closure_of(2)
+    d = closure.to_dict(ns)
+    reps = np.flatnonzero(maps.orbit_labels(2) == np.arange(29))
+    assert sorted(d) == ["add_table", "format_version", "mul_table", "n"]
+    assert d["format_version"] == closure.FORMAT_VERSION == 2 and d["n"] == 2
+    for key in ("add_table", "mul_table"):
+        assert d[key].dtype == np.uint16 and d[key].shape == (len(reps), 29) == (15, 29)
+        assert np.array_equal(d[key], getattr(ns, key)[reps])
 
 
 def test_from_dict_rejects_bad_payloads(closure_of):
     ns = closure_of(2)
     good = closure.to_dict(ns)
+    rows = good["add_table"]
 
-    wrong_version = dict(good, format_version=99)
+    wrong_version = dict(good, format_version=1)
     with pytest.raises(ValueError, match="format version"):
         closure.from_dict(wrong_version)
 
-    wrong_count = dict(good, count=7)
-    with pytest.raises(ValueError, match="count"):
-        closure.from_dict(wrong_count)
+    dense = dict(good, add_table=ns.add_table)  # a whole table is not the stored rows
+    with pytest.raises(ValueError, match=re.escape("shape (29, 29) is not the rows of the "
+                                                   "15 orbit representatives over 29")):
+        closure.from_dict(dense)
 
-    shuffled = dict(good, elements=list(reversed(good["elements"])))
-    with pytest.raises(ValueError, match="canonical order"):
-        closure.from_dict(shuffled)
+    short = dict(good, mul_table=good["mul_table"][:-1])
+    with pytest.raises(ValueError, match=re.escape("shape (14, 29)")):
+        closure.from_dict(short)
 
-    out_of_range = dict(good, add_table=[[10 ** 6] * len(ns)] * len(ns))
+    floats = dict(good, add_table=rows.astype(float))
+    with pytest.raises(ValueError, match="not an integer array"):
+        closure.from_dict(floats)
+
+    out_of_range = dict(good, add_table=[[10 ** 6] * len(ns)] * len(rows))
     with pytest.raises(ValueError, match="out-of-range"):
         closure.from_dict(out_of_range)
 
-    repeated = dict(good, elements=good["elements"][:5] + good["elements"][4:-1])
-    with pytest.raises(ValueError, match="repeats an element"):
-        closure.from_dict(repeated)
-
-    negative = dict(good, mul_table=[[-1] * len(ns)] * len(ns))
+    negative = dict(good, mul_table=[[-1] * len(ns)] * len(rows))
     with pytest.raises(ValueError, match="out-of-range"):
         closure.from_dict(negative)
 
-    bad_token = dict(good, elements=["wat"] + good["elements"][1:])
-    with pytest.raises(ValueError):
-        closure.from_dict(bad_token)
+    wrong_cell = dict(good, mul_table=good["mul_table"].copy())
+    wrong_cell["mul_table"][3, 4] = (int(wrong_cell["mul_table"][3, 4]) + 1) % 29
+    with pytest.raises(ValueError, match=r"^mul_table\[5,4\] is \d+, recomputed \d+$"):
+        closure.from_dict(wrong_cell)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_from_dict_names_the_first_wrong_stored_cell(closure_of, n):
+    # seeded edits of stored cells, one table or both: the first wrong cell,
+    # add before mul and row-major within a table, is the one named
+    ns = closure_of(n)
+    good = closure.to_dict(ns)
+    reps = np.flatnonzero(maps.orbit_labels(n) == np.arange(len(ns)))
+    rng = random.Random(n)
+    for _ in range(20):
+        d = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in good.items()}
+        edits = []
+        for key in rng.choice([["add_table"], ["mul_table"], ["add_table", "mul_table"]]):
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.randrange(len(reps)), rng.randrange(len(ns))
+                d[key][i, j] = (int(d[key][i, j]) + rng.randrange(1, len(ns))) % len(ns)
+                edits.append((key, i, j))
+        key, i, j = min((k, i, j) for k, i, j in edits if d[k][i, j] != good[k][i, j])
+        want = f"{key}[{reps[i]},{j}] is {d[key][i, j]}, recomputed {getattr(ns, key)[reps[i], j]}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            closure.from_dict(d)
 
 
 def test_from_dict_refuses_n_over_cap(closure_of):
@@ -350,10 +389,11 @@ def test_library_entry_points_refuse_an_n_that_is_not_an_int(closure_of, n):
 @pytest.mark.parametrize("value", [70000, -1, 65536 + 3])
 def test_from_dict_refuses_int64_table_that_would_wrap(closure_of, value):
     ns = closure_of(2)
-    table = ns.add_table.astype(np.int64)
+    d = closure.to_dict(ns)
+    table = d["add_table"].astype(np.int64)
     table[3, 4] = value  # a uint16 cast would wrap it, 65539 to the valid index 3
     with pytest.raises(ValueError, match="out-of-range"):
-        closure.from_dict(dict(closure.to_dict(ns), add_table=table))
+        closure.from_dict(dict(d, add_table=table))
 
 
 def test_finite_semigroup_validation(closure_of):

@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -246,12 +247,28 @@ def test_cli_enumerate_text(tmp_path, capsys):
     assert cli.cache_path(tmp_path, 2).exists()
 
 
-def test_cli_enumerate_json_roundtrips(tmp_path, capsys):
+def test_cli_enumerate_json_roundtrips(closure_of, tmp_path, capsys):
+    # every element, in rank order, and both whole tables, as a build gives them
     code, out, _ = run_cli(capsys, [
         "enumerate", "--n", "2", "--format", "json", "--cache-dir", str(tmp_path)])
     assert code == 0
-    ns = closure.from_dict(json.loads(out))
-    assert len(ns) == 29
+    d, ns = json.loads(out), closure_of(2)
+    assert d["format_version"] == cli.ENUMERATE_VERSION == 1
+    assert d["n"] == 2 and d["count"] == len(d["elements"]) == len(ns) == 29
+    assert d["elements"] == maps.tokens(range(29), 2)
+    assert np.array_equal(d["add_table"], ns.add_table)
+    assert np.array_equal(d["mul_table"], ns.mul_table)
+
+
+def test_enumerate_json_version_is_not_the_cache_format_version(tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.setattr(closure, "FORMAT_VERSION", closure.FORMAT_VERSION + 1)
+    code, out, _ = run_cli(capsys, [
+        "enumerate", "--n", "1", "--format", "json", "--cache-dir", str(tmp_path)])
+    assert code == 0
+    assert json.loads(out)["format_version"] == cli.ENUMERATE_VERSION == 1
+    assert [p.name for p in tmp_path.iterdir()] == [
+        f"a_plus_bn_n1_v{closure.FORMAT_VERSION}.npz"]
 
 
 def test_cli_enumerate_reuses_cache(tmp_path, capsys):
@@ -442,8 +459,9 @@ def test_cli_json_at_n5_matches_its_pinned_hash(tmp_path, capsys, command, reduc
 def test_green_and_eggbox_scan_one_element_per_orbit_on_a_build(tmp_path, capsys,
                                                                  monkeypatch, argv):
     # the regularity rule and the ideal fill see the 27 orbit representatives
-    # at n = 3 on a build, with no cache or on a miss, and all 145 elements
-    # on a hit; the fill is the one row-block scan 77 columns wide
+    # at n = 3 on a build, with no cache or on a miss, and on a hit, whose
+    # tables are marked by the proof on load; the fill is the one row-block
+    # scan 77 columns wide
     rows, filled, outs = [], [], []
     xyx, blocks = green._xyx, maps.row_blocks
 
@@ -460,7 +478,7 @@ def test_green_and_eggbox_scan_one_element_per_orbit_on_a_build(tmp_path, capsys
     monkeypatch.setattr(green, "_FILL_WIDTH", 77)
     monkeypatch.setattr(maps, "row_blocks", fill_blocks)
     for cache_dir, seen in (([], 27), (["--cache-dir", str(tmp_path)], 27),
-                            (["--cache-dir", str(tmp_path)], 145)):
+                            (["--cache-dir", str(tmp_path)], 27)):
         rows.clear()
         filled.clear()
         code, out, _ = run_cli(capsys, argv + ["--n", "3"] + cache_dir)
@@ -495,6 +513,7 @@ def _save_npz(path, d):
 
 
 def test_cli_verify_detects_tampered_table(tmp_path, capsys):
+    # stored row 3 is element 5's, the fourth orbit representative at n = 2
     run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
     path = cli.cache_path(tmp_path, 2)
     d = _load_npz(path)
@@ -503,20 +522,57 @@ def test_cli_verify_detects_tampered_table(tmp_path, capsys):
     code, out, _ = run_cli(capsys, [
         "verify", "--n", "2", "--cache-dir", str(tmp_path)])
     assert code == 1
-    assert "Cayley tables reproducible from element list: FAIL" in out
-    assert "recomputed" in out
+    assert "cached closure loads and validates: FAIL" in out and str(path) in out
+    assert "mul_table[5,4] is" in out and "recomputed" in out
 
 
-def test_cli_green_reports_broken_invariant_without_traceback(tmp_path, capsys):
+def test_cli_green_reports_broken_invariant_without_traceback(closure_of, tmp_path, capsys,
+                                                              monkeypatch):
+    # a wrong stored cell stops at the proof on load: exit 2, naming file and cell
     run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
     path = cli.cache_path(tmp_path, 2)
     d = _load_npz(path)
-    d["add_table"][0][5] = (d["add_table"][0][5] + 1) % 29
+    want = int(d["add_table"][0][5])
+    d["add_table"][0][5] = (want + 1) % 29
     _save_npz(path, d)
     code, out, err = run_cli(capsys, [
         "green", "--n", "2", "--reduct", "additive", "--cache-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err == (f"error: malformed cache {path}: ValueError: "
+                   f"add_table[0,5] is {(want + 1) % 29}, recomputed {want}\n")
+    # the same wrong cell in unmarked tables handed to green breaks an invariant: exit 1
+    ns = closure_of(2)
+    bad = closure.NearSemiring(2, ns.add_table.copy(), ns.mul_table)
+    bad.add_table[0][5] = (want + 1) % 29
+    monkeypatch.setattr(cli, "load_or_build", lambda n, cache_dir: bad)
+    code, out, err = run_cli(capsys, ["green", "--n", "2", "--reduct", "additive"])
     assert code == 1 and out == ""
     assert err == "error: D and J partitions differ on a finite semigroup\n"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cli_refuses_every_seeded_edit_of_a_stored_cell(tmp_path, capsys, n):
+    # re-saved by np.savez, the zip CRCs are valid: only the proof on load
+    # sees the edit, and neither command gets past it
+    run_cli(capsys, ["enumerate", "--n", str(n), "--cache-dir", str(tmp_path)])
+    path = cli.cache_path(tmp_path, n)
+    clean = _load_npz(path)
+    m = clean["add_table"].shape[1]
+    reps = np.flatnonzero(maps.orbit_labels(n) == np.arange(m))
+    rng = random.Random(n)
+    for _ in range(20):
+        d = {k: v.copy() for k, v in clean.items()}
+        key = rng.choice(["add_table", "mul_table"])
+        i, j = rng.randrange(len(reps)), rng.randrange(m)
+        d[key][i, j] = (int(d[key][i, j]) + rng.randrange(1, m)) % m
+        _save_npz(path, d)
+        cell = f"{key}[{reps[i]},{j}] is {d[key][i, j]}, recomputed {clean[key][i, j]}"
+        for command in ("green", "eggbox"):
+            reduct = rng.choice(cli.REDUCTS)
+            code, out, err = run_cli(capsys, [command, "--n", str(n), "--reduct", reduct,
+                                              "--cache-dir", str(tmp_path)])
+            assert code == 2 and out == ""
+            assert err == f"error: malformed cache {path}: ValueError: {cell}\n"
 
 
 @pytest.mark.parametrize("value", [70000, -1])
@@ -535,54 +591,51 @@ def test_cli_green_rejects_out_of_range_cache_cell(tmp_path, capsys, value):
 
 
 def test_cli_enumerate_rejects_structurally_bad_cache(tmp_path, capsys):
+    # the last representative's row is gone
     run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
     path = cli.cache_path(tmp_path, 2)
     d = _load_npz(path)
-    d["elements"] = d["elements"][:-1]
+    d["add_table"] = d["add_table"][:-1]
     _save_npz(path, d)
-    code, _, err = run_cli(capsys, [
+    code, out, err = run_cli(capsys, [
         "enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
-    assert code == 2
-    assert "error:" in err
+    assert code == 2 and out == ""
+    assert err == (f"error: malformed cache {path}: ValueError: additive Cayley table "
+                   "shape (14, 29) is not the rows of the 15 orbit representatives "
+                   "over 29 elements\n")
 
 
 def test_cli_verify_reports_bad_cache_as_failure(tmp_path, capsys):
     run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
     path = cli.cache_path(tmp_path, 2)
     d = _load_npz(path)
-    d["elements"][d["elements"] == "xi_theta"] = "xi_bogus"
+    d["mul_table"] = d["mul_table"].astype(np.float64)
     _save_npz(path, d)
     code, out, _ = run_cli(capsys, [
         "verify", "--n", "2", "--cache-dir", str(tmp_path)])
     assert code == 1
     assert "cached closure loads and validates: FAIL" in out
-
-
-def _drop_from_cache(path, token):
-    """Rewrite the cache without one element: count, element list and both
-    tables re-indexed to the 28 left, a product on the dropped element
-    taking the next index (the last, past the end)."""
-    d = _load_npz(path)
-    keep = np.flatnonzero(d["elements"] != token)
-    d["count"], d["elements"] = len(keep), d["elements"][keep]
-    for name in ("add_table", "mul_table"):
-        d[name] = np.minimum(np.searchsorted(keep, d[name][np.ix_(keep, keep)]), len(keep) - 1)
-    _save_npz(path, d)
+    assert "multiplicative Cayley table is not an integer array" in out
 
 
 def test_cli_refuses_a_cache_that_misses_an_element(tmp_path, capsys):
+    # both stored tables lose the column of xi_theta: 28 elements, not 29
     run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
     path = cli.cache_path(tmp_path, 2)
-    _drop_from_cache(path, "xi_theta")
+    d = _load_npz(path)
+    for name in ("add_table", "mul_table"):
+        d[name] = d[name][:, 1:]
+    _save_npz(path, d)
+    why = (f"malformed cache {path}: ValueError: additive Cayley table shape (15, 28) "
+           "is not the rows of the 15 orbit representatives over 29 elements")
     code, out, err = run_cli(capsys, ["green", "--n", "2", "--cache-dir", str(tmp_path)])
     assert code == 2 and out == ""
-    assert err == f"error: malformed cache {path}: ValueError: element list misses xi_theta\n"
+    assert err == f"error: {why}\n"
     report = tmp_path / "r.json"
     code, out, _ = run_cli(capsys, ["verify", "--n", "2", "--cache-dir", str(tmp_path),
                                     "--out", str(report)])
     assert code == 1
-    assert out.splitlines()[1] == "  cached closure loads and validates: FAIL  [" + (
-        f"malformed cache {path}: ValueError: element list misses xi_theta]")
+    assert out.splitlines()[1] == f"  cached closure loads and validates: FAIL  [{why}]"
     assert out.splitlines()[2:] == ["0/1 checks passed"]
     assert not json.loads(report.read_text())["all_passed"]
 
@@ -602,19 +655,6 @@ def test_cli_verify_reports_a_closure_short_of_the_family(tmp_path, capsys, monk
         "format_version": verify.REPORT_VERSION, "all_passed": False,
         "results": [{"name": "closure builds from the affine generators", "n": 2,
                      "passed": False, "details": "the closure misses <(1,1)->(1,1)>"}]}
-
-
-def test_cli_green_refuses_a_token_the_writer_never_writes(tmp_path, capsys):
-    run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
-    path = cli.cache_path(tmp_path, 2)
-    d = _load_npz(path)
-    d["elements"] = np.array([" " + t if t == "xi_theta" else t for t in d["elements"]])
-    _save_npz(path, d)
-    code, out, err = run_cli(capsys, [
-        "green", "--n", "2", "--cache-dir", str(tmp_path)])
-    assert code == 2 and out == ""
-    assert err == (f"error: malformed cache {path}: ValueError: "
-                   "not a canonical element token at n=2: ' xi_theta'\n")
 
 
 def test_cli_verify_reports_a_generator_census_off_its_closed_form(tmp_path, capsys,
@@ -657,14 +697,18 @@ def test_cli_verify_reports_a_failed_cold_build_as_a_build_failure(tmp_path, cap
     assert not cli.cache_path(tmp_path, 2).exists()
 
 
-def test_cli_verify_reruns_the_closure_fixpoint_on_a_cache_hit(tmp_path, capsys):
+def test_cli_verify_reruns_the_closure_fixpoint_on_a_cache_hit(tmp_path, capsys,
+                                                               monkeypatch):
     # every sum at a representative now reads xi_theta, so the affine
-    # generators reach only themselves: 13 of the 29 elements
+    # generators reach only themselves: 13 of the 29 elements; a check that
+    # passes every cell lets the edit past the proof on load, and past the
+    # proof in verify, but not past the fixpoint verify reruns on a hit
     run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
     path = cli.cache_path(tmp_path, 2)
     d = _load_npz(path)
-    d["add_table"][maps.orbit_labels(2) == np.arange(29)] = 0
+    d["add_table"][:] = 0
     _save_npz(path, d)
+    monkeypatch.setattr(closure, "_first_wrong", lambda *args: "")
     code, out, _ = run_cli(capsys, ["verify", "--n", "2", "--cache-dir", str(tmp_path)])
     assert code == 1
     assert "  closure size matches closed form: FAIL  [measured 13, expected 29]" in out
@@ -694,7 +738,7 @@ def _damaged(clean, damage):
     return copies
 
 
-@pytest.mark.parametrize("damage", ["format_version", "n", "count", "elements",
+@pytest.mark.parametrize("damage", ["format_version", "n",
                                     "add_table", "mul_table", "header_length",
                                     "truncated", "empty"])
 def test_damaged_cache_is_refused(tmp_path, capsys, damage):

@@ -107,7 +107,8 @@ def test_member_str_round_trip(n, kind):
         if token.startswith("phi"):
             back = generators.phi_sigma(tuple(json.loads(token[3:])), n)
         else:
-            back = tuple(maps.canonical_tables(n)[maps.token_ranks([token], n)[0]].tolist())
+            table = maps.tokens(range(len(maps.all_canonical(n))), n)
+            back = tuple(maps.canonical_tables(n)[table.index(token)].tolist())
         assert back == f
 
 

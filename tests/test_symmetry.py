@@ -140,20 +140,29 @@ def test_failed_proof_ranks_the_direct_rows_a_block_at_a_time(closure_of, tables
 
 def test_a_late_mul_breach_ranks_only_the_mul_table(closure_of, monkeypatch):
     # only the last mul cell is wrong: the add table passes its own proof,
-    # so no sum is ranked over all 657 rows before the mul table is named
+    # so no sum is checked over all 657 rows before the mul table is named,
+    # and the one cell ranked is the witness
     bad = _copy(closure_of(4))
     bad.mul_table[-1, -1] = (int(bad.mul_table[-1, -1]) + 1) % len(bad)
     expected = _direct_witness(bad)
-    calls, products = [], maps.products
+    checks, ranked = [], []
+    first_wrong, rank = closure._first_wrong, maps.rank
 
-    def counted(F, G, op, n):
-        calls.append((op, len(F)))
-        return products(F, G, op, n)
+    def checked(label, claimed, op, rows, cols, n):
+        checks.append((label, len(rows), len(cols)))
+        return first_wrong(label, claimed, op, rows, cols, n)
 
-    monkeypatch.setattr(maps, "products", counted)
+    def counted(rows, n):
+        ranked.append(len(rows))
+        return rank(rows, n)
+
+    monkeypatch.setattr(closure, "_first_wrong", checked)
+    monkeypatch.setattr(maps, "rank", counted)
     witness, proved = closure.tables_witness(bad)
     assert proved is None and witness == expected and expected.startswith("mul_table[656,656]")
-    assert ("o", len(bad)) in calls and ("+", len(bad)) not in calls
+    m = len(bad)
+    assert ("mul", m, m) in checks and ("add", m, m) not in checks
+    assert ranked == [1]
 
 
 @pytest.mark.parametrize("case", range(40))
@@ -276,7 +285,7 @@ def test_spread_yields_each_other_row_once_from_a_reached_row(closure_of, n):
     for t, move in moved_by:
         reached, yielded = np.zeros(len(marked), dtype=bool), []
         reached[reps] = True
-        for g, to, rows in closure.spread(t, perms, reps, move):
+        for g, to, rows in closure.spread(t, perms, reps, move, len(t)):
             assert reached[np.argsort(perms[g])[to]].all()  # each source row was reached
             assert np.array_equal(rows, t[to])
             reached[to] = True
@@ -303,7 +312,8 @@ def test_spread_refuses_representatives_that_miss_an_orbit(closure_of):
         for perms, kept, unreached in cases:
             with pytest.raises(AssertionError,
                                match=f"^{unreached} rows lie in no orbit of the representatives$"):
-                for _ in closure.spread(ns.add_table, perms, kept, closure._conjugate_rows):
+                for _ in closure.spread(ns.add_table, perms, kept, closure._conjugate_rows,
+                                        4 * len(ns)):
                     pass
     finally:
         signal.alarm(0)
@@ -371,15 +381,23 @@ def test_marked_tables_still_need_the_proof(closure_of, monkeypatch, table):
     assert scans == []
 
 
-def test_from_dict_never_marks_tables(tmp_path):
+def test_from_dict_marks_only_proved_tables(tmp_path):
+    # a hit is marked by the proof of its stored rows, never by the payload:
+    # a payload that claims the mark on a wrong cell is refused
     built = cli.load_or_build(2, tmp_path)  # a miss: built, marked, and written
     hit = cli.load_or_build(2, tmp_path)
-    assert built.symmetric and not hit.symmetric
+    assert built.symmetric and hit.symmetric
     assert np.array_equal(hit.add_table, built.add_table)
+    assert np.array_equal(hit.mul_table, built.mul_table)
     d = closure.to_dict(built)
     assert "symmetric" not in d
+    d["symmetric"] = False
+    assert closure.from_dict(d).symmetric
     d["symmetric"] = True
-    assert not closure.from_dict(d).symmetric
+    d["add_table"] = d["add_table"].copy()
+    d["add_table"][0, 5] = (int(d["add_table"][0, 5]) + 1) % 29
+    with pytest.raises(ValueError, match=r"^add_table\[0,5\] is"):
+        closure.from_dict(d)
 
 
 def test_battery_scans_regularity_on_the_orbit_labels(closure_of, monkeypatch):
