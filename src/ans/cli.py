@@ -99,7 +99,8 @@ def cmd_enumerate(args) -> int:
     if args.format == "json":
         _emit(_json_text({"format_version": ENUMERATE_VERSION, "n": ns.n, "count": len(ns),
                           "elements": maps.tokens(range(len(ns)), ns.n),
-                          "add_table": ns.add_table, "mul_table": ns.mul_table}), args.out)
+                          "add_table": ns.reduct("additive").op.dense(),
+                          "mul_table": ns.reduct("multiplicative").op.dense()}), args.out)
         return 0
     lines = [f"{len(ns)} elements",
              "support histogram: "
@@ -123,7 +124,6 @@ def cmd_generators(args) -> int:
 
 def cmd_green(args) -> int:
     from . import green
-    # hold one reduct only, so the other table is freed before the ideals
     sg = load_or_build(args.n, args.cache_dir).reduct(args.reduct)
     gs = green.green_brute(sg)
     if args.format == "json":

@@ -1,52 +1,33 @@
 """Additive closure of the affine maps and the resulting near-semiring.
 
 The closure is a worklist fixpoint inside M(B_n): starting from the
-generators, adjoin s + g (known element on the left, generator on the
-right) until nothing new appears.  Every finite sum of generators folds
-left, so right-extension alone reaches the whole additive closure.
+generators, adjoin s + g until nothing new appears; every finite sum of
+generators folds left, so right-extension alone reaches the whole closure.
 Conjugation by Aut(B_n) ≅ S_n permutes M(B_n) by near-semiring
-automorphisms and maps Aff(B_n) onto itself (`maps.index_permutations`),
-so the fixpoint extends one representative per new orbit (its least
-index, `maps.orbit_labels`): s + g for s = pi(r) is pi(r + pi^-1(g)).
+automorphisms and maps Aff(B_n) onto itself, so `fixpoint` extends one
+representative per new orbit (`maps.orbit_labels`) by the additive rows of
+the representatives, ranked directly (`maps.products`).  Its mask proves
+that it covers the canonical family, so every table is indexed by rank:
+index i is `maps.all_canonical(n)[i]`, and no element list is kept.
 
-Element identity is the canonical rank (`maps.rank`), which checks
-membership by re-rendering.  `fixpoint` reads each sum off the additive
-rows of the orbit representatives, ranked directly before any table is
-allocated.  Its ranks are a boolean mask over the canonical family, an
-independent proof that they cover it: `additive_closure` refuses a miss,
-naming the least element, and `ans verify` reruns it on every closure.  So
-every Cayley table is indexed by rank: index i is `maps.all_canonical(n)[i]`,
-and no element list is kept.  The product formulas live in `maps.products`.
-
-Both Cayley tables store element indices as uint16.  Their S_n symmetry
-is stated once, as the row identity t[P f] = P[t[f][P^-1]] for each
-generator P (`_conjugate_rows`).  `spread` walks the orbit representatives'
-rows of any per-element table to every other row by such a rule, this one
-or `green`'s for ideal rows.  `additive_closure` fills the tables by the
-walk.  A cell is proved by checking it, not ranking it: its element's
-table must be its product's (`_first_wrong`), which holds for one element
-only, since the canonical tables are distinct.  `tables_witness` proves
-each table alone by a sample of such checks and the same walk, and checks
-every cell only of a table whose proof fails, naming its first wrong cell.
-The cache (`to_dict`) stores only the representatives' rows; `from_dict`
-checks every stored cell, then fills the tables by the walk.
-
-Tables that commute with S_n carry the `symmetric` mark, set only here:
-by `additive_closure`, by `from_dict` on the rows it proves, and by
-`tables_witness` on the tables it proves.  On marked tables the axiom scan
-and `green`'s scans and ideals visit one element per orbit (27 of 145 at
-n = 3, via `labelling`), and every element otherwise.
+There is one Cayley-table type, `Table`: the rows of one representative
+per orbit of a group of automorphisms (`maps.Action`), 27 of 145 at n = 3
+under S_n (`maps.sn_action`) for a closure, all of them over the trivial
+group for a dense table.  No m x m table is built but by `Table.dense`, for
+output that lists every cell.  A cell is proved by checking that its
+element's table is its product's (`_first_wrong`): `tables_witness` checks
+the stored cells, their rows against their stabilisers, and a sample of
+other cells, and `from_dict` every cell a cache stores.
 """
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ._numpy import np
 from . import maps
 
-# Beyond n=6 the Cayley tables (tens of thousands squared) leave the
-# intended resource envelope, so the engine refuses early by default.
+# n = 7 has 249,411 elements, beyond uint16 ranks (`maps.index_permutations`).
 DEFAULT_N_CAP = 6
 
 # The .npz cache's schema (`to_dict`): the representatives' rows since 2.
@@ -56,12 +37,10 @@ FORMAT_VERSION = 2
 # elements, so uint16 is wide enough and halves the memory of int32.
 TABLE_DTYPE = np.uint16
 
-# The seed of every sample: the direct cells of `tables_witness` and the
-# axiom triples of `verify_near_semiring`.
+# The seed of every sample: the direct cells of `tables_witness` (whole rows
+# of _SAMPLE_ROWS non-representatives, and a square grid of _SAMPLE_GRID) and
+# the axiom triples of `verify_near_semiring`.
 _SEED = 0
-
-# The direct sample of `tables_witness`: whole rows of this many
-# non-representatives, and a grid of this many rows by this many columns.
 _SAMPLE_ROWS = 3
 _SAMPLE_GRID = 64
 
@@ -71,42 +50,64 @@ _EXHAUSTIVE_MAX = 4_000_000
 _AXIOM_SAMPLES = 100_000
 
 
+class Table:
+    """A Cayley table over range(m) whose `action` permutes it by
+    automorphisms, stored as its representatives' `rows`.  t[x, y], for
+    index arrays that broadcast, is G[g_x][t[r_x, G[g_x]^-1[y]]]."""
+
+    def __init__(self, rows, action: maps.Action):
+        self.rows, self.action, m = rows, action, rows.shape[1]
+        self._rows, self._group = rows.ravel(), action.group.ravel()
+        self._row_at = np.searchsorted(action.reps, action.labels) * m
+        self._g_at, self._inv_at = action.g * m, action.inverse[action.g] * m
+
+    def __getitem__(self, xy):
+        x, y = xy
+        moved = self._rows[self._row_at[x] + self._group[self._inv_at[x] + y]]
+        return self._group[self._g_at[x] + moved]
+
+    def dense(self) -> np.ndarray:
+        """The whole m x m table, a row block at a time."""
+        every = np.arange(self.rows.shape[1])
+        return np.concatenate([self[x[:, None], every] for x in maps.row_blocks(every, len(every))])
+
+
 @dataclass
 class FiniteSemigroup:
-    """One reduct: a Cayley table whose index i is `maps.all_canonical(n)[i]`."""
+    """One reduct: a `Table` whose index i is `maps.all_canonical(n)[i]`; a
+    dense m x m array is checked and taken as one over the trivial group."""
     n: int
     label: str  # "additive" | "multiplicative"
-    op: np.ndarray
-    symmetric: bool = False  # its near-semiring's mark
+    op: Table
 
     def __post_init__(self):
-        m = len(self.op)
-        if self.op.shape != (m, m):
-            raise ValueError(f"Cayley table shape {self.op.shape} is not square")
-        if m and (self.op.min() < 0 or self.op.max() >= m):
-            raise ValueError("Cayley table contains out-of-range indices")
+        if not isinstance(self.op, Table):
+            op, m = np.asarray(self.op), len(self.op)
+            if op.shape != (m, m) or m and (op.min() < 0 or op.max() >= m):
+                raise ValueError(f"Cayley table of shape {op.shape} is not square over range(m)")
+            self.op = Table(op, maps.trivial_action(m))
 
     def __len__(self):
-        return len(self.op)
+        return self.op.rows.shape[1]
 
 
 @dataclass
 class NearSemiring:
-    """Both Cayley tables over the canonical family, indexed by rank."""
+    """Both Cayley tables over the canonical family, indexed by rank, as the
+    rows of `action`'s representatives: `maps.sn_action(n)`'s for a closure."""
     n: int
     add_table: np.ndarray
     mul_table: np.ndarray
-    symmetric: bool = False  # commute with `maps.index_permutations(n)`; set only here
+    action: maps.Action
 
     def __len__(self):
-        return len(self.add_table)
+        return self.add_table.shape[1]
 
     def reduct(self, label) -> FiniteSemigroup:
-        if label == "additive":
-            return FiniteSemigroup(self.n, label, self.add_table, self.symmetric)
-        if label == "multiplicative":
-            return FiniteSemigroup(self.n, label, self.mul_table, self.symmetric)
-        raise ValueError(f"unknown reduct {label!r}")
+        tables = {"additive": self.add_table, "multiplicative": self.mul_table}
+        if label not in tables:
+            raise ValueError(f"unknown reduct {label!r}")
+        return FiniteSemigroup(self.n, label, Table(tables[label], self.action))
 
 
 def _ranked_rows(rows, n):
@@ -125,51 +126,6 @@ def _ranked_rows(rows, n):
     return add_rows, mul_rows
 
 
-def _representatives(n) -> np.ndarray:
-    """The least index of each orbit of `maps.orbit_labels(n)`, ascending."""
-    labels = maps.orbit_labels(n)
-    return np.flatnonzero(labels == np.arange(len(labels)))
-
-
-def labelling(s) -> Tuple[np.ndarray, np.ndarray, tuple]:
-    """(labels, reps, perms) for a per-element scan of `s`, a near-semiring
-    or a reduct: `maps.orbit_labels` and `maps.index_permutations` of s.n
-    when `s` is marked `symmetric`, else the identity labelling and no
-    permutation; reps are the labels' fixed points, which the scan visits."""
-    m = len(s)
-    labels = maps.orbit_labels(s.n) if s.symmetric else np.arange(m)
-    perms = maps.index_permutations(s.n) if s.symmetric else ()
-    return labels, np.flatnonzero(labels == np.arange(m)), perms
-
-
-def spread(t, perms, reps, move, width):
-    """Rows of a per-element table t, spread from its rows `reps` (one per
-    orbit of `perms`): (g, P f, move(t[f], P, P^-1)) for P = perms[g], per
-    block of reached f with P f unreached, until all are reached.  `move`
-    gives the rows of P f from those of f, building about `width` cells per
-    row, which sizes the blocks (`maps.row_blocks`); the caller may write
-    them into t before the next block; a round that reaches no new row raises."""
-    reached = np.zeros(len(t), dtype=bool)
-    reached[reps] = True
-    inverses = [maps.inverse(P) for P in perms]
-    while not reached.all():
-        before = np.count_nonzero(reached)
-        for g, (P, P_inv) in enumerate(zip(perms, inverses)):
-            sources = np.flatnonzero(reached & ~reached[P])  # f reached, P f not
-            for f in maps.row_blocks(sources, width):
-                yield g, P[f], move(t[f], P, P_inv)
-            reached[P[sources]] = True
-        if np.count_nonzero(reached) == before:
-            raise AssertionError(f"{len(t) - before} rows lie in no orbit of the representatives")
-
-
-def _conjugate_rows(rows, P, P_inv):
-    """The Cayley rows of P f from those of f: t[P f] = P[t[f][P^-1]].
-    `P.take` makes an 8-byte index of each 2-byte cell, so moving a row
-    costs about four rows of cells: `spread` it with width 4m."""
-    return P.take(rows.take(P_inv, axis=1))
-
-
 def _draw(rng: random.Random, count: int, m: int) -> np.ndarray:
     """`count` seeded draws from range(m): 32-bit words of `rng.randbytes`,
     each mapped to w m >> 32 (multiply-shift; bias under m / 2^32).  The
@@ -178,15 +134,14 @@ def _draw(rng: random.Random, count: int, m: int) -> np.ndarray:
     return (words * m >> 32).astype(np.intp)
 
 
-def _first_wrong(label, claimed, op, rows, cols, n) -> str:
-    """The first cell of `claimed` (row-major) that is not its product, as a
-    witness, or "" if none: claimed[i, j] is the table's claim for rows[i]
-    op cols[j], and holds when its element's table is the product's.  Only
-    a wrong cell is ranked, for its witness; the check stops at the first
-    `maps.product_tables` block that holds one."""
+def _first_wrong(label, t: Table, op, rows, cols, n) -> str:
+    """The first cell of t[rows x cols] (row-major) that is not its product,
+    as a witness, or "" if none: t[x, y] holds when its element's table is
+    that of x op y.  Only a wrong cell is ranked, and the check stops at the
+    first block that holds one."""
     E = maps.canonical_tables(n)
     for lo, cells in maps.product_tables(E[rows], E[cols], op, n):
-        got = claimed[lo:lo + len(cells)]
+        got = t[np.ix_(rows[lo:lo + len(cells)], cols)]
         bad = np.argwhere((E[got] != cells).any(axis=2))
         if bad.size:
             i, j = bad[0]
@@ -196,39 +151,42 @@ def _first_wrong(label, claimed, op, rows, cols, n) -> str:
     return ""
 
 
-def tables_witness(ns: NearSemiring) -> Tuple[str, Optional[NearSemiring]]:
-    """("", proved) when both Cayley tables are proved right, else (a
-    witness, None).  `proved` holds the same arrays, marked `symmetric`:
-    conjugation by S_n is an automorphism of proved tables, so a scan may
-    read its verdicts off the orbit representatives (`labelling`).
+def _stabiliser_breach(label, t: Table) -> str:
+    """The first breach, by group row h, representative r and column y, of
+    t[r, G[h][y]] = G[h][t[r, y]] where G[h] fixes r, as a witness, or ""."""
+    G, reps = t.action.group, t.action.reps
+    for h in range(1, len(G)):
+        fixed = np.flatnonzero(G[h, reps] == reps)
+        rows = t.rows[fixed]
+        bad = np.argwhere(rows.take(G[h], axis=1) != G[h].take(rows))
+        if bad.size:
+            (i, y), r = bad[0], int(reps[fixed[bad[0, 0]]])
+            return (f"{label}_table[{r},{G[h, y]}] is {rows[i, G[h, y]]}, not {G[h, rows[i, y]]}, "
+                    f"the image of {label}_table[{r},{y}] under permutation {h}, which fixes {r}")
+    return ""
 
-    Each table is proved alone, add then mul, over the orbits of `labelling`:
-    a seeded sample of cells checked against their products (the
-    representatives' rows, whole rows of a few others, a grid), then, if it
-    holds, every other row equal to its `spread` from a row already proved,
-    so every cell by induction.  A table that fails has its rows checked
-    from row 0 until a block holds a wrong cell: the witness is its first
-    wrong cell (row-major), else the breach.  A table that passes has no
-    wrong cell, so add is named first.
-    """
-    proved = replace(ns, symmetric=True)
-    n, m = ns.n, len(ns)
-    labels, reps, perms = labelling(proved)
-    every = np.arange(m)
-    others = np.flatnonzero(labels != every)
+
+def tables_witness(ns: NearSemiring) -> str:
+    """"" when both Cayley tables are proved right, else the first failure:
+    each table, add then mul, by its stored cells (`_first_wrong`), its rows
+    against their stabilisers (`_stabiliser_breach`), so that it commutes
+    with the action and scans may read verdicts off the representatives, and
+    a seeded sample of other cells read through it (whole rows of a few
+    non-representatives, and a grid), which an action by anything but
+    automorphisms fails."""
+    n, action, every = ns.n, ns.action, np.arange(len(ns))
+    others = np.flatnonzero(action.labels != every)
     rng = random.Random(_SEED)
     picked = others[_draw(rng, min(_SAMPLE_ROWS, len(others)), len(others))]
-    sample = [(np.concatenate([reps, np.sort(picked)]), every),
-              np.sort(_draw(rng, 2 * _SAMPLE_GRID, m).reshape(2, -1), axis=1)]
-    for label, op, t in (("add", "+", ns.add_table), ("mul", "o", ns.mul_table)):
-        breach = any(_first_wrong(label, t[np.ix_(rows, cols)], op, rows, cols, n)
-                     for rows, cols in sample) or next(
-            (f"{label}_table is not invariant under index permutation {g}"
-             for g, rows, moved in spread(t, perms, reps, _conjugate_rows, 4 * m)
-             if not np.array_equal(t[rows], moved)), "")
-        if breach:
-            return _first_wrong(label, t, op, every, every, n) or breach, None
-    return "", proved
+    grid = np.sort(_draw(rng, 2 * _SAMPLE_GRID, len(ns)).reshape(2, -1), axis=1)
+    for label, op, rows in (("add", "+", ns.add_table), ("mul", "o", ns.mul_table)):
+        t = Table(rows, action)
+        witness = (_first_wrong(label, t, op, action.reps, every, n) or _stabiliser_breach(label, t)
+                   or _first_wrong(label, t, op, np.sort(picked), every, n)
+                   or _first_wrong(label, t, op, *grid, n))
+        if witness:
+            return witness
+    return ""
 
 
 def check_n_cap(n: int):
@@ -259,7 +217,7 @@ def fixpoint(gens, add_rows) -> np.ndarray:
     additive rows of the orbit representatives, in rank order: the worklist
     reads no other, as it extends each new orbit's representative r by r + g."""
     seen = _generator_mask(gens)
-    label, reps = maps.orbit_labels(gens.n), _representatives(gens.n)
+    label, reps = maps.orbit_labels(gens.n), maps.sn_action(gens.n).reps
     gen = np.flatnonzero(seen)
     frontier = np.flatnonzero(seen[reps])  # rows of add_rows
     while frontier.size:
@@ -273,36 +231,17 @@ def fixpoint(gens, add_rows) -> np.ndarray:
 
 
 def additive_closure(gens) -> NearSemiring:
-    """Close the generators under pointwise + and return both reducts' tables.
-
-    The representatives' rows are ranked directly, raising on a product
-    outside the shapes (the first cell, row-major), and `fixpoint` reads
-    them; a closure that misses an element is refused, naming the least.
-    Only then are both tables filled (`_spread_tables`).
-    """
+    """Close the generators under pointwise + and return both reducts' tables:
+    the representatives' rows, ranked directly, raising on a product outside
+    the shapes (the first cell, row-major), which `fixpoint` reads; a
+    closure that misses an element is refused, naming the least."""
     _generator_mask(gens)  # refuse bad generators before ranking any row
-    n = gens.n
-    reps = _representatives(n)
-    rows = list(_ranked_rows(reps, n))
+    n, action = gens.n, maps.sn_action(gens.n)
+    rows = _ranked_rows(action.reps, n)
     seen = fixpoint(gens, rows[0])
     if not seen.all():  # argmin: the least rank not reached
         raise ValueError(f"the closure misses {maps.tokens([seen.argmin()], n)[0]}")
-    return _spread_tables(n, reps, rows)
-
-
-def _spread_tables(n, reps, rows) -> NearSemiring:
-    """Both Cayley tables from `rows`, the list of their right rows `reps`,
-    add then mul, which it empties so that the walk does not hold them; every
-    other row is filled by `spread`.  Marked `symmetric`, since conjugation
-    by S_n is an automorphism of the products the right rows state."""
-    m = len(maps.canonical_tables(n))
-    tables = [np.empty((m, m), dtype=TABLE_DTYPE) for _ in rows]
-    for t in tables:
-        t[reps] = rows.pop(0)
-    for t in tables:
-        for _, to, moved in spread(t, maps.index_permutations(n), reps, _conjugate_rows, 4 * m):
-            t[to] = moved
-    return NearSemiring(n, *tables, symmetric=True)
+    return NearSemiring(n, *rows, action)
 
 
 # --- axiom checking -----------------------------------------------------------
@@ -349,37 +288,31 @@ def verify_near_semiring(ns: NearSemiring) -> ValidationReport:
     """Check both associativities and left distributivity f(g+h) = fg + fh.
 
     Each law is scanned exhaustively while its m^3 triples number at most
-    _EXHAUSTIVE_MAX (up to n = 3), and on _AXIOM_SAMPLES deterministic
-    random triples beyond that: one `_draw` stream from _SEED, laws in
-    order, each law's triples drawn a `maps.row_blocks` slice at a time.
-    Failures carry the first offending triple (row-major, or in sample order).
-    On marked tables an exhaustive scan lets x run over the representatives
-    of `labelling` only, yet covers and reports all m^3 triples: a failing
-    (x, y, z) fails again at (P x, P y, P z) for every automorphism P.
+    _EXHAUSTIVE_MAX (up to n = 3), x over the action's representatives only
+    (on tables `tables_witness` proved, a failing (x, y, z) fails again at
+    (P x, P y, P z) for every P in the group), and beyond that on
+    _AXIOM_SAMPLES random triples: one `_draw` stream from _SEED, laws in
+    order, a `maps.row_blocks` slice at a time.  Failures carry the first
+    offending triple (row-major, or in sample order).
     """
     m = len(ns)
     total = m ** 3
     rng = random.Random(_SEED)
     ar = np.arange(m)
-    _, reps, _ = labelling(ns)
-
-    def product(table):  # the Cayley table as a vectorized binary operation
-        flat = table.ravel()
-        return lambda x, y: flat.take(np.asarray(x, dtype=np.intp) * m + y)
 
     def assoc(op):
-        return lambda a, b, c: op(op(a, b), c) != op(a, op(b, c))
+        return lambda a, b, c: op[op[a, b], c] != op[a, op[b, c]]
 
-    add, mul = product(ns.add_table), product(ns.mul_table)
+    add, mul = ns.reduct("additive").op, ns.reduct("multiplicative").op
     laws = [("additive associativity", assoc(add)),
             ("multiplicative associativity", assoc(mul)),
             ("left distributivity",
-             lambda f, g, h: mul(f, add(g, h)) != add(mul(f, g), mul(f, h)))]
+             lambda f, g, h: mul[f, add[g, h]] != add[mul[f, g], mul[f, h]])]
     report = ValidationReport()
     for name, fails in laws:
         if total <= _EXHAUSTIVE_MAX:
             checked = total
-            blocks = ((i, ar[:, None], ar[None, :]) for i in reps)
+            blocks = ((i, ar[:, None], ar[None, :]) for i in ns.action.reps)
         else:
             checked = min(_AXIOM_SAMPLES, total)
             # a triple is a row of 6 cells, its draws and about as many products,
@@ -401,11 +334,10 @@ def support_histogram(ns: NearSemiring) -> dict:
 # --- the .npz cache ------------------------------------------------------------
 
 def to_dict(ns: NearSemiring) -> dict:
-    """Both tables' rows at the orbit representatives, ascending, as uint16:
-    they determine the rest, since both tables commute with S_n."""
-    reps = _representatives(ns.n)
+    """A closure's stored rows, those of its S_n orbit representatives,
+    ascending, as uint16: they determine the rest."""
     return {"format_version": FORMAT_VERSION, "n": ns.n,
-            "add_table": ns.add_table[reps], "mul_table": ns.mul_table[reps]}
+            "add_table": ns.add_table, "mul_table": ns.mul_table}
 
 
 def from_dict(d: dict) -> NearSemiring:
@@ -413,14 +345,12 @@ def from_dict(d: dict) -> NearSemiring:
     or arrays.  A wrong version, n, dtype, shape or cell range is refused
     before any product is taken; then every stored cell is checked against
     its product, add then mul, raising on the first wrong one (row-major),
-    named as `tables_witness` names it, and the proved rows are spread to
-    both tables, marked `symmetric`."""
+    named as `tables_witness` names it; the proved rows are the tables."""
     if type(d.get("format_version")) is not int or d["format_version"] != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {d.get('format_version')!r}")
     n = d["n"]
     check_n_cap(n)
-    reps = _representatives(n)
-    m = len(maps.canonical_tables(n))
+    reps, m = maps.sn_action(n).reps, len(maps.canonical_tables(n))
     rows = []
     for label, t in (("additive", d["add_table"]), ("multiplicative", d["mul_table"])):
         t = np.asarray(t)
@@ -432,9 +362,8 @@ def from_dict(d: dict) -> NearSemiring:
         if t.min() < 0 or t.max() >= m:  # before the cast wraps 70000 to 4464
             raise ValueError("Cayley table contains out-of-range indices")
         rows.append(t.astype(TABLE_DTYPE, copy=False))
-    every = np.arange(m)
     for (label, op), t in zip((("add", "+"), ("mul", "o")), rows):
-        witness = _first_wrong(label, t, op, reps, every, n)
+        witness = _first_wrong(label, Table(t, maps.sn_action(n)), op, reps, np.arange(m), n)
         if witness:
             raise ValueError(witness)
-    return _spread_tables(n, reps, rows)
+    return NearSemiring(n, *rows, maps.sn_action(n))

@@ -59,7 +59,6 @@ def _j_order_covers(two_sided, reps: List[int]) -> Tuple[Tuple[int, int], ...]:
 
 def build_eggbox(ns: NearSemiring, label: str) -> EggBox:
     sg = ns.reduct(label)
-    del ns  # frees the other reduct's table, if the caller keeps no reference (cmd_eggbox)
     gs = green_brute(sg)
     r_of, l_of = gs.class_of["R"], gs.class_of["L"]
     boxes = []

@@ -10,7 +10,7 @@ the n >= 2 polynomials.
 """
 
 from dataclasses import asdict, dataclass
-from math import factorial
+from math import comb, factorial
 from typing import Dict
 
 KINDS = ("end", "aut", "aff", "const")  # the generator sets, named here so the CLI needs no numpy
@@ -82,6 +82,26 @@ def support_histogram_expected(n: int) -> Dict[int, int]:
         if c:
             hist[sizes[key]] = hist.get(sizes[key], 0) + c
     return dict(sorted(hist.items()))
+
+
+def orbit_counts(n: int) -> Dict[str, int]:
+    """Orbits of S_n (conjugation) on the closure elements of each shape, in
+    rank order, keyed as `counts(n).breakup`, by Burnside's lemma.  S_n has
+    Σ_{j <= min(k, n)} S(k, j) orbits on k-tuples of points (S a Stirling
+    number of the second kind): k = 2 for the constants, k = 4 for the
+    singletons (none at n = 1).  pi fixes a column map (k, q; sigma) when it
+    fixes k and q and commutes with sigma: Σ m1(λ)^2 orbits over the cycle
+    types λ of n, m1 its fixed points, or Σ_{a >= 1} (2a - 1) p(n - a), since
+    p(n - a) of them fix at least a points."""
+    def tuples(k):  # S(k, j) by inclusion-exclusion
+        return sum(sum((-1) ** i * comb(j, i) * (j - i) ** k for i in range(j + 1)) // factorial(j)
+                   for j in range(min(k, n) + 1))
+    p = [1] + [0] * n  # p[k]: the partitions of k, by the largest part allowed
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            p[k] += p[k - part]
+    return {"zero": 1, "full": tuples(2), "singleton": tuples(4) if n >= 2 else 0,
+            "n_support": sum((2 * a - 1) * p[n - a] for a in range(1, n + 1))}
 
 
 def eventual_regularity_max(n: int) -> int:

@@ -18,15 +18,13 @@ R and L labels for H, the analytic keys), `maps.least_labels` joins R and
 L into D, and `_classes` gives the class tuples, each ascending and
 ordered by least member, so equal partitions have equal tuples.
 
-Regularity is stated once, as x y x == x (`_xyx`).  The per-element scans
-(`ideals`, `regular_elements`, `eventual_regularity`, and `subset_report`'s
-closedness, regularity and inverse counts) read the rows and columns of
-the representatives of `closure.labelling` only, a block at a time, in
-global indices, and spread each verdict (each ideal row by `closure.spread`)
-over its orbit: one element per S_n orbit on a reduct that `closure` marked
-`symmetric`, every element on any other, such as a cache hit.  Only the
-isomorphism certificates build a local table: the subset's table, its
-members in canonical rank order, compared with its target's table.
+Regularity is stated once, as x y x == x (`_xyx`).  Every cell is read
+through the reduct's `closure.Table`.  The per-element scans (`ideals`,
+`regular_elements`, `eventual_regularity`, and `subset_report`'s
+closedness, regularity and inverse counts) visit the representatives of
+the table's action only, one per S_n orbit on a closure and every element
+over the trivial group, and spread each verdict, or ideal row (`_spread`),
+over its orbit.  Only the isomorphism certificates build a local table.
 """
 
 from dataclasses import dataclass
@@ -34,7 +32,7 @@ from typing import Dict, Optional, Tuple
 
 from ._numpy import np
 from . import brandt, maps
-from .closure import FiniteSemigroup, labelling, spread
+from .closure import FiniteSemigroup
 from .maps import Constant, Singleton, Zero
 
 RELATIONS = ("R", "L", "D", "J", "H")
@@ -86,22 +84,21 @@ def _xyx(op, x, xy) -> np.ndarray:
 
 def regular_elements(sg: FiniteSemigroup) -> np.ndarray:
     """Mask of the regular elements: x with x y x = x for some y, for x over
-    the representatives of `labelling(sg)`, a row block at a time; every
+    the representatives of its table's action, a row block at a time; every
     element takes its representative's verdict."""
     op, m = sg.op, len(sg)
-    labels, reps, _ = labelling(sg)
     out = np.zeros(m, dtype=bool)
-    for x in maps.row_blocks(reps, m):
-        out[x] = _xyx(op, x, op[x]).any(axis=1)
-    return out[labels]
+    for x in maps.row_blocks(op.action.reps, m):
+        out[x] = _xyx(op, x, op[x[:, None], np.arange(m)]).any(axis=1)
+    return out[op.action.labels]
 
 
 def eventual_regularity(sg: FiniteSemigroup, regular: np.ndarray) -> Tuple[int, ...]:
     """Least r >= 1 such that the r-th power is regular, per element, given
     the `regular_elements` mask of `sg`.  The powers of the representatives
-    of `labelling(sg)` advance at once, x^(r+1) = x^r x, while not regular."""
+    of its table's action advance at once, x^(r+1) = x^r x, while not regular."""
     op, m = sg.op, len(sg)
-    labels, reps, _ = labelling(sg)
+    reps = op.action.reps
     index = np.ones(m, dtype=np.int64)
     live = power = reps[~regular[reps]]  # ascending; power is x^index[live]
     while live.size:
@@ -111,53 +108,51 @@ def eventual_regularity(sg: FiniteSemigroup, regular: np.ndarray) -> Tuple[int, 
         index[live] += 1
         keep = ~regular[power]
         live, power = live[keep], power[keep]
-    return tuple(index[labels].tolist())
+    return tuple(index[op.action.labels].tolist())
 
 
-# Each left-ideal block reads columns a of op, a strided walk of the whole table,
-# so it spans at least _BLOCK_CELLS / _FILL_WIDTH = 64 columns of op.
+# Each ideal block reads at least _BLOCK_CELLS / _FILL_WIDTH = 64 rows or columns.
 _FILL_WIDTH = 1024
 
 
-def _conjugate_members(rows, P, P_inv):
-    """Packed ideal rows of P a from those of a: an automorphism P carries
-    aS¹ onto (P a)S¹, so the row of P a is the row of a read at P^-1."""
-    return np.packbits(np.unpackbits(rows, axis=1, count=len(P)).take(P_inv, axis=1), axis=1)
+def _spread(packed, action, m):
+    """Fill the packed ideal row of each non-representative x = G[g] r from
+    r's: an automorphism P carries aS¹ onto (P a)S¹, so x's row is r's read
+    at G[g]^-1.  The x of one g have distinct r, one row per orbit at most."""
+    for g in range(1, len(action.group)):
+        x = np.flatnonzero(action.g == g)
+        bits = np.unpackbits(packed[action.labels[x]], axis=1, count=m)
+        packed[x] = np.packbits(bits.take(action.group[action.inverse[g]], axis=1), axis=1)
 
 
 def ideals(sg: FiniteSemigroup) -> Tuple[np.ndarray, ...]:
     """Principal right, left and two-sided ideals aS¹, S¹a, S¹aS¹ of every
     element of the reduct `sg`, as bit-packed membership rows (row a is
-    `np.packbits` of a length-m mask), then the R and L labels.
-
-    The representatives of `labelling(sg)` are filled and `spread` to the
-    rest.  S¹aS¹ is the union of xS¹ over x in S¹a.  xS¹ depends only on x's
-    R-class and S¹a only on a's L-class, so it is one OR per L-class meeting
-    the representatives, of one right ideal per R-class that meets S¹a.
-    """
+    `np.packbits` of a length-m mask), then the R and L labels.  The
+    representatives' rows are filled and spread (`_spread`).  S¹aS¹ is the
+    union of xS¹ over x in S¹a: one OR per L-class meeting the
+    representatives, of one right ideal per R-class that meets S¹a."""
     op, m = sg.op, len(sg)
-    _, reps, perms = labelling(sg)
+    action, reps, every = op.action, op.action.reps, np.arange(m)
     right, left, two = (np.empty((m, (m + 7) // 8), dtype=np.uint8) for _ in range(3))
     for a in maps.row_blocks(reps, min(m, _FILL_WIDTH)):  # the a whose ideals fill this block
         local = np.arange(len(a))
-        # aS¹ is row a of op, S¹a column a; `take` gathers columns faster than op[:, a]
-        for packed, i, members in ((right, local[:, None], op[a]),
-                                   (left, local, op.take(a, axis=1))):
+        # aS¹ is row a of op, S¹a column a
+        for packed, i, members in ((right, local[:, None], op[a[:, None], every]),
+                                   (left, local, op[every[:, None], a])):
             block = np.zeros((len(a), m), dtype=bool)
             block[i, members] = True
             block[local, a] = True  # the adjoined identity
             packed[a] = np.packbits(block, axis=1)
     for rows in (right, left):
-        for _, to, moved in spread(rows, perms, reps, _conjugate_members, m):
-            rows[to] = moved
+        _spread(rows, action, m)
     r_first, l_first = (_labels((row.tobytes() for row in rows), m) for rows in (right, left))
     for a in set(l_first[reps].tolist()):  # the first member of each L-class meeting `reps`
         meets = np.zeros(m, dtype=bool)  # the first member of each R-class meeting S¹a
         meets[r_first[np.unpackbits(left[a], count=m).view(bool)]] = True
         two[a] = np.bitwise_or.reduce(right[meets], axis=0)
     two[reps] = two[l_first[reps]]
-    for _, to, moved in spread(two, perms, reps, _conjugate_members, m):
-        two[to] = moved
+    _spread(two, action, m)
     return right, left, two, r_first, l_first
 
 
@@ -181,7 +176,7 @@ def green_brute(sg: FiniteSemigroup) -> GreenStructure:
         # classes are numbered in order of least member, the labels' fixed points
         class_of={rel: tuple(np.searchsorted(ar[lab == ar], lab).tolist())
                   for rel, lab in labels.items()},
-        idempotent=tuple((sg.op.diagonal() == ar).tolist()),  # x x == x
+        idempotent=tuple((sg.op[ar, ar] == ar).tolist()),  # x x == x
         regular=tuple(reg.tolist()),
         eventual_index=eventual_regularity(sg, reg),
         j_ideals=tuple(two[a].tobytes() for a in np.flatnonzero(labels["J"] == ar)),
@@ -345,11 +340,11 @@ def subset_report(sg: FiniteSemigroup, subset: str, idx) -> SubsetReport:
     certificate (when one is claimed) for the named subset of one reduct,
     whose member indices, ascending, are `idx`.  Closedness, regularity and
     "exactly one inverse" are read off the row x y and column y x, y in the
-    subset, of each representative x of `labelling(sg)`, of whose orbits the
-    subset must be a union (a ValueError otherwise)."""
+    subset, of each representative x of its table's action, of whose orbits
+    the subset must be a union (a ValueError otherwise)."""
     op, idx = sg.op, np.asarray(idx, dtype=np.intp)
     m = len(idx)
-    labels, _, _ = labelling(sg)
+    labels = op.action.labels
     inside = np.zeros(len(sg), dtype=bool)
     inside[idx] = True
     if not np.array_equal(inside[labels], inside):

@@ -20,13 +20,13 @@ At n=1 the unique 1-support closure element fits both the Singleton and the
 NSupport shape; it is NSupport(1, 1, id), so Singleton never occurs at n=1.
 
 Every shape question goes through one element index, the position in
-canonical order, which also indexes every Cayley table.  `rank` (and its
-checked form `member_ranks`, the one step from table rows to positions)
-computes it by arithmetic, `forms` and `tokens` read canonical forms and
-tokens off positions, `product_tables` builds every pointwise sum or
+canonical order, which also indexes every Cayley table.  `rank` (checked:
+`member_ranks`) computes it by arithmetic, `forms` and `tokens` read forms
+and tokens off positions, `product_tables` builds every pointwise sum or
 composite of two row sets, and `products` ranks them.  `index_permutations`
-gives conjugation by S_n on positions, and `orbit_labels` its orbits.  The
-tests check `rank` against a case-by-case classifier of their own.
+gives conjugation by S_n on positions, `orbit_labels` its orbits, and
+`sn_action` the group with a transversal, by which `closure.Table` reads
+every cell.  The tests check `rank` against a classifier of their own.
 """
 
 import math
@@ -187,7 +187,7 @@ def canonical_tables(n) -> np.ndarray:
 def _perm_ranks(n) -> np.ndarray:
     """Lexicographic rank of each permutation, indexed by its 0-based
     images read as a base-n number; non-permutations get 0."""
-    lut = np.zeros(n ** n, dtype=np.int64)
+    lut = np.zeros(n ** n, dtype=np.int32)
     for r, sigma in enumerate(brandt.enumerate_sn(n)):
         lut[sum((s - 1) * n ** (n - 1 - i) for i, s in enumerate(sigma))] = r
     lut.setflags(write=False)
@@ -195,36 +195,30 @@ def _perm_ranks(n) -> np.ndarray:
 
 
 def rank(rows, n) -> np.ndarray:
-    """Canonical index of each table row (an N x (n^2+1) integer array).
-
-    The index is arithmetic on the shape counts: 0 for the zero map, the
-    pair code for a constant, 1 + n^2 + (src-1)n^2 + (dst-1) for a
-    singleton, and offset + ((k-1)n + (q-1))n! + rank(sigma) for a column
-    map (which is also how the n=1 one-support element ranks).  Membership
-    is checked by re-rendering: a row that is not canonical_tables(n)[index]
-    is outside the four shapes and gets -1.
-    """
+    """Canonical index of each table row (an N x (n^2+1) integer array), by
+    int32 arithmetic on the shape counts: 0 for the zero map, the pair code
+    for a constant, 1 + n^2 + (src-1)n^2 + (dst-1) for a singleton, and
+    offset + ((k-1)n + (q-1))n! + rank(sigma) for a column map (also the
+    n=1 one-support element).  Membership is checked by re-rendering: a row
+    that is not canonical_tables(n)[index] is outside the shapes: -1."""
     E = canonical_tables(n)
     rows = np.asarray(rows)
     w = n * n + 1
     if rows.ndim != 2 or rows.shape[1] != w:
         raise ValueError(f"expected rows of length {w}, got shape {rows.shape}")
-    base = np.arange(len(rows)) * w                # flat offset of each row
     nz = rows != THETA
     support = nz.sum(axis=1, dtype=np.uint8)
-    first = nz.argmax(axis=1)                      # least support point
-    image = np.take(rows, base + first).astype(np.int64)
-    single = 1 + n * n + (first - 1) * n * n + (image - 1)
-    k0, q0 = (first - 1) % n, (image - 1) % n      # column and q, 0-based
-    proj1 = np.maximum((np.arange(w) - 1) // n, 0)
-    sigma = np.zeros(len(rows), dtype=np.int64)    # sigma - 1 read in base n
-    for i in range(n):                             # the point (i+1, k)
-        sigma = sigma * n + proj1[np.clip(np.take(rows, base + k0 + 1 + n * i), 0, n * n)]
-    offset = 1 + n * n + (n ** 4 if n >= 2 else 0)
-    col = offset + (k0 * n + q0) * math.factorial(n) + _perm_ranks(n)[sigma]
-    r = np.where(support == n, col, np.where(support == 1, single, rows[:, 0]))
-    r = np.clip(r, 0, len(E) - 1)
-    return np.where((np.take(E, r, axis=0) == rows).all(axis=1), r, -1)
+    at = nz.argmax(axis=1) + np.arange(0, rows.size, w)  # the least support point, (1, k) ...
+    del nz                                               # ... on a column map, as a flat offset
+    first, image = (at % w).astype(np.int32), rows.take(at).astype(np.int32)
+    proj1 = np.maximum((np.arange(w, dtype=np.int32) - 1) // n, 0)
+    sigma = np.zeros(len(rows), dtype=np.int32)          # sigma - 1 read in base n
+    for i in range(n):                                   # the point (i+1, k), n i codes on
+        sigma = sigma * n + proj1.take(rows.take(at + n * i, mode="clip"), mode="clip")
+    col = (((first - 1) % n * n + (image - 1) % n) * math.factorial(n)
+           + _perm_ranks(n).take(sigma, mode="clip") + 1 + n * n + (n ** 4 if n >= 2 else 0))
+    r = np.where(support == n, col, np.where(support == 1, first * n * n + image, rows[:, 0]))
+    return np.where((E.take(r.clip(0, len(E) - 1), axis=0) == rows).all(axis=1), r, -1)
 
 
 def member_ranks(rows, n) -> np.ndarray:
@@ -248,15 +242,17 @@ def inverse(P) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def index_permutations(n) -> tuple:
-    """Conjugation by Aut(B_n) ≅ S_n as permutations of canonical indices.
-
-    For each generator pi of `brandt.sn_generators(n)`, entry r is the rank
-    of phi^-1 f phi, where f is the r-th canonical table and phi = phi_pi
-    sends (i,j) to (i pi, j pi), built as for `generators.phi_sigma` (by
-    `brandt.automorphism`).  Conjugation preserves + and o, so these are
-    near-semiring automorphisms: t[P[f], P[g]] = P[t[f, g]] in both Cayley
-    tables.  Read-only uint16 arrays, each checked to be a bijection.
-    """
+    """Conjugation by Aut(B_n) ≅ S_n as permutations of canonical indices:
+    for each generator pi of `brandt.sn_generators(n)`, entry r is the rank
+    of phi^-1 f phi, f the r-th canonical table and phi = phi_pi, which
+    sends (i,j) to (i pi, j pi) (`brandt.automorphism`).  These are
+    near-semiring automorphisms: t[P[f], P[g]] = P[t[f, g]] in both tables.
+    Read-only uint16 bijections, for an n whose 1 + n^2 + n^4 + n^2 n!
+    elements fit uint16."""
+    size = 1 + n * n + n ** 4 + n * n * math.factorial(n)
+    if size > 1 << 16:  # the cast would wrap larger ranks onto smaller ones
+        raise ValueError(f"n={n} gives {size:,} elements, beyond the 65,536 indices of "
+                         "uint16 ranks")
     E = canonical_tables(n)
     out = []
     for pi in brandt.sn_generators(n):
@@ -277,6 +273,48 @@ def orbit_labels(n) -> np.ndarray:
     label = least_labels(index_permutations(n), len(canonical_tables(n)))
     label.setflags(write=False)
     return label
+
+
+@dataclass(frozen=True, eq=False)
+class Action:
+    """A group of permutations of range(m), row 0 the identity and row
+    inverse[h] row h's inverse, with a transversal: x is group[g[x]] applied
+    to labels[x], its least orbit-mate; reps are the labels' fixed points."""
+    group: np.ndarray
+    inverse: np.ndarray
+    reps: np.ndarray
+    labels: np.ndarray
+    g: np.ndarray
+
+
+def trivial_action(m) -> Action:
+    """The group {id} on range(m): every index is its own representative."""
+    every = np.arange(m)
+    return Action(every[None].astype(np.uint16), np.zeros(1, int), every, every, np.zeros(m, int))
+
+
+@lru_cache(maxsize=None)
+def sn_action(n) -> Action:
+    """S_n on canonical indices: the n! compositions of `index_permutations`,
+    read-only uint16 rows found breadth first, and as x's transversal element
+    the first row carrying its `orbit_labels` label to x; refused unless so."""
+    gens, m = index_permutations(n), len(canonical_tables(n))
+    rows = [np.arange(m, dtype=np.uint16)]
+    found = {rows[0].tobytes(): 0}
+    for row in rows:  # the list grows as it is read, to n! + 1 rows at most
+        for new in (P[row] for P in gens if len(rows) <= math.factorial(n)):
+            if found.setdefault(new.tobytes(), len(rows)) == len(rows):
+                rows.append(new)
+    group, labels = np.array(rows), orbit_labels(n)
+    reps, g = np.flatnonzero(labels == np.arange(m)), np.full(m, -1)
+    for h in range(len(group) - 1, -1, -1):  # descending: the first row wins
+        g[group[h, reps]] = h
+    if len(group) != math.factorial(n) or not np.array_equal(group[g, labels], np.arange(m)):
+        raise AssertionError(f"the index permutations do not generate S_{n} with the orbits "
+                             "of `orbit_labels`")
+    group.setflags(write=False)  # a finite set closed under the generators holds inverses
+    return Action(group, np.array([found[inverse(row).astype(np.uint16).tobytes()]
+                                   for row in group]), reps, labels, g)
 
 
 def forms(ranks, n) -> list:

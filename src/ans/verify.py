@@ -7,11 +7,9 @@ pass/fail with a minimal witness on failure.
 
 The closure, which may come from a cache, is measured as a build is:
 `closure.fixpoint` counts what the affine generators reach on its additive
-rows, and `closure.tables_witness` proves its Cayley tables by the S_n
-symmetry, naming the first wrong cell on a failure.  Later checks read
-the tables it returns, marked by the proof, never the mark of the closure
-given, so the axiom scan and `green`'s scans lean on the symmetry only
-where it is proved, for a fresh build as for a cache.
+rows, and `closure.tables_witness` proves its Cayley tables.  Only then do
+the axiom scan and `green`'s scans read verdicts off the S_n orbit
+representatives, whose orbits `_orbit_census` counts by Burnside's lemma.
 """
 
 from dataclasses import dataclass
@@ -47,6 +45,25 @@ def _diff(measured, expected) -> str:
     return f"measured {measured!r}, expected {expected!r}"
 
 
+def _orbit_census(n) -> str:
+    """"" when S_n's orbits (`maps.orbit_labels`) of each shape number as
+    `formulas.orbit_counts` says, with n!/|Stab| members each (by the group
+    of `maps.sn_action`); else the first shape, in rank order, that differs."""
+    labels, group = maps.orbit_labels(n), maps.sn_action(n).group
+    reps = np.flatnonzero(labels == np.arange(len(labels)))
+    sizes, stabs = np.bincount(labels)[reps], np.count_nonzero(group[:, reps] == reps, axis=0)
+    expected = formulas.orbit_counts(n)
+    of_shape = np.searchsorted(np.cumsum([formulas.counts(n).breakup[k] for k in expected]),
+                               reps, side="right")
+    for i, (shape, want) in enumerate(expected.items()):
+        got, bad = np.count_nonzero(of_shape == i), (of_shape == i) & (sizes * stabs != len(group))
+        if got != want or bad.any():
+            k = bad.argmax()
+            return (f"{shape}: {got} orbits, expected {want}" if got != want else f"{shape}: the "
+                    f"orbit of {reps[k]} has {sizes[k]} members, n!/|Stab| = {len(group) // stabs[k]}")
+    return ""
+
+
 def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
     """All checks at one n on the closure `ns`.  It may come from a cache;
     its tables are checked against the canonical family, so tampered
@@ -62,11 +79,14 @@ def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
     _check(results, "generator censuses match closed forms", n,
            gen_sizes == expected_sizes, _diff(gen_sizes, expected_sizes))
     _check(results, "Aut(B_n) isomorphic to S_n", n, generators.aut_iso_sn(n))
+    census = _orbit_census(n)
+    _check(results, "S_n orbit census matches closed form", n, not census, census)
 
     # closure layer: the build's fixpoint, rerun on the additive table given
-    reps = maps.orbit_labels(n) == np.arange(len(ns))
+    add_sg, mul_sg = ns.reduct("additive"), ns.reduct("multiplicative")
+    every, reps = np.arange(len(ns)), maps.sn_action(n).reps
     try:  # pop: the Aff set is not held to the end
-        reached = closure_mod.fixpoint(gens.pop("aff"), ns.add_table[reps])
+        reached = closure_mod.fixpoint(gens.pop("aff"), add_sg.op[reps[:, None], every])
         size, cause = int(np.count_nonzero(reached)), ""
     except ValueError as e:  # a generator refused
         size, cause = None, str(e)
@@ -77,7 +97,7 @@ def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
     _check(results, "support breakup matches closed form", n,
            hist == expected_hist, _diff(hist, expected_hist))
 
-    witness, ns = closure_mod.tables_witness(ns)
+    witness = closure_mod.tables_witness(ns)
     if not _check(results, "Cayley tables reproducible from element list", n,
                   not witness, witness):
         # downstream checks would measure the corrupted tables, not the system
@@ -86,8 +106,6 @@ def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
     report = closure_mod.verify_near_semiring(ns)
     _check(results, "near-semiring axioms hold", n, report.passed, str(report))
 
-    add_sg = ns.reduct("additive")
-    mul_sg = ns.reduct("multiplicative")
     try:
         add_gs = green.green_brute(add_sg)
         mul_gs = green.green_brute(mul_sg)
@@ -124,8 +142,8 @@ def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
     _check(results, "additive H is trivial", n,
            all(len(c) == 1 for c in add_gs.classes["H"]),
            "some H-class has more than one element")
-    two_f = add_sg.op.diagonal()
-    three_f = add_sg.op[two_f, np.arange(len(ns))]
+    two_f = add_sg.op[every, every]
+    three_f = add_sg.op[two_f, every]
     _check(results, "aperiodicity: f+f = f+f+f for every f", n,
            bool(np.array_equal(two_f, three_f)))
     ev = add_gs.eventual_index

@@ -9,9 +9,10 @@ sums that `maps.products` ranks, `related` for the relation-to-key map
 inside `green.analytic_structure`, `union_find_labels` for
 `maps.least_labels`, and `fill_tables`, which ranks every cell through the
 public `maps.products` (itself checked against `pointwise_add`), for the
-tables that `closure.additive_closure` fills from orbit representatives.
-`elements` renders the element tables that a closure's or reduct's indices
-stand for.  `check_iso`, which tests an explicit bijection cell by cell, is
+tables that `closure.additive_closure` ranks for the orbit representatives
+and `closure.Table` reads for every other element.  `dense` restates a
+closure's tables as whole arrays over the trivial group.  `elements`
+renders the element tables that a closure's or reduct's indices stand for.  `check_iso`, which tests an explicit bijection cell by cell, is
 the reference for the isomorphism certificates of `green.subset_report`.
 """
 
@@ -81,6 +82,14 @@ def fill_tables(n):
         kind = "additively" if add_t[i, j] < 0 else "multiplicatively"
         raise AssertionError(f"closure not {kind} closed at ({i},{j})")
     return add_t.astype(closure.TABLE_DTYPE), mul_t.astype(closure.TABLE_DTYPE)
+
+
+def dense(ns):
+    """Both tables of `ns` as whole m x m arrays, copied, in a near-semiring
+    over the trivial group, whose scans visit every element."""
+    return closure.NearSemiring(ns.n, *(ns.reduct(label).op.dense()
+                                        for label in ("additive", "multiplicative")),
+                                maps.trivial_action(len(ns)))
 
 
 def proj2(code, n):

@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ans import closure, formulas, generators, maps, verify
+from ans import closure, formulas, generators, green, maps, verify
 import oracles
 
 
@@ -82,8 +82,8 @@ def test_near_semiring_axioms(closure_of, n):
 
 
 def test_axiom_check_reports_witness(closure_of):
-    ns = closure_of(2)
-    bad = closure.NearSemiring(2, ns.add_table.copy(), ns.mul_table.copy())
+    ns = closure_of(2)  # the stored row of element 5, the fourth representative
+    bad = closure.NearSemiring(2, ns.add_table.copy(), ns.mul_table.copy(), ns.action)
     bad.add_table[3, 4] = (bad.add_table[3, 4] + 1) % len(ns)
     report = closure.verify_near_semiring(bad)
     assert not report.passed
@@ -95,7 +95,7 @@ def test_axiom_check_reports_witness(closure_of):
 @pytest.mark.parametrize("add_cell,mul_cell", [((2, 25), (0, 15)), ((9, 4), (13, 20))])
 def test_exhaustive_scan_matches_reference_loop(closure_of, add_cell, mul_cell):
     ns = closure_of(2)
-    bad = closure.NearSemiring(2, ns.add_table.copy(), ns.mul_table.copy())
+    bad = oracles.dense(ns)  # the trivial group: x runs over every element
     bad.add_table[add_cell] = (bad.add_table[add_cell] + 1) % len(ns)
     bad.mul_table[mul_cell] = (bad.mul_table[mul_cell] + 1) % len(ns)
     report = closure.verify_near_semiring(bad)  # default bounds: exhaustive at n=2
@@ -135,7 +135,7 @@ def _reference_scan(holds, triples):
 @pytest.mark.parametrize("table", ["add_table", "mul_table"])
 def test_sampled_scan_matches_reference_loop(closure_of, monkeypatch, table):
     ns = closure_of(2)
-    bad = closure.NearSemiring(2, ns.add_table.copy(), ns.mul_table.copy())
+    bad = oracles.dense(ns)
     getattr(bad, table)[7, 11] = (getattr(bad, table)[7, 11] + 1) % len(ns)
     samples, m = 5_000, len(ns)
     _sample_every_law(monkeypatch, samples)
@@ -165,7 +165,7 @@ def test_sampler_streams_the_same_draws_in_slices(closure_of, monkeypatch):
     # a law that fails before its last slice still draws the rest of its sample,
     # so the later laws scan the same triples whatever the slice size
     ns = closure_of(2)
-    bad = closure.NearSemiring(2, ns.add_table.copy(), ns.mul_table.copy())
+    bad = oracles.dense(ns)
     bad.add_table[7, 11] = (bad.add_table[7, 11] + 1) % len(ns)
 
     def run():
@@ -259,13 +259,15 @@ def test_fill_and_orbit_tables_name_the_first_product_outside_the_shapes(monkeyp
 
 
 def test_tables_match_pointwise_definitions(closure_of):
+    # every cell read through the tables' S_n action, 15 of 29 rows stored
     ns = closure_of(2)
+    add, mul = ns.reduct("additive").op, ns.reduct("multiplicative").op
     elems = oracles.elements(ns)
     idx = {f: i for i, f in enumerate(elems)}
     for i, f in enumerate(elems):
         for j, g in enumerate(elems):
-            assert ns.add_table[i, j] == idx[oracles.pointwise_add(f, g)]
-            assert ns.mul_table[i, j] == idx[maps.compose(f, g)]
+            assert add[i, j] == idx[oracles.pointwise_add(f, g)]
+            assert mul[i, j] == idx[maps.compose(f, g)]
 
 
 def test_closure_names_the_least_element_it_misses():
@@ -292,7 +294,7 @@ def test_json_round_trip(closure_of):
     d = closure.to_dict(ns)
     text = json.dumps(d, default=np.ndarray.tolist)
     back = closure.from_dict(json.loads(text))
-    assert back.symmetric
+    assert back.action is ns.action is maps.sn_action(2)
     assert np.array_equal(back.add_table, ns.add_table)
     assert np.array_equal(back.mul_table, ns.mul_table)
     again = closure.to_dict(back)
@@ -306,9 +308,9 @@ def test_to_dict_stores_the_representatives_rows_only(closure_of):
     reps = np.flatnonzero(maps.orbit_labels(2) == np.arange(29))
     assert sorted(d) == ["add_table", "format_version", "mul_table", "n"]
     assert d["format_version"] == closure.FORMAT_VERSION == 2 and d["n"] == 2
-    for key in ("add_table", "mul_table"):
+    for key, whole in zip(("add_table", "mul_table"), oracles.fill_tables(2)):
         assert d[key].dtype == np.uint16 and d[key].shape == (len(reps), 29) == (15, 29)
-        assert np.array_equal(d[key], getattr(ns, key)[reps])
+        assert np.array_equal(d[key], whole[reps])
 
 
 def test_from_dict_rejects_bad_payloads(closure_of):
@@ -320,7 +322,8 @@ def test_from_dict_rejects_bad_payloads(closure_of):
     with pytest.raises(ValueError, match="format version"):
         closure.from_dict(wrong_version)
 
-    dense = dict(good, add_table=ns.add_table)  # a whole table is not the stored rows
+    # a whole table is not the stored rows
+    dense = dict(good, add_table=ns.reduct("additive").op.dense())
     with pytest.raises(ValueError, match=re.escape("shape (29, 29) is not the rows of the "
                                                    "15 orbit representatives over 29")):
         closure.from_dict(dense)
@@ -364,7 +367,7 @@ def test_from_dict_names_the_first_wrong_stored_cell(closure_of, n):
                 d[key][i, j] = (int(d[key][i, j]) + rng.randrange(1, len(ns))) % len(ns)
                 edits.append((key, i, j))
         key, i, j = min((k, i, j) for k, i, j in edits if d[k][i, j] != good[k][i, j])
-        want = f"{key}[{reps[i]},{j}] is {d[key][i, j]}, recomputed {getattr(ns, key)[reps[i], j]}"
+        want = f"{key}[{reps[i]},{j}] is {d[key][i, j]}, recomputed {getattr(ns, key)[i, j]}"
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             closure.from_dict(d)
 
@@ -415,3 +418,20 @@ def test_empty_generator_set_rejected():
 
     with pytest.raises(ValueError, match="empty"):
         closure.additive_closure(Empty())
+
+
+def test_no_m_by_m_table_is_allocated_at_n5():
+    # a build, its proof and both reducts' Green structures hold the 58
+    # representatives' rows, never a table of all 3,651 rows: the peak stays
+    # below the bytes of one dense table at n = 5 (26.7 MB)
+    gens = generators.enumerate_aff(5)
+    tracemalloc.start()
+    try:
+        ns = closure.additive_closure(gens)
+        assert closure.tables_witness(ns) == ""
+        for label in ("additive", "multiplicative"):
+            green.green_brute(ns.reduct(label))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3651 ** 2 * np.dtype(closure.TABLE_DTYPE).itemsize

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from ans import cli, closure, eggbox, formulas, generators, green, maps, verify
+import oracles
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -158,7 +159,8 @@ def _assert_covers_match_the_bool_product(below):
 
 def test_covers_match_the_bool_product_on_the_n4_additive_j_order(closure_of):
     sg = closure_of(4).reduct("additive")
-    two = green.ideals(closure.FiniteSemigroup(4, "additive", sg.op))[2]  # unmarked
+    # the trivial group: every row filled
+    two = green.ideals(closure.FiniteSemigroup(4, "additive", sg.op.dense()))[2]
     reps = [c[0] for c in green.green_brute(sg).classes["D"]]
     masks = np.unpackbits(two[reps], axis=1, count=len(sg)).astype(bool)
     below = masks[:, reps].T & ~np.eye(len(reps), dtype=bool)
@@ -256,8 +258,8 @@ def test_cli_enumerate_json_roundtrips(closure_of, tmp_path, capsys):
     assert d["format_version"] == cli.ENUMERATE_VERSION == 1
     assert d["n"] == 2 and d["count"] == len(d["elements"]) == len(ns) == 29
     assert d["elements"] == maps.tokens(range(29), 2)
-    assert np.array_equal(d["add_table"], ns.add_table)
-    assert np.array_equal(d["mul_table"], ns.mul_table)
+    add_t, mul_t = oracles.fill_tables(2)
+    assert np.array_equal(d["add_table"], add_t) and np.array_equal(d["mul_table"], mul_t)
 
 
 def test_enumerate_json_version_is_not_the_cache_format_version(tmp_path, capsys,
@@ -460,8 +462,8 @@ def test_green_and_eggbox_scan_one_element_per_orbit_on_a_build(tmp_path, capsys
                                                                  monkeypatch, argv):
     # the regularity rule and the ideal fill see the 27 orbit representatives
     # at n = 3 on a build, with no cache or on a miss, and on a hit, whose
-    # tables are marked by the proof on load; the fill is the one row-block
-    # scan 77 columns wide
+    # stored rows are proved on load; the fill is the one row-block scan
+    # 77 columns wide
     rows, filled, outs = [], [], []
     xyx, blocks = green._xyx, maps.row_blocks
 
@@ -540,9 +542,9 @@ def test_cli_green_reports_broken_invariant_without_traceback(closure_of, tmp_pa
     assert code == 2 and out == ""
     assert err == (f"error: malformed cache {path}: ValueError: "
                    f"add_table[0,5] is {(want + 1) % 29}, recomputed {want}\n")
-    # the same wrong cell in unmarked tables handed to green breaks an invariant: exit 1
-    ns = closure_of(2)
-    bad = closure.NearSemiring(2, ns.add_table.copy(), ns.mul_table)
+    # the same wrong cell in tables over the trivial group, handed to green
+    # unproved, breaks an invariant: exit 1
+    bad = oracles.dense(closure_of(2))
     bad.add_table[0][5] = (want + 1) % 29
     monkeypatch.setattr(cli, "load_or_build", lambda n, cache_dir: bad)
     code, out, err = run_cli(capsys, ["green", "--n", "2", "--reduct", "additive"])

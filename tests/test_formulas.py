@@ -100,3 +100,34 @@ def test_counts_to_dict_roundtrippable_keys():
     assert d["n"] == 2
     assert set(d) == {"n", "end_count", "aut_count", "aff_count",
                       "a_plus_total", "breakup", "additive", "multiplicative"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orbit_counts_match_the_orbit_labels_per_shape(n):
+    from ans import maps  # loads numpy, which the other tests here need not
+    labels = maps.orbit_labels(n)
+    shape = {"Zero": "zero", "Constant": "full", "Singleton": "singleton", "NSupport": "n_support"}
+    measured = dict.fromkeys(formulas.orbit_counts(n), 0)
+    for r in set(labels.tolist()):
+        measured[shape[type(maps.all_canonical(n)[r]).__name__]] += 1
+    assert measured == formulas.orbit_counts(n)
+    assert list(measured) == ["zero", "full", "singleton", "n_support"]  # rank order
+
+
+def test_orbit_counts_from_n1_to_n6():
+    totals = [sum(formulas.orbit_counts(n).values()) for n in range(1, 7)]
+    assert totals == [3, 15, 27, 39, 58, 89]
+    assert formulas.orbit_counts(6) == {"zero": 1, "full": 2, "singleton": 15, "n_support": 71}
+    assert formulas.orbit_counts(1) == {"zero": 1, "full": 1, "singleton": 0, "n_support": 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_column_map_orbits_are_burnside_over_every_permutation(n):
+    # the cycle-type sum against Burnside's mean taken over S_n itself: pi
+    # fixes (k, q; sigma) when it fixes k and q and commutes with sigma
+    from itertools import permutations
+    perms = list(permutations(range(n)))
+    fixed = sum(sum(p[i] == i for i in range(n)) ** 2
+                * sum(all(p[s[i]] == s[p[i]] for i in range(n)) for s in perms)
+                for p in perms)
+    assert fixed == formulas.orbit_counts(n)["n_support"] * math.factorial(n)

@@ -271,14 +271,13 @@ def test_rank_order_is_the_certified_bijection(closure_of, n, label, name):
 @pytest.mark.parametrize("label, name", _CERTIFIED)
 @pytest.mark.parametrize("n", [2, 3])
 def test_certificate_refuses_one_wrong_product_inside_the_subset(closure_of, n, label, name):
-    ns = closure_of(n)
-    unmarked = closure.NearSemiring(n, ns.add_table.copy(), ns.mul_table.copy())
-    sg = unmarked.reduct(label)
+    table = closure_of(n).reduct(label).op.dense()  # over the trivial group: one cell wrong
+    sg = closure.FiniteSemigroup(n, label, table)
     assert green.structural_checks(sg, name).iso_holds
     idx = np.array(green.subset_indices(sg, name))
     a, b = idx[len(idx) // 2], idx[-1]
-    at = np.searchsorted(idx, sg.op[a, b])
-    sg.op[a, b] = idx[(at + 1) % len(idx)]  # another member, so the subset stays closed
+    at = np.searchsorted(idx, table[a, b])
+    table[a, b] = idx[(at + 1) % len(idx)]  # another member, so the subset stays closed
     rep = green.structural_checks(sg, name)
     assert rep.closed and rep.iso_holds is False
 
@@ -317,7 +316,7 @@ def test_ideals_where_left_ideals_meet_several_r_classes():
     index = {f: i for i, f in enumerate(maps_)}
     op = np.array([[index[tuple(g[x] for x in f)] for g in maps_] for f in maps_],
                   dtype=np.uint16)
-    sg = closure.FiniteSemigroup(1, "multiplicative", op)  # unmarked: every row filled
+    sg = closure.FiniteSemigroup(1, "multiplicative", op)  # the trivial group: every row filled
     right, left = green.ideals(sg)[:2]
     r_class = [r.tobytes() for r in right]
     meets = [len({r_class[x] for x in np.flatnonzero(np.unpackbits(row, count=27))})
@@ -328,8 +327,8 @@ def test_ideals_where_left_ideals_meet_several_r_classes():
 
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])
 def test_ideals_with_blocks_off_byte_boundaries(closure_of, monkeypatch, label):
-    sg = closure.FiniteSemigroup(2, label, closure_of(2).reduct(label).op)  # unmarked
-    op = sg.op
+    op = closure_of(2).reduct(label).op.dense()
+    sg = closure.FiniteSemigroup(2, label, op)  # the trivial group: every row filled
     whole = green.ideals(sg)
     monkeypatch.setattr(maps, "_BLOCK_CELLS", 100)  # 3 rows of the 29-element table
     starts = [int(b[0]) for b in maps.row_blocks(np.arange(len(op)), len(op))]
@@ -342,8 +341,8 @@ def test_ideals_read_at_least_a_floor_of_columns_per_block(closure_of, monkeypat
     # with a table wider than _FILL_WIDTH, a block spans
     # _BLOCK_CELLS / _FILL_WIDTH columns however wide the table is: here
     # 10 of the 29 columns, where _BLOCK_CELLS / m would give 3
-    sg = closure.FiniteSemigroup(2, "additive", closure_of(2).reduct("additive").op)
-    whole = green.ideals(sg)  # unmarked: every row filled
+    sg = closure.FiniteSemigroup(2, "additive", closure_of(2).reduct("additive").op.dense())
+    whole = green.ideals(sg)  # the trivial group: every row filled
     monkeypatch.setattr(maps, "_BLOCK_CELLS", 100)
     monkeypatch.setattr(green, "_FILL_WIDTH", 10)
     widths = []
@@ -360,7 +359,7 @@ def test_ideals_read_at_least_a_floor_of_columns_per_block(closure_of, monkeypat
 
 def _assert_ideals_match_set_definitions(sg):
     m = len(sg)
-    t = sg.op.tolist()
+    t = sg.op.dense().tolist()
     rows = [np.unpackbits(r, axis=1, count=m).astype(bool) for r in green.ideals(sg)[:3]]
     for a in range(m):
         a_s = {t[a][s] for s in range(m)}
@@ -378,7 +377,7 @@ def _assert_ideals_match_set_definitions(sg):
 
 def _ref_regular_elements(sg):
     """Elements x with x y x = x for some y, by exhaustive search."""
-    t = sg.op
+    t = sg.op.dense()
     out = []
     for i in range(len(sg)):
         if np.any(t[t[i], i] == i):
@@ -401,7 +400,7 @@ def _ref_inverse_counts(t):
 def _ref_eventual_regularity(sg, reg):
     """Least r >= 1 such that the r-th power is regular, per element, given
     the `regular_elements` of `sg`."""
-    t = sg.op
+    t = sg.op.dense()
     m = len(sg)
     out = []
     for i in range(m):
@@ -456,7 +455,7 @@ def _restrict(sg, idx):
     """Restricted table in local indices, in TABLE_DTYPE, and whether the
     subset is closed (the table is only meaningful when it is)."""
     if len(idx) == len(sg):
-        return sg.op, True
+        return sg.op.dense(), True
     idx = np.asarray(idx, dtype=np.intp)
     sub = sg.op[np.ix_(idx, idx)]
     inside = np.zeros(len(sg), dtype=bool)
@@ -534,8 +533,8 @@ def test_subset_report_matches_restricted_oracle(closure_of, monkeypatch, n, lab
 def test_subset_report_matches_oracle_on_random_member_sets(closure_of, monkeypatch,
                                                             label, cells):
     monkeypatch.setattr(maps, "_BLOCK_CELLS", cells)
-    # unmarked: a random member set is seldom a union of S_n orbits
-    sg = closure.FiniteSemigroup(2, label, closure_of(2).reduct(label).op)
+    # the trivial group: a random member set is seldom a union of S_n orbits
+    sg = closure.FiniteSemigroup(2, label, closure_of(2).reduct(label).op.dense())
     rng = np.random.default_rng(11)
     verdicts = []
     for trial in range(200):
@@ -577,7 +576,8 @@ def test_regularity_scan_matches_reference_on_random_tables():
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])
 def test_regularity_scan_with_blocks_off_byte_boundaries(closure_of, monkeypatch, label):
     monkeypatch.setattr(maps, "_BLOCK_CELLS", 100)  # 3 rows of the 29-element table
-    sg = closure.FiniteSemigroup(2, label, closure_of(2).reduct(label).op)  # every row scanned
+    # the trivial group: every row scanned
+    sg = closure.FiniteSemigroup(2, label, closure_of(2).reduct(label).op.dense())
     starts = [int(b[0]) for b in maps.row_blocks(np.arange(len(sg)), len(sg))]
     assert len(sg) % 8 and any(s % 8 for s in starts)
     for name in _subsets(label):
@@ -596,4 +596,4 @@ def test_battery_scans_additive_regularity_once(closure_of, monkeypatch):
     monkeypatch.setattr(green, "regular_elements", counted)
     results = verify.run_battery(4, ns)
     assert results and all(r.passed for r in results), [r.line() for r in results]
-    assert sum(op is ns.add_table for op in scanned) == 1
+    assert sum(op.rows is ns.add_table for op in scanned) == 1

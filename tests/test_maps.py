@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -277,3 +278,57 @@ def test_least_labels_join_a_staircase_over_many_rounds(monkeypatch):
     got = maps.least_labels((np.array(r), np.array(l)), m)
     assert got.tolist() == [0] * m == oracles.union_find_labels((r, l), m)
     assert len(rounds) > 2
+
+
+# --- the S_n action on canonical indices ------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sn_action_is_the_group_the_index_permutations_generate(n):
+    a = maps.sn_action(n)
+    G, m = a.group, len(maps.canonical_tables(n))
+    every = np.arange(m)
+    assert G.shape == (math.factorial(n), m) and G.dtype == np.uint16 and not G.flags.writeable
+    assert np.array_equal(G[0], every)
+    rows = {row.tobytes() for row in G}
+    assert len(rows) == len(G)
+    for P in maps.index_permutations(n):  # closed under the generators
+        assert all(P[row].tobytes() in rows for row in G)
+    assert all(np.array_equal(G[h][G[a.inverse[h]]], every) for h in range(len(G)))
+    assert np.array_equal(a.labels, maps.orbit_labels(n))
+    assert np.array_equal(a.reps, np.flatnonzero(a.labels == every))
+    assert np.array_equal(G[a.g, a.labels], every)  # x = G[g_x] r_x
+    first = [min(h for h in range(len(G)) if G[h, a.labels[x]] == x) for x in range(m)]
+    assert a.g.tolist() == first
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sn_action_is_conjugation_by_every_permutation(n):
+    # each row is conjugation by one phi_pi, composed as tables, and every
+    # pi of S_n gives one
+    from ans import generators
+    E = [tuple(f) for f in maps.canonical_tables(n).tolist()]
+    rank = {f: i for i, f in enumerate(E)}
+    want = set()
+    for pi in brandt.enumerate_sn(n):
+        phi = generators.phi_sigma(pi, n)
+        phi_inv = generators.phi_sigma(oracles.perm_inverse(pi), n)
+        want.add(tuple(rank[maps.compose(maps.compose(phi_inv, f), phi)] for f in E))
+    assert {tuple(row) for row in maps.sn_action(n).group.tolist()} == want
+
+
+def test_trivial_action_makes_every_index_its_own_representative():
+    a = maps.trivial_action(5)
+    assert a.group.tolist() == [[0, 1, 2, 3, 4]] and a.inverse.tolist() == [0]
+    assert a.reps.tolist() == a.labels.tolist() == [0, 1, 2, 3, 4] and not a.g.any()
+
+
+def test_an_n_beyond_uint16_ranks_is_refused_before_any_table(monkeypatch):
+    # n = 7 has 249,411 elements, which uint16 ranks would wrap; the refusal
+    # is arithmetic, so no canonical table is rendered for it
+    rendered = []
+    monkeypatch.setattr(maps, "render", lambda c, n: rendered.append(n))
+    message = re.escape("n=7 gives 249,411 elements, beyond the 65,536 indices of uint16 ranks")
+    for build in (maps.index_permutations, maps.orbit_labels, maps.sn_action):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(7)
+    assert rendered == []

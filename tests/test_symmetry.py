@@ -1,16 +1,17 @@
-"""Conjugation by Aut(B_n) ≅ S_n: index permutations, orbit-built tables,
-the battery's symmetric table check against the direct path, and the
-`symmetric` mark that lets a scan visit one element per orbit."""
+"""Conjugation by Aut(B_n) ≅ S_n: index permutations, the group they
+generate and its transversal, tables read through the S_n action against
+the direct path, the battery's proof of the tables, and scans that visit
+one element per orbit against the same scans over the trivial group."""
 
-import dataclasses
 import random
+import re
 import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ans import brandt, cli, closure, generators, green, maps, verify
+from ans import brandt, cli, closure, formulas, generators, green, maps, verify
 import oracles
 from test_green import _assert_ideals_match_set_definitions
 
@@ -28,7 +29,7 @@ def test_index_permutations_are_conjugations(closure_of, n):
         phi_inv = generators.phi_sigma(oracles.perm_inverse(pi), n)
         assert [E[r] for r in P] == [maps.compose(maps.compose(phi_inv, f), phi) for f in E]
         assert P.dtype == np.uint16 and not P.flags.writeable
-        for t in (ns.add_table, ns.mul_table):  # t[P f, P g] = P t[f, g]
+        for t in oracles.fill_tables(n):  # t[P f, P g] = P t[f, g]
             assert np.array_equal(t[np.ix_(P, P)], P[t])
 
 
@@ -41,10 +42,13 @@ def test_index_permutations_at_n4_are_bijections():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orbit_tables_equal_fill_tables(closure_of, n):
+    # every cell read through the S_n action equals the directly ranked one
     ns = closure_of(n)
-    add_t, mul_t = oracles.fill_tables(n)
-    assert np.array_equal(ns.add_table, add_t) and np.array_equal(ns.mul_table, mul_t)
+    for label, want in zip(("additive", "multiplicative"), oracles.fill_tables(n)):
+        got = ns.reduct(label).op.dense()
+        assert np.array_equal(got, want) and got.dtype == closure.TABLE_DTYPE
     assert ns.add_table.dtype == ns.mul_table.dtype == closure.TABLE_DTYPE
+    assert ns.add_table.shape == (len(ns.action.reps), len(ns))
 
 
 @pytest.mark.parametrize("n,orbits", [(1, 3), (2, 15), (3, 27), (4, 39)])
@@ -62,7 +66,7 @@ def test_orbit_representatives_are_the_least_of_each_orbit(closure_of, n, orbits
                 if int(P[f]) not in least:
                     least[int(P[f])] = start
                     frontier.append(int(P[f]))
-    _, reps, _ = closure.labelling(ns)  # a build is marked
+    reps = ns.action.reps  # a build's tables are its representatives' rows
     assert len(reps) == orbits
     assert reps.tolist() == sorted(set(least.values()))
 
@@ -81,9 +85,10 @@ def test_closure_refuses_generators_not_closed_under_conjugation():
 
 def _direct_witness(ns):
     """The check's witness as the direct path gives it: the first cell,
-    row-major, where a table differs from `fill_tables`."""
-    add_t, mul_t = oracles.fill_tables(ns.n)
-    for label, got, want in (("add", ns.add_table, add_t), ("mul", ns.mul_table, mul_t)):
+    row-major, where a table, read through its action, differs from
+    `fill_tables`."""
+    got_ns, (add_t, mul_t) = oracles.dense(ns), oracles.fill_tables(ns.n)
+    for label, got, want in (("add", got_ns.add_table, add_t), ("mul", got_ns.mul_table, mul_t)):
         bad = np.argwhere(got != want)
         if bad.size:
             i, j = map(int, bad[0])
@@ -97,22 +102,34 @@ def _tables_check(ns):
 
 
 def _copy(ns):
-    return closure.NearSemiring(ns.n, ns.add_table.copy(), ns.mul_table.copy())
+    return closure.NearSemiring(ns.n, ns.add_table.copy(), ns.mul_table.copy(), ns.action)
 
 
 def _reps(ns):
-    return np.flatnonzero(maps.orbit_labels(ns.n) == np.arange(len(ns)))
+    return ns.action.reps
+
+
+def _stored(ns, x, y):
+    """The stored cell, (row of x's representative, column), that the
+    table reads for the cell (x, y): y moved by x's transversal element's
+    inverse."""
+    a = ns.action
+    return int(np.searchsorted(a.reps, a.labels[x])), int(a.group[a.inverse[a.g[x]], y])
+
+
+def _tamper(t, i, j, by, m):
+    t[i, j] = (int(t[i, j]) + by) % m
 
 
 @pytest.mark.parametrize("table", ["add_table", "mul_table"])
 @pytest.mark.parametrize("row_kind", ["representative", "other"])
 def test_tampered_cell_fails_with_direct_witness(closure_of, table, row_kind):
+    # only representatives' rows are stored: another row's cell is tampered
+    # at the stored cell it is read from, so its whole orbit of cells is wrong
     bad = _copy(closure_of(3))
     reps = _reps(bad)
     rows = reps if row_kind == "representative" else np.setdiff1d(np.arange(len(bad)), reps)
-    i = int(rows[len(rows) // 2])
-    t = getattr(bad, table)
-    t[i, 5] = (int(t[i, 5]) + 1) % len(bad)
+    _tamper(getattr(bad, table), *_stored(bad, int(rows[len(rows) // 2]), 5), 1, len(bad))
     check = _tables_check(bad)
     assert not check.passed
     assert "recomputed" in check.details
@@ -121,29 +138,29 @@ def test_tampered_cell_fails_with_direct_witness(closure_of, table, row_kind):
 
 @pytest.mark.parametrize("tables", [["add_table"], ["mul_table"], ["add_table", "mul_table"]])
 def test_failed_proof_ranks_the_direct_rows_a_block_at_a_time(closure_of, tables):
-    # the witness needs no second pair of tables: the peak stays below the
-    # bytes of the two under test (1.73 MB at n = 4); with both tampered,
-    # the add table is named though the mul cell comes first row-major
+    # the witness needs no table of m^2 cells: the peak stays below the
+    # bytes of two dense tables (1.73 MB at n = 4); with both tampered, the
+    # add table is named though the mul cell comes first row-major
     bad = _copy(closure_of(4))
-    for row, table in zip((600, 100), tables):
-        t = getattr(bad, table)
-        t[row, 5] = (int(t[row, 5]) + 1) % len(bad)
+    for row, table in zip((30, 5), tables):  # stored rows: those of reps[30] and reps[5]
+        _tamper(getattr(bad, table), row, 5, 1, len(bad))
     tracemalloc.start()
     try:
-        witness, proved = closure.tables_witness(bad)
+        witness = closure.tables_witness(bad)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert proved is None and witness == _direct_witness(bad)
-    assert peak < bad.add_table.nbytes + bad.mul_table.nbytes
+    assert witness == _direct_witness(bad) != ""
+    assert peak < 2 * len(bad) ** 2 * np.dtype(closure.TABLE_DTYPE).itemsize
 
 
 def test_a_late_mul_breach_ranks_only_the_mul_table(closure_of, monkeypatch):
-    # only the last mul cell is wrong: the add table passes its own proof,
-    # so no sum is checked over all 657 rows before the mul table is named,
-    # and the one cell ranked is the witness
+    # only the last stored mul cell is wrong: the add table passes its own
+    # proof, so no sum is checked beyond the add table's stored rows and
+    # sample before the mul table is named, and the one cell ranked is the
+    # witness
     bad = _copy(closure_of(4))
-    bad.mul_table[-1, -1] = (int(bad.mul_table[-1, -1]) + 1) % len(bad)
+    _tamper(bad.mul_table, -1, -1, 1, len(bad))
     expected = _direct_witness(bad)
     checks, ranked = [], []
     first_wrong, rank = closure._first_wrong, maps.rank
@@ -158,28 +175,28 @@ def test_a_late_mul_breach_ranks_only_the_mul_table(closure_of, monkeypatch):
 
     monkeypatch.setattr(closure, "_first_wrong", checked)
     monkeypatch.setattr(maps, "rank", counted)
-    witness, proved = closure.tables_witness(bad)
-    assert proved is None and witness == expected and expected.startswith("mul_table[656,656]")
-    m = len(bad)
-    assert ("mul", m, m) in checks and ("add", m, m) not in checks
+    witness = closure.tables_witness(bad)
+    m, reps = len(bad), _reps(bad)
+    assert witness == expected and expected.startswith(f"mul_table[{reps[-1]},656]")
+    assert ("mul", len(reps), m) in checks and ("add", m, m) not in checks
     assert ranked == [1]
 
 
 @pytest.mark.parametrize("case", range(40))
 def test_seeded_tampers_fail_with_direct_witness(closure_of, case):
     # 1-3 cells per tampered table, in one table or both, each on a
-    # representative or another row, at a seeded random column
+    # representative or at the stored cell another row's cell is read from,
+    # at a seeded random column
     rng = random.Random(case)
     bad = _copy(closure_of(3))
     m, reps = len(bad), _reps(bad)
     others = np.setdiff1d(np.arange(m), reps)
     for table in rng.choice([["add_table"], ["mul_table"], ["add_table", "mul_table"]]):
-        t = getattr(bad, table)
         for _ in range(rng.randint(1, 3)):
-            i, j = int(rng.choice(rng.choice([reps, others]))), rng.randrange(m)
-            t[i, j] = (int(t[i, j]) + rng.randrange(1, m)) % m
-    witness, proved = closure.tables_witness(bad)
-    assert proved is None and witness == _direct_witness(bad) != ""
+            x, y = int(rng.choice(rng.choice([reps, others]))), rng.randrange(m)
+            _tamper(getattr(bad, table), *_stored(bad, x, y), rng.randrange(1, m), m)
+    witness = closure.tables_witness(bad)
+    assert witness == _direct_witness(bad) != ""
 
 
 def _cell_orbit(perms, f, g):
@@ -198,44 +215,86 @@ def _cell_orbit(perms, f, g):
 @pytest.mark.parametrize("n", [3, 4])
 def test_equivariant_forgery_fails_with_direct_witness(closure_of, n):
     # f o xi(1,1) = xi(1,1); rewrite that cell's whole orbit to the zero map,
-    # which every conjugation fixes, so the forged table stays equivariant
+    # which every conjugation fixes, at the stored cells it meets, so the
+    # forged table stays equivariant and passes the stabiliser check
     ns = closure_of(n)
     bad = _copy(ns)
     perms = maps.index_permutations(n)
     orbit = _cell_orbit(perms, len(ns) - 1, 1)
     assert len({a for a, _ in orbit}) > 1  # the forgery spans several rows
-    for a, b in orbit:
-        assert bad.mul_table[a, b] == b != 0
-        bad.mul_table[a, b] = 0
+    reps = ns.action.reps
+    stored = [(int(np.searchsorted(reps, a)), b) for a, b in orbit if a in reps]
+    assert stored
+    for i, b in stored:
+        assert bad.mul_table[i, b] == b != 0
+        bad.mul_table[i, b] = 0
+    forged = oracles.dense(bad).mul_table
     for P in perms:
-        assert np.array_equal(bad.mul_table[np.ix_(P, P)], P[bad.mul_table])
+        assert np.array_equal(forged[np.ix_(P, P)], P[forged])
+    assert closure._stabiliser_breach("mul", bad.reduct("multiplicative").op) == ""
     check = _tables_check(bad)
     assert not check.passed
     assert check.details == _direct_witness(bad)
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_wrong_index_permutation_fails_the_check(closure_of, monkeypatch, n):
+def test_wrong_index_permutation_fails_the_check(closure_of, n):
+    # one row of the group, a transversal element, with the images of
+    # xi(1,1) and xi(1,2) swapped: the cells it moves are named, by the
+    # stabiliser check or the direct sample
     ns = closure_of(n)
-    real = maps.index_permutations(n)
-    wrong = real[0].copy()
-    wrong[[1, 2]] = wrong[[2, 1]]  # swap the images of xi(1,1) and xi(1,2)
-    monkeypatch.setattr(maps, "index_permutations", lambda _n: (wrong,) + real[1:])
-    check = _tables_check(ns)
+    group = ns.action.group.copy()
+    h = int(ns.action.g[-1])
+    group[h, [1, 2]] = group[h, [2, 1]]
+    wrong = maps.Action(group, ns.action.inverse, ns.action.reps, ns.action.labels, ns.action.g)
+    check = _tables_check(closure.NearSemiring(n, ns.add_table, ns.mul_table, wrong))
     assert not check.passed
-    assert check.details == "add_table is not invariant under index permutation 0"
+    assert re.fullmatch(r"(add|mul)_table\[\d+,\d+\] is \d+, (recomputed \d+|not \d+, the "
+                        r"image of .* under permutation \d+, which fixes \d+)", check.details), \
+        check.details
 
 
-# --- the orbit quotient on marked tables against the full scans on unmarked ---
+def _reference_breach(label, rows, group, reps):
+    """The first (h, r, y), by row of the group, representative and column,
+    with t[r, G[h][y]] != G[h][t[r, y]] though G[h] fixes r, as the witness."""
+    for h in range(1, len(group)):
+        for i, r in enumerate(reps.tolist()):
+            if group[h, r] != r:
+                continue
+            for y in range(rows.shape[1]):
+                gy, ty = int(group[h, y]), int(rows[i, y])
+                if rows[i, gy] != group[h, ty]:
+                    return (f"{label}_table[{r},{gy}] is {rows[i, gy]}, not {group[h, ty]}, the "
+                            f"image of {label}_table[{r},{y}] under permutation {h}, which "
+                            f"fixes {r}")
+    return ""
+
+
+def test_stabiliser_breach_names_the_permutation_and_the_cell(closure_of):
+    # row 4 of the group at n = 3 fixes xi(1,1): with the images of the
+    # singletons 10 and 11 swapped in it, the first breach by row,
+    # representative and column is named, as a plain loop finds it; the
+    # true group gives none
+    ns = closure_of(3)
+    group = ns.action.group.copy()
+    group[4, [10, 11]] = group[4, [11, 10]]
+    wrong = maps.Action(group, ns.action.inverse, ns.action.reps, ns.action.labels, ns.action.g)
+    breaches = []
+    for label, rows in (("add", ns.add_table), ("mul", ns.mul_table)):
+        breaches.append(closure._stabiliser_breach(label, closure.Table(rows, wrong)))
+        assert breaches[-1] == _reference_breach(label, rows, group, ns.action.reps)
+        assert closure._stabiliser_breach(label, closure.Table(rows, ns.action)) == ""
+    assert all(breaches)
+
+
+# --- the orbit quotient against the full scans over the trivial group ---------
 
 def _marked_and_unmarked(ns):
-    """Two views of the tables of `ns`, arrays shared: marked by the proof
-    of `tables_witness`, and unmarked."""
-    plain = dataclasses.replace(ns, symmetric=False)
-    witness, proved = closure.tables_witness(plain)
-    assert witness == "" and proved.symmetric
-    assert proved.add_table is ns.add_table and proved.mul_table is ns.mul_table
-    return proved, plain
+    """The tables of `ns`, proved: read through the S_n action, and as
+    dense copies over the trivial group."""
+    plain = oracles.dense(ns)
+    assert closure.tables_witness(ns) == closure.tables_witness(plain) == ""
+    return ns, plain
 
 
 def _subset_names(label):
@@ -247,11 +306,12 @@ def _subset_names(label):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quotient_scans_match_the_full_scans(closure_of, n, label):
     marked, plain = _marked_and_unmarked(closure_of(n))
-    labels, _, _ = closure.labelling(marked)
+    labels = marked.action.labels
     assert len(set(labels.tolist())) == {1: 3, 2: 15, 3: 27, 4: 39}[n]
-    assert np.array_equal(closure.labelling(plain)[1], np.arange(len(plain)))
+    assert np.array_equal(plain.action.reps, np.arange(len(plain)))
     sg, full_sg = marked.reduct(label), plain.reduct(label)
-    assert sg.symmetric and not full_sg.symmetric
+    assert len(sg.op.action.group) == {1: 1, 2: 2, 3: 6, 4: 24}[n]
+    assert len(full_sg.op.action.group) == 1
     full = green.regular_elements(full_sg)
     assert np.array_equal(green.regular_elements(sg), full)
     assert green.eventual_regularity(sg, full) == green.eventual_regularity(full_sg, full)
@@ -273,48 +333,54 @@ def test_quotient_ideals_match_the_full_fill(closure_of, n, label):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_spread_yields_each_other_row_once_from_a_reached_row(closure_of, n):
-    # both moves: Cayley rows by P[t[f][P^-1]], packed ideal rows read at P^-1
+def test_spread_yields_each_other_row_once_from_a_reached_row(closure_of, monkeypatch, n):
+    # the ideal rows filled over the trivial group, with every other row
+    # overwritten: `green._spread` fills each other row once, from its
+    # representative's, and leaves the representatives' rows as they are
     marked, plain = _marked_and_unmarked(closure_of(n))
-    labels, reps, perms = closure.labelling(marked)
-    others = np.flatnonzero(labels != np.arange(len(marked)))
-    moved_by = [(t, closure._conjugate_rows) for t in (marked.add_table, marked.mul_table)]
+    action, m = marked.action, len(marked)
+    others = np.flatnonzero(action.labels != np.arange(m))
+    packed_rows, pack = [], np.packbits
+
+    def counted(*args, **kwargs):
+        out = pack(*args, **kwargs)
+        packed_rows.append(len(out))
+        return out
+
     for label in ("additive", "multiplicative"):
-        moved_by += [(rows, green._conjugate_members)
-                     for rows in green.ideals(plain.reduct(label))[:3]]
-    for t, move in moved_by:
-        reached, yielded = np.zeros(len(marked), dtype=bool), []
-        reached[reps] = True
-        for g, to, rows in closure.spread(t, perms, reps, move, len(t)):
-            assert reached[np.argsort(perms[g])[to]].all()  # each source row was reached
-            assert np.array_equal(rows, t[to])
-            reached[to] = True
-            yielded += to.tolist()
-        assert sorted(yielded) == others.tolist()  # each other row exactly once
+        for want in green.ideals(plain.reduct(label))[:3]:
+            rows = want.copy()
+            rows[others] = 0xFF
+            packed_rows.clear()
+            monkeypatch.setattr(np, "packbits", counted)
+            green._spread(rows, action, m)
+            monkeypatch.setattr(np, "packbits", pack)
+            assert np.array_equal(rows, want)
+            assert sum(packed_rows) == len(others)
 
 
-def test_spread_refuses_representatives_that_miss_an_orbit(closure_of):
-    # a round over the permutations that reaches no new row raises, naming
-    # the rows left, rather than looping: one representative dropped, and
+def test_spread_refuses_representatives_that_miss_an_orbit(closure_of, monkeypatch):
+    # the action the spread reads refuses a labelling whose orbits the group
+    # does not carry, rather than looping: one representative dropped, and
     # no permutation at all
-    ns = closure_of(2)
     labels = maps.orbit_labels(2)
-    reps = np.flatnonzero(labels == np.arange(len(ns)))
-    cases = ((maps.index_permutations(2), reps[:-1], np.count_nonzero(labels == reps[-1])),
-             ((), reps, len(ns) - len(reps)))
+    reps = np.flatnonzero(labels == np.arange(len(labels)))
+    dropped = np.where(labels == reps[-1], reps[-2], labels)
+    cases = ((maps.index_permutations, lambda n: dropped),
+             (lambda n: (), maps.orbit_labels))
 
     def hung(signum, frame):
-        raise TimeoutError("spread is still walking after 10 s")
+        raise TimeoutError("sn_action is still running after 10 s")
 
     before = signal.signal(signal.SIGALRM, hung)
     signal.alarm(10)
     try:
-        for perms, kept, unreached in cases:
-            with pytest.raises(AssertionError,
-                               match=f"^{unreached} rows lie in no orbit of the representatives$"):
-                for _ in closure.spread(ns.add_table, perms, kept, closure._conjugate_rows,
-                                        4 * len(ns)):
-                    pass
+        for perms, orbit_labels in cases:
+            monkeypatch.setattr(maps, "index_permutations", perms)
+            monkeypatch.setattr(maps, "orbit_labels", orbit_labels)
+            with pytest.raises(AssertionError, match="^the index permutations do not "
+                                                     "generate S_2 with the orbits"):
+                maps.sn_action.__wrapped__(2)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, before)
@@ -330,8 +396,8 @@ def test_quotient_axiom_scan_matches_the_full_scan(closure_of, n):
 
 def test_quotient_axiom_scan_visits_one_element_per_orbit(closure_of, monkeypatch):
     # at n = 3 both associativities are exhaustive: x runs over the 27
-    # representatives on marked tables and all 145 elements on unmarked
-    # ones, and each law reports all 145^3 triples
+    # representatives under S_n and all 145 elements over the trivial
+    # group, and each law reports all 145^3 triples
     visited = []
     scan = closure._scan
 
@@ -357,19 +423,18 @@ def test_subset_report_refuses_a_subset_that_is_not_a_union_of_orbits(closure_of
 
 @pytest.mark.parametrize("table", ["add_table", "mul_table"])
 def test_tables_witness_gives_orbit_labels_only_with_a_proof(closure_of, table):
+    # the same wrong cell is named under S_n, as a stored cell, and over the
+    # trivial group, where every cell is stored
     bad = _copy(closure_of(3))
-    t = getattr(bad, table)
-    t[7, 5] = (int(t[7, 5]) + 1) % len(bad)
-    for tampered in (bad, dataclasses.replace(bad, symmetric=True)):
-        witness, proved = closure.tables_witness(tampered)
-        assert witness == _direct_witness(bad) and proved is None
+    _tamper(getattr(bad, table), 7, 5, 1, len(bad))
+    for tampered in (bad, oracles.dense(bad)):
+        assert closure.tables_witness(tampered) == _direct_witness(bad) != ""
 
 
 @pytest.mark.parametrize("table", ["add_table", "mul_table"])
 def test_marked_tables_still_need_the_proof(closure_of, monkeypatch, table):
-    bad = dataclasses.replace(_copy(closure_of(3)), symmetric=True)
-    t = getattr(bad, table)
-    t[7, 5] = (int(t[7, 5]) + 1) % len(bad)
+    bad = _copy(closure_of(3))
+    _tamper(getattr(bad, table), 7, 5, 1, len(bad))
     scans = []
     for module, name in ((closure, "verify_near_semiring"), (green, "green_brute"),
                          (green, "regular_elements"), (green, "subset_report"),
@@ -382,18 +447,15 @@ def test_marked_tables_still_need_the_proof(closure_of, monkeypatch, table):
 
 
 def test_from_dict_marks_only_proved_tables(tmp_path):
-    # a hit is marked by the proof of its stored rows, never by the payload:
-    # a payload that claims the mark on a wrong cell is refused
-    built = cli.load_or_build(2, tmp_path)  # a miss: built, marked, and written
+    # a hit is the stored rows under S_n once every stored cell is proved:
+    # the payload names no action, and one wrong cell is refused
+    built = cli.load_or_build(2, tmp_path)  # a miss: built and written
     hit = cli.load_or_build(2, tmp_path)
-    assert built.symmetric and hit.symmetric
+    assert built.action is hit.action is maps.sn_action(2)
     assert np.array_equal(hit.add_table, built.add_table)
     assert np.array_equal(hit.mul_table, built.mul_table)
     d = closure.to_dict(built)
-    assert "symmetric" not in d
-    d["symmetric"] = False
-    assert closure.from_dict(d).symmetric
-    d["symmetric"] = True
+    assert sorted(d) == ["add_table", "format_version", "mul_table", "n"]
     d["add_table"] = d["add_table"].copy()
     d["add_table"][0, 5] = (int(d["add_table"][0, 5]) + 1) % 29
     with pytest.raises(ValueError, match=r"^add_table\[0,5\] is"):
@@ -401,15 +463,47 @@ def test_from_dict_marks_only_proved_tables(tmp_path):
 
 
 def test_battery_scans_regularity_on_the_orbit_labels(closure_of, monkeypatch):
-    # given unmarked tables, the battery scans the marked ones its proof returns
-    _, plain = _marked_and_unmarked(closure_of(3))
+    # under S_n the scans see the orbit labels; over the trivial group, every
+    # element is its own label
+    marked, plain = _marked_and_unmarked(closure_of(3))
     seen = []
     scan = green.regular_elements
 
     def recorded(sg):
-        seen.append(closure.labelling(sg)[0])
+        seen.append(sg.op.action.labels)
         return scan(sg)
 
     monkeypatch.setattr(green, "regular_elements", recorded)
-    assert all(r.passed for r in verify.run_battery(3, plain))
-    assert len(seen) == 2 and all(np.array_equal(o, maps.orbit_labels(3)) for o in seen)
+    for ns, labels in ((marked, maps.orbit_labels(3)), (plain, np.arange(145))):
+        seen.clear()
+        assert all(r.passed for r in verify.run_battery(3, ns))
+        assert len(seen) == 2 and all(np.array_equal(o, labels) for o in seen)
+
+
+# --- the orbit census -------------------------------------------------------------
+
+CENSUS_CHECK = "S_n orbit census matches closed form"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_census_passes_on_the_closure(closure_of, n):
+    results = {r.name: r for r in verify.run_battery(n, closure_of(n))}
+    assert results[CENSUS_CHECK].passed and results[CENSUS_CHECK].details == ""
+
+
+def test_orbit_census_names_the_first_shape_whose_count_differs(monkeypatch):
+    real = formulas.orbit_counts
+    monkeypatch.setattr(formulas, "orbit_counts",
+                        lambda n: dict(real(n), singleton=16, n_support=11))
+    assert verify._orbit_census(3) == "singleton: 14 orbits, expected 16"
+
+
+def test_orbit_census_names_an_orbit_whose_stabiliser_disagrees(monkeypatch):
+    # the row carrying xi(1,1) to xi(2,2) made the identity: xi(1,1) then
+    # seems fixed by 3 of the 6 rows, and its orbit of 3 would have 2
+    real = maps.sn_action(3)
+    group = real.group.copy()
+    group[real.g[5]] = np.arange(group.shape[1])
+    wrong = maps.Action(group, real.inverse, real.reps, real.labels, real.g)
+    monkeypatch.setattr(maps, "sn_action", lambda n: wrong)
+    assert verify._orbit_census(3) == "full: the orbit of 1 has 3 members, n!/|Stab| = 2"
