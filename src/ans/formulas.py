@@ -96,7 +96,7 @@ def orbit_counts(n: int) -> Dict[str, int]:
     def tuples(k):  # S(k, j) by inclusion-exclusion
         return sum(sum((-1) ** i * comb(j, i) * (j - i) ** k for i in range(j + 1)) // factorial(j)
                    for j in range(min(k, n) + 1))
-    p = [1] + [0] * n  # p[k]: the partitions of k, by the largest part allowed
+    p = [1] + [0] * n  # p[k]: the partitions of k, counted one part size at a time
     for part in range(1, n + 1):
         for k in range(part, n + 1):
             p[k] += p[k - part]
