@@ -10,14 +10,14 @@ the representatives, ranked directly (`maps.products`).  Its mask proves
 that it covers the canonical family, so every table is indexed by rank:
 index i is `maps.all_canonical(n)[i]`, and no element list is kept.
 
-There is one Cayley-table type, `Table`: the rows of one representative
-per orbit of a group of automorphisms (`maps.Action`), 27 of 145 at n = 3
-under S_n (`maps.sn_action`) for a closure, all of them over the trivial
-group for a dense table.  No m x m table is built but by `Table.dense`, for
-output that lists every cell.  A cell is proved by checking that its
-element's table is its product's (`_first_wrong`): `tables_witness` checks
-the stored cells, their rows against their stabilisers, and a sample of
-other cells, and `from_dict` every cell a cache stores.
+There is one Cayley-table type, `Table`: the rows of one representative per
+orbit of a group of automorphisms (`maps.Action`), 27 of 145 at n = 3 under
+S_n (`maps.sn_action`) for a closure, all of them over the trivial group
+for a dense table.  Only `Table.dense` builds an m x m table, for output
+listing every cell and the exhaustive axiom scan.  A cell is proved by
+checking that its element's table is its product's (`_first_wrong`):
+`tables_witness` checks the stored cells, their rows against their
+stabilisers and a sample of other cells, `from_dict` a cache's cells.
 """
 
 import random
@@ -63,6 +63,8 @@ class Table:
 
     def __getitem__(self, xy):
         x, y = xy
+        if len(self.action.group) == 1:  # the trivial group: every row is stored
+            return self._rows.take(np.asarray(x, dtype=np.intp) * len(self._row_at) + y)
         moved = self._rows[self._row_at[x] + self._group[self._inv_at[x] + y]]
         return self._group[self._g_at[x] + moved]
 
@@ -169,11 +171,9 @@ def _stabiliser_breach(label, t: Table) -> str:
 def tables_witness(ns: NearSemiring) -> str:
     """"" when both Cayley tables are proved right, else the first failure:
     each table, add then mul, by its stored cells (`_first_wrong`), its rows
-    against their stabilisers (`_stabiliser_breach`), so that it commutes
-    with the action and scans may read verdicts off the representatives, and
-    a seeded sample of other cells read through it (whole rows of a few
-    non-representatives, and a grid), which an action by anything but
-    automorphisms fails."""
+    against their stabilisers (`_stabiliser_breach`), so that scans may read
+    verdicts off the representatives, and a seeded sample of other cells (the
+    rows of a few non-representatives, and a grid), which a non-automorphism fails."""
     n, action, every = ns.n, ns.action, np.arange(len(ns))
     others = np.flatnonzero(action.labels != every)
     rng = random.Random(_SEED)
@@ -304,6 +304,8 @@ def verify_near_semiring(ns: NearSemiring) -> ValidationReport:
         return lambda a, b, c: op[op[a, b], c] != op[a, op[b, c]]
 
     add, mul = ns.reduct("additive").op, ns.reduct("multiplicative").op
+    if total <= _EXHAUSTIVE_MAX:  # m <= 158: each x reads all of both tables, so read them once
+        add, mul = (Table(t.dense(), maps.trivial_action(m)) for t in (add, mul))
     laws = [("additive associativity", assoc(add)),
             ("multiplicative associativity", assoc(mul)),
             ("left distributivity",
@@ -350,20 +352,20 @@ def from_dict(d: dict) -> NearSemiring:
         raise ValueError(f"unsupported format version {d.get('format_version')!r}")
     n = d["n"]
     check_n_cap(n)
-    reps, m = maps.sn_action(n).reps, len(maps.canonical_tables(n))
+    action, m = maps.sn_action(n), len(maps.canonical_tables(n))
     rows = []
     for label, t in (("additive", d["add_table"]), ("multiplicative", d["mul_table"])):
         t = np.asarray(t)
         if t.dtype.kind not in "iu":
             raise ValueError(f"{label} Cayley table is not an integer array")
-        if t.shape != (len(reps), m):
+        if t.shape != (len(action.reps), m):
             raise ValueError(f"{label} Cayley table shape {t.shape} is not the rows of the "
-                             f"{len(reps)} orbit representatives over {m} elements")
+                             f"{len(action.reps)} orbit representatives over {m} elements")
         if t.min() < 0 or t.max() >= m:  # before the cast wraps 70000 to 4464
             raise ValueError("Cayley table contains out-of-range indices")
         rows.append(t.astype(TABLE_DTYPE, copy=False))
     for (label, op), t in zip((("add", "+"), ("mul", "o")), rows):
-        witness = _first_wrong(label, Table(t, maps.sn_action(n)), op, reps, np.arange(m), n)
+        witness = _first_wrong(label, Table(t, action), op, action.reps, np.arange(m), n)
         if witness:
             raise ValueError(witness)
-    return NearSemiring(n, *rows, maps.sn_action(n))
+    return NearSemiring(n, *rows, action)

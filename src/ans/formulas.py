@@ -85,14 +85,13 @@ def support_histogram_expected(n: int) -> Dict[int, int]:
 
 
 def orbit_counts(n: int) -> Dict[str, int]:
-    """Orbits of S_n (conjugation) on the closure elements of each shape, in
-    rank order, keyed as `counts(n).breakup`, by Burnside's lemma.  S_n has
-    Σ_{j <= min(k, n)} S(k, j) orbits on k-tuples of points (S a Stirling
-    number of the second kind): k = 2 for the constants, k = 4 for the
-    singletons (none at n = 1).  pi fixes a column map (k, q; sigma) when it
-    fixes k and q and commutes with sigma: Σ m1(λ)^2 orbits over the cycle
-    types λ of n, m1 its fixed points, or Σ_{a >= 1} (2a - 1) p(n - a), since
-    p(n - a) of them fix at least a points."""
+    """Orbits of S_n (conjugation) on the closure elements of each shape,
+    keyed as `counts(n).breakup`, by Burnside's lemma: Σ_{j <= min(k, n)}
+    S(k, j) on k-tuples of points (S a Stirling number of the second kind),
+    k = 2 for the constants and 4 for the singletons (none at n = 1); pi fixes
+    a column map (k, q; sigma) when it fixes k and q and commutes with sigma,
+    so Σ_λ m1(λ)^2 over the cycle types λ ⊢ n, m1(λ) its fixed points, which
+    is Σ_{a >= 1} (2a - 1) p(n - a), as p(n - a) of the λ fix a points or more."""
     def tuples(k):  # S(k, j) by inclusion-exclusion
         return sum(sum((-1) ** i * comb(j, i) * (j - i) ** k for i in range(j + 1)) // factorial(j)
                    for j in range(min(k, n) + 1))

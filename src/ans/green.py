@@ -116,9 +116,8 @@ _FILL_WIDTH = 1024
 
 
 def _spread(packed, action, m):
-    """Fill the packed ideal row of each non-representative x = G[g] r from
-    r's: an automorphism P carries aS¹ onto (P a)S¹, so x's row is r's read
-    at G[g]^-1.  The x of one g have distinct r, one row per orbit at most."""
+    """Fill each non-representative x = G[g] r's packed ideal row from r's, read
+    at G[g]^-1, as P carries aS¹ onto (P a)S¹; the x of one g have distinct r."""
     for g in range(1, len(action.group)):
         x = np.flatnonzero(action.g == g)
         bits = np.unpackbits(packed[action.labels[x]], axis=1, count=m)

@@ -4,7 +4,6 @@ the direct path, the battery's proof of the tables, and scans that visit
 one element per orbit against the same scans over the trivial group."""
 
 import random
-import re
 import signal
 import tracemalloc
 
@@ -237,21 +236,34 @@ def test_equivariant_forgery_fails_with_direct_witness(closure_of, n):
     assert check.details == _direct_witness(bad)
 
 
+WRONG_GROUP_ROW_WITNESS = {2: "add_table[25,1] is 27, recomputed 25",
+                           3: "add_table[58,2] is 58, recomputed 59"}
+
+
 @pytest.mark.parametrize("n", [2, 3])
-def test_wrong_index_permutation_fails_the_check(closure_of, n):
-    # one row of the group, a transversal element, with the images of
-    # xi(1,1) and xi(1,2) swapped: the cells it moves are named, by the
-    # stabiliser check or the direct sample
+def test_wrong_index_permutation_fails_the_check(closure_of, monkeypatch, n):
+    # a wrong generator, the images of xi(1,1) and xi(1,2) swapped in index
+    # permutation 0, is refused before it can act on any table; the closure
+    # is built first, so the cached orbit labels are the true ones
     ns = closure_of(n)
+    real = maps.index_permutations(n)
+    wrong = real[0].copy()
+    wrong[[1, 2]] = wrong[[2, 1]]
+    with monkeypatch.context() as patched:
+        patched.setattr(maps, "index_permutations", lambda _n: (wrong,) + real[1:])
+        with pytest.raises(AssertionError) as refused:
+            maps.sn_action.__wrapped__(n)
+    assert str(refused.value) == (f"the index permutations do not generate S_{n} with the "
+                                  "orbits of `orbit_labels`")
+    # a wrong group row, the last transversal element with the same swap:
+    # the direct sample names the first cell it moves wrongly
     group = ns.action.group.copy()
     h = int(ns.action.g[-1])
     group[h, [1, 2]] = group[h, [2, 1]]
-    wrong = maps.Action(group, ns.action.inverse, ns.action.reps, ns.action.labels, ns.action.g)
-    check = _tables_check(closure.NearSemiring(n, ns.add_table, ns.mul_table, wrong))
+    bad = maps.Action(group, ns.action.inverse, ns.action.reps, ns.action.labels, ns.action.g)
+    check = _tables_check(closure.NearSemiring(n, ns.add_table, ns.mul_table, bad))
     assert not check.passed
-    assert re.fullmatch(r"(add|mul)_table\[\d+,\d+\] is \d+, (recomputed \d+|not \d+, the "
-                        r"image of .* under permutation \d+, which fixes \d+)", check.details), \
-        check.details
+    assert check.details == WRONG_GROUP_ROW_WITNESS[n]
 
 
 def _reference_breach(label, rows, group, reps):
@@ -482,13 +494,23 @@ def test_battery_scans_regularity_on_the_orbit_labels(closure_of, monkeypatch):
 
 # --- the orbit census -------------------------------------------------------------
 
-CENSUS_CHECK = "S_n orbit census matches closed form"
+CENSUS_CHECK = "Aut(B_n) isomorphic to S_n"  # the census is part of this check
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orbit_census_passes_on_the_closure(closure_of, n):
+    assert verify._orbit_census(n) == ""
     results = {r.name: r for r in verify.run_battery(n, closure_of(n))}
     assert results[CENSUS_CHECK].passed and results[CENSUS_CHECK].details == ""
+
+
+def test_orbit_census_failure_fails_the_battery_line(closure_of, monkeypatch):
+    real = formulas.orbit_counts
+    monkeypatch.setattr(formulas, "orbit_counts", lambda n: dict(real(n), full=4))
+    results = verify.run_battery(2, closure_of(2))
+    failed = [r for r in results if not r.passed]
+    assert [(r.name, r.details) for r in failed] == [(CENSUS_CHECK, "full: 2 orbits, expected 4")]
+    assert len(results) == 22
 
 
 def test_orbit_census_names_the_first_shape_whose_count_differs(monkeypatch):
