@@ -78,7 +78,7 @@ def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
                       "aff": ct.aff_count, "const": n * n + 1}
     _check(results, "generator censuses match closed forms", n,
            gen_sizes == expected_sizes, _diff(gen_sizes, expected_sizes))
-    census = _orbit_census(n)  # S_n on A+(B_n), by whose orbits the scans read, has its orbits
+    census = _orbit_census(n)  # and the S_n orbits that the scans read number as counted
     _check(results, "Aut(B_n) isomorphic to S_n", n, not census and generators.aut_iso_sn(n),
            census)
 
