@@ -3,8 +3,9 @@
 Subcommands: enumerate, generators, green, eggbox, counts, verify.
 Exit codes: 0 success / all checks pass, 1 verification mismatch,
 2 usage or input error.  With --cache-dir, closures are cached there as
-.npz per (n, format version); without it nothing is cached.  Each command
-imports the layers it runs when it runs, so `counts` loads no numpy.
+deflated .npz per (n, format version); without it nothing is cached.
+Each command imports the layers it runs when it runs, so `counts` loads
+no numpy.
 """
 
 import argparse
@@ -33,16 +34,26 @@ def cache_path(cache_dir: Path, n: int) -> Path:
 
 
 def _read_cache(path: Path, n: int) -> "NearSemiring":
-    """Each member is parsed as it streams out of the zip, and must end where
-    its array ends: that refuses a header that stops short, and reading to
-    the member's end makes zip check its CRC-32.  No unpickling."""
+    """A member that declares more bytes than the widest array `from_dict`
+    accepts (a .npy header and int64 rows at every orbit representative) is
+    refused before it is opened, and zip inflates no more than a member
+    declares.  Each member is parsed as it streams out of the zip, and must
+    end where its array ends: that refuses a header that stops short, and
+    reading to the member's end makes zip check its CRC-32.  No unpickling."""
     from . import closure as closure_mod
     from ._numpy import np
+    closure_mod.check_n_cap(n)
+    # numpy's max_header_size, then R rows of m cells at 8 bytes (int64)
+    widest = 10_000 + 8 * sum(formulas.orbit_counts(n).values()) * formulas.counts(n).a_plus_total
     d = {}
     try:
         with zipfile.ZipFile(path) as zf:
-            for name in zf.namelist():
-                with zf.open(name) as member:
+            for info in zf.infolist():
+                name = info.filename
+                if info.file_size > widest:
+                    raise ValueError(f"{name} declares {info.file_size} bytes, more than "
+                                     f"the {widest} of the widest array a closure has")
+                with zf.open(info) as member:
                     v = np.lib.format.read_array(member, allow_pickle=False)
                     if member.read():
                         raise ValueError(f"{name} has bytes past its array")
@@ -58,6 +69,8 @@ def _read_cache(path: Path, n: int) -> "NearSemiring":
 
 
 def load_or_build(n: int, cache_dir: Optional[Path]) -> "NearSemiring":
+    """The closure at n, read from its cache file if there is one; else built,
+    and written deflated when `cache_dir` is given."""
     path = None if cache_dir is None else cache_path(cache_dir, n)
     if path is not None and path.exists():
         return _read_cache(path, n)
@@ -71,7 +84,7 @@ def load_or_build(n: int, cache_dir: Optional[Path]) -> "NearSemiring":
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "wb") as fh:
-                np.savez(fh, allow_pickle=False, **closure_mod.to_dict(ns))
+                np.savez_compressed(fh, allow_pickle=False, **closure_mod.to_dict(ns))
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)

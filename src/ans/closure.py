@@ -336,8 +336,9 @@ def support_histogram(ns: NearSemiring) -> dict:
 # --- the .npz cache ------------------------------------------------------------
 
 def to_dict(ns: NearSemiring) -> dict:
-    """A closure's stored rows, those of its S_n orbit representatives,
-    ascending, as uint16: they determine the rest."""
+    """The cache schema: a closure's stored rows, those of its S_n orbit
+    representatives, ascending, as uint16; they determine the rest.  How
+    the file compresses them is the file's business, not the schema's."""
     return {"format_version": FORMAT_VERSION, "n": ns.n,
             "add_table": ns.add_table, "mul_table": ns.mul_table}
 

@@ -6,6 +6,7 @@ import os
 import random
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import time
@@ -719,23 +720,33 @@ def test_cli_verify_reruns_the_closure_fixpoint_on_a_cache_hit(tmp_path, capsys,
 def _damaged(clean, damage):
     """Damaged copies of a cache file: empty, truncated, a shorter header
     length in one .npy member (so a reader stops short of the member's end),
-    or seeded byte flips inside the stored bytes of one array member."""
+    rezipped with a valid CRC, or seeded byte flips inside the stored, here
+    deflated, bytes of one array member."""
     if damage == "empty":
         return [b""]
     if damage == "truncated":
         return [clean[:len(clean) // 2]]
     with zipfile.ZipFile(io.BytesIO(clean)) as zf:
-        member = zf.read(("add_table" if damage == "header_length" else damage) + ".npy")
-    start = clean.index(member)
+        members = {info.filename: (info, zf.read(info)) for info in zf.infolist()}
     if damage == "header_length":  # bytes 8-9 of a version 1.0 .npy member
-        b = bytearray(clean)
-        b[start + 8] -= 2
-        return [bytes(b)]
+        out = io.BytesIO()
+        with zipfile.ZipFile(out, "w", zipfile.ZIP_DEFLATED) as zf:
+            for name, (_, data) in members.items():
+                if name == "add_table.npy":
+                    data = data[:8] + bytes([data[8] - 2]) + data[9:]
+                zf.writestr(name, data)
+        return [out.getvalue()]
+    info = members[damage + ".npy"][0]
+    # the member's stored bytes follow its local header: 30 bytes, then the
+    # name and the local extra field, whose lengths sit at bytes 26-29
+    name_len, extra_len = struct.unpack("<HH", clean[info.header_offset + 26:
+                                                     info.header_offset + 30])
+    start = info.header_offset + 30 + name_len + extra_len
     copies = []
     for seed in range(3):
         rng = np.random.default_rng(seed)
         b = bytearray(clean)
-        b[start + int(rng.integers(len(member)))] ^= int(rng.integers(1, 256))
+        b[start + int(rng.integers(info.compress_size))] ^= int(rng.integers(1, 256))
         copies.append(bytes(b))
     return copies
 
@@ -744,7 +755,9 @@ def _damaged(clean, damage):
                                     "add_table", "mul_table", "header_length",
                                     "truncated", "empty"])
 def test_damaged_cache_is_refused(tmp_path, capsys, damage):
-    # n = 3: its tables outgrow the first 4 KB that zip reads of a member
+    # n = 3: each table is 7,958 bytes inflated and 620-726 deflated, so the
+    # first 4 KB that zip reads of a member hold all of it; a flip is refused
+    # by inflation, by the array's parse or by the CRC at the member's end
     run_cli(capsys, ["enumerate", "--n", "3", "--cache-dir", str(tmp_path)])
     path = cli.cache_path(tmp_path, 3)
     for data in _damaged(path.read_bytes(), damage):
@@ -753,10 +766,96 @@ def test_damaged_cache_is_refused(tmp_path, capsys, damage):
             "green", "--n", "3", "--cache-dir", str(tmp_path)])
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and str(path) in err
+        if damage == "header_length":  # the CRC is valid: only the array's end refuses it
+            assert "add_table.npy has bytes past its array" in err
         code, out, _ = run_cli(capsys, [
             "verify", "--n", "3", "--cache-dir", str(tmp_path)])
         assert code == 1
         assert "cached closure loads and validates: FAIL" in out and str(path) in out
+
+
+def test_cli_refuses_a_member_larger_than_a_closure_before_inflating_it(tmp_path, capsys,
+                                                                       monkeypatch):
+    # about 1 MB of zeros deflates to about 1 KB; at n = 2 no array a closure
+    # has takes more than 10,000 + 8 * 15 * 29 = 13,480 bytes
+    run_cli(capsys, ["enumerate", "--n", "2", "--cache-dir", str(tmp_path)])
+    path = cli.cache_path(tmp_path, 2)
+    bomb = dict(_load_npz(path), add_table=np.zeros(1 << 19, np.uint16))
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **bomb)
+    assert path.stat().st_size < 5_000
+    with zipfile.ZipFile(path) as zf:
+        size = zf.getinfo("add_table.npy").file_size
+    assert size > 1 << 20
+    read_array, opened = np.lib.format.read_array, []
+
+    def counted(fp, *args, **kwargs):
+        opened.append(fp.name)
+        return read_array(fp, *args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "read_array", counted)
+    code, out, err = run_cli(capsys, ["green", "--n", "2", "--cache-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err == (f"error: unreadable cache {path}: ValueError: add_table.npy declares "
+                   f"{size} bytes, more than the 13480 of the widest array a closure has\n")
+    assert "add_table.npy" not in opened
+    code, out, _ = run_cli(capsys, ["verify", "--n", "2", "--cache-dir", str(tmp_path)])
+    assert code == 1
+    assert "cached closure loads and validates: FAIL" in out and "add_table.npy declares" in out
+    assert "add_table.npy" not in opened
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_member_bound_admits_every_closure_file(tmp_path, capsys, n):
+    # what to_dict writes, and the same rows as int64, the widest dtype
+    # from_dict accepts, both load, deflated or stored
+    run_cli(capsys, ["enumerate", "--n", str(n), "--cache-dir", str(tmp_path)])
+    path = cli.cache_path(tmp_path, n)
+    want = _load_npz(path)
+    wide = {k: v.astype(np.int64) for k, v in want.items()}
+    for save in (np.savez_compressed, np.savez):
+        for d in (want, wide):
+            with open(path, "wb") as fh:
+                save(fh, **d)
+            hit = cli.load_or_build(n, tmp_path)
+            assert np.array_equal(hit.add_table, want["add_table"])
+            assert np.array_equal(hit.mul_table, want["mul_table"])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cache_is_deflated_and_deterministic(tmp_path, capsys, n):
+    files = []
+    for run in ("a", "b"):
+        run_cli(capsys, ["enumerate", "--n", str(n), "--cache-dir", str(tmp_path / run)])
+        files.append(cli.cache_path(tmp_path / run, n).read_bytes())
+    assert files[0] == files[1]
+    with zipfile.ZipFile(io.BytesIO(files[0])) as zf:
+        assert [i.compress_type for i in zf.infolist()] == [zipfile.ZIP_DEFLATED] * 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stored_deflated_and_built_closures_print_the_same(tmp_path, capsys, n):
+    # a stored cache, as earlier versions wrote it, is still read
+    argvs = [["verify", "--n", str(n)]]
+    argvs += [[command, "--n", str(n), "--reduct", reduct, "--format", fmt]
+              for reduct in cli.REDUCTS
+              for command, fmts in (("green", ("text", "json")),
+                                    ("eggbox", ("text", "dot", "json")))
+              for fmt in fmts]
+
+    def outputs(cache):
+        return [run_cli(capsys, argv + cache)[:2] for argv in argvs]
+
+    built = outputs([])
+    assert all(code == 0 for code, _ in built)
+    cache = ["--cache-dir", str(tmp_path)]
+    run_cli(capsys, ["enumerate", "--n", str(n)] + cache)
+    assert outputs(cache) == built
+    path = cli.cache_path(tmp_path, n)
+    _save_npz(path, _load_npz(path))
+    with zipfile.ZipFile(path) as zf:
+        assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+    assert outputs(cache) == built
 
 
 def test_cli_green_refuses_cache_of_another_n(tmp_path, capsys):
@@ -802,6 +901,14 @@ def test_cli_rejects_n_over_cap(capsys):
     code, out, err = run_cli(capsys, ["enumerate", "--n", "7"])
     assert code == 2
     assert "error:" in err and "cap" in err
+
+
+def test_cli_green_refuses_n_over_cap_before_reading_a_cache(tmp_path, capsys):
+    # the member bound is a closed form in n, so n is checked before the file
+    cli.cache_path(tmp_path, 7).write_bytes(b"not a zip")
+    code, out, err = run_cli(capsys, ["green", "--n", "7", "--cache-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err == f"error: n=7 exceeds cap {closure.DEFAULT_N_CAP}\n"
 
 
 @pytest.mark.parametrize("n_range", ["7", "7..9"])
