@@ -58,7 +58,8 @@ class Table:
     def __init__(self, rows, action: maps.Action):
         self.rows, self.action, m = rows, action, rows.shape[1]
         self._rows, self._group = rows.ravel(), action.group.ravel()
-        self._row_at = np.searchsorted(action.reps, action.labels) * m
+        self.rep_row = np.searchsorted(action.reps, action.labels)  # rows[rep_row[x]] is r_x's
+        self._row_at = self.rep_row * m
         self._g_at, self._inv_at = action.g * m, action.inverse[action.g] * m
 
     def __getitem__(self, xy):

@@ -4,12 +4,12 @@ Cells are H-classes; idempotent elements carry a star.  Blocks, rows and
 columns are ordered by the canonical order of their least element, so all
 three output formats (text grid, GraphViz DOT with one cluster per
 D-class, JSON) are deterministic.  `build_eggbox` calls `green_brute` only,
-and draws the J-order covers from the J-classes' ideal rows it keeps.
+and draws the J-order covers from the J-order among J-classes it keeps.
 """
 
 import json
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from ._numpy import np
 from . import maps
@@ -43,17 +43,14 @@ class EggBox:
         return sum(self.idempotent)
 
 
-def _j_order_covers(two_sided, reps: List[int]) -> Tuple[Tuple[int, int], ...]:
-    """Hasse covers of the J-order on J-classes, from two_sided[b], the
-    packed two-sided ideal of class b's least member reps[b]: the pairs
-    a < b with nothing between, where the b over some c over a are the OR
-    of the packed rows of the c over a."""
-    # row b: class b's ideal at the least members (reshaped: with no class it is 1-D)
-    masks = np.array([np.unpackbits(np.frombuffer(r, np.uint8))[reps] for r in two_sided], bool)
-    below = masks.reshape((len(reps),) * 2).T & ~np.eye(len(reps), dtype=bool)  # [a, b]: a < b
+def _j_order_covers(order) -> Tuple[Tuple[int, int], ...]:
+    """Hasse covers of the J-order on J-classes, from order[a, b], class a
+    at or below class b: the pairs a < b with nothing between, where the b
+    over some c over a are the OR of the packed rows of the c over a."""
+    below = order & ~np.eye(len(order), dtype=bool)  # [a, b]: a < b
     rows = np.packbits(below, axis=1)
     through = np.array([np.bitwise_or.reduce(rows[r]) for r in below], np.uint8).reshape(rows.shape)
-    covers = below & ~np.unpackbits(through, axis=1, count=len(reps)).view(bool)
+    covers = below & ~np.unpackbits(through, axis=1, count=len(order)).view(bool)
     return tuple(sorted((int(b), int(a)) for a, b in np.argwhere(covers)))
 
 
@@ -74,7 +71,7 @@ def build_eggbox(ns: NearSemiring, label: str) -> EggBox:
             members=tuple(members),
             cells=cells,
         ))
-    covers = _j_order_covers(gs.j_ideals, [b.members[0] for b in boxes])
+    covers = _j_order_covers(gs.j_order)
     return EggBox(
         n=sg.n,
         label=label,

@@ -1,33 +1,32 @@
 """Green's relations and structural properties of the closure reducts.
 
 Two independent routes are provided.  `green_brute` works on any Cayley
-table, straight from the principal-ideal definitions with an identity
-adjoined, from `ideals`, the one place those ideals are computed; it
-keeps each J-class's two-sided row for the egg-box J-order.  The analytic
-route decides relatedness from the canonical form alone: `additive_keys`
-and `multiplicative_keys` state the support and projection rules once, as
-per-element R/L/D keys, and `_KEYS_OF_RELATION` says which keys each of
-the five relations compares (J as D, H as R and L together);
-`analytic_structure` groups the canonical family by them, as a reduct's
-index i is `maps.all_canonical(n)[i]`.  Agreement of the two routes is
-checked in tests, not assumed here.
+table, from the principal ideals with an identity adjoined (`ideals`, the
+one place they are computed), and keeps the J-order among J-classes for the
+egg-box.  The analytic route decides relatedness from the canonical form
+alone: `additive_keys` and `multiplicative_keys` state the support and
+projection rules once, as per-element R/L/D keys, and `_KEYS_OF_RELATION`
+says which keys each of the five relations compares (J as D, H as R and L
+together); `analytic_structure` groups the canonical family by them, as a
+reduct's index i is `maps.all_canonical(n)[i]`.  Agreement of the two
+routes is checked in tests, not assumed here.
 
 Every partition is one labelling: each element's least class-mate.
-`_labels` makes it from per-element keys (ideal rows for R, L and J, the
-R and L labels for H, the analytic keys), `maps.least_labels` joins R and
-L into D, and `_classes` gives the class tuples, each ascending and
-ordered by least member, so equal partitions have equal tuples.
+`_labels` makes it from per-element keys (the R and L labels for H, the
+analytic keys), `maps.least_labels` joins R and L into D, and `_classes`
+gives the class tuples, each ascending and ordered by least member, so
+equal partitions have equal tuples.
 
 Regularity is stated once, as x y x == x (`_xyx`).  Every cell is read
 through the reduct's `closure.Table`.  The per-element scans (`ideals`,
 `regular_elements`, `eventual_regularity`, and `subset_report`'s
-closedness, regularity and inverse counts) visit the representatives of
-the table's action only, one per S_n orbit on a closure and every element
-over the trivial group, and spread each verdict, or ideal row (`_spread`),
-over its orbit.  Only the isomorphism certificates build a local table.
+closedness, regularity and inverse counts) visit the representatives r of
+the table's action only (one per S_n orbit on a closure, all over the
+trivial group); x = G[g_x] r takes r's verdict, or r's class moved by
+G[g_x].  Only the isomorphism certificates build a local table.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ._numpy import np
@@ -51,7 +50,7 @@ class GreenStructure:
     idempotent: Tuple[bool, ...]
     regular: Tuple[bool, ...]
     eventual_index: Tuple[int, ...]
-    j_ideals: Tuple[bytes, ...]  # packed S¹aS¹ of each J-class's least member a
+    j_order: np.ndarray = field(compare=False)  # [a, b]: J-class a at or below b
 
     def to_dict(self) -> dict:
         d = {rel: [list(c) for c in self.classes[rel]] for rel in RELATIONS}
@@ -86,10 +85,10 @@ def regular_elements(sg: FiniteSemigroup) -> np.ndarray:
     """Mask of the regular elements: x with x y x = x for some y, for x over
     the representatives of its table's action, a row block at a time; every
     element takes its representative's verdict."""
-    op, m = sg.op, len(sg)
-    out = np.zeros(m, dtype=bool)
-    for x in maps.row_blocks(op.action.reps, m):
-        out[x] = _xyx(op, x, op[x[:, None], np.arange(m)]).any(axis=1)
+    op, reps = sg.op, sg.op.action.reps
+    out = np.zeros(len(sg), dtype=bool)
+    for i in maps.row_blocks(np.arange(len(reps)), len(sg)):
+        out[reps[i]] = _xyx(op, reps[i], op.rows[i]).any(axis=1)
     return out[op.action.labels]
 
 
@@ -111,63 +110,64 @@ def eventual_regularity(sg: FiniteSemigroup, regular: np.ndarray) -> Tuple[int, 
     return tuple(index[op.action.labels].tolist())
 
 
-# Each ideal block reads at least _BLOCK_CELLS / _FILL_WIDTH = 64 rows or columns.
-_FILL_WIDTH = 1024
+def _held(rows, op, b, y) -> np.ndarray:
+    """[i, j]: whether b[i]'s ideal holds y[j], a row block at a time, rows[k]
+    being reps[k]'s under op's action: it holds y when r_b's holds G[g_b]^-1 y."""
+    out, back = np.empty((len(b), len(y)), dtype=bool), op.action.inverse[op.action.g[b]]
+    for i in maps.row_blocks(np.arange(len(b)), len(y)):
+        out[i] = rows[op.rep_row[b[i, None]], op.action.group[back[i, None], y]]
+    return out
 
 
-def _spread(packed, action, m):
-    """Fill each non-representative x = G[g] r's packed ideal row from r's, read
-    at G[g]^-1, as P carries aS¹ onto (P a)S¹; the x of one g have distinct r."""
-    for g in range(1, len(action.group)):
-        x = np.flatnonzero(action.g == g)
-        bits = np.unpackbits(packed[action.labels[x]], axis=1, count=m)
-        packed[x] = np.packbits(bits.take(action.group[action.inverse[g]], axis=1), axis=1)
+def _least_mates(rows, op) -> np.ndarray:
+    """Each element's least class-mate under mutual membership in the ideals
+    `rows`: reps[i]'s class is the b in rows[i] whose ideal holds reps[i],
+    and x = G[g_x] r_x's is G[g_x] applied to r_x's, one gather per orbit."""
+    classes = rows & _held(rows, op, np.arange(rows.shape[1]), op.action.reps).T
+    out = np.empty(len(op.rep_row), dtype=np.intp)
+    for i, members in enumerate(map(np.flatnonzero, classes)):
+        for x in maps.row_blocks(np.flatnonzero(op.rep_row == i), len(members)):
+            out[x] = op.action.group[op.action.g[x, None], members].min(axis=1)
+    return out
 
 
 def ideals(sg: FiniteSemigroup) -> Tuple[np.ndarray, ...]:
-    """Principal right, left and two-sided ideals aS¹, S¹a, S¹aS¹ of every
-    element of the reduct `sg`, as bit-packed membership rows (row a is
-    `np.packbits` of a length-m mask), then the R and L labels.  The
-    representatives' rows are filled and spread (`_spread`).  S¹aS¹ is the
-    union of xS¹ over x in S¹a: one OR per L-class meeting the
-    representatives, of one right ideal per R-class that meets S¹a."""
-    op, m = sg.op, len(sg)
-    action, reps, every = op.action, op.action.reps, np.arange(m)
-    right, left, two = (np.empty((m, (m + 7) // 8), dtype=np.uint8) for _ in range(3))
-    for a in maps.row_blocks(reps, min(m, _FILL_WIDTH)):  # the a whose ideals fill this block
-        local = np.arange(len(a))
-        # aS¹ is row a of op, S¹a column a
-        for packed, i, members in ((right, local[:, None], op[a[:, None], every]),
-                                   (left, local, op[every[:, None], a])):
-            block = np.zeros((len(a), m), dtype=bool)
-            block[i, members] = True
-            block[local, a] = True  # the adjoined identity
-            packed[a] = np.packbits(block, axis=1)
-    for rows in (right, left):
-        _spread(rows, action, m)
-    r_first, l_first = (_labels((row.tobytes() for row in rows), m) for rows in (right, left))
-    for a in set(l_first[reps].tolist()):  # the first member of each L-class meeting `reps`
-        meets = np.zeros(m, dtype=bool)  # the first member of each R-class meeting S¹a
-        meets[r_first[np.unpackbits(left[a], count=m).view(bool)]] = True
-        two[a] = np.bitwise_or.reduce(right[meets], axis=0)
-    two[reps] = two[l_first[reps]]
-    _spread(two, action, m)
+    """Principal right, left and two-sided ideals aS¹, S¹a, S¹aS¹ of each
+    representative a = reps[i] of the table's action, as boolean rows [i, b],
+    then every element's R and L labels.  aS¹ is a's stored row and S¹a its
+    column, each with a; S¹aS¹ is the union of xS¹ = G[g_x](r_x S¹) over the
+    least member x of each R-class meeting S¹a, one scatter per r_x."""
+    op, every = sg.op, np.arange(len(sg))
+    reps, local = op.action.reps, np.arange(len(op.action.reps))
+    right, left, two, meets = (np.zeros((len(reps), len(sg)), dtype=bool) for _ in range(4))
+    for i in maps.row_blocks(local, len(sg)):
+        right[i[:, None], op.rows[i]] = True
+        left[i, op[every[:, None], reps[i]]] = True
+    right[local, reps] = left[local, reps] = True  # the adjoined identity
+    r_first, l_first = _least_mates(right, op), _least_mates(left, op)
+    for i, row in enumerate(left):  # [i, x]: x is least in an R-class meeting S¹reps[i]
+        meets[i, r_first[row]] = True
+    a, x = np.nonzero(meets)
+    for i, members in enumerate(map(np.flatnonzero, right)):
+        for p in maps.row_blocks(np.flatnonzero(op.rep_row[x] == i), len(members)):
+            two[a[p, None], op.action.group[op.action.g[x[p], None], members]] = True
     return right, left, two, r_first, l_first
 
 
 def green_brute(sg: FiniteSemigroup) -> GreenStructure:
-    """All five relations from one `ideals(sg)`, with D = J asserted.  Of
-    its arrays only the J-classes' two-sided rows are kept (`j_ideals`), for
-    the egg-box J-order."""
-    m = len(sg)
+    """All five relations from one `ideals(sg)`, with D = J asserted as whole
+    partitions: at each representative a, {b in S¹aS¹ : a in S¹bS¹} is a's
+    D-class, and each group row carries D-classes onto D-classes, so J's
+    labels are D's.  Of the ideals only the J-order among J-classes is
+    kept (`j_order`), for the egg-box."""
+    m, op = len(sg), sg.op
     _, _, two, r, l = ideals(sg)
-    labels = {"R": r, "L": l, "D": maps.least_labels((r, l), m),
-              "J": _labels((row.tobytes() for row in two), m),
-              "H": _labels(zip(r.tolist(), l.tolist()), m)}
-    if not np.array_equal(labels["D"], labels["J"]):
+    d, ar, reps = maps.least_labels((r, l), m), np.arange(m), op.action.reps
+    if not (np.array_equal(two & _held(two, op, ar, reps).T, d[reps, None] == d)
+            and all(np.array_equal(d[P[d]], d[P]) for P in op.action.group)):
         raise AssertionError("D and J partitions differ on a finite semigroup")
-
-    ar = np.arange(m)
+    labels = {"R": r, "L": l, "D": d, "J": d, "H": _labels(zip(r.tolist(), l.tolist()), m)}
+    least = ar[d == ar]  # each J-class's least member
     reg = regular_elements(sg)
     return GreenStructure(
         label=sg.label,
@@ -178,7 +178,7 @@ def green_brute(sg: FiniteSemigroup) -> GreenStructure:
         idempotent=tuple((sg.op[ar, ar] == ar).tolist()),  # x x == x
         regular=tuple(reg.tolist()),
         eventual_index=eventual_regularity(sg, reg),
-        j_ideals=tuple(two[a].tobytes() for a in np.flatnonzero(labels["J"] == ar)),
+        j_order=_held(two, op, least, least).T,
     )
 
 
@@ -325,8 +325,9 @@ def _iso_certificate(sg: FiniteSemigroup, name, idx):
         target, table = f"B_{n * n}", brandt.add_table(n * n)
     else:
         return None, None
-    local = np.searchsorted(idx, sg.op[np.ix_(idx, idx)])  # idx is ascending
-    return target, bool(np.array_equal(local, table))
+    blocks = maps.row_blocks(np.arange(len(idx)), len(idx))  # idx is ascending
+    return target, len(idx) == len(table) and all(
+        np.array_equal(np.searchsorted(idx, sg.op[idx[b, None], idx]), table[b]) for b in blocks)
 
 
 def structural_checks(sg: FiniteSemigroup, subset: str) -> SubsetReport:

@@ -82,11 +82,11 @@ def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
     _check(results, "Aut(B_n) isomorphic to S_n", n, not census and generators.aut_iso_sn(n),
            census)
 
-    # closure layer: the build's fixpoint, rerun on the additive table given
+    # closure layer: the build's fixpoint, rerun on the S_n orbit representatives' stored rows
     add_sg, mul_sg = ns.reduct("additive"), ns.reduct("multiplicative")
-    every, reps = np.arange(len(ns)), maps.sn_action(n).reps
+    every, stored = np.arange(len(ns)), add_sg.op.rep_row[maps.sn_action(n).reps]
     try:  # pop: the Aff set is not held to the end
-        reached = closure_mod.fixpoint(gens.pop("aff"), add_sg.op[reps[:, None], every])
+        reached = closure_mod.fixpoint(gens.pop("aff"), ns.add_table[stored])
         size, cause = int(np.count_nonzero(reached)), ""
     except ValueError as e:  # a generator refused
         size, cause = None, str(e)

@@ -148,23 +148,25 @@ def test_cover_edges_respect_j_order(closure_of):
 
 def _assert_covers_match_the_bool_product(below):
     # the covers as the earlier cubic bool product gave them, as
-    # (upper, lower) pairs; the ideal rows of a strict order are below.T
-    # plus the diagonal, and every class is its own representative
+    # (upper, lower) pairs; the J-order of a strict order is below plus
+    # the diagonal
     k = len(below)
     want = below & ~(below @ below)
-    two_sided = np.packbits(below.T | np.eye(k, dtype=bool), axis=1)
-    got = eggbox._j_order_covers([row.tobytes() for row in two_sided], list(range(k)))
+    got = eggbox._j_order_covers(below | np.eye(k, dtype=bool))
     assert got == tuple(sorted((int(b), int(a)) for a, b in np.argwhere(want)))
     return int(want.sum())
 
 
 def test_covers_match_the_bool_product_on_the_n4_additive_j_order(closure_of):
     sg = closure_of(4).reduct("additive")
-    # the trivial group: every row filled
+    gs = green.green_brute(sg)
+    # the J-order read off the two-sided ideals over the trivial group, every
+    # row filled: [a, b] when class a's least member lies in class b's ideal
     two = green.ideals(closure.FiniteSemigroup(4, "additive", sg.op.dense()))[2]
-    reps = [c[0] for c in green.green_brute(sg).classes["D"]]
-    masks = np.unpackbits(two[reps], axis=1, count=len(sg)).astype(bool)
-    below = masks[:, reps].T & ~np.eye(len(reps), dtype=bool)
+    least = [c[0] for c in gs.classes["D"]]
+    order = two[np.ix_(least, least)].T
+    assert np.array_equal(gs.j_order, order)
+    below = order & ~np.eye(len(least), dtype=bool)
     assert 0 < _assert_covers_match_the_bool_product(below) < below.sum()
 
 
@@ -463,29 +465,28 @@ def test_green_and_eggbox_scan_one_element_per_orbit_on_a_build(tmp_path, capsys
                                                                  monkeypatch, argv):
     # the regularity rule and the ideal fill see the 27 orbit representatives
     # at n = 3 on a build, with no cache or on a miss, and on a hit, whose
-    # stored rows are proved on load; the fill is the one row-block scan
-    # 77 columns wide
+    # stored rows are proved on load; the fill is one row of each ideal per
+    # representative
     rows, filled, outs = [], [], []
-    xyx, blocks = green._xyx, maps.row_blocks
+    xyx, ideals = green._xyx, green.ideals
 
     def counted(op, x, xy):
         rows.append(len(x))
         return xyx(op, x, xy)
 
-    def fill_blocks(reps, width):
-        if width == 77:
-            filled.append(len(reps))
-        return blocks(reps, width)
+    def counted_ideals(sg):
+        out = ideals(sg)
+        filled.extend(len(a) for a in out[:3])
+        return out
 
     monkeypatch.setattr(green, "_xyx", counted)
-    monkeypatch.setattr(green, "_FILL_WIDTH", 77)
-    monkeypatch.setattr(maps, "row_blocks", fill_blocks)
+    monkeypatch.setattr(green, "ideals", counted_ideals)
     for cache_dir, seen in (([], 27), (["--cache-dir", str(tmp_path)], 27),
                             (["--cache-dir", str(tmp_path)], 27)):
         rows.clear()
         filled.clear()
         code, out, _ = run_cli(capsys, argv + ["--n", "3"] + cache_dir)
-        assert code == 0 and sum(rows) == seen and filled == [seen]
+        assert code == 0 and sum(rows) == seen and filled == [seen] * 3
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -317,10 +318,8 @@ def test_ideals_where_left_ideals_meet_several_r_classes():
     op = np.array([[index[tuple(g[x] for x in f)] for g in maps_] for f in maps_],
                   dtype=np.uint16)
     sg = closure.FiniteSemigroup(1, "multiplicative", op)  # the trivial group: every row filled
-    right, left = green.ideals(sg)[:2]
-    r_class = [r.tobytes() for r in right]
-    meets = [len({r_class[x] for x in np.flatnonzero(np.unpackbits(row, count=27))})
-             for row in left]
+    _, left, _, r_first, _ = green.ideals(sg)
+    meets = [len(set(r_first[row].tolist())) for row in left]
     assert sorted(set(meets)) == [1, 4, 5]
     _assert_ideals_match_set_definitions(sg)
 
@@ -338,36 +337,89 @@ def test_ideals_with_blocks_off_byte_boundaries(closure_of, monkeypatch, label):
 
 
 def test_ideals_read_at_least_a_floor_of_columns_per_block(closure_of, monkeypatch):
-    # with a table wider than _FILL_WIDTH, a block spans
-    # _BLOCK_CELLS / _FILL_WIDTH columns however wide the table is: here
-    # 10 of the 29 columns, where _BLOCK_CELLS / m would give 3
-    sg = closure.FiniteSemigroup(2, "additive", closure_of(2).reduct("additive").op.dense())
-    whole = green.ideals(sg)  # the trivial group: every row filled
-    monkeypatch.setattr(maps, "_BLOCK_CELLS", 100)
-    monkeypatch.setattr(green, "_FILL_WIDTH", 10)
-    widths = []
-    blocks = maps.row_blocks
+    # with blocks of fewer cells than a row has, a block still reads one
+    # whole row (here of the 145 columns), over the S_n orbit representatives
+    # and over the trivial group alike, and never more than one row or the
+    # 10 cells asked for
+    for label in ("additive", "multiplicative"):
+        quotient = closure_of(3).reduct(label)
+        for sg in (quotient, closure.FiniteSemigroup(3, label, quotient.op.dense())):
+            whole = green.ideals(sg)
+            monkeypatch.setattr(maps, "_BLOCK_CELLS", 10)
+            spans = []
+            blocks = maps.row_blocks
 
-    def recorded(rows, width):
-        widths.append(width)
-        return blocks(rows, width)
+            def recorded(rows, width):
+                out = list(blocks(rows, width))
+                spans.extend((len(b), width) for b in out)
+                return iter(out)
 
-    monkeypatch.setattr(maps, "row_blocks", recorded)
-    assert all(np.array_equal(a, b) for a, b in zip(green.ideals(sg), whole))
-    assert widths == [10]
+            monkeypatch.setattr(maps, "row_blocks", recorded)
+            assert all(np.array_equal(a, b) for a, b in zip(green.ideals(sg), whole))
+            monkeypatch.undo()
+            assert (1, 145) in spans and all(k * w <= max(w, 10) for k, w in spans)
+        _assert_ideals_match_set_definitions(quotient)
+
+
+def test_green_brute_at_n5_stays_below_three_packed_ideal_arrays(closure_of):
+    # bit-packed right, left and two-sided ideal rows of every element would
+    # take 3 m ceil(m / 8) = 5,005,521 bytes at n = 5 (m = 3,651); the ideals
+    # of the 58 orbit representatives and the labels stay below that
+    ns = closure_of(5)
+    m = len(ns)
+    for label in ("additive", "multiplicative"):
+        sg = ns.reduct(label)
+        tracemalloc.start()
+        try:
+            green.green_brute(sg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * m * ((m + 7) // 8) == 5_005_521, label
+
+
+def test_green_brute_refuses_d_classes_merged_away_from_the_representatives(
+        closure_of, green_of, monkeypatch):
+    # the additive D-classes of <(2,1)->(1,1)> and <(2,2)->(1,1)> hold no
+    # orbit representative at n = 2: merged, they still agree with J at the
+    # representatives, but the swap of 1 and 2 carries the merged class onto
+    # two classes
+    sg = closure_of(2).reduct("additive")
+    tokens = maps.tokens(range(len(sg)), 2)
+    x, y = tokens.index("<(2,1)->(1,1)>"), tokens.index("<(2,2)->(1,1)>")
+    merged = [c for c in green_of(2, "additive").classes["D"] if x in c or y in c]
+    assert len(merged) == 2 and not set(sg.op.action.reps.tolist()) & set(sum(merged, ()))
+    real = maps.least_labels
+
+    def merging(maps_, m):
+        label = real(maps_, m)
+        return np.where(np.isin(label, label[[x, y]]), label[[x, y]].min(), label)
+
+    monkeypatch.setattr(maps, "least_labels", merging)
+    with pytest.raises(AssertionError, match="^D and J partitions differ on a finite semigroup$"):
+        green.green_brute(sg)
 
 
 def _assert_ideals_match_set_definitions(sg):
+    # the representatives' ideal rows, and each element's R and L labels:
+    # its least class-mate under equal right, or left, ideals
     m = len(sg)
     t = sg.op.dense().tolist()
-    rows = [np.unpackbits(r, axis=1, count=m).astype(bool) for r in green.ideals(sg)[:3]]
+    reps = sg.op.action.reps.tolist()
+    right, left, two, r_first, l_first = green.ideals(sg)
+    assert all(rows.shape == (len(reps), m) and rows.dtype == bool for rows in (right, left, two))
+    want = []
     for a in range(m):
         a_s = {t[a][s] for s in range(m)}
         s_a = {t[s][a] for s in range(m)}
         s_a_s = {t[x][y] for x in s_a for y in range(m)}
-        want = ({a} | a_s, {a} | s_a, {a} | a_s | s_a | s_a_s)
-        for got, expected in zip(rows, want):
-            assert set(np.flatnonzero(got[a]).tolist()) == expected
+        want.append(({a} | a_s, {a} | s_a, {a} | a_s | s_a | s_a_s))
+    for i, a in enumerate(reps):
+        for got, expected in zip((right, left, two), want[a]):
+            assert set(np.flatnonzero(got[i]).tolist()) == expected
+    for k, labels in enumerate((r_first, l_first)):
+        least = {}
+        assert labels.tolist() == [least.setdefault(frozenset(w[k]), a) for a, w in enumerate(want)]
 
 
 # --- the block scans against plain per-element loops ---------------------------
