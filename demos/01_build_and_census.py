@@ -7,6 +7,8 @@ shapes, and the measured counts are compared against the closed forms.
 
 from ans import closure, formulas, generators, maps
 
+SHAPES = ("Zero", "Constant", "Singleton", "NSupport")  # by the shape code of `maps.fields`
+
 for n in (1, 2, 3, 4):
     gens = generators.enumerate_aff(n)
     ns = closure.additive_closure(gens)
@@ -19,8 +21,8 @@ for n in (1, 2, 3, 4):
     print(f"  expected          {formulas.support_histogram_expected(n)}")
 
     by_shape = {}
-    for c in maps.forms(range(len(ns)), n):  # index i is canonical rank i
-        shape = type(c).__name__
+    for code in maps.fields(n)[:len(ns), 0]:  # index i is canonical rank i
+        shape = SHAPES[code]
         by_shape[shape] = by_shape.get(shape, 0) + 1
     print(f"  shapes: {dict(sorted(by_shape.items()))}")
 

@@ -1,15 +1,22 @@
 """Arithmetic on canonical shapes, and analytic Green tests.
 
 Every element of the closure is a Zero, Constant, Singleton, or NSupport
-map.  Sums and composites of shapes follow short algebraic rules, which is
-what makes the analytic Green relation tests possible.  This script works
-a few of those rules concretely and cross-checks the analytic tests
-against the brute-force partitions.
+map, and `maps.fields` reads its shape and fields off its canonical index.
+Sums and composites of shapes follow short algebraic rules, which is what
+makes the analytic Green relation tests possible.  This script works a few
+of those rules concretely and cross-checks the analytic tests against the
+brute-force partitions.
 """
 
 from ans import closure, generators, green, maps
 
 n = 2
+TOKENS = maps.tokens(range(len(maps.canonical_tables(n))), n)
+
+
+def table(token):
+    """The table of the element spelled `token`: its canonical index's row."""
+    return maps.canonical_tables(n)[TOKENS.index(token)]
 
 
 def show(op, f, g):
@@ -20,11 +27,11 @@ def show(op, f, g):
 
 
 print("sums of shapes:")
-const11 = maps.render(maps.Constant((1, 1)), n)
-const12 = maps.render(maps.Constant((1, 2)), n)
-col1 = maps.render(maps.NSupport(1, 1, (1, 2)), n)
-col1_swap = maps.render(maps.NSupport(1, 1, (2, 1)), n)
-col2 = maps.render(maps.NSupport(2, 2, (1, 2)), n)
+const11 = table("xi(1,1)")
+const12 = table("xi(1,2)")
+col1 = table("(1,1;[1,2])")
+col1_swap = table("(1,1;[2,1])")
+col2 = table("(2,2;[1,2])")
 show("+", const11, const12)
 show("+", col1, col1_swap)     # same column: collapses to a singleton
 show("+", col1, col2)          # different columns: annihilates
@@ -35,19 +42,20 @@ show("o", col1, col2)          # matching column and row chain
 show("o", col1, const12)       # constants absorb on the right
 show("o", const12, col2)
 
-# The analytic rules are per-element keys of a canonical form: two elements
-# are R-, L- or D-related exactly when those keys agree.  J is D on a finite
-# semigroup, and H is R and L together.
-a = maps.Singleton((1, 1), (1, 2))
-b = maps.Singleton((2, 2), (1, 2))
-ka, kb = green.multiplicative_keys(a), green.multiplicative_keys(b)
-print("\nanalytic multiplicative keys of "
-      f"{maps.canonical_str(a)} and {maps.canonical_str(b)}:")
+# The analytic rules compare fields: two elements are R-, L- or D-related
+# exactly when their shapes match and they agree on the fields the rule
+# names for that shape (a singleton's are its source pair a and its target
+# pair (b, c)).  J is D on a finite semigroup, and H is R and L together.
+ns = closure.additive_closure(generators.enumerate_aff(n))
+a, b = TOKENS.index("<(1,1)->(1,2)>"), TOKENS.index("<(2,2)->(1,2)>")
+print(f"\nshape and fields (shape, a, b, c) of {TOKENS[a]} and {TOKENS[b]}: "
+      f"{tuple(maps.fields(n)[a].tolist())} and {tuple(maps.fields(n)[b].tolist())}")
+analytic = green.analytic_structure(ns.reduct("multiplicative"))
 for rel in ("R", "L", "D"):
-    print(f"  {rel}: {ka[rel]} vs {kb[rel]}, related: {ka[rel] == kb[rel]}")
+    related = any(a in c and b in c for c in analytic[rel])
+    print(f"  multiplicatively {rel}-related: {related}")
 
 # Full agreement with the brute-force partitions, for every relation.
-ns = closure.additive_closure(generators.enumerate_aff(n))
 for label in ("additive", "multiplicative"):
     sg = ns.reduct(label)
     gs = green.green_brute(sg)

@@ -37,8 +37,8 @@ for label in ("additive", "multiplicative"):
 sg = ns.reduct("additive")
 gs = green.green_brute(sg)
 profile = {}
-for i, c in enumerate(maps.forms(range(len(ns)), n)):
-    shape = type(c).__name__
+for i, code in enumerate(maps.fields(n)[:, 0]):  # index i is canonical rank i
+    shape = ("Zero", "Constant", "Singleton", "NSupport")[code]
     profile.setdefault(shape, set()).add(gs.eventual_index[i])
 print("first additively regular power, by shape:")
 for shape, indices in sorted(profile.items()):

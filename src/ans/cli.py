@@ -26,6 +26,9 @@ REDUCTS = ("additive", "multiplicative")
 
 # The version of `enumerate --format json`'s schema, kept apart from the cache's.
 ENUMERATE_VERSION = 1
+# `enumerate --format json` spells every cell of both m x m tables: at n = 5
+# that is 250 MB of text and a 2.3 GB peak, and n = 6 has 46.6 times the cells.
+ENUMERATE_JSON_MAX_N = 5
 
 
 def cache_path(cache_dir: Path, n: int) -> Path:
@@ -106,6 +109,9 @@ def _json_text(obj) -> str:
 
 
 def cmd_enumerate(args) -> int:
+    if args.format == "json" and args.n > ENUMERATE_JSON_MAX_N:  # refuse before any work
+        raise ValueError(f"enumerate --format json lists every cell of both Cayley tables, "
+                         f"which n={args.n} makes too large; it stops at n={ENUMERATE_JSON_MAX_N}")
     from . import closure as closure_mod, maps
     ns = load_or_build(args.n, args.cache_dir)
     hist = closure_mod.support_histogram(ns)

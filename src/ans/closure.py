@@ -8,7 +8,8 @@ automorphisms and maps Aff(B_n) onto itself, so `fixpoint` extends one
 representative per new orbit (`maps.orbit_labels`) by the additive rows of
 the representatives, ranked directly (`maps.products`).  Its mask proves
 that it covers the canonical family, so every table is indexed by rank:
-index i is `maps.all_canonical(n)[i]`, and no element list is kept.
+index i is canonical index i, with shape and fields `maps.fields(n)[i]`,
+and no element list is kept.
 
 There is one Cayley-table type, `Table`: the rows of one representative per
 orbit of a group of automorphisms (`maps.Action`), 27 of 145 at n = 3 under
@@ -77,7 +78,7 @@ class Table:
 
 @dataclass
 class FiniteSemigroup:
-    """One reduct: a `Table` whose index i is `maps.all_canonical(n)[i]`; a
+    """One reduct: a `Table` whose index i is canonical index i; a
     dense m x m array is checked and taken as one over the trivial group."""
     n: int
     label: str  # "additive" | "multiplicative"

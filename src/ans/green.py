@@ -3,19 +3,19 @@
 Two independent routes are provided.  `green_brute` works on any Cayley
 table, from the principal ideals with an identity adjoined (`ideals`, the
 one place they are computed), and keeps the J-order among J-classes for the
-egg-box.  The analytic route decides relatedness from the canonical form
-alone: `additive_keys` and `multiplicative_keys` state the support and
-projection rules once, as per-element R/L/D keys, and `_KEYS_OF_RELATION`
-says which keys each of the five relations compares (J as D, H as R and L
-together); `analytic_structure` groups the canonical family by them, as a
-reduct's index i is `maps.all_canonical(n)[i]`.  Agreement of the two
-routes is checked in tests, not assumed here.
+egg-box.  The analytic route decides relatedness from each element's shape
+and fields alone, as a reduct's index i is canonical index i (`maps.fields`):
+`_RULES` states the paper's support and projection rules once, as the
+fields each R, L and D key compares per shape, and `analytic_structure`
+groups the canonical family by them (J as D, H as R and L together) and
+states the idempotents as a mask.  Agreement of the two routes is checked
+in the battery and the tests, not assumed here.
 
 Every partition is one labelling: each element's least class-mate.
-`_labels` makes it from per-element keys (the R and L labels for H, the
-analytic keys), `maps.least_labels` joins R and L into D, and `_classes`
-gives the class tuples, each ascending and ordered by least member, so
-equal partitions have equal tuples.
+`_least` makes it from one integer key per element (the R and L labels for
+H, the analytic keys), `maps.least_labels` joins R and L into D, and
+`_classes` gives the class tuples, each ascending and ordered by least
+member, so equal partitions have equal tuples.
 
 Regularity is stated once, as x y x == x (`_xyx`).  Every cell is read
 through the reduct's `closure.Table`.  The per-element scans (`ideals`,
@@ -32,7 +32,6 @@ from typing import Dict, Optional, Tuple
 from ._numpy import np
 from . import brandt, maps
 from .closure import FiniteSemigroup
-from .maps import Constant, Singleton, Zero
 
 RELATIONS = ("R", "L", "D", "J", "H")
 
@@ -60,11 +59,10 @@ class GreenStructure:
         return d
 
 
-def _labels(keys, m) -> np.ndarray:
-    """The least index whose hashable key equals each of the m keys' own, in
-    an array made before the keys, so that freeing them lets the heap shrink."""
-    first = {}
-    return np.fromiter((first.setdefault(k, i) for i, k in enumerate(keys)), np.intp, m)
+def _least(keys) -> np.ndarray:
+    """Each element's least index whose integer key equals its own."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first[inverse]
 
 
 def _classes(labels) -> Tuple[Tuple[int, ...], ...]:
@@ -166,7 +164,7 @@ def green_brute(sg: FiniteSemigroup) -> GreenStructure:
     if not (np.array_equal(two & _held(two, op, ar, reps).T, d[reps, None] == d)
             and all(np.array_equal(d[P[d]], d[P]) for P in op.action.group)):
         raise AssertionError("D and J partitions differ on a finite semigroup")
-    labels = {"R": r, "L": l, "D": d, "J": d, "H": _labels(zip(r.tolist(), l.tolist()), m)}
+    labels = {"R": r, "L": l, "D": d, "J": d, "H": _least(r * m + l)}
     least = ar[d == ar]  # each J-class's least member
     reg = regular_elements(sg)
     return GreenStructure(
@@ -182,64 +180,48 @@ def green_brute(sg: FiniteSemigroup) -> GreenStructure:
     )
 
 
-# --- analytic classifiers on canonical forms ----------------------------------
+# --- analytic classifiers on the fields of `maps.fields` -----------------------
 
-def additive_keys(c) -> Dict[str, tuple]:
-    """R, L and D keys of a canonical form in the additive reduct.
-
-    Two elements are related exactly when their keys are equal.  Support
-    equality is necessary for every relation.  On top of that, R compares
-    first projections of the images, L compares second projections except
-    on n-support elements where L is trivial, and D relaxes L's conditions
-    to support only (with the row permutation retained on n-support
-    elements, where D collapses to R).
-    """
-    if isinstance(c, Zero):
-        base = ("zero",)
-        return {"R": base, "L": base, "D": base}
-    if isinstance(c, Constant):
-        return {"R": ("c", c.alpha[0]), "L": ("c", c.alpha[1]), "D": ("c",)}
-    if isinstance(c, Singleton):
-        return {"R": ("s", c.src, c.dst[0]),
-                "L": ("s", c.src, c.dst[1]),
-                "D": ("s", c.src)}
-    return {"R": ("n", c.k, c.sigma), "L": ("n", c), "D": ("n", c.k, c.sigma)}
+# The paper's rules, stated once.  Per reduct: the class of each shape (zero,
+# constant, singleton, column map; the multiplicative rules count the zero
+# map a constant), then for R, L and D the fields of `maps.fields` that the
+# key compares, per shape.  Two elements are related exactly when their
+# shapes share a class and they agree on those fields.  Additively, R
+# compares first projections of the images, L second ones (the whole element
+# on a column map), and D the support (with sigma on a column map).
+# Multiplicatively, R is support equality, D support-size equality, and L
+# image equality: {alpha}, {theta}, {theta, dst}, or theta and column q.
+_RULES = {
+    "additive": ((0, 1, 2, 3), {"R": ("", "a", "ab", "ac"), "L": ("", "b", "ac", "abc"),
+                                "D": ("", "", "a", "ac")}),
+    "multiplicative": ((1, 1, 2, 3), {"R": ("", "", "a", "a"), "L": ("", "ab", "bc", "b"),
+                                      "D": ("", "", "", "")}),
+}
 
 
-def multiplicative_keys(c) -> Dict[str, tuple]:
-    """R, L and D keys of a canonical form in the multiplicative reduct.
-
-    Constants (with the zero map) are mutually R- and D-related; outside
-    them R is support equality and D is support-size equality.  L is image
-    equality for every shape: {alpha} for constants, {theta} for zero,
-    {theta, dst} for singletons, {theta} u column q for n-support.
-    """
-    if isinstance(c, (Zero, Constant)):
-        img = c.alpha if isinstance(c, Constant) else None
-        return {"R": ("c",), "L": ("c", img), "D": ("c",)}
-    if isinstance(c, Singleton):
-        return {"R": ("s", c.src), "L": ("s", c.dst), "D": ("s",)}
-    return {"R": ("n", c.k), "L": ("n", c.q), "D": ("n",)}
-
-
-# The keys each relation compares: J equals D on a finite semigroup, and H
-# is the intersection of R and L.
-_KEYS_OF_RELATION = {"R": ("R",), "L": ("L",), "D": ("D",), "J": ("D",), "H": ("R", "L")}
-
-
-def analytic_structure(sg: FiniteSemigroup) -> Dict[str, Tuple[Tuple[int, ...], ...]]:
-    """All five partitions from the analytic keys, for cross-checking
-    against green_brute: two elements share a class exactly when they
-    agree on every key `_KEYS_OF_RELATION` names for the relation.
-    """
-    keys_of = {"additive": additive_keys,
-               "multiplicative": multiplicative_keys}.get(sg.label)
-    if keys_of is None:
+def analytic_structure(sg: FiniteSemigroup) -> dict:
+    """All five partitions from `_RULES`, J as D and H as R and L together,
+    and the idempotent mask (as a tuple of flags under "idempotent") that
+    the paper states, for cross-checking against green_brute."""
+    if sg.label not in _RULES:
         raise ValueError(f"unknown reduct label {sg.label!r}")
-    keys = [keys_of(c) for c in maps.all_canonical(sg.n)]
-    return {rel: _classes(_labels((tuple(k[r] for r in _KEYS_OF_RELATION[rel]) for k in keys),
-                              len(keys)))
-            for rel in RELATIONS}
+    classes, rules = _RULES[sg.label]
+    shape, *abc = maps.fields(sg.n).T
+    rules = dict(rules, J=rules["D"], H=tuple(map(str.__add__, rules["R"], rules["L"])))
+    out = {}
+    for rel in RELATIONS:
+        compared = np.array([[name in f for name in "abc"] for f in rules[rel]])[shape]
+        key = np.array(classes, dtype=np.int64)[shape]
+        for on, col in zip(compared.T, abc):  # every field is less than the element count
+            key = key * len(shape) + np.where(on, col, 0)
+        out[rel] = _classes(_least(key))
+    a, b, c = abc
+    if sg.label == "additive":  # every image theta or a diagonal pair
+        idempotent = (True, a == b, b == c, sg.n == 1)
+    else:  # the zero map, every constant, src = dst, and q = k with sigma = id
+        idempotent = (True, True, a == (b - 1) * sg.n + c, (b == a) & (c == 0))
+    out["idempotent"] = tuple(np.choose(shape, idempotent).tolist())
+    return out
 
 
 # --- subsets and structural properties ----------------------------------------

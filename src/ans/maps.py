@@ -1,38 +1,41 @@
-"""Function tables on B_n and the canonical-form algebra.
+"""Function tables on B_n and the canonical element index.
 
 An FMap is a tuple of length n^2+1 sending element codes to element codes;
 position x holds the image of x, so evaluation is indexing and the argument
 stands on the left: x(f o g) = (xf)g and x(f + g) = xf + xg.
 
-The additive closure of the affine maps contains exactly four table shapes,
-captured by the canonical forms:
+The additive closure of the affine maps contains exactly four table shapes.
+`fields` gives each element's shape code and three integer fields a, b, c:
 
-    Zero                   the zero constant map xi_theta
-    Constant(alpha)        xi_alpha for a nonzero pair alpha (full support)
-    Singleton(src, dst)    src -> dst, everything else -> theta
-    NSupport(k, q, sigma)  support is column k and (i,k) -> (i sigma, q)
+    0  zero         the zero constant map xi_theta
+    1  constant     xi_(a,b) for a nonzero pair (a,b) (full support)
+    2  singleton    a -> (b,c), a a pair code, everything else -> theta
+    3  column map   (a,b;sigma), sigma the c-th permutation in lexicographic
+                    order: support is column a and (i,a) -> (i sigma, b)
 
 Canonical text tokens (used in JSON exports and egg-box cells):
 "xi_theta", "xi(i,j)", "<(k,l)->(p,q)>", "(k,q;[sigma])".  One table per
 n spells every element (`tokens`).
 
-At n=1 the unique 1-support closure element fits both the Singleton and the
-NSupport shape; it is NSupport(1, 1, id), so Singleton never occurs at n=1.
+At n=1 the unique 1-support closure element fits both the singleton and
+the column-map shape; it is the column map (1,1;[1]), so no singleton
+occurs at n=1.
 
 Every shape question goes through one element index, the position in
 canonical order, which also indexes every Cayley table.  `rank` (checked:
-`member_ranks`) computes it by arithmetic, `forms` and `tokens` read forms
-and tokens off positions, `product_tables` builds every pointwise sum or
+`member_ranks`) is the one encoder of a table as its index, and `fields`
+the one decoder, both by arithmetic; `canonical_tables` and `tokens` are
+read off `fields`.  `product_tables` builds every pointwise sum or
 composite of two row sets, and `products` ranks them.  `index_permutations`
 gives conjugation by S_n on positions, `orbit_labels` its orbits, and
 `sn_action` the group with a transversal, by which `closure.Table` reads
-every cell.  The tests check `rank` against a classifier of their own.
+every cell.  The tests check `rank` and `fields` against a case-by-case
+classifier of their own.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple, Union
 
 from ._numpy import np
 from . import brandt
@@ -82,70 +85,6 @@ def proj1(code, n):
     return p[0]
 
 
-# --- canonical forms --------------------------------------------------------
-
-@dataclass(frozen=True)
-class Zero:
-    pass
-
-
-@dataclass(frozen=True)
-class Constant:
-    alpha: Tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Singleton:
-    src: Tuple[int, int]
-    dst: Tuple[int, int]
-
-
-@dataclass(frozen=True)
-class NSupport:
-    k: int
-    q: int
-    sigma: Tuple[int, ...]
-
-
-CanonicalElem = Union[Zero, Constant, Singleton, NSupport]
-
-
-def render(c: CanonicalElem, n) -> tuple:
-    """Build the table of a canonical form."""
-    if isinstance(c, Zero):
-        return zero_map(n)
-    if isinstance(c, Constant):
-        return constant_map(brandt.pair(*c.alpha, n), n)
-    if isinstance(c, Singleton):
-        t = [THETA] * brandt.size(n)
-        t[brandt.pair(*c.src, n)] = brandt.pair(*c.dst, n)
-        return tuple(t)
-    t = [THETA] * brandt.size(n)
-    for i in range(1, n + 1):
-        t[brandt.pair(i, c.k, n)] = brandt.pair(c.sigma[i - 1], c.q, n)
-    return tuple(t)
-
-
-@lru_cache(maxsize=None)
-def all_canonical(n) -> tuple:
-    """Every closure element of B_n as a canonical form, canonical order."""
-    out = [Zero()]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            out.append(Constant((i, j)))
-    if n >= 2:
-        for k in range(1, n + 1):
-            for l in range(1, n + 1):
-                for p in range(1, n + 1):
-                    for q in range(1, n + 1):
-                        out.append(Singleton((k, l), (p, q)))
-    for k in range(1, n + 1):
-        for q in range(1, n + 1):
-            for sigma in brandt.enumerate_sn(n):
-                out.append(NSupport(k, q, sigma))
-    return tuple(out)
-
-
 # --- the rank: canonical index by arithmetic -----------------------------------
 
 # Cells built at a time by every row-block scan (`row_blocks`); bigger
@@ -176,9 +115,37 @@ def least_labels(maps_, m) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def fields(n) -> np.ndarray:
+    """The inverse of `rank`, by arithmetic on the index layout: row x is
+    (shape, a, b, c) of canonical index x, as a read-only int32 array (see
+    the module docstring).  Each shape's block counts its fields as digits
+    of radix (n, n, 1) for a constant, (n^2, n, n) for a singleton and
+    (n, n, n!) for a column map, c the least significant."""
+    nn, f = n * n, math.factorial(n)
+    starts = np.cumsum([0, 1, nn, nn * nn if n >= 2 else 0])  # each shape's first index
+    x = np.arange(starts[-1] + nn * f)
+    shape = np.searchsorted(starts, x, side="right") - 1
+    radix = np.array([(1, 1, 1), (n, n, 1), (nn, n, n), (n, n, f)])[shape]
+    out = np.empty((len(x), 4), dtype=np.int32)
+    out[:, 0], t = shape, x - starts[shape]
+    for col in (3, 2, 1):
+        t, out[:, col] = np.divmod(t, radix[:, col - 1])
+    out[:, 1:] += np.array([(0, 0, 0), (1, 1, 0), (1, 1, 1), (1, 1, 0)])[shape]
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
 def canonical_tables(n) -> np.ndarray:
-    """Tables of all_canonical(n), one row each, as a read-only uint8 array."""
-    t = np.array([render(c, n) for c in all_canonical(n)], dtype=np.uint8)
+    """The table of each canonical index, one row each, scattered from
+    `fields`, as a read-only uint8 array."""
+    shape, a, b, c = fields(n).T
+    const, single, col = (np.flatnonzero(shape == s) for s in (1, 2, 3))
+    t = np.zeros((len(shape), n * n + 1), dtype=np.uint8)
+    t[const] = ((a[const] - 1) * n + b[const])[:, None]  # every point -> (a,b)
+    t[single, a[single]] = (b[single] - 1) * n + c[single]  # a -> (b,c)
+    sigma = np.array(brandt.enumerate_sn(n))[c[col]]  # (i,a) -> (i sigma, b)
+    t[col[:, None], np.arange(n) * n + a[col, None]] = (sigma - 1) * n + b[col, None]
     t.setflags(write=False)
     return t
 
@@ -317,12 +284,6 @@ def sn_action(n) -> Action:
                                    for row in group]), reps, labels, g)
 
 
-def forms(ranks, n) -> list:
-    """Canonical form of each canonical index."""
-    family = all_canonical(n)
-    return [family[r] for r in ranks]
-
-
 def product_tables(F, G, op, n):
     """Tables of F[i] + G[j] (op "+") or F[i] o G[j] (op "o"), every i and j.
 
@@ -363,22 +324,20 @@ def products(F, G, op, n):
 
 # --- text forms --------------------------------------------------------------
 
-def canonical_str(c) -> str:
-    if isinstance(c, Zero):
-        return "xi_theta"
-    if isinstance(c, Constant):
-        return f"xi({c.alpha[0]},{c.alpha[1]})"
-    if isinstance(c, Singleton):
-        return f"<({c.src[0]},{c.src[1]})->({c.dst[0]},{c.dst[1]})>"
-    if isinstance(c, NSupport):
-        return f"({c.k},{c.q};{brandt.perm_str(c.sigma)})"
-    raise TypeError(f"not a canonical element: {c!r}")
-
-
 @lru_cache(maxsize=None)
 def _token_table(n) -> tuple:
-    """canonical_str of all_canonical(n), in rank order."""
-    return tuple(canonical_str(c) for c in all_canonical(n))
+    """The token of each canonical index, formatted from `fields`."""
+    sigma = [brandt.perm_str(p) for p in brandt.enumerate_sn(n)]
+
+    def token(shape, a, b, c):
+        if shape == 0:
+            return "xi_theta"
+        if shape == 1:
+            return f"xi({a},{b})"
+        if shape == 2:
+            return f"<({(a - 1) // n + 1},{(a - 1) % n + 1})->({b},{c})>"
+        return f"({a},{b};{sigma[c]})"
+    return tuple(token(*row) for row in fields(n).tolist())
 
 
 def tokens(ranks, n) -> list:

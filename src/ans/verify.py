@@ -53,8 +53,7 @@ def _orbit_census(n) -> str:
     G, reps = action.group, action.reps
     sizes, stabs = np.bincount(action.labels)[reps], np.count_nonzero(G[:, reps] == reps, 0)
     expected = formulas.orbit_counts(n)
-    of_shape = np.searchsorted(np.cumsum([formulas.counts(n).breakup[k] for k in expected]),
-                               reps, side="right")
+    of_shape = maps.fields(n)[reps, 0]  # expected's keys are the shape codes 0..3 in order
     for i, (shape, want) in enumerate(expected.items()):
         got, bad = np.count_nonzero(of_shape == i), (of_shape == i) & (sizes * stabs != len(G))
         if got != want or bad.any():
@@ -135,8 +134,11 @@ def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
     for sg, gs, tag in ((add_sg, add_gs, "additive"), (mul_sg, mul_gs, "multiplicative")):
         analytic = green.analytic_structure(sg)
         differ = [rel for rel in green.RELATIONS if analytic[rel] != gs.classes[rel]]
-        _check(results, f"analytic classifiers match brute force ({tag})", n,
-               not differ, f"relation {differ[0]} partitions differ" if differ else "")
+        idem = np.flatnonzero(np.not_equal(analytic["idempotent"], gs.idempotent))[:1]
+        cause = (f"relation {differ[0]} partitions differ" if differ else
+                 f"idempotents differ first at {idem[0]} {maps.tokens(idem, n)[0]}" if idem.size
+                 else "")
+        _check(results, f"analytic classifiers match brute force ({tag})", n, not cause, cause)
 
     # structural theorems, additive reduct
     _check(results, "additive H is trivial", n,

@@ -1,28 +1,37 @@
 """Independent reference implementations the tests compare `ans` against.
 
 Each one decides a fact a second way, by plain loops or case analysis on
-the definitions, and no code in `ans` calls it: `classify` is the
-reference for `maps.rank` and `maps.forms`, `brute_force_endomorphisms`
-for `generators.enumerate_end`, `add` for `brandt.add_table`,
-`pointwise_add`, which sums two tables cell by cell with `add`, for the
-sums that `maps.products` ranks, `related` for the relation-to-key map
-inside `green.analytic_structure`, `union_find_labels` for
-`maps.least_labels`, and `fill_tables`, which ranks every cell through the
-public `maps.products` (itself checked against `pointwise_add`), for the
-tables that `closure.additive_closure` ranks for the orbit representatives
-and `closure.Table` reads for every other element.  `dense` restates a
+the definitions, and no code in `ans` calls it.  The canonical forms
+(`Zero`, `Constant`, `Singleton`, `NSupport`), listed case by case in
+canonical order (`all_canonical`), rendered (`render`), spelled
+(`canonical_str`) and given their fields (`fields_of`), are the reference
+for the arithmetic of `maps.fields`, `maps.canonical_tables` and
+`maps.tokens`; `classify`, which decides a table's form case by case, for
+`maps.rank`; `brute_force_endomorphisms` for `generators.enumerate_end`,
+`add` for `brandt.add_table`, `pointwise_add`, which sums two tables cell
+by cell with `add`, for the sums that `maps.products` ranks;
+`additive_keys`, `multiplicative_keys` and `related`, the rules as
+per-element keys compared pair by pair, for the field rules of
+`green.analytic_structure`; `union_find_labels` for `maps.least_labels`,
+and `fill_tables`, which ranks every cell through the public
+`maps.products` (itself checked against `pointwise_add`), for the tables
+that `closure.additive_closure` ranks for the orbit representatives and
+`closure.Table` reads for every other element.  `dense` restates a
 closure's tables as whole arrays over the trivial group.  `elements`
-renders the element tables that a closure's or reduct's indices stand for.  `check_iso`, which tests an explicit bijection cell by cell, is
-the reference for the isomorphism certificates of `green.subset_report`.
+renders the element tables that a closure's or reduct's indices stand
+for.  `check_iso`, which tests an explicit bijection cell by cell, is the
+reference for the isomorphism certificates of `green.subset_report`.
 """
-
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from typing import Tuple
 
 import numpy as np
 
 from ans import brandt, closure, generators, maps
 from ans.brandt import THETA, pair, unpair
-from ans.maps import Constant, NotAffineElement, NSupport, Singleton, Zero
+from ans.maps import NotAffineElement
 
 
 # --- B_n ----------------------------------------------------------------------
@@ -64,10 +73,91 @@ def pointwise_add(f, g):
     return tuple(add(a, b, n) for a, b in zip(f, g))
 
 
+@dataclass(frozen=True)
+class Zero:
+    pass
+
+
+@dataclass(frozen=True)
+class Constant:
+    alpha: Tuple[int, int]
+
+
+@dataclass(frozen=True)
+class Singleton:
+    src: Tuple[int, int]
+    dst: Tuple[int, int]
+
+
+@dataclass(frozen=True)
+class NSupport:
+    k: int
+    q: int
+    sigma: Tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def all_canonical(n) -> tuple:
+    """Every closure element of B_n as a canonical form, canonical order."""
+    out = [Zero()]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            out.append(Constant((i, j)))
+    if n >= 2:
+        for k in range(1, n + 1):
+            for l in range(1, n + 1):
+                for p in range(1, n + 1):
+                    for q in range(1, n + 1):
+                        out.append(Singleton((k, l), (p, q)))
+    for k in range(1, n + 1):
+        for q in range(1, n + 1):
+            for sigma in brandt.enumerate_sn(n):
+                out.append(NSupport(k, q, sigma))
+    return tuple(out)
+
+
+def render(c, n) -> tuple:
+    """Build the table of a canonical form."""
+    if isinstance(c, Zero):
+        return maps.zero_map(n)
+    if isinstance(c, Constant):
+        return maps.constant_map(pair(*c.alpha, n), n)
+    t = [THETA] * brandt.size(n)
+    if isinstance(c, Singleton):
+        t[pair(*c.src, n)] = pair(*c.dst, n)
+        return tuple(t)
+    for i in range(1, n + 1):
+        t[pair(i, c.k, n)] = pair(c.sigma[i - 1], c.q, n)
+    return tuple(t)
+
+
+def canonical_str(c) -> str:
+    if isinstance(c, Zero):
+        return "xi_theta"
+    if isinstance(c, Constant):
+        return f"xi({c.alpha[0]},{c.alpha[1]})"
+    if isinstance(c, Singleton):
+        return f"<({c.src[0]},{c.src[1]})->({c.dst[0]},{c.dst[1]})>"
+    if isinstance(c, NSupport):
+        return f"({c.k},{c.q};{brandt.perm_str(c.sigma)})"
+    raise TypeError(f"not a canonical element: {c!r}")
+
+
+def fields_of(c, n) -> tuple:
+    """(shape, a, b, c) of a canonical form, as `maps.fields` numbers them."""
+    if isinstance(c, Zero):
+        return (0, 0, 0, 0)
+    if isinstance(c, Constant):
+        return (1,) + c.alpha + (0,)
+    if isinstance(c, Singleton):
+        return (2, pair(*c.src, n)) + c.dst
+    return (3, c.k, c.q, brandt.enumerate_sn(n).index(c.sigma))
+
+
 def elements(s):
     """Element tables of a closure or reduct `s`: index i stands for the
-    i-th canonical form, `maps.all_canonical(s.n)[i]`, rendered."""
-    return tuple(maps.render(c, s.n) for c in maps.all_canonical(s.n)[:len(s)])
+    i-th canonical form, `all_canonical(s.n)[i]`, rendered."""
+    return tuple(render(c, s.n) for c in all_canonical(s.n)[:len(s)])
 
 
 def fill_tables(n):
@@ -178,14 +268,52 @@ def triple_to_map(k, q, sigma, n):
 
 # --- Green's relations from the analytic keys -----------------------------------
 
+def additive_keys(c) -> dict:
+    """R, L and D keys of a canonical form in the additive reduct.
+
+    Two elements are related exactly when their keys are equal.  Support
+    equality is necessary for every relation.  On top of that, R compares
+    first projections of the images, L compares second projections except
+    on n-support elements where L is trivial, and D relaxes L's conditions
+    to support only (with the row permutation retained on n-support
+    elements, where D collapses to R).
+    """
+    if isinstance(c, Zero):
+        base = ("zero",)
+        return {"R": base, "L": base, "D": base}
+    if isinstance(c, Constant):
+        return {"R": ("c", c.alpha[0]), "L": ("c", c.alpha[1]), "D": ("c",)}
+    if isinstance(c, Singleton):
+        return {"R": ("s", c.src, c.dst[0]),
+                "L": ("s", c.src, c.dst[1]),
+                "D": ("s", c.src)}
+    return {"R": ("n", c.k, c.sigma), "L": ("n", c), "D": ("n", c.k, c.sigma)}
+
+
+def multiplicative_keys(c) -> dict:
+    """R, L and D keys of a canonical form in the multiplicative reduct.
+
+    Constants (with the zero map) are mutually R- and D-related; outside
+    them R is support equality and D is support-size equality.  L is image
+    equality for every shape: {alpha} for constants, {theta} for zero,
+    {theta, dst} for singletons, {theta} u column q for n-support.
+    """
+    if isinstance(c, (Zero, Constant)):
+        img = c.alpha if isinstance(c, Constant) else None
+        return {"R": ("c",), "L": ("c", img), "D": ("c",)}
+    if isinstance(c, Singleton):
+        return {"R": ("s", c.src), "L": ("s", c.dst), "D": ("s",)}
+    return {"R": ("n", c.k), "L": ("n", c.q), "D": ("n",)}
+
+
 # On a finite semigroup J = D, and H = R ∩ L (Clifford & Preston I, §2.1);
 # stated here apart from `green`, so the pairwise tests stay an oracle for it.
 _COMPARED_KEYS = {"R": ("R",), "L": ("L",), "D": ("D",), "J": ("D",), "H": ("R", "L")}
 
 
 def related(keys, a, b, rel) -> bool:
-    """Are canonical forms a and b rel-related, by `keys` (`green.additive_keys`
-    or `green.multiplicative_keys`)?"""
+    """Are canonical forms a and b rel-related, by `keys` (`additive_keys`
+    or `multiplicative_keys`)?"""
     ka, kb = keys(a), keys(b)
     return all(ka[k] == kb[k] for k in _COMPARED_KEYS[rel])
 

@@ -25,8 +25,8 @@ def test_acceptance_01_n2_census_and_breakup(closure_of):
     counted = {"zero": 0, "singleton": 0, "n_support": 0, "full": 0}
     for f in oracles.elements(ns):
         c = oracles.classify(f)
-        key = {maps.Zero: "zero", maps.Singleton: "singleton",
-               maps.NSupport: "n_support", maps.Constant: "full"}[type(c)]
+        key = {oracles.Zero: "zero", oracles.Singleton: "singleton",
+               oracles.NSupport: "n_support", oracles.Constant: "full"}[type(c)]
         counted[key] += 1
     ok = (len(ns) == 29
           and counted == {"zero": 1, "singleton": 16, "n_support": 8, "full": 4})
@@ -81,8 +81,8 @@ def test_acceptance_07_analytic_matches_brute_everywhere(closure_of, green_of):
     ok = True
     for n in (2, 3):
         forms = [oracles.classify(f) for f in oracles.elements(closure_of(n))]
-        for label, keys in (("additive", green.additive_keys),
-                            ("multiplicative", green.multiplicative_keys)):
+        for label, keys in (("additive", oracles.additive_keys),
+                            ("multiplicative", oracles.multiplicative_keys)):
             gs = green_of(n, label)
             for rel in green.RELATIONS:
                 cls = gs.class_of[rel]

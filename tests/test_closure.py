@@ -54,7 +54,7 @@ def test_closure_contains_generators(closure_of, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_elements_are_exactly_the_canonical_family(closure_of, n):
     ns = closure_of(n)
-    expected = tuple(maps.render(c, n) for c in maps.all_canonical(n))
+    expected = tuple(oracles.render(c, n) for c in oracles.all_canonical(n))
     assert oracles.elements(ns) == expected
 
 
@@ -201,7 +201,7 @@ def test_closure_ranks_each_representative_row_once_per_product(monkeypatch, n):
 
     monkeypatch.setattr(maps, "products", products)
     closure.additive_closure(gens)
-    reps = np.flatnonzero(maps.orbit_labels(n) == np.arange(len(maps.all_canonical(n))))
+    reps = np.flatnonzero(maps.orbit_labels(n) == np.arange(len(oracles.all_canonical(n))))
     assert received == {"+": reps.tolist(), "o": reps.tolist()}
 
 
@@ -226,7 +226,7 @@ def test_fill_and_orbit_tables_name_the_first_product_outside_the_shapes(monkeyp
     # sums of canonical tables keep a shape, so mark some as outside: on
     # orbit representatives' rows, which `additive_closure` ranks directly
     gens = generators.enumerate_aff(n)  # before the patch: it ranks End x Const
-    reps = np.flatnonzero(maps.orbit_labels(n) == np.arange(len(maps.all_canonical(n))))
+    reps = np.flatnonzero(maps.orbit_labels(n) == np.arange(len(oracles.all_canonical(n))))
     r1, r2 = int(reps[1]), int(reps[-1])
     # (r1, 11) has both products outside: a sum outside is named first
     marked = {("+", r2, 3), ("+", r1, 11), ("o", r1, 11), ("o", r1, 7), ("+", r1, 20)}

@@ -940,6 +940,20 @@ def test_cli_refuses_out_outside_a_directory_before_any_work(tmp_path, capsys, m
     assert err.startswith("error:") and err.count("\n") == 1 and str(target) in err
 
 
+def test_cli_refuses_enumerate_json_past_n5_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_or_build", _no_work)
+    for n in (6, 7):
+        code, out, err = run_cli(capsys, ["enumerate", "--n", str(n), "--format", "json",
+                                          "--cache-dir", str(tmp_path)])
+        assert code == 2 and out == ""
+        assert err == (f"error: enumerate --format json lists every cell of both Cayley "
+                       f"tables, which n={n} makes too large; it stops at n=5\n")
+    assert list(tmp_path.iterdir()) == []
+    # the text census at n = 6 is not refused: it reaches the build
+    code, _, err = run_cli(capsys, ["enumerate", "--n", "6", "--cache-dir", str(tmp_path)])
+    assert code == 1 and err == "error: work started before the path was checked\n"
+
+
 @pytest.mark.parametrize("argv", [["enumerate", "--n", "4"], ["green", "--n", "4"]])
 def test_cli_refuses_a_file_as_cache_dir_before_the_build(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(closure, "additive_closure", _no_work)

@@ -61,7 +61,7 @@ def test_analytic_agrees_with_brute_pairwise(closure_of, green_of, n, label):
     ns = closure_of(n)
     gs = green_of(n, label)
     forms = [oracles.classify(f) for f in oracles.elements(ns)]
-    keys = green.additive_keys if label == "additive" else green.multiplicative_keys
+    keys = oracles.additive_keys if label == "additive" else oracles.multiplicative_keys
     for rel in REL:
         for i, a in enumerate(forms):
             for j, b in enumerate(forms):
@@ -80,25 +80,51 @@ def test_analytic_partitions_agree_with_brute(closure_of, green_of, n, label):
         assert analytic[rel] == gs.classes[rel], rel
 
 
+@pytest.mark.parametrize("label", ["additive", "multiplicative"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_analytic_idempotents_agree_with_brute(closure_of, green_of, n, label):
+    analytic = green.analytic_structure(closure_of(n).reduct(label))
+    assert analytic["idempotent"] == green_of(n, label).idempotent
+
+
+def test_a_wrong_idempotent_mask_fails_the_analytic_line_with_its_witness(closure_of,
+                                                                         monkeypatch):
+    # (1,2;[1,2]) and (2,2;[2,1]) flagged idempotent under o: the line names the first
+    real = green.analytic_structure
+
+    def wrong(sg):
+        out = real(sg)
+        if sg.label == "multiplicative":
+            out["idempotent"] = tuple(e != (i in (23, 28)) for i, e in enumerate(out["idempotent"]))
+        return out
+
+    monkeypatch.setattr(green, "analytic_structure", wrong)
+    results = verify.run_battery(2, closure_of(2))
+    failed = [(r.name, r.details) for r in results if not r.passed]
+    assert failed == [("analytic classifiers match brute force (multiplicative)",
+                       "idempotents differ first at 23 (1,2;[1,2])")]
+    assert len(results) == 22
+
+
 def test_analytic_examples_from_characterizations():
-    const = maps.Constant
-    ns2 = maps.NSupport
-    sing = maps.Singleton
-    ga = partial(oracles.related, green.additive_keys)
-    gm = partial(oracles.related, green.multiplicative_keys)
+    const = oracles.Constant
+    ns2 = oracles.NSupport
+    sing = oracles.Singleton
+    ga = partial(oracles.related, oracles.additive_keys)
+    gm = partial(oracles.related, oracles.multiplicative_keys)
     ident, swap = (1, 2), (2, 1)
     assert ga(const((1, 1)), const((1, 2)), "R")
     assert not ga(const((1, 1)), const((2, 2)), "R")
     assert not ga(ns2(1, 1, ident), ns2(1, 1, swap), "L")
     assert ga(ns2(1, 1, ident), ns2(1, 1, ident), "L")
     assert ga(ns2(1, 1, ident), ns2(1, 2, ident), "D")
-    for c in (maps.Zero(), const((2, 1)), sing((1, 2), (2, 1)), ns2(2, 1, swap)):
+    for c in (oracles.Zero(), const((2, 1)), sing((1, 2), (2, 1)), ns2(2, 1, swap)):
         assert ga(c, c, "D") and gm(c, c, "D")
-    assert gm(const((1, 1)), maps.Zero(), "R")
+    assert gm(const((1, 1)), oracles.Zero(), "R")
     assert gm(ns2(1, 1, ident), ns2(2, 2, swap), "D")
     assert gm(sing((1, 1), (1, 2)), sing((2, 2), (1, 2)), "L")
     assert not gm(sing((1, 1), (1, 2)), sing((2, 2), (1, 2)), "R")
-    assert not gm(maps.Zero(), const((1, 1)), "L")
+    assert not gm(oracles.Zero(), const((1, 1)), "L")
 
 
 def test_one_element_semigroup():
@@ -146,7 +172,7 @@ def test_eventual_regularity_profile(closure_of, green_of, n):
     gs = green_of(n, "additive")
     for i, f in enumerate(oracles.elements(ns)):
         c = oracles.classify(f)
-        expected = 2 if isinstance(c, maps.NSupport) else 1
+        expected = 2 if isinstance(c, oracles.NSupport) else 1
         assert gs.eventual_index[i] == expected
     assert max(gs.eventual_index) == formulas.eventual_regularity_max(n)
 

@@ -77,7 +77,7 @@ def test_composition_support_random(t):
 def test_composition_support_exhaustive_nonconstant(closure_of):
     ns = closure_of(2)
     nonconstant = [g for g in oracles.elements(ns)
-                   if not isinstance(oracles.classify(g), maps.Constant)]
+                   if not isinstance(oracles.classify(g), oracles.Constant)]
     for f in oracles.elements(ns):
         for g in nonconstant:
             assert oracles.support(maps.compose(f, g)) <= oracles.support(f)
@@ -101,8 +101,8 @@ def test_compose_applies_left_argument_first(t):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_classify_render_bijection(n):
-    forms = maps.all_canonical(n)
-    tables = [maps.render(c, n) for c in forms]
+    forms = oracles.all_canonical(n)
+    tables = [oracles.render(c, n) for c in forms]
     assert len(set(tables)) == len(tables)
     for c, f in zip(forms, tables):
         assert oracles.classify(f) == c
@@ -115,7 +115,7 @@ def test_classify_render_bijection(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_breakup_by_shape(n):
     from collections import Counter
-    shapes = Counter(type(c).__name__ for c in maps.all_canonical(n))
+    shapes = Counter(type(c).__name__ for c in oracles.all_canonical(n))
     ct = formulas.counts(n)
     assert shapes.get("Zero", 0) == ct.breakup["zero"]
     assert shapes.get("Constant", 0) == ct.breakup["full"]
@@ -143,14 +143,30 @@ def test_classify_rejects_non_closure_tables():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_rank_of_canonical_family_is_its_position(n):
-    rows = np.array([maps.render(c, n) for c in maps.all_canonical(n)])
+    rows = np.array([oracles.render(c, n) for c in oracles.all_canonical(n)])
     assert maps.rank(rows, n).tolist() == list(range(len(rows)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_rank_inverts_the_canonical_tables(n):
+    # `fields` decodes, `canonical_tables` scatters, and `rank` encodes back
+    E = maps.canonical_tables(n)
+    assert np.array_equal(maps.rank(E, n), np.arange(len(E)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fields_tables_and_tokens_match_the_case_by_case_forms(n):
+    family, F, E = oracles.all_canonical(n), maps.fields(n), maps.canonical_tables(n)
+    assert F.dtype == np.int32 and not F.flags.writeable and not E.flags.writeable
+    assert F.tolist() == [list(oracles.fields_of(c, n)) for c in family]
+    assert E.tolist() == [list(oracles.render(c, n)) for c in family]
+    assert maps.tokens(range(len(family)), n) == [oracles.canonical_str(c) for c in family]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_rank_agrees_with_classify_on_perturbed_tables(n):
-    family = [oracles.canonical_key(c) for c in maps.all_canonical(n)]
-    rows = np.array([maps.render(c, n) for c in maps.all_canonical(n)])
+    family = [oracles.canonical_key(c) for c in oracles.all_canonical(n)]
+    rows = np.array([oracles.render(c, n) for c in oracles.all_canonical(n)])
     rng = np.random.default_rng(n)
     rows = rows[rng.integers(0, len(rows), size=1000)]
     for _ in range(2):  # change up to two cells per table
@@ -166,15 +182,16 @@ def test_rank_agrees_with_classify_on_perturbed_tables(n):
             expected = -1
             first_outside = first_outside or tuple(f)
         assert r == expected, f
-    assert maps.forms(maps.member_ranks(rows[maps.rank(rows, n) >= 0], n), n) == classified
+    assert [oracles.all_canonical(n)[r]
+            for r in maps.member_ranks(rows[maps.rank(rows, n) >= 0], n)] == classified
     with pytest.raises(maps.NotAffineElement, match=re.escape(str(first_outside))):
-        maps.forms(maps.member_ranks(rows, n), n)
+        maps.member_ranks(rows, n)
 
 
 @pytest.mark.parametrize("op", ["+", "o"])
 def test_products_rank_every_pair(op):
     n = 2
-    family = np.array([maps.render(c, n) for c in maps.all_canonical(n)])
+    family = np.array([oracles.render(c, n) for c in oracles.all_canonical(n)])
     rng = np.random.default_rng(7)
     # arbitrary tables as well as members, and enough rows for several blocks
     F = np.concatenate([family[rng.integers(0, len(family), 400)],
@@ -194,36 +211,36 @@ def test_products_rank_every_pair(op):
 def test_classify_n1_one_support_is_column_shape():
     f = (brandt.THETA, brandt.pair(1, 1, 1))
     c = oracles.classify(f)
-    assert isinstance(c, maps.NSupport)
+    assert isinstance(c, oracles.NSupport)
     assert (c.k, c.q, c.sigma) == (1, 1, (1,))
 
 
 def test_singleton_forbidden_at_n1():
     # the one 1-support element at n=1 is the column map (1,1;[1])
-    assert "<(1,1)->(1,1)>" not in maps.tokens(range(len(maps.all_canonical(1))), 1)
+    assert "<(1,1)->(1,1)>" not in maps.tokens(range(len(oracles.all_canonical(1))), 1)
     assert maps.map_str((brandt.THETA, 1)) == "(1,1;[1])"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_canonical_str_round_trip(n):
-    family = maps.all_canonical(n)
+    family = oracles.all_canonical(n)
     table = maps.tokens(maps.member_ranks(maps.canonical_tables(n), n), n)
-    assert table == [maps.canonical_str(c) for c in family]
+    assert table == [oracles.canonical_str(c) for c in family]
     assert len(set(table)) == len(table)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_image_invariant_on_closure_elements(n):
     # every nonzero image of a closure element shares one second coordinate
-    for c in maps.all_canonical(n):
-        f = maps.render(c, n)
+    for c in oracles.all_canonical(n):
+        f = oracles.render(c, n)
         qs = {oracles.proj2(v, n) for v in f if v != brandt.THETA}
         ii = qs.pop() if len(qs) == 1 else None
-        if isinstance(c, maps.Zero):
+        if isinstance(c, oracles.Zero):
             assert ii is None
-        elif isinstance(c, maps.Constant):
+        elif isinstance(c, oracles.Constant):
             assert ii == c.alpha[1]
-        elif isinstance(c, maps.Singleton):
+        elif isinstance(c, oracles.Singleton):
             assert ii == c.dst[1]
         else:
             assert ii == c.q
@@ -324,9 +341,9 @@ def test_trivial_action_makes_every_index_its_own_representative():
 
 def test_an_n_beyond_uint16_ranks_is_refused_before_any_table(monkeypatch):
     # n = 7 has 249,411 elements, which uint16 ranks would wrap; the refusal
-    # is arithmetic, so no canonical table is rendered for it
+    # is arithmetic, so no canonical table is built (from `fields`) for it
     rendered = []
-    monkeypatch.setattr(maps, "render", lambda c, n: rendered.append(n))
+    monkeypatch.setattr(maps, "fields", lambda n: rendered.append(n))
     message = re.escape("n=7 gives 249,411 elements, beyond the 65,536 indices of uint16 ranks")
     for build in (maps.index_permutations, maps.orbit_labels, maps.sn_action):
         with pytest.raises(ValueError, match=f"^{message}$"):
