@@ -45,7 +45,6 @@ def _read_cache(path: Path, n: int) -> "NearSemiring":
     reading to the member's end makes zip check its CRC-32.  No unpickling."""
     from . import closure as closure_mod
     from ._numpy import np
-    closure_mod.check_n_cap(n)
     # numpy's max_header_size, then R rows of m cells at 8 bytes (int64)
     widest = 10_000 + 8 * sum(formulas.orbit_counts(n).values()) * formulas.counts(n).a_plus_total
     d = {}
@@ -73,13 +72,16 @@ def _read_cache(path: Path, n: int) -> "NearSemiring":
 
 def load_or_build(n: int, cache_dir: Optional[Path]) -> "NearSemiring":
     """The closure at n, read from its cache file if there is one; else built,
-    and written deflated when `cache_dir` is given."""
+    and written deflated when `cache_dir` is given.  An n out of range is
+    refused first, before the cache is read or its directory made."""
+    from . import closure as closure_mod
+    closure_mod.check_n_cap(n)
     path = None if cache_dir is None else cache_path(cache_dir, n)
     if path is not None and path.exists():
         return _read_cache(path, n)
     if path is not None:  # an unusable cache directory fails here, before the build
         cache_dir.mkdir(parents=True, exist_ok=True)
-    from . import closure as closure_mod, generators
+    from . import generators
     from ._numpy import np
     ns = closure_mod.additive_closure(generators.enumerate_aff(n))
     if path is not None:

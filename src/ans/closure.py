@@ -192,9 +192,12 @@ def tables_witness(ns: NearSemiring) -> str:
 
 
 def check_n_cap(n: int):
-    """Refuse a non-int n, a bool too, or one above the cap, before any work starts."""
+    """Refuse a non-int n, a bool too, one below 1 or one above the cap, before
+    any work starts."""
     if type(n) is not int:
         raise ValueError(f"n={n!r} is not an int")
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
     if n > DEFAULT_N_CAP:
         raise ValueError(f"n={n} exceeds cap {DEFAULT_N_CAP}")
 

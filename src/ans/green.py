@@ -7,9 +7,9 @@ egg-box.  The analytic route decides relatedness from each element's shape
 and fields alone, as a reduct's index i is canonical index i (`maps.fields`):
 `_RULES` states the paper's support and projection rules once, as the
 fields each R, L and D key compares per shape, and `analytic_structure`
-groups the canonical family by them (J as D, H as R and L together) and
-states the idempotents as a mask.  Agreement of the two routes is checked
-in the battery and the tests, not assumed here.
+groups the canonical family by them and states the idempotents, regular
+elements and eventual indices as masks.  Both routes give one record
+(`_structure`); their agreement is checked in the battery and the tests.
 
 Every partition is one labelling: each element's least class-mate.
 `_least` makes it from one integer key per element (the R and L labels for
@@ -17,7 +17,7 @@ H, the analytic keys), `maps.least_labels` joins R and L into D, and
 `_classes` gives the class tuples, each ascending and ordered by least
 member, so equal partitions have equal tuples.
 
-Regularity is stated once, as x y x == x (`_xyx`).  Every cell is read
+Regularity is defined once, as x y x == x (`_xyx`).  Every cell is read
 through the reduct's `closure.Table`.  The per-element scans (`ideals`,
 `regular_elements`, `eventual_regularity`, and `subset_report`'s
 closedness, regularity and inverse counts) visit the representatives r of
@@ -49,7 +49,7 @@ class GreenStructure:
     idempotent: Tuple[bool, ...]
     regular: Tuple[bool, ...]
     eventual_index: Tuple[int, ...]
-    j_order: np.ndarray = field(compare=False)  # [a, b]: J-class a at or below b
+    j_order: Optional[np.ndarray] = field(compare=False)  # [a, b]: J-class a at or below b
 
     def to_dict(self) -> dict:
         d = {rel: [list(c) for c in self.classes[rel]] for rel in RELATIONS}
@@ -152,6 +152,18 @@ def ideals(sg: FiniteSemigroup) -> Tuple[np.ndarray, ...]:
     return right, left, two, r_first, l_first
 
 
+def _structure(label, r, l, d, *flags, j_order=None) -> GreenStructure:
+    """The record of R, L and D least-member labels and the idempotent, regular
+    and eventual-index flags: J is D on a finite semigroup, H is R and L
+    together, and classes are numbered by least member, the labels' fixed points."""
+    ar = np.arange(len(r))
+    labels = {"R": r, "L": l, "D": d, "J": d, "H": _least(r * len(r) + l)}
+    return GreenStructure(label, {rel: _classes(lab) for rel, lab in labels.items()},
+                          {rel: tuple(np.searchsorted(ar[lab == ar], lab).tolist())
+                           for rel, lab in labels.items()},
+                          *(tuple(np.asarray(f).tolist()) for f in flags), j_order=j_order)
+
+
 def green_brute(sg: FiniteSemigroup) -> GreenStructure:
     """All five relations from one `ideals(sg)`, with D = J asserted as whole
     partitions: at each representative a, {b in S¹aS¹ : a in S¹bS¹} is a's
@@ -164,20 +176,10 @@ def green_brute(sg: FiniteSemigroup) -> GreenStructure:
     if not (np.array_equal(two & _held(two, op, ar, reps).T, d[reps, None] == d)
             and all(np.array_equal(d[P[d]], d[P]) for P in op.action.group)):
         raise AssertionError("D and J partitions differ on a finite semigroup")
-    labels = {"R": r, "L": l, "D": d, "J": d, "H": _least(r * m + l)}
     least = ar[d == ar]  # each J-class's least member
     reg = regular_elements(sg)
-    return GreenStructure(
-        label=sg.label,
-        classes={rel: _classes(lab) for rel, lab in labels.items()},
-        # classes are numbered in order of least member, the labels' fixed points
-        class_of={rel: tuple(np.searchsorted(ar[lab == ar], lab).tolist())
-                  for rel, lab in labels.items()},
-        idempotent=tuple((sg.op[ar, ar] == ar).tolist()),  # x x == x
-        regular=tuple(reg.tolist()),
-        eventual_index=eventual_regularity(sg, reg),
-        j_order=_held(two, op, least, least).T,
-    )
+    return _structure(sg.label, r, l, d, op[ar, ar] == ar, reg,  # idempotent: x x == x
+                      eventual_regularity(sg, reg), j_order=_held(two, op, least, least).T)
 
 
 # --- analytic classifiers on the fields of `maps.fields` -----------------------
@@ -199,29 +201,28 @@ _RULES = {
 }
 
 
-def analytic_structure(sg: FiniteSemigroup) -> dict:
-    """All five partitions from `_RULES`, J as D and H as R and L together,
-    and the idempotent mask (as a tuple of flags under "idempotent") that
-    the paper states, for cross-checking against green_brute."""
+def analytic_structure(sg: FiniteSemigroup) -> GreenStructure:
+    """The record the paper states, for cross-checking against green_brute:
+    R, L and D from `_RULES`, the idempotents and regular elements as masks
+    on the fields, and eventual index 2 exactly off the regular ones; no J-order."""
     if sg.label not in _RULES:
         raise ValueError(f"unknown reduct label {sg.label!r}")
     classes, rules = _RULES[sg.label]
-    shape, *abc = maps.fields(sg.n).T
-    rules = dict(rules, J=rules["D"], H=tuple(map(str.__add__, rules["R"], rules["L"])))
-    out = {}
-    for rel in RELATIONS:
+    shape, a, b, c = maps.fields(sg.n).T
+    labels = []
+    for rel in "RLD":
         compared = np.array([[name in f for name in "abc"] for f in rules[rel]])[shape]
         key = np.array(classes, dtype=np.int64)[shape]
-        for on, col in zip(compared.T, abc):  # every field is less than the element count
+        for on, col in zip(compared.T, (a, b, c)):  # every field is less than the element count
             key = key * len(shape) + np.where(on, col, 0)
-        out[rel] = _classes(_least(key))
-    a, b, c = abc
+        labels.append(_least(key))
     if sg.label == "additive":  # every image theta or a diagonal pair
         idempotent = (True, a == b, b == c, sg.n == 1)
     else:  # the zero map, every constant, src = dst, and q = k with sigma = id
         idempotent = (True, True, a == (b - 1) * sg.n + c, (b == a) & (c == 0))
-    out["idempotent"] = tuple(np.choose(shape, idempotent).tolist())
-    return out
+    # every element is regular but the additive column maps, from n = 2 on
+    regular = (shape != 3) | (sg.n == 1 or sg.label == "multiplicative")
+    return _structure(sg.label, *labels, np.choose(shape, idempotent), regular, 2 - regular)
 
 
 # --- subsets and structural properties ----------------------------------------

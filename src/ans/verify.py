@@ -45,6 +45,18 @@ def _diff(measured, expected) -> str:
     return f"measured {measured!r}, expected {expected!r}"
 
 
+# A Green record's per-element flags, by what a witness calls them.
+_FLAGS = {"idempotent": "idempotents", "regular": "regular elements",
+          "eventual_index": "eventual indices"}
+
+
+def _first_differing(measured, expected, flag, n) -> str:
+    """"" when two Green records agree on the per-element `flag`; else its
+    first element that differs, as its index and token."""
+    i = np.flatnonzero(np.not_equal(getattr(measured, flag), getattr(expected, flag)))[:1]
+    return f"{_FLAGS[flag]} differ first at {i[0]} {maps.tokens(i, n)[0]}" if i.size else ""
+
+
 def _orbit_census(n) -> str:
     """"" when S_n's orbits (`maps.orbit_labels`) of each shape number as
     `formulas.orbit_counts` says, with n!/|Stab| members each (by the group
@@ -114,15 +126,11 @@ def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
         return results
 
     # Green censuses
-    add_meas = {"r": len(add_gs.classes["R"]), "l": len(add_gs.classes["L"]),
-                "d": len(add_gs.classes["D"]),
-                "idempotents": sum(add_gs.idempotent),
-                "regular": sum(add_gs.regular)}
+    add_meas = {**{rel.lower(): len(add_gs.classes[rel]) for rel in "RLD"},
+                "idempotents": sum(add_gs.idempotent), "regular": sum(add_gs.regular)}
     _check(results, "additive Green census matches closed forms", n,
            add_meas == ct.additive, _diff(add_meas, ct.additive))
-    mul_meas = {"r": len(mul_gs.classes["R"]), "l": len(mul_gs.classes["L"]),
-                "d": len(mul_gs.classes["D"]),
-                "h": len(mul_gs.classes["H"]),
+    mul_meas = {**{rel.lower(): len(mul_gs.classes[rel]) for rel in "RLDH"},
                 "idempotents": sum(mul_gs.idempotent)}
     _check(results, "multiplicative Green census matches closed forms", n,
            mul_meas == ct.multiplicative, _diff(mul_meas, ct.multiplicative))
@@ -130,37 +138,29 @@ def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
            len(mul_gs.classes["D"]) == ct.multiplicative["d"],
            _diff(len(mul_gs.classes["D"]), ct.multiplicative["d"]))
 
-    # analytic classifiers against brute force, as whole partitions
-    for sg, gs, tag in ((add_sg, add_gs, "additive"), (mul_sg, mul_gs, "multiplicative")):
-        analytic = green.analytic_structure(sg)
-        differ = [rel for rel in green.RELATIONS if analytic[rel] != gs.classes[rel]]
-        idem = np.flatnonzero(np.not_equal(analytic["idempotent"], gs.idempotent))[:1]
-        cause = (f"relation {differ[0]} partitions differ" if differ else
-                 f"idempotents differ first at {idem[0]} {maps.tokens(idem, n)[0]}" if idem.size
-                 else "")
-        _check(results, f"analytic classifiers match brute force ({tag})", n, not cause, cause)
+    # the analytic records against brute force: whole partitions, then each element's flags
+    add_an, mul_an = green.analytic_structure(add_sg), green.analytic_structure(mul_sg)
+    for an, gs in ((add_an, add_gs), (mul_an, mul_gs)):
+        differ = [rel for rel in green.RELATIONS if an.classes[rel] != gs.classes[rel]]
+        flags = filter(None, (_first_differing(gs, an, f, n) for f in _FLAGS))
+        cause = f"relation {differ[0]} partitions differ" if differ else next(flags, "")
+        _check(results, f"analytic classifiers match brute force ({gs.label})", n, not cause, cause)
 
     # structural theorems, additive reduct
-    _check(results, "additive H is trivial", n,
-           all(len(c) == 1 for c in add_gs.classes["H"]),
+    _check(results, "additive H is trivial", n, len(add_gs.classes["H"]) == len(ns),
            "some H-class has more than one element")
-    two_f = add_sg.op[every, every]
-    three_f = add_sg.op[two_f, every]
+    twice = add_sg.op[every, every]
     _check(results, "aperiodicity: f+f = f+f+f for every f", n,
-           bool(np.array_equal(two_f, three_f)))
-    ev = add_gs.eventual_index
-    ev_ok = max(ev) <= formulas.eventual_regularity_max(n)
-    on_n_support = maps.support_sizes(maps.canonical_tables(n)) == n
-    if n >= 2:
-        ev_ok = ev_ok and np.array_equal(np.equal(ev, 2), on_n_support)
-        name = "eventual regularity: index <= 2, index 2 exactly on n-support"
-    else:
-        name = "eventual regularity: every element regular at n=1"
-        ev_ok = ev_ok and set(ev) == {1}
-    _check(results, name, n, ev_ok)
-    if n >= 2:
-        _check(results, "additive regularity criterion: regular iff support size != n",
-               n, np.array_equal(add_gs.regular, ~on_n_support))
+           bool(np.array_equal(twice, add_sg.op[twice, every])))
+    ev, bound = add_gs.eventual_index, formulas.eventual_regularity_max(n)
+    cause = _first_differing(add_gs, add_an, "eventual_index", n) or (
+        f"index {max(ev)} exceeds {bound}" if max(ev) > bound else "")
+    _check(results, "eventual regularity: index <= 2, index 2 exactly on n-support" if n >= 2
+           else "eventual regularity: every element regular at n=1", n, not cause, cause)
+    if n >= 2:  # at n = 1 the degenerate-case line stands in its place
+        cause = _first_differing(add_gs, add_an, "regular", n)
+        _check(results, "additive regularity criterion: regular iff support size != n", n,
+               not cause, cause)
 
     # subset structure; K is the additively regular elements, which
     # green_brute has found (an orthodox semigroup is regular)
@@ -178,10 +178,8 @@ def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
         _check(results, name, n, rep.closed and getattr(rep, verdict), repr(rep))
 
     if n == 1:
-        both_idem = (all(add_gs.idempotent) and all(mul_gs.idempotent)
-                     and len(ns) == 3)
-        _check(results, "degenerate case: 3 elements, all idempotent in both reducts",
-               n, both_idem)
+        _check(results, "degenerate case: 3 elements, all idempotent in both reducts", n,
+               all(add_gs.idempotent) and all(mul_gs.idempotent) and len(ns) == 3)
     return results
 
 

@@ -389,6 +389,17 @@ def test_library_entry_points_refuse_an_n_that_is_not_an_int(closure_of, n):
             call()
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_library_entry_points_refuse_an_n_below_one(closure_of, n):
+    # maps.fields would take a negative factorial; the refusal comes first
+    payload = dict(closure.to_dict(closure_of(1)), n=n)
+    calls = [partial(closure.check_n_cap, n), partial(closure.from_dict, payload)]
+    calls += [partial(generators.enumerate_kind, kind, n) for kind in formulas.KINDS]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^n must be a positive integer, got {n}$"):
+            call()
+
+
 @pytest.mark.parametrize("value", [70000, -1, 65536 + 3])
 def test_from_dict_refuses_int64_table_that_would_wrap(closure_of, value):
     ns = closure_of(2)

@@ -912,6 +912,25 @@ def test_cli_green_refuses_n_over_cap_before_reading_a_cache(tmp_path, capsys):
     assert err == f"error: n=7 exceeds cap {closure.DEFAULT_N_CAP}\n"
 
 
+@pytest.mark.parametrize("command", ["green", "eggbox", "enumerate", "generators"])
+@pytest.mark.parametrize("n", [0, -1])
+def test_cli_refuses_an_n_below_one_with_one_line(capsys, command, n):
+    code, out, err = run_cli(capsys, [command, "--n", str(n)])
+    assert code == 2 and out == ""
+    assert err == f"error: n must be a positive integer, got {n}\n"
+
+
+@pytest.mark.parametrize("argv", [["green", "--n", "7"], ["eggbox", "--n", "-2"],
+                                  ["enumerate", "--n", "0"]])
+def test_cli_refuses_an_n_out_of_range_before_making_the_cache_dir(tmp_path, capsys,
+                                                                   monkeypatch, argv):
+    monkeypatch.setattr(closure, "additive_closure", _no_work)
+    cache_dir = tmp_path / "D"
+    code, out, err = run_cli(capsys, argv + ["--cache-dir", str(cache_dir)])
+    assert code == 2 and out == "" and err.startswith("error: n")
+    assert not cache_dir.exists()
+
+
 @pytest.mark.parametrize("n_range", ["7", "7..9"])
 def test_cli_verify_rejects_range_over_cap(tmp_path, capsys, n_range):
     code, out, err = run_cli(capsys, [

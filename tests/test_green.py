@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 from functools import partial
@@ -77,33 +78,93 @@ def test_analytic_partitions_agree_with_brute(closure_of, green_of, n, label):
     analytic = green.analytic_structure(sg)
     for rel in REL:
         # both sides are canonical class tuples, so == compares the partitions
-        assert analytic[rel] == gs.classes[rel], rel
+        assert analytic.classes[rel] == gs.classes[rel], rel
+        assert analytic.class_of[rel] == gs.class_of[rel], rel
 
 
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_analytic_idempotents_agree_with_brute(closure_of, green_of, n, label):
     analytic = green.analytic_structure(closure_of(n).reduct(label))
-    assert analytic["idempotent"] == green_of(n, label).idempotent
+    assert analytic.idempotent == green_of(n, label).idempotent
+
+
+@pytest.mark.parametrize("label", ["additive", "multiplicative"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_analytic_record_equals_brute_force_record(closure_of, green_of, n, label):
+    # every partition, class number and flag; the J-order is not compared
+    analytic = green.analytic_structure(closure_of(n).reduct(label))
+    assert isinstance(analytic, green.GreenStructure) and analytic.j_order is None
+    assert analytic == green_of(n, label)
+
+
+def test_analytic_regular_and_eventual_masks_follow_the_column_maps(closure_of):
+    # additively, only the column maps (shape 3) are not regular, from n = 2 on
+    for n in (1, 2, 3):
+        shape = maps.fields(n)[:, 0]
+        add = green.analytic_structure(closure_of(n).reduct("additive"))
+        mul = green.analytic_structure(closure_of(n).reduct("multiplicative"))
+        assert add.regular == tuple((shape != 3) | (n == 1))
+        assert add.eventual_index == tuple(1 + ((shape == 3) & (n > 1)))
+        assert all(mul.regular) and set(mul.eventual_index) == {1}
+
+
+def _battery_with_analytic(monkeypatch, closure_of, n, label, **flags):
+    """The battery at n with `label`'s analytic record changed by `flags`:
+    each a (name, indices) pair whose flags are flipped (the index 2 <-> 1)."""
+    real = green.analytic_structure
+
+    def wrong(sg):
+        out = real(sg)
+        for name, at in flags.items() if sg.label == label else ():
+            old = getattr(out, name)
+            new = [(3 - v if name == "eventual_index" else not v) if i in at else v
+                   for i, v in enumerate(old)]
+            out = dataclasses.replace(out, **{name: tuple(new)})
+        return out
+
+    monkeypatch.setattr(green, "analytic_structure", wrong)
+    results = verify.run_battery(n, closure_of(n))
+    assert len(results) == 22
+    return [(r.name, r.details) for r in results if not r.passed]
 
 
 def test_a_wrong_idempotent_mask_fails_the_analytic_line_with_its_witness(closure_of,
                                                                          monkeypatch):
     # (1,2;[1,2]) and (2,2;[2,1]) flagged idempotent under o: the line names the first
-    real = green.analytic_structure
-
-    def wrong(sg):
-        out = real(sg)
-        if sg.label == "multiplicative":
-            out["idempotent"] = tuple(e != (i in (23, 28)) for i, e in enumerate(out["idempotent"]))
-        return out
-
-    monkeypatch.setattr(green, "analytic_structure", wrong)
-    results = verify.run_battery(2, closure_of(2))
-    failed = [(r.name, r.details) for r in results if not r.passed]
+    failed = _battery_with_analytic(monkeypatch, closure_of, 2, "multiplicative",
+                                    idempotent=(23, 28))
     assert failed == [("analytic classifiers match brute force (multiplicative)",
                        "idempotents differ first at 23 (1,2;[1,2])")]
-    assert len(results) == 22
+
+
+def test_a_wrong_regular_flag_fails_the_analytic_and_criterion_lines_naming_it(closure_of,
+                                                                              monkeypatch):
+    # the column map (1,1;[1,2]) flagged regular under +
+    failed = _battery_with_analytic(monkeypatch, closure_of, 2, "additive", regular=(21,))
+    witness = "regular elements differ first at 21 (1,1;[1,2])"
+    assert failed == [
+        ("analytic classifiers match brute force (additive)", witness),
+        ("additive regularity criterion: regular iff support size != n", witness)]
+
+
+def test_a_wrong_eventual_index_fails_the_analytic_and_eventual_lines_naming_it(closure_of,
+                                                                               monkeypatch):
+    failed = _battery_with_analytic(monkeypatch, closure_of, 2, "additive",
+                                    eventual_index=(22, 25))
+    witness = "eventual indices differ first at 22 (1,1;[2,1])"
+    assert failed == [
+        ("analytic classifiers match brute force (additive)", witness),
+        ("eventual regularity: index <= 2, index 2 exactly on n-support", witness)]
+
+
+def test_an_eventual_index_over_the_closed_form_bound_fails_with_its_witness(closure_of,
+                                                                            monkeypatch):
+    monkeypatch.setattr(formulas, "eventual_regularity_max", lambda n: 1)
+    results = verify.run_battery(2, closure_of(2))
+    failed = [(r.name, r.details) for r in results if not r.passed]
+    assert failed == [("eventual regularity: index <= 2, index 2 exactly on n-support",
+                       "index 2 exceeds 1")]
 
 
 def test_analytic_examples_from_characterizations():
