@@ -276,60 +276,56 @@ class ValidationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-def _scan(name, fails, blocks, checked) -> AxiomCheck:
-    """Scan index blocks in order; `fails(a, b, c)` is the law's negation on
-    broadcastable index arrays.  The witness is the first failing triple,
-    in block order and row-major within a block."""
-    for a, b, c in blocks:
-        bad = fails(a, b, c)
-        hit = np.flatnonzero(bad)
-        if hit.size:
-            witness = tuple(int(np.broadcast_to(x, bad.shape).flat[hit[0]]) for x in (a, b, c))
-            return AxiomCheck(name, False, checked, witness)
-    return AxiomCheck(name, True, checked)
+def _every_pair(reps, sums, comps):
+    """The exhaustive blocks: each representative x, whose stored row is the
+    i-th, with every (y, z); y + z and yz are the whole tables, read once."""
+    y, z = np.ogrid[:len(sums), :len(sums)]
+    sums, comps = sums.astype(np.intp), comps.astype(np.intp)  # an offset plus a cell never wraps
+    return (((x, y, z), i * len(sums), y, z, sums, comps) for i, x in enumerate(reps))
+
+
+def _moved_samples(add: Table, mul: Table, checked):
+    """The sampled blocks: `checked` triples (x, y, z), one `_draw` stream
+    from _SEED a `maps.row_blocks` slice at a time, each moved by G[g_x]^-1
+    so that x is its representative, whose stored row it reads."""
+    rng, m = random.Random(_SEED), len(add.rep_row)
+    # 10,922 triples a slice: bigger slices raise peak memory, not speed
+    for part in maps.row_blocks(range(checked), 6):
+        x, y, z = _draw(rng, 3 * len(part), m).reshape(-1, 3).T
+        y_, z_ = (add._group[add._inv_at[x] + v] for v in (y, z))
+        yield (x, y, z), add._row_at[x], y_, z_, add[y_, z_], mul[y_, z_]
 
 
 def verify_near_semiring(ns: NearSemiring) -> ValidationReport:
-    """Check both associativities and left distributivity f(g+h) = fg + fh.
-
-    Each law is scanned exhaustively while its m^3 triples number at most
-    _EXHAUSTIVE_MAX (up to n = 3), x over the action's representatives only
-    (on tables `tables_witness` proved, a failing (x, y, z) fails again at
-    (P x, P y, P z) for every P in the group), and beyond that on
-    _AXIOM_SAMPLES random triples: one `_draw` stream from _SEED, laws in
-    order, a `maps.row_blocks` slice at a time.  Failures carry the first
-    offending triple (row-major, or in sample order).
-    """
-    m = len(ns)
-    total = m ** 3
-    rng = random.Random(_SEED)
-    ar = np.arange(m)
-
-    def assoc(op):
-        return lambda a, b, c: op[op[a, b], c] != op[a, op[b, c]]
-
+    """Check both associativities and left distributivity f(g+h) = fg + fh,
+    all three at once on each block, every product with x on the left read
+    off x's stored row: x over the representatives with every (y, z) while
+    the m^3 triples number at most _EXHAUSTIVE_MAX (up to n = 3; on tables
+    `tables_witness` proved, a failing (x, y, z) fails again at (P x, P y,
+    P z) for every P in the group), and beyond that _AXIOM_SAMPLES random
+    triples shared by the laws.  Failures carry the first offending triple
+    (row-major, or in sample order), as drawn."""
+    m, A, M = len(ns), ns.add_table.ravel(), ns.mul_table.ravel()
     add, mul = ns.reduct("additive").op, ns.reduct("multiplicative").op
-    if total <= _EXHAUSTIVE_MAX:  # m <= 158: each x reads all of both tables, so read them once
+    if m ** 3 <= _EXHAUSTIVE_MAX:  # m <= 158: each x reads all of both tables, so read them once
+        checked = m ** 3
         add, mul = (Table(t.dense(), maps.trivial_action(m)) for t in (add, mul))
-    laws = [("additive associativity", assoc(add)),
-            ("multiplicative associativity", assoc(mul)),
-            ("left distributivity",
-             lambda f, g, h: mul[f, add[g, h]] != add[mul[f, g], mul[f, h]])]
-    report = ValidationReport()
-    for name, fails in laws:
-        if total <= _EXHAUSTIVE_MAX:
-            checked = total
-            blocks = ((i, ar[:, None], ar[None, :]) for i in ns.action.reps)
-        else:
-            checked = min(_AXIOM_SAMPLES, total)
-            # a triple is a row of 6 cells, its draws and about as many products,
-            # so a slice holds 10,922; bigger slices raise peak memory, not speed
-            blocks = (_draw(rng, 3 * len(part), m).reshape(-1, 3).T
-                      for part in maps.row_blocks(range(checked), 6))
-        report.checks.append(_scan(name, fails, blocks, checked))
-        for _ in blocks:  # draw what a failure left, so the next law's sample stays put
-            pass
-    return report
+        blocks = _every_pair(ns.action.reps, add.rows, mul.rows)
+    else:
+        checked = min(_AXIOM_SAMPLES, m ** 3)
+        blocks = _moved_samples(add, mul, checked)
+    names = ("additive associativity", "multiplicative associativity", "left distributivity")
+    witness = {}
+    for drawn, row, y, z, sums, comps in blocks:  # x's stored row starts at A[row], M[row]
+        xy = M.take(row + y)
+        for name, bad in zip(names, (add[A.take(row + y), z] != A.take(row + sums),
+                                     mul[xy, z] != M.take(row + comps),
+                                     M.take(row + sums) != add[xy, M.take(row + z)])):
+            if name not in witness and bad.any():  # argmax: the first failure, row-major
+                at = bad.argmax()
+                witness[name] = tuple(int(np.broadcast_to(v, bad.shape).flat[at]) for v in drawn)
+    return ValidationReport([AxiomCheck(name, name not in witness, checked, witness.get(name))
+                             for name in names])
 
 
 def support_histogram(ns: NearSemiring) -> dict:

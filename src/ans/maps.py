@@ -263,25 +263,29 @@ def trivial_action(m) -> Action:
 @lru_cache(maxsize=None)
 def sn_action(n) -> Action:
     """S_n on canonical indices: the n! compositions of `index_permutations`,
-    read-only uint16 rows found breadth first, and as x's transversal element
-    the first row carrying its `orbit_labels` label to x; refused unless so."""
-    gens, m = index_permutations(n), len(canonical_tables(n))
-    rows = [np.arange(m, dtype=np.uint16)]
-    found = {rows[0].tobytes(): 0}
-    for row in rows:  # the list grows as it is read, to n! + 1 rows at most
-        for new in (P[row] for P in gens if len(rows) <= math.factorial(n)):
-            if found.setdefault(new.tobytes(), len(rows)) == len(rows):
-                rows.append(new)
-    group, labels = np.array(rows), orbit_labels(n)
-    reps, g = np.flatnonzero(labels == np.arange(m)), np.full(m, -1)
-    for h in range(len(group) - 1, -1, -1):  # descending: the first row wins
+    read-only uint16 rows found breadth first (keyed by the zero and constant
+    maps' images, then compared whole), and as x's transversal element the
+    first row carrying its `orbit_labels` label to x; refused unless so."""
+    gens, labels, order = index_permutations(n), orbit_labels(n), math.factorial(n)
+    key = lambda row: row[:n * n + 1].astype(np.uint16).tobytes()
+    group, size = np.empty((order, len(labels)), dtype=np.uint16), 1
+    group[0] = every = np.arange(len(labels))
+    found = {key(every): 0}
+    for h in range(order):  # rows are appended as they are read
+        for new in (P[group[h]] for P in gens if h < size):
+            k = found.setdefault(key(new), size)
+            if k == size < order:
+                group[k], size = new, size + 1
+            elif k == size or not np.array_equal(group[k], new):  # past n!, or not S_n's rows
+                size = -1  # refused below
+    reps, g = np.flatnonzero(labels == every), np.full(len(labels), -1)
+    for h in range(size - 1, -1, -1):  # descending: the first row wins
         g[group[h, reps]] = h
-    if len(group) != math.factorial(n) or not np.array_equal(group[g, labels], np.arange(m)):
+    if size != order or not np.array_equal(group[g, labels], every):
         raise AssertionError(f"the index permutations do not generate S_{n} with the orbits "
                              "of `orbit_labels`")
     group.setflags(write=False)  # a finite set closed under the generators holds inverses
-    return Action(group, np.array([found[inverse(row).astype(np.uint16).tobytes()]
-                                   for row in group]), reps, labels, g)
+    return Action(group, np.array([found[key(inverse(row))] for row in group]), reps, labels, g)
 
 
 def product_tables(F, G, op, n):

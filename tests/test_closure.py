@@ -99,10 +99,7 @@ def test_exhaustive_scan_matches_reference_loop(closure_of, add_cell, mul_cell):
     bad.add_table[add_cell] = (bad.add_table[add_cell] + 1) % len(ns)
     bad.mul_table[mul_cell] = (bad.mul_table[mul_cell] + 1) % len(ns)
     report = closure.verify_near_semiring(bad)  # default bounds: exhaustive at n=2
-    add_t, mul_t = bad.add_table, bad.mul_table
-    laws = [lambda i, j, k: add_t[add_t[i, j], k] == add_t[i, add_t[j, k]],
-            lambda i, j, k: mul_t[mul_t[i, j], k] == mul_t[i, mul_t[j, k]],
-            lambda f, g, h: mul_t[f, add_t[g, h]] == add_t[mul_t[f, g], mul_t[f, h]]]
+    laws = _reference_laws(bad.add_table, bad.mul_table)
     m = len(ns)
     row_major = [(i, j, k) for i in range(m) for j in range(m) for k in range(m)]
     expected = [_reference_scan(law, row_major) for law in laws]
@@ -124,6 +121,14 @@ def _sample_every_law(monkeypatch, samples):
     monkeypatch.setattr(closure, "_EXHAUSTIVE_MAX", 0)
 
 
+def _reference_laws(add_t, mul_t):
+    """Both associativities and left distributivity on dense tables, as
+    predicates on one triple, in the report's order."""
+    return [lambda i, j, k: add_t[add_t[i, j], k] == add_t[i, add_t[j, k]],
+            lambda i, j, k: mul_t[mul_t[i, j], k] == mul_t[i, mul_t[j, k]],
+            lambda f, g, h: mul_t[f, add_t[g, h]] == add_t[mul_t[f, g], mul_t[f, h]]]
+
+
 def _reference_scan(holds, triples):
     """The sampled scan as a plain loop: verdict and first failing triple."""
     for a, b, c in triples:
@@ -140,16 +145,58 @@ def test_sampled_scan_matches_reference_loop(closure_of, monkeypatch, table):
     samples, m = 5_000, len(ns)
     _sample_every_law(monkeypatch, samples)
     report = closure.verify_near_semiring(bad)
-    add_t, mul_t = bad.add_table, bad.mul_table
-    laws = [lambda i, j, k: add_t[add_t[i, j], k] == add_t[i, add_t[j, k]],
-            lambda i, j, k: mul_t[mul_t[i, j], k] == mul_t[i, mul_t[j, k]],
-            lambda f, g, h: mul_t[f, add_t[g, h]] == add_t[mul_t[f, g], mul_t[f, h]]]
-    rng = random.Random(3)
-    expected = [_reference_scan(law, closure._draw(rng, 3 * samples, m).reshape(samples, 3))
-                for law in laws]
+    laws = _reference_laws(bad.add_table, bad.mul_table)
+    triples = closure._draw(random.Random(3), 3 * samples, m).reshape(samples, 3)
+    expected = [_reference_scan(law, triples) for law in laws]  # the laws share one stream
     assert [(c.passed, c.counterexample) for c in report.checks] == expected
     assert [c.checked for c in report.checks] == [samples] * 3
     assert not all(ok for ok, _ in expected)
+
+
+@pytest.mark.parametrize("table", ["add_table", "mul_table"])
+def test_sampled_scan_on_the_sn_action_reports_the_drawn_triple(closure_of, monkeypatch,
+                                                                 table):
+    # each drawn triple is checked moved to its representative's stored row;
+    # a fault in the row of a representative that only the identity fixes
+    # leaves the table read through the action equivariant, so the moved
+    # triple fails exactly when the drawn one does in the dense table
+    ns = closure_of(3)
+    G, reps = ns.action.group, ns.action.reps
+    i = next(i for i, r in enumerate(reps) if np.count_nonzero(G[:, r] == r) == 1)
+    bad = closure.NearSemiring(3, ns.add_table.copy(), ns.mul_table.copy(), ns.action)
+    getattr(bad, table)[i, 5] = (getattr(bad, table)[i, 5] + 1) % len(ns)
+    samples, m = 20_000, len(ns)
+    _sample_every_law(monkeypatch, samples)
+    report = closure.verify_near_semiring(bad)
+    laws = _reference_laws(*(bad.reduct(label).op.dense()
+                              for label in ("additive", "multiplicative")))
+    triples = closure._draw(random.Random(3), 3 * samples, m).reshape(samples, 3)
+    expected = [_reference_scan(law, triples) for law in laws]
+    assert [(c.passed, c.counterexample) for c in report.checks] == expected
+    assert [c.checked for c in report.checks] == [samples] * 3
+    assert not expected[{"add_table": 0, "mul_table": 1}[table]][0] and not expected[2][0]
+    assert any(t[0] not in reps for _, t in expected if t)  # a witness as drawn, not as moved
+
+
+def test_sampled_scan_draws_one_stream_of_the_full_sample_at_n4(closure_of, monkeypatch):
+    # three words per triple, shared by the three laws, each checking all of them
+    words, draw = [], closure._draw
+    monkeypatch.setattr(closure, "_draw", lambda rng, count, m: words.append(count)
+                        or draw(rng, count, m))
+    report = closure.verify_near_semiring(closure_of(4))
+    assert sum(words) == 3 * closure._AXIOM_SAMPLES == 300_000
+    assert [c.checked for c in report.checks] == [closure._AXIOM_SAMPLES] * 3
+    assert report.passed
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_sampled_scan_never_builds_a_dense_table(closure_of, monkeypatch, n):
+    # at n = 6 a dense table would be 27,253^2 cells
+    def dense(self):
+        raise AssertionError("the sampled scan read a whole table")
+
+    monkeypatch.setattr(closure.Table, "dense", dense)
+    assert closure.verify_near_semiring(closure_of(n)).passed
 
 
 def test_sampler_streams_the_same_draws_in_slices(closure_of, monkeypatch):
@@ -162,8 +209,8 @@ def test_sampler_streams_the_same_draws_in_slices(closure_of, monkeypatch):
         assert whole.dtype == np.intp and 0 <= whole.min() and whole.max() < m
         assert m > 657 or len(np.unique(whole)) == m  # every index is drawn
         assert np.array_equal(closure._draw(random.Random(3), count, m), whole)
-    # a law that fails before its last slice still draws the rest of its sample,
-    # so the later laws scan the same triples whatever the slice size
+    # the laws share each slice and each keeps its first failure, so the
+    # verdicts are the same whatever the slice size
     ns = closure_of(2)
     bad = oracles.dense(ns)
     bad.add_table[7, 11] = (bad.add_table[7, 11] + 1) % len(ns)

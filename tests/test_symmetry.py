@@ -376,6 +376,21 @@ def test_spread_refuses_representatives_that_miss_an_orbit(closure_of, monkeypat
         signal.signal(signal.SIGALRM, before)
 
 
+@pytest.mark.parametrize("moved", [(5, 6), (1, 2, 3)])
+def test_sn_action_refuses_a_row_its_key_misreads_or_one_past_n_factorial(monkeypatch,
+                                                                          moved):
+    # rows are looked up by the images of the zero and constant maps (ranks
+    # 0-4 at n = 2): a cycle of ranks 5 and 6 has the identity's key but
+    # another row, and a cycle of three constants makes a third row of S_2
+    P = np.arange(len(maps.orbit_labels(2)), dtype=np.uint16)
+    P[list(moved)] = np.roll(P[list(moved)], 1)
+    gens = (*maps.index_permutations(2), P)
+    monkeypatch.setattr(maps, "index_permutations", lambda n: gens)
+    with pytest.raises(AssertionError, match="^the index permutations do not "
+                                             "generate S_2 with the orbits"):
+        maps.sn_action.__wrapped__(2)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quotient_axiom_scan_matches_the_full_scan(closure_of, n):
     marked, plain = _marked_and_unmarked(closure_of(n))
@@ -385,23 +400,23 @@ def test_quotient_axiom_scan_matches_the_full_scan(closure_of, n):
 
 
 def test_quotient_axiom_scan_visits_one_element_per_orbit(closure_of, monkeypatch):
-    # at n = 3 both associativities are exhaustive: x runs over the 27
-    # representatives under S_n and all 145 elements over the trivial
-    # group, and each law reports all 145^3 triples
+    # at n = 3 every law is exhaustive: x runs over the 27 representatives
+    # under S_n and all 145 elements over the trivial group, one block each,
+    # and each law reports all 145^3 triples
     visited = []
-    scan = closure._scan
+    every_pair = closure._every_pair
 
-    def counted(name, fails, blocks, checked):
-        blocks = list(blocks)
+    def counted(*args):
+        blocks = list(every_pair(*args))
         visited.append(len(blocks))
-        return scan(name, fails, iter(blocks), checked)
+        return iter(blocks)
 
-    monkeypatch.setattr(closure, "_scan", counted)
+    monkeypatch.setattr(closure, "_every_pair", counted)
     for ns, elements in zip(_marked_and_unmarked(closure_of(3)), (27, 145)):
         visited.clear()
         report = closure.verify_near_semiring(ns)
-        assert visited[:2] == [elements, elements]
-        assert [c.checked for c in report.checks[:2]] == [145 ** 3] * 2
+        assert visited == [elements]
+        assert [c.checked for c in report.checks] == [145 ** 3] * 3
 
 
 def test_subset_report_refuses_a_subset_that_is_not_a_union_of_orbits(closure_of):
