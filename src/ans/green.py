@@ -11,11 +11,11 @@ groups the canonical family by them and states the idempotents, regular
 elements and eventual indices as masks.  Both routes give one record
 (`_structure`); their agreement is checked in the battery and the tests.
 
-Every partition is one labelling: each element's least class-mate.
-`_least` makes it from one integer key per element (the R and L labels for
-H, the analytic keys), `maps.least_labels` joins R and L into D, and
-`_classes` gives the class tuples, each ascending and ordered by least
-member, so equal partitions have equal tuples.
+Every partition is one labelling, each element's least class-mate:
+`_least_mates` gives R, L and J from the ideal rows, one gather per class,
+`_least` gives H and the analytic ones from an integer key per element,
+and `maps.least_labels` joins R and L into D.  `_classes` gives the class
+tuples, ascending and ordered by least member: equal partitions, equal tuples.
 
 Regularity is defined once, as x y x == x (`_xyx`).  Every cell is read
 through the reduct's `closure.Table`.  The per-element scans (`ideals`,
@@ -117,16 +117,18 @@ def _held(rows, op, b, y) -> np.ndarray:
     return out
 
 
-def _least_mates(rows, op) -> np.ndarray:
+def _least_mates(rows, op) -> Tuple[np.ndarray, np.ndarray]:
     """Each element's least class-mate under mutual membership in the ideals
-    `rows`: reps[i]'s class is the b in rows[i] whose ideal holds reps[i],
-    and x = G[g_x] r_x's is G[g_x] applied to r_x's, one gather per orbit."""
-    classes = rows & _held(rows, op, np.arange(rows.shape[1]), op.action.reps).T
-    out = np.empty(len(op.rep_row), dtype=np.intp)
-    for i, members in enumerate(map(np.flatnonzero, classes)):
-        for x in maps.row_blocks(np.flatnonzero(op.rep_row == i), len(members)):
-            out[x] = op.action.group[op.action.g[x, None], members].min(axis=1)
-    return out
+    `rows`, and the classes read: reps[i]'s is the b in rows[i] whose ideal
+    holds reps[i], x's is G[g_x] applied to r_x's.  Ascending, the first x not
+    yet labelled is least in its class, which one gather labels (a lone x, itself)."""
+    mates = rows & _held(rows, op, np.arange(rows.shape[1]), op.action.reps).T
+    alone = (np.count_nonzero(mates, axis=1) == 1)[op.rep_row]
+    out = np.where(alone, np.arange(len(alone)), -1)
+    for x in (~alone).nonzero()[0].tolist():
+        if out[x] < 0:
+            out.put(op.action.group[op.action.g[x]].take(mates[op.rep_row[x]].nonzero()[0]), x)
+    return out, mates
 
 
 def ideals(sg: FiniteSemigroup) -> Tuple[np.ndarray, ...]:
@@ -142,7 +144,7 @@ def ideals(sg: FiniteSemigroup) -> Tuple[np.ndarray, ...]:
         right[i[:, None], op.rows[i]] = True
         left[i, op[every[:, None], reps[i]]] = True
     right[local, reps] = left[local, reps] = True  # the adjoined identity
-    r_first, l_first = _least_mates(right, op), _least_mates(left, op)
+    r_first, l_first = (_least_mates(rows, op)[0] for rows in (right, left))
     for i, row in enumerate(left):  # [i, x]: x is least in an R-class meeting S¹reps[i]
         meets[i, r_first[row]] = True
     a, x = np.nonzero(meets)
@@ -152,12 +154,12 @@ def ideals(sg: FiniteSemigroup) -> Tuple[np.ndarray, ...]:
     return right, left, two, r_first, l_first
 
 
-def _structure(label, r, l, d, *flags, j_order=None) -> GreenStructure:
-    """The record of R, L and D least-member labels and the idempotent, regular
-    and eventual-index flags: J is D on a finite semigroup, H is R and L
-    together, and classes are numbered by least member, the labels' fixed points."""
+def _structure(label, r, l, d, j, *flags, j_order=None) -> GreenStructure:
+    """The record of R, L, D and J least-member labels and the idempotent,
+    regular and eventual-index flags: H is R and L together, and classes are
+    numbered by least member, the labels' fixed points."""
     ar = np.arange(len(r))
-    labels = {"R": r, "L": l, "D": d, "J": d, "H": _least(r * len(r) + l)}
+    labels = {"R": r, "L": l, "D": d, "J": j, "H": _least(r * len(r) + l)}
     return GreenStructure(label, {rel: _classes(lab) for rel, lab in labels.items()},
                           {rel: tuple(np.searchsorted(ar[lab == ar], lab).tolist())
                            for rel, lab in labels.items()},
@@ -165,20 +167,18 @@ def _structure(label, r, l, d, *flags, j_order=None) -> GreenStructure:
 
 
 def green_brute(sg: FiniteSemigroup) -> GreenStructure:
-    """All five relations from one `ideals(sg)`, with D = J asserted as whole
-    partitions: at each representative a, {b in S¹aS¹ : a in S¹bS¹} is a's
-    D-class, and each group row carries D-classes onto D-classes, so J's
-    labels are D's.  Of the ideals only the J-order among J-classes is
-    kept (`j_order`), for the egg-box."""
+    """All five relations from one `ideals(sg)`: R, L and J by `_least_mates`,
+    and D = J asserted as equal labels, each representative's J-class being
+    the set it labels alike.  Of the ideals only the J-order is kept, for the egg-box."""
     m, op = len(sg), sg.op
-    _, _, two, r, l = ideals(sg)
-    d, ar, reps = maps.least_labels((r, l), m), np.arange(m), op.action.reps
-    if not (np.array_equal(two & _held(two, op, ar, reps).T, d[reps, None] == d)
-            and all(np.array_equal(d[P[d]], d[P]) for P in op.action.group)):
+    two, r, l = ideals(sg)[2:]  # the one-sided rows are not kept
+    (j, mates), reps, ar = _least_mates(two, op), op.action.reps, np.arange(m)
+    d = maps.least_labels((r, l), m)
+    if not (np.array_equal(j, d) and np.array_equal(mates, j[reps, None] == j)):
         raise AssertionError("D and J partitions differ on a finite semigroup")
     least = ar[d == ar]  # each J-class's least member
     reg = regular_elements(sg)
-    return _structure(sg.label, r, l, d, op[ar, ar] == ar, reg,  # idempotent: x x == x
+    return _structure(sg.label, r, l, d, j, op[ar, ar] == ar, reg,  # idempotent: x x == x
                       eventual_regularity(sg, reg), j_order=_held(two, op, least, least).T)
 
 
@@ -202,8 +202,8 @@ _RULES = {
 
 
 def analytic_structure(sg: FiniteSemigroup) -> GreenStructure:
-    """The record the paper states, for cross-checking against green_brute:
-    R, L and D from `_RULES`, the idempotents and regular elements as masks
+    """The record the paper states, to cross-check green_brute: R, L and D
+    from `_RULES`, J being D, the idempotents and regular elements as masks
     on the fields, and eventual index 2 exactly off the regular ones; no J-order."""
     if sg.label not in _RULES:
         raise ValueError(f"unknown reduct label {sg.label!r}")
@@ -221,8 +221,8 @@ def analytic_structure(sg: FiniteSemigroup) -> GreenStructure:
     else:  # the zero map, every constant, src = dst, and q = k with sigma = id
         idempotent = (True, True, a == (b - 1) * sg.n + c, (b == a) & (c == 0))
     # every element is regular but the additive column maps, from n = 2 on
-    regular = (shape != 3) | (sg.n == 1 or sg.label == "multiplicative")
-    return _structure(sg.label, *labels, np.choose(shape, idempotent), regular, 2 - regular)
+    reg = (shape != 3) | (sg.n == 1 or sg.label == "multiplicative")
+    return _structure(sg.label, *labels, labels[2], np.choose(shape, idempotent), reg, 2 - reg)
 
 
 # --- subsets and structural properties ----------------------------------------

@@ -12,9 +12,10 @@ for the arithmetic of `maps.fields`, `maps.canonical_tables` and
 by cell with `add`, for the sums that `maps.products` ranks;
 `additive_keys`, `multiplicative_keys` and `related`, the rules as
 per-element keys compared pair by pair, for the field rules of
-`green.analytic_structure`; `union_find_labels` for `maps.least_labels`,
-and `fill_tables`, which ranks every cell through the public
-`maps.products` (itself checked against `pointwise_add`), for the tables
+`green.analytic_structure`; `least_mates`, each element's own minimum over
+its moved class, for `green._least_mates`; `union_find_labels` for
+`maps.least_labels`, and `fill_tables`, which ranks every cell through the
+public `maps.products` (itself checked against `pointwise_add`), for the tables
 that `closure.additive_closure` ranks for the orbit representatives and
 `closure.Table` reads for every other element.  `dense` restates a
 closure's tables as whole arrays over the trivial group.  `elements`
@@ -319,6 +320,21 @@ def related(keys, a, b, rel) -> bool:
 
 
 # --- partitions -----------------------------------------------------------------
+
+def least_mates(rows, op):
+    """Each element's least class-mate under mutual membership in the ideals
+    whose rows[i] is reps[i]'s under `op`'s action, element by element:
+    reps[i]'s class is every b in rows[i] whose ideal holds reps[i] (b's
+    ideal holds y when r_b's holds G[g_b]^-1 y), and x's least class-mate is
+    the least of G[g_x] applied to r_x's class."""
+    act = op.action
+    group, labels, g = np.asarray(act.group, dtype=np.intp), act.labels.tolist(), act.g.tolist()
+    row_of = {r: i for i, r in enumerate(act.reps.tolist())}
+    classes = [[b for b in np.flatnonzero(row).tolist()
+                if rows[row_of[labels[b]], group[act.inverse[g[b]], a]]]
+               for a, row in zip(act.reps.tolist(), rows)]
+    return np.array([group[g[x], classes[row_of[labels[x]]]].min() for x in range(len(labels))])
+
 
 def union_find_labels(maps_, m):
     """Each index's least class-mate under the equivalence on range(m) that

@@ -555,6 +555,39 @@ def test_cli_green_reports_broken_invariant_without_traceback(closure_of, tmp_pa
 
 
 @pytest.mark.parametrize("n", [2, 3])
+def test_green_refuses_a_wrong_two_sided_row_at_every_representative(closure_of, capsys,
+                                                                     monkeypatch, n):
+    # one representative a's S¹aS¹ at a time gains its least element b that
+    # lies J-above a (a in S¹bS¹, b not in S¹aS¹), or loses its least J-class-
+    # mate: D = J fails in process and through `ans green`, at every a
+    ns, real = closure_of(n), green.ideals
+    monkeypatch.setattr(cli, "load_or_build", lambda n, cache_dir: ns)
+    for label in ("additive", "multiplicative"):
+        sg = ns.reduct(label)
+        right, left, two, r, l = real(sg)
+        reps = sg.op.action.reps
+        held = green._held(two, sg.op, np.arange(len(sg)), reps).T  # [i, b]: S¹bS¹ holds reps[i]
+        planted = {"add": 0, "remove": 0}
+        for i, a in enumerate(reps.tolist()):
+            mates = held[i] & two[i]
+            mates[a] = False
+            for kind, among in (("add", held[i] & ~two[i]), ("remove", mates)):
+                if not among.any():
+                    continue
+                bad = two.copy()
+                bad[i, np.flatnonzero(among)[0]] = kind == "add"
+                monkeypatch.setattr(green, "ideals", lambda s, bad=bad: (right, left, bad, r, l))
+                with pytest.raises(AssertionError,
+                                   match="^D and J partitions differ on a finite semigroup$"):
+                    green.green_brute(sg)
+                code, out, err = run_cli(capsys, ["green", "--n", str(n), "--reduct", label])
+                assert code == 1 and out == ""
+                assert err == "error: D and J partitions differ on a finite semigroup\n"
+                planted[kind] += 1
+        assert planted["add"] and planted["remove"], (label, planted)
+
+
+@pytest.mark.parametrize("n", [2, 3])
 def test_cli_refuses_every_seeded_edit_of_a_stored_cell(tmp_path, capsys, n):
     # re-saved by np.savez, the zip CRCs are valid: only the proof on load
     # sees the edit, and neither command gets past it

@@ -469,8 +469,8 @@ def test_green_brute_refuses_d_classes_merged_away_from_the_representatives(
         closure_of, green_of, monkeypatch):
     # the additive D-classes of <(2,1)->(1,1)> and <(2,2)->(1,1)> hold no
     # orbit representative at n = 2: merged, they still agree with J at the
-    # representatives, but the swap of 1 and 2 carries the merged class onto
-    # two classes
+    # representatives, but J's labels, read off the two-sided rows, keep the
+    # two classes apart
     sg = closure_of(2).reduct("additive")
     tokens = maps.tokens(range(len(sg)), 2)
     x, y = tokens.index("<(2,1)->(1,1)>"), tokens.index("<(2,2)->(1,1)>")
@@ -485,6 +485,52 @@ def test_green_brute_refuses_d_classes_merged_away_from_the_representatives(
     monkeypatch.setattr(maps, "least_labels", merging)
     with pytest.raises(AssertionError, match="^D and J partitions differ on a finite semigroup$"):
         green.green_brute(sg)
+
+
+_LEAST_MATES_CASES = [(n, label, trivial) for n in (1, 2, 3, 4)
+                      for label in ("additive", "multiplicative") for trivial in (False, True)]
+
+
+@pytest.mark.parametrize("n, label, trivial",
+                         _LEAST_MATES_CASES + [(5, "multiplicative", False)])
+def test_least_mates_match_each_elements_own_minimum(closure_of, n, label, trivial):
+    # one gather per class labels as the least of G[g_x] applied to r_x's
+    # class does, element by element, on every ideal row of `green.ideals`,
+    # under S_n and over the trivial group
+    ns = oracles.dense(closure_of(n)) if trivial else closure_of(n)
+    sg = ns.reduct(label)
+    for rows in green.ideals(sg)[:3]:
+        assert np.array_equal(green._least_mates(rows, sg.op)[0], oracles.least_mates(rows, sg.op))
+
+
+class _GuardedGroup(np.ndarray):
+    """Group rows that refuse to be iterated and count the gathers from them."""
+    gathers = 0
+
+    def __iter__(self):
+        raise AssertionError("the group's rows were iterated")
+
+    def __getitem__(self, key):
+        type(self).gathers += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("label", ["additive", "multiplicative"])
+def test_green_brute_never_loops_over_the_group_and_gathers_once_per_class(
+        closure_of, green_of, monkeypatch, label):
+    ns = closure_of(4)
+    action = dataclasses.replace(ns.action, group=ns.action.group.view(_GuardedGroup))
+    sg = closure.FiniteSemigroup(4, label, closure.Table(ns.reduct(label).op.rows, action))
+    assert green.green_brute(sg) == green_of(4, label)
+    held = green._held
+    for rows in green.ideals(sg)[:3]:
+        # `_held` is precomputed, so only the labelling's gathers are counted
+        done = held(rows, sg.op, np.arange(len(sg)), action.reps)
+        monkeypatch.setattr(green, "_held", lambda *args: done)
+        _GuardedGroup.gathers = 0
+        labels = green._least_mates(rows, sg.op)[0]
+        sizes = np.unique(labels, return_counts=True)[1]
+        assert 0 < _GuardedGroup.gathers <= np.count_nonzero(sizes > 1)
 
 
 def _assert_ideals_match_set_definitions(sg):
