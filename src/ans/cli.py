@@ -155,10 +155,8 @@ def cmd_green(args) -> int:
         _emit(_json_text(d), args.out)
         return 0
     lines = [f"Green structure: {args.reduct} reduct, n={args.n}, {len(sg)} elements"]
-    for rel in green.RELATIONS:
-        sizes = [len(c) for c in gs.classes[rel]]
-        lines.append(f"  {rel}-classes: {len(sizes)} "
-                     f"(sizes min {min(sizes)}, max {max(sizes)})")
+    for rel, sizes in zip(green.RELATIONS, map(gs.sizes, green.RELATIONS)):
+        lines.append(f"  {rel}-classes: {len(sizes)} (sizes min {min(sizes)}, max {max(sizes)})")
     lines.append(f"  idempotents: {sum(gs.idempotent)}")
     lines.append(f"  regular elements: {sum(gs.regular)}")
     lines.append(f"  max eventual-regularity index: {max(gs.eventual_index)}")

@@ -46,40 +46,32 @@ class EggBox:
 def _j_order_covers(order) -> Tuple[Tuple[int, int], ...]:
     """Hasse covers of the J-order on J-classes, from order[a, b], class a
     at or below class b: the pairs a < b with nothing between, where the b
-    over some c over a are the OR of the packed rows of the c over a."""
-    below = order & ~np.eye(len(order), dtype=bool)  # [a, b]: a < b
-    rows = np.packbits(below, axis=1)
-    through = np.array([np.bitwise_or.reduce(rows[r]) for r in below], np.uint8).reshape(rows.shape)
-    covers = below & ~np.unpackbits(through, axis=1, count=len(order)).view(bool)
-    return tuple(sorted((int(b), int(a)) for a, b in np.argwhere(covers)))
+    over some c over a are the OR of the packed rows of the c over a, which
+    are unpacked a block at a time."""
+    at = np.arange(len(order))
+    rows = np.packbits(order, axis=1)  # rows[a]: the b at or above a, then strictly above
+    rows[at, at // 8] &= ~(np.uint8(0x80) >> (at % 8).astype(np.uint8))
+    covers = []
+    for i in maps.row_blocks(at, len(order)):
+        below = np.unpackbits(rows[i], axis=1, count=len(order)).view(bool)  # [a, b]: a < b
+        through = np.array([np.bitwise_or.reduce(rows[r]) for r in below], np.uint8)
+        a, b = np.nonzero(below & ~np.unpackbits(through, axis=1, count=len(order)).view(bool))
+        covers += zip(b.tolist(), (a + i[0]).tolist())
+    return tuple(sorted(covers))
 
 
 def build_eggbox(ns: NearSemiring, label: str) -> EggBox:
     sg = ns.reduct(label)
     gs = green_brute(sg)
-    r_of, l_of = gs.class_of["R"], gs.class_of["L"]
+    r_of, l_of = (gs.labels[rel].tolist() for rel in "RL")  # each class's least member
+    cell = {(r_of[c[0]], l_of[c[0]]): c for c in gs.classes["H"]}  # an H-class, R and L together
     boxes = []
-    for bi, members in enumerate(gs.classes["D"]):
-        # `green` numbers classes by least member; an R-class lies in one D-class
-        rows = sorted({r_of[i] for i in members})
-        cols = sorted({l_of[i] for i in members})
-        cells = tuple(
-            tuple(tuple(i for i in gs.classes["R"][rc] if l_of[i] == lc) for lc in cols)
-            for rc in rows)
-        boxes.append(Box(
-            index=bi + 1,
-            members=tuple(members),
-            cells=cells,
-        ))
-    covers = _j_order_covers(gs.j_order)
-    return EggBox(
-        n=sg.n,
-        label=label,
-        tokens=tuple(maps.tokens(range(len(sg)), sg.n)),
-        idempotent=gs.idempotent,
-        boxes=tuple(boxes),
-        covers=covers,
-    )
+    for index, members in enumerate(gs.classes["D"], 1):  # an R-class lies in one D-class
+        rows, cols = (sorted({of[i] for i in members}) for of in (r_of, l_of))
+        boxes.append(Box(index, members, tuple(
+            tuple(cell.get((rc, lc), ()) for lc in cols) for rc in rows)))
+    return EggBox(sg.n, label, tuple(maps.tokens(range(len(sg)), sg.n)), gs.idempotent,
+                  tuple(boxes), _j_order_covers(gs.j_order))
 
 
 def _cell_text(eb: EggBox, cell) -> str:

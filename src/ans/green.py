@@ -14,8 +14,8 @@ elements and eventual indices as masks.  Both routes give one record
 Every partition is one labelling, each element's least class-mate:
 `_least_mates` gives R, L and J from the ideal rows, one gather per class,
 `_least` gives H and the analytic ones from an integer key per element,
-and `maps.least_labels` joins R and L into D.  `_classes` gives the class
-tuples, ascending and ordered by least member: equal partitions, equal tuples.
+and `maps.least_labels` joins R and L into D.  A record holds the labels;
+the class tuples (`_classes`) are built only for output.
 
 Regularity is defined once, as x y x == x (`_xyx`).  Every cell is read
 through the reduct's `closure.Table`.  The per-element scans (`ideals`,
@@ -26,30 +26,45 @@ trivial group); x = G[g_x] r takes r's verdict, or r's class moved by
 G[g_x].  Only the isomorphism certificates build a local table.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from ._numpy import np
 from . import brandt, maps
-from .closure import FiniteSemigroup
+from .closure import TABLE_DTYPE, FiniteSemigroup
 
 RELATIONS = ("R", "L", "D", "J", "H")
+_COMPARED = ("label", "idempotent", "regular", "eventual_index")  # compared, unlike the J-order
 
 SUBSET_NAMES = ("all", "K", "N", "constants", "singleton-ideal")
 
 
 # --- brute force from the Cayley table ---------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class GreenStructure:
-    """Partitions of one reduct under R, L, D, J, H plus element flags."""
+    """Partitions of one reduct under R, L, D, J, H, as each element's least
+    class-mate (stored as the tables store an element), plus element flags."""
     label: str
-    classes: Dict[str, Tuple[Tuple[int, ...], ...]]
-    class_of: Dict[str, Tuple[int, ...]]
+    labels: Dict[str, np.ndarray]
     idempotent: Tuple[bool, ...]
     regular: Tuple[bool, ...]
     eventual_index: Tuple[int, ...]
-    j_order: Optional[np.ndarray] = field(compare=False)  # [a, b]: J-class a at or below b
+    j_order: Optional[np.ndarray]  # [a, b]: J-class a at or below b
+
+    def __eq__(self, other):  # least-member labels: equal arrays, equal partitions
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _COMPARED) and all(
+            np.array_equal(self.labels[rel], other.labels[rel]) for rel in RELATIONS)
+
+    @cached_property
+    def classes(self) -> Dict[str, Tuple[Tuple[int, ...], ...]]:
+        """Each relation's class tuples, built from the labels for output."""
+        return {rel: _classes(self.labels[rel]) for rel in RELATIONS}
+
+    def sizes(self, rel) -> list:
+        """The sizes of the `rel`-classes, ordered by least member."""
+        return [k for k in np.bincount(self.labels[rel]).tolist() if k]
 
     def to_dict(self) -> dict:
         d = {rel: [list(c) for c in self.classes[rel]] for rel in RELATIONS}
@@ -156,13 +171,9 @@ def ideals(sg: FiniteSemigroup) -> Tuple[np.ndarray, ...]:
 
 def _structure(label, r, l, d, j, *flags, j_order=None) -> GreenStructure:
     """The record of R, L, D and J least-member labels and the idempotent,
-    regular and eventual-index flags: H is R and L together, and classes are
-    numbered by least member, the labels' fixed points."""
-    ar = np.arange(len(r))
+    regular and eventual-index flags: H is R and L together."""
     labels = {"R": r, "L": l, "D": d, "J": j, "H": _least(r * len(r) + l)}
-    return GreenStructure(label, {rel: _classes(lab) for rel, lab in labels.items()},
-                          {rel: tuple(np.searchsorted(ar[lab == ar], lab).tolist())
-                           for rel, lab in labels.items()},
+    return GreenStructure(label, {rel: lab.astype(TABLE_DTYPE) for rel, lab in labels.items()},
                           *(tuple(np.asarray(f).tolist()) for f in flags), j_order=j_order)
 
 

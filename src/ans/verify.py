@@ -83,8 +83,8 @@ def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
     ct = formulas.counts(n)
 
     # generator layer
-    gens = {kind: generators.enumerate_kind(kind, n) for kind in generators.KINDS}
-    gen_sizes = {kind: len(g) for kind, g in gens.items()}
+    gens = {"aff": generators.enumerate_kind("aff", n)}  # the others are dropped once counted
+    gen_sizes = {k: len(gens.get(k) or generators.enumerate_kind(k, n)) for k in generators.KINDS}
     expected_sizes = {"end": ct.end_count, "aut": ct.aut_count,
                       "aff": ct.aff_count, "const": n * n + 1}
     _check(results, "generator censuses match closed forms", n,
@@ -126,28 +126,27 @@ def run_battery(n: int, ns: closure_mod.NearSemiring) -> List[CheckResult]:
         return results
 
     # Green censuses
-    add_meas = {**{rel.lower(): len(add_gs.classes[rel]) for rel in "RLD"},
+    add_meas = {**{rel.lower(): len(add_gs.sizes(rel)) for rel in "RLD"},
                 "idempotents": sum(add_gs.idempotent), "regular": sum(add_gs.regular)}
     _check(results, "additive Green census matches closed forms", n,
            add_meas == ct.additive, _diff(add_meas, ct.additive))
-    mul_meas = {**{rel.lower(): len(mul_gs.classes[rel]) for rel in "RLDH"},
+    mul_meas = {**{rel.lower(): len(mul_gs.sizes(rel)) for rel in "RLDH"},
                 "idempotents": sum(mul_gs.idempotent)}
     _check(results, "multiplicative Green census matches closed forms", n,
            mul_meas == ct.multiplicative, _diff(mul_meas, ct.multiplicative))
     _check(results, f"D-classes(∘) = {ct.multiplicative['d']}", n,
-           len(mul_gs.classes["D"]) == ct.multiplicative["d"],
-           _diff(len(mul_gs.classes["D"]), ct.multiplicative["d"]))
+           mul_meas["d"] == ct.multiplicative["d"], _diff(mul_meas["d"], ct.multiplicative["d"]))
 
     # the analytic records against brute force: whole partitions, then each element's flags
     add_an, mul_an = green.analytic_structure(add_sg), green.analytic_structure(mul_sg)
     for an, gs in ((add_an, add_gs), (mul_an, mul_gs)):
-        differ = [rel for rel in green.RELATIONS if an.classes[rel] != gs.classes[rel]]
+        differ = [r for r in green.RELATIONS if not np.array_equal(an.labels[r], gs.labels[r])]
         flags = filter(None, (_first_differing(gs, an, f, n) for f in _FLAGS))
         cause = f"relation {differ[0]} partitions differ" if differ else next(flags, "")
         _check(results, f"analytic classifiers match brute force ({gs.label})", n, not cause, cause)
 
     # structural theorems, additive reduct
-    _check(results, "additive H is trivial", n, len(add_gs.classes["H"]) == len(ns),
+    _check(results, "additive H is trivial", n, len(add_gs.sizes("H")) == len(ns),
            "some H-class has more than one element")
     twice = add_sg.op[every, every]
     _check(results, "aperiodicity: f+f = f+f+f for every f", n,

@@ -85,7 +85,7 @@ def test_acceptance_07_analytic_matches_brute_everywhere(closure_of, green_of):
                             ("multiplicative", oracles.multiplicative_keys)):
             gs = green_of(n, label)
             for rel in green.RELATIONS:
-                cls = gs.class_of[rel]
+                cls = gs.labels[rel].tolist()
                 for i, a in enumerate(forms):
                     ci = cls[i]
                     for j, b in enumerate(forms):

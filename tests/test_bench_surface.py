@@ -3,9 +3,10 @@
 `bench/spans.py` replaces the public functions its `_layer_specs` lists on
 their modules, reads the second argument of `cli.load_or_build` and of
 `eggbox.build_eggbox` by position, and reads `NearSemiring.add_table` and
-`mul_table` and `GreenStructure.label` and `classes` by name.  A rename in
-`ans` that breaks the harness fails here, without running it.  The harness
-is loaded from its source, with no bytecode written under `bench/`.
+`mul_table` and `GreenStructure.label` and `classes` by name, `classes` on
+a built record, as it is built when first read.  A rename in `ans` that
+breaks the harness fails here, without running it.  The harness is loaded
+from its source, with no bytecode written under `bench/`.
 """
 
 import importlib.util
@@ -14,6 +15,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ans
@@ -49,8 +51,14 @@ def test_every_function_the_harness_replaces_exists(spans):
     assert specs and not missing, "bench/spans.py replaces missing functions: " + ", ".join(missing)
 
 
-def test_the_arguments_and_fields_the_harness_reads_exist():
+def test_the_arguments_and_fields_the_harness_reads_exist(green_of):
     assert list(inspect.signature(cli.load_or_build).parameters)[1] == "cache_dir"
     assert list(inspect.signature(eggbox.build_eggbox).parameters)[1] == "label"
     assert {"add_table", "mul_table"} <= {f.name for f in fields(closure.NearSemiring)}
-    assert {"label", "classes"} <= {f.name for f in fields(green.GreenStructure)}
+    assert "label" in {f.name for f in fields(green.GreenStructure)}
+    # `classes` is built from the labels when first read, so it is read on a record
+    gs = green_of(2, "multiplicative")
+    every = np.arange(len(gs.idempotent))
+    assert gs.label == "multiplicative"
+    assert [len(gs.classes[rel]) for rel in green.RELATIONS] == [
+        np.count_nonzero(gs.labels[rel] == every) for rel in green.RELATIONS] == [7, 11, 3, 3, 25]

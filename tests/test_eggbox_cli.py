@@ -63,7 +63,7 @@ def test_n1_additive_three_starred_singletons(closure_of):
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])
 def test_cells_partition_each_d_class(closure_of, green_of, n, label):
     eb = eggbox.build_eggbox(closure_of(n), label)
-    r_of, l_of = (green_of(n, label).class_of[rel] for rel in ("R", "L"))
+    r_of, l_of = (green_of(n, label).labels[rel].tolist() for rel in ("R", "L"))
     seen = []
     for box in eb.boxes:
         flat = [i for row in box.cells for cell in row for i in cell]

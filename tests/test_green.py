@@ -44,14 +44,13 @@ def test_partitions_are_partitions_and_refine(green_of, n, label):
     for rel in REL:
         members = sorted(i for c in gs.classes[rel] for i in c)
         assert members == list(range(len(gs.idempotent)))
-        # canonical: each class ascending, classes by least member, numbered so
+        # canonical: each class ascending, classes by least member, which labels them
         assert all(list(c) == sorted(c) for c in gs.classes[rel])
         assert [c[0] for c in gs.classes[rel]] == sorted(c[0] for c in gs.classes[rel])
-        assert all(gs.class_of[rel][i] == k
-                   for k, c in enumerate(gs.classes[rel]) for i in c)
+        assert all(gs.labels[rel][i] == c[0] for c in gs.classes[rel] for i in c)
     for fine, coarse in (("H", "R"), ("H", "L"), ("R", "D"), ("L", "D")):
         for c in gs.classes[fine]:
-            targets = {gs.class_of[coarse][i] for i in c}
+            targets = {gs.labels[coarse][i] for i in c}
             assert len(targets) == 1
     assert gs.classes["D"] == gs.classes["J"]
 
@@ -67,7 +66,7 @@ def test_analytic_agrees_with_brute_pairwise(closure_of, green_of, n, label):
         for i, a in enumerate(forms):
             for j, b in enumerate(forms):
                 assert (oracles.related(keys, a, b, rel)
-                        == (gs.class_of[rel][i] == gs.class_of[rel][j])), (rel, a, b)
+                        == (gs.labels[rel][i] == gs.labels[rel][j])), (rel, a, b)
 
 
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])
@@ -79,7 +78,7 @@ def test_analytic_partitions_agree_with_brute(closure_of, green_of, n, label):
     for rel in REL:
         # both sides are canonical class tuples, so == compares the partitions
         assert analytic.classes[rel] == gs.classes[rel], rel
-        assert analytic.class_of[rel] == gs.class_of[rel], rel
+        assert np.array_equal(analytic.labels[rel], gs.labels[rel]), rel
 
 
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])
@@ -165,6 +164,58 @@ def test_an_eventual_index_over_the_closed_form_bound_fails_with_its_witness(clo
     failed = [(r.name, r.details) for r in results if not r.passed]
     assert failed == [("eventual regularity: index <= 2, index 2 exactly on n-support",
                        "index 2 exceeds 1")]
+
+
+@pytest.mark.parametrize("label", ["additive", "multiplicative"])
+@pytest.mark.parametrize("rel", REL)
+def test_a_planted_partition_fails_the_analytic_line_naming_its_relation(closure_of, green_of,
+                                                                        monkeypatch, rel, label):
+    # the first element labelled apart from the one before it joins that one's class
+    real = green.analytic_structure
+
+    def planted(sg):
+        out = real(sg)
+        if sg.label == label:
+            merged = out.labels[rel].copy()
+            x = np.flatnonzero(merged[1:] != merged[:-1])[0] + 1
+            merged[x] = merged[x - 1]
+            out = dataclasses.replace(out, labels={**out.labels, rel: merged})
+        return out
+
+    sg = closure_of(2).reduct(label)
+    assert real(sg) == green_of(2, label) != planted(sg)
+    monkeypatch.setattr(green, "analytic_structure", planted)
+    failed = [(r.name, r.details) for r in verify.run_battery(2, closure_of(2)) if not r.passed]
+    assert failed == [(f"analytic classifiers match brute force ({label})",
+                       f"relation {rel} partitions differ")]
+
+
+def test_the_battery_builds_no_class_tuple(closure_of, monkeypatch):
+    # counts and comparisons read the label arrays; the tuples are for output only
+    def refuse(labels):
+        raise AssertionError("a class tuple was built")
+
+    monkeypatch.setattr(green, "_classes", refuse)
+    for n in (1, 2, 3, 4):
+        assert all(r.passed for r in verify.run_battery(n, closure_of(n))), n
+
+
+def test_the_four_green_records_at_n5_hold_under_1_mb(closure_of):
+    # brute and analytic, per reduct: label arrays and flags, and the additive
+    # J-order (0.39 MB); with class tuples built at once they held 5.9 MB
+    ns = closure_of(5)
+    reducts = [ns.reduct(label) for label in ("additive", "multiplicative")]
+    routes = (green.green_brute, green.analytic_structure)
+    for sg in reducts:  # fill the per-n caches the records do not hold
+        for route in routes:
+            route(sg)
+    tracemalloc.start()
+    try:
+        records = [route(sg) for sg in reducts for route in routes]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 4 and held < 1_000_000, held
 
 
 def test_analytic_examples_from_characterizations():
