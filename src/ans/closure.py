@@ -157,16 +157,18 @@ def _first_wrong(label, t: Table, op, rows, cols, n) -> str:
 
 def _stabiliser_breach(label, t: Table) -> str:
     """The first breach, by group row h, representative r and column y, of
-    t[r, G[h][y]] = G[h][t[r, y]] where G[h] fixes r, as a witness, or ""."""
+    t[r, G[h][y]] = G[h][t[r, y]] where G[h] fixes r, as a witness, or "";
+    the rows G[h] fixes are read a `maps.row_blocks` block at a time."""
     G, reps = t.action.group, t.action.reps
     for h in range(1, len(G)):
-        fixed = np.flatnonzero(G[h, reps] == reps)
-        rows = t.rows[fixed]
-        bad = np.argwhere(rows.take(G[h], axis=1) != G[h].take(rows))
-        if bad.size:
-            (i, y), r = bad[0], int(reps[fixed[bad[0, 0]]])
-            return (f"{label}_table[{r},{G[h, y]}] is {rows[i, G[h, y]]}, not {G[h, rows[i, y]]}, "
-                    f"the image of {label}_table[{r},{y}] under permutation {h}, which fixes {r}")
+        for fixed in maps.row_blocks(np.flatnonzero(G[h, reps] == reps), G.shape[1]):
+            rows = t.rows[fixed]
+            bad = np.argwhere(rows.take(G[h], axis=1) != G[h].take(rows))
+            if bad.size:
+                (i, y), r = bad[0], int(reps[fixed[bad[0, 0]]])
+                return (f"{label}_table[{r},{G[h, y]}] is {rows[i, G[h, y]]}, not "
+                        f"{G[h, rows[i, y]]}, the image of {label}_table[{r},{y}] under "
+                        f"permutation {h}, which fixes {r}")
     return ""
 
 
@@ -289,7 +291,8 @@ def _moved_samples(add: Table, mul: Table, checked):
     from _SEED a `maps.row_blocks` slice at a time, each moved by G[g_x]^-1
     so that x is its representative, whose stored row it reads."""
     rng, m = random.Random(_SEED), len(add.rep_row)
-    # 10,922 triples a slice: bigger slices raise peak memory, not speed
+    # 5,461 triples a slice: 10,922 raised the n = 4 scan's traced peak
+    # from about 0.7 MB to 1.3 MB, and did not speed it up
     for part in maps.row_blocks(range(checked), 6):
         x, y, z = _draw(rng, 3 * len(part), m).reshape(-1, 3).T
         y_, z_ = (add._group[add._inv_at[x] + v] for v in (y, z))

@@ -4,7 +4,8 @@ Cells are H-classes; idempotent elements carry a star.  Blocks, rows and
 columns are ordered by the canonical order of their least element, so all
 three output formats (text grid, GraphViz DOT with one cluster per
 D-class, JSON) are deterministic.  `build_eggbox` calls `green_brute` only,
-and draws the J-order covers from the J-order among J-classes it keeps.
+asking it for the J-order among J-classes, which no other caller builds,
+and draws the covers from it.
 """
 
 import json
@@ -62,7 +63,7 @@ def _j_order_covers(order) -> Tuple[Tuple[int, int], ...]:
 
 def build_eggbox(ns: NearSemiring, label: str) -> EggBox:
     sg = ns.reduct(label)
-    gs = green_brute(sg)
+    gs = green_brute(sg, j_order=True)
     r_of, l_of = (gs.labels[rel].tolist() for rel in "RL")  # each class's least member
     cell = {(r_of[c[0]], l_of[c[0]]): c for c in gs.classes["H"]}  # an H-class, R and L together
     boxes = []

@@ -2,20 +2,22 @@
 
 Two independent routes are provided.  `green_brute` works on any Cayley
 table, from the principal ideals with an identity adjoined (`ideals`, the
-one place they are computed), and keeps the J-order among J-classes for the
-egg-box.  The analytic route decides relatedness from each element's shape
-and fields alone, as a reduct's index i is canonical index i (`maps.fields`):
-`_RULES` states the paper's support and projection rules once, as the
-fields each R, L and D key compares per shape, and `analytic_structure`
-groups the canonical family by them and states the idempotents, regular
-elements and eventual indices as masks.  Both routes give one record
-(`_structure`); their agreement is checked in the battery and the tests.
+one place they are computed), and builds the J-order among J-classes only
+for the egg-box, which asks for it.  The analytic route decides relatedness
+from each element's shape and fields alone, as a reduct's index i is
+canonical index i (`maps.fields`): `_RULES` states the paper's support and
+projection rules once, as the fields each R, L and D key compares per
+shape, and `analytic_structure` groups the canonical family by them and
+states the idempotents, regular elements and eventual indices as masks.
+Both routes give one record (`_structure`); their agreement is checked in
+the battery and the tests.
 
 Every partition is one labelling, each element's least class-mate:
 `_least_mates` gives R, L and J from the ideal rows, one gather per class,
 `_least` gives H and the analytic ones from an integer key per element,
 and `maps.least_labels` joins R and L into D.  A record holds the labels;
-the class tuples (`_classes`) are built only for output.
+the class tuples (`_classes`) are built for output, one relation at a time,
+when it is first read.
 
 Regularity is defined once, as x y x == x (`_xyx`).  Every cell is read
 through the reduct's `closure.Table`.  The per-element scans (`ideals`,
@@ -51,7 +53,7 @@ class GreenStructure:
     idempotent: Tuple[bool, ...]
     regular: Tuple[bool, ...]
     eventual_index: Tuple[int, ...]
-    j_order: Optional[np.ndarray]  # [a, b]: J-class a at or below b
+    j_order: Optional[np.ndarray]  # [a, b]: J-class a at or below b; for the egg-box only
 
     def __eq__(self, other):  # least-member labels: equal arrays, equal partitions
         return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in _COMPARED) and all(
@@ -59,8 +61,8 @@ class GreenStructure:
 
     @cached_property
     def classes(self) -> Dict[str, Tuple[Tuple[int, ...], ...]]:
-        """Each relation's class tuples, built from the labels for output."""
-        return {rel: _classes(self.labels[rel]) for rel in RELATIONS}
+        """Each relation's class tuples, built from its labels when first read."""
+        return _Classes(self.labels)
 
     def sizes(self, rel) -> list:
         """The sizes of the `rel`-classes, ordered by least member."""
@@ -72,6 +74,18 @@ class GreenStructure:
         d["regular"] = [i for i, r in enumerate(self.regular) if r]
         d["eventual_index"] = list(self.eventual_index)
         return d
+
+
+class _Classes(dict):
+    """Class tuples by relation, each built by `_classes` on its first read."""
+
+    def __init__(self, labels):
+        super().__init__()
+        self._labels = labels
+
+    def __missing__(self, rel):
+        self[rel] = _classes(self._labels[rel])
+        return self[rel]
 
 
 def _least(keys) -> np.ndarray:
@@ -177,10 +191,12 @@ def _structure(label, r, l, d, j, *flags, j_order=None) -> GreenStructure:
                           *(tuple(np.asarray(f).tolist()) for f in flags), j_order=j_order)
 
 
-def green_brute(sg: FiniteSemigroup) -> GreenStructure:
+def green_brute(sg: FiniteSemigroup, *, j_order=False) -> GreenStructure:
     """All five relations from one `ideals(sg)`: R, L and J by `_least_mates`,
     and D = J asserted as equal labels, each representative's J-class being
-    the set it labels alike.  Of the ideals only the J-order is kept, for the egg-box."""
+    the set it labels alike.  No ideal row is kept; with `j_order` (the
+    egg-box's covers, which no other caller reads) the record holds the
+    J-order among J-classes, read off the two-sided rows."""
     m, op = len(sg), sg.op
     two, r, l = ideals(sg)[2:]  # the one-sided rows are not kept
     (j, mates), reps, ar = _least_mates(two, op), op.action.reps, np.arange(m)
@@ -190,7 +206,8 @@ def green_brute(sg: FiniteSemigroup) -> GreenStructure:
     least = ar[d == ar]  # each J-class's least member
     reg = regular_elements(sg)
     return _structure(sg.label, r, l, d, j, op[ar, ar] == ar, reg,  # idempotent: x x == x
-                      eventual_regularity(sg, reg), j_order=_held(two, op, least, least).T)
+                      eventual_regularity(sg, reg),
+                      j_order=_held(two, op, least, least).T if j_order else None)
 
 
 # --- analytic classifiers on the fields of `maps.fields` -----------------------

@@ -87,9 +87,11 @@ def proj1(code, n):
 
 # --- the rank: canonical index by arithmetic -----------------------------------
 
-# Cells built at a time by every row-block scan (`row_blocks`); bigger
-# blocks raise peak memory without making the scans faster.
-_BLOCK_CELLS = 1 << 16
+# Cells built at a time by every row-block scan (`row_blocks`): 256 KiB for
+# each intp temporary, the widest array a `closure.Table` read makes.  Twice
+# this raised `ans verify --n 1..4`'s peak RSS by 0.8 MB without making the
+# scans faster.
+_BLOCK_CELLS = 1 << 15
 
 
 def row_blocks(rows, width):

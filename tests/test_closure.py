@@ -200,11 +200,11 @@ def test_sampled_scan_never_builds_a_dense_table(closure_of, monkeypatch, n):
 
 
 def test_sampler_streams_the_same_draws_in_slices(closure_of, monkeypatch):
-    count = 3 * (2 * 10_922 + 5_000)
+    count = 3 * (2 * 5_461 + 5_000)  # two whole slices and a part
     for m in (1, 2, 29, 657, 27_253):
         whole = closure._draw(random.Random(3), count, m)
         rng = random.Random(3)
-        sliced = [closure._draw(rng, 3 * k, m) for k in (10_922, 10_922, 5_000)]
+        sliced = [closure._draw(rng, 3 * k, m) for k in (5_461, 5_461, 5_000)]
         assert np.array_equal(np.concatenate(sliced), whole)
         assert whole.dtype == np.intp and 0 <= whole.min() and whole.max() < m
         assert m > 657 or len(np.unique(whole)) == m  # every index is drawn
@@ -476,6 +476,32 @@ def test_empty_generator_set_rejected():
 
     with pytest.raises(ValueError, match="empty"):
         closure.additive_closure(Empty())
+
+
+def _traced_peak(f, *args):
+    """Traced peak bytes of f(*args), once the per-n caches it reads are filled."""
+    f(*args)
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_block_budget_bounds_the_axiom_scan_and_the_stabiliser_check(closure_of):
+    # in multiples of one intp temporary of a `maps.row_blocks` block (256 KiB):
+    # the sampled axiom scan peaked at 678 KB (n = 4) and 870 KB (n = 5), and
+    # one table's stabiliser check at 411 KB (n = 5); with twice the cells a
+    # block, and every fixed row gathered at once, at 1,306, 1,498 and 1,841 KB
+    block = 256 * 1024
+    ns4, ns5 = closure_of(4), closure_of(5)
+    assert _traced_peak(closure.verify_near_semiring, ns4) < 3 * block
+    assert _traced_peak(closure.verify_near_semiring, ns5) < 4 * block
+    for label, rows in (("add", ns5.add_table), ("mul", ns5.mul_table)):
+        t = closure.Table(rows, ns5.action)
+        assert _traced_peak(closure._stabiliser_breach, label, t) < 2 * block
+    assert maps._BLOCK_CELLS * np.dtype(np.intp).itemsize == block
 
 
 def test_no_m_by_m_table_is_allocated_at_n5():

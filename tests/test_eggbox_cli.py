@@ -159,7 +159,7 @@ def _assert_covers_match_the_bool_product(below):
 
 def test_covers_match_the_bool_product_on_the_n4_additive_j_order(closure_of):
     sg = closure_of(4).reduct("additive")
-    gs = green.green_brute(sg)
+    gs = green.green_brute(sg, j_order=True)  # as the egg-box asks for it
     # the J-order read off the two-sided ideals over the trivial group, every
     # row filled: [a, b] when class a's least member lies in class b's ideal
     two = green.ideals(closure.FiniteSemigroup(4, "additive", sg.op.dense()))[2]
@@ -174,7 +174,7 @@ def test_covers_match_the_bool_product_on_the_n4_additive_j_order(closure_of):
 def test_eggbox_fills_the_ideals_once_and_frees_them_before_the_boxes(capsys, monkeypatch,
                                                                       label):
     # green_brute is the one caller of `ideals`, and keeps none of its arrays
-    assert list(inspect.signature(green.green_brute).parameters) == ["sg"]
+    assert list(inspect.signature(green.green_brute).parameters) == ["sg", "j_order"]
     assert not hasattr(eggbox, "ideals")
     fills, alive = [], []
     real_ideals, real_brute = green.ideals, eggbox.green_brute
@@ -184,8 +184,8 @@ def test_eggbox_fills_the_ideals_once_and_frees_them_before_the_boxes(capsys, mo
         fills.extend(weakref.ref(a) for a in rows[:3])
         return rows
 
-    def green_brute(sg):
-        gs = real_brute(sg)
+    def green_brute(sg, **kw):
+        gs = real_brute(sg, **kw)
         alive.extend(ref() is not None for ref in fills)
         return gs
 
@@ -193,6 +193,35 @@ def test_eggbox_fills_the_ideals_once_and_frees_them_before_the_boxes(capsys, mo
     monkeypatch.setattr(eggbox, "green_brute", green_brute)
     code, _, _ = run_cli(capsys, ["eggbox", "--n", "3", "--reduct", label])
     assert code == 0 and len(fills) == 3 and alive == [False] * 3
+
+
+def test_only_the_eggbox_builds_the_j_order(closure_of, green_of, capsys, monkeypatch):
+    # the J-order is `_held` over the J-classes' least members; the labelling's
+    # calls hold every element's ideal against the representatives, so the
+    # J-order is the one call whose `b` is not every element
+    orders, real = [], green._held
+
+    def held(rows, op, b, y):
+        if len(b) < rows.shape[1]:
+            orders.append((np.asarray(b).tolist(), np.asarray(y).tolist()))
+        return real(rows, op, b, y)
+
+    monkeypatch.setattr(green, "_held", held)
+    ns = closure_of(4)
+    monkeypatch.setattr(cli, "load_or_build", lambda n, cache_dir: ns)
+    for label in ("additive", "multiplicative"):
+        for fmt in ("text", "json"):
+            assert run_cli(capsys, ["green", "--n", "4", "--reduct", label, "--format", fmt])[0] == 0
+    assert all(r.passed for r in verify.run_battery(4, ns))
+    assert orders == []
+    two = closure_of(2)
+    monkeypatch.setattr(cli, "load_or_build", lambda n, cache_dir: two)
+    for label in ("additive", "multiplicative"):
+        code, out, _ = run_cli(capsys, ["eggbox", "--n", "2", "--reduct", label, "--format", "json"])
+        assert code == 0 and out == (GOLDEN / f"eggbox_n2_{label}.json").read_text()
+        least = [c[0] for c in green_of(2, label).classes["D"]]
+        assert orders == [(least, least)]
+        orders.clear()
 
 
 def test_covers_match_the_bool_product_on_random_dags():

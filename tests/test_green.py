@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ans import brandt, closure, formulas, green, maps, verify
+from ans import brandt, closure, eggbox, formulas, green, maps, verify
 import oracles
 
 REL = green.RELATIONS
@@ -200,9 +200,28 @@ def test_the_battery_builds_no_class_tuple(closure_of, monkeypatch):
         assert all(r.passed for r in verify.run_battery(n, closure_of(n))), n
 
 
+def test_an_eggbox_builds_the_class_tuples_of_d_and_h_only(closure_of, monkeypatch):
+    # the boxes read D and H; a relation's tuples are built on its first read,
+    # once, and match its labels
+    built, records, real, real_brute = [], [], green._classes, eggbox.green_brute
+    monkeypatch.setattr(green, "_classes", lambda labels: built.append(labels) or real(labels))
+    monkeypatch.setattr(eggbox, "green_brute",
+                        lambda sg, **kw: records.append(real_brute(sg, **kw)) or records[-1])
+    eggbox.build_eggbox(closure_of(4), "additive")
+    (gs,) = records
+
+    def read():
+        return [next(rel for rel in REL if labels is gs.labels[rel]) for labels in built]
+
+    assert read() == ["H", "D"]
+    for rel in REL:
+        assert gs.classes[rel] == real(gs.labels[rel]) == gs.classes[rel]
+    assert read() == ["H", "D", "R", "L", "J"]
+
+
 def test_the_four_green_records_at_n5_hold_under_1_mb(closure_of):
-    # brute and analytic, per reduct: label arrays and flags, and the additive
-    # J-order (0.39 MB); with class tuples built at once they held 5.9 MB
+    # brute and analytic, per reduct: label arrays and flags (no J-order, which
+    # only the egg-box builds); with class tuples built at once they held 5.9 MB
     ns = closure_of(5)
     reducts = [ns.reduct(label) for label in ("additive", "multiplicative")]
     routes = (green.green_brute, green.analytic_structure)
@@ -751,8 +770,9 @@ def _generated(op, gens):
         members = grown
 
 
+# 65536 cells: every table here in one block, as at the default budget;
 # 100 cells: blocks of a few rows, most starting off a byte boundary
-@pytest.mark.parametrize("cells", [maps._BLOCK_CELLS, 100])
+@pytest.mark.parametrize("cells", [65536, 100])
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_subset_report_matches_restricted_oracle(closure_of, monkeypatch, n, label, cells):
@@ -764,7 +784,7 @@ def test_subset_report_matches_restricted_oracle(closure_of, monkeypatch, n, lab
         assert repr(green.subset_report(sg, name, idx)) == repr(_oracle_report(sg, name, idx))
 
 
-@pytest.mark.parametrize("cells", [maps._BLOCK_CELLS, 100])
+@pytest.mark.parametrize("cells", [65536, 100])
 @pytest.mark.parametrize("label", ["additive", "multiplicative"])
 def test_subset_report_matches_oracle_on_random_member_sets(closure_of, monkeypatch,
                                                             label, cells):
