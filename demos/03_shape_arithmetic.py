@@ -20,27 +20,23 @@ def table(token):
 
 
 def show(op, f, g):
-    """Print f op g, for op "+" (pointwise sum) or "o" (composite), ranked
-    by the product kernel that fills the Cayley tables."""
-    [(_, ranks)] = maps.products([f], [g], op, n)
-    print(f"  {maps.map_str(f)} {op} {maps.map_str(g)} = {maps.tokens(ranks[0], n)[0]}")
+    """Print f op g, for op "+" (pointwise sum) or "o" (composite) of the
+    elements spelled f and g, ranked by the product kernel that fills the
+    Cayley tables."""
+    [(_, ranks)] = maps.products([table(f)], [table(g)], op, n)
+    print(f"  {f} {op} {g} = {maps.tokens(ranks[0], n)[0]}")
 
 
 print("sums of shapes:")
-const11 = table("xi(1,1)")
-const12 = table("xi(1,2)")
-col1 = table("(1,1;[1,2])")
-col1_swap = table("(1,1;[2,1])")
-col2 = table("(2,2;[1,2])")
-show("+", const11, const12)
-show("+", col1, col1_swap)     # same column: collapses to a singleton
-show("+", col1, col2)          # different columns: annihilates
-show("+", const11, col1)       # constant then column map
+show("+", "xi(1,1)", "xi(1,2)")
+show("+", "(1,1;[1,2])", "(1,1;[2,1])")  # same column: collapses to a singleton
+show("+", "(1,1;[1,2])", "(2,2;[1,2])")  # different columns: annihilates
+show("+", "xi(1,1)", "(1,1;[1,2])")      # constant then column map
 
 print("composites of shapes:")
-show("o", col1, col2)          # matching column and row chain
-show("o", col1, const12)       # constants absorb on the right
-show("o", const12, col2)
+show("o", "(1,1;[1,2])", "(2,2;[1,2])")  # matching column and row chain
+show("o", "(1,1;[1,2])", "xi(1,2)")      # constants absorb on the right
+show("o", "xi(1,2)", "(2,2;[1,2])")
 
 # The analytic rules compare fields: two elements are R-, L- or D-related
 # exactly when their shapes match and they agree on the fields the rule

@@ -40,20 +40,6 @@ def pair(i, j, n):
     return (i - 1) * n + j
 
 
-def unpair(code, n):
-    """Pair (i, j) for a nonzero code, or None for theta."""
-    if code == THETA:
-        return None
-    if not (1 <= code <= n * n):
-        raise ValueError(f"element code {code} out of range for n={n}")
-    return ((code - 1) // n + 1, (code - 1) % n + 1)
-
-
-def elements(n):
-    """All element codes of B_n in canonical order (theta first)."""
-    return list(range(size(n)))
-
-
 @lru_cache(maxsize=None)
 def add_lookups(n):
     """The operation of B_n as four read-only lookups on codes, `right`,

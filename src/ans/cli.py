@@ -172,7 +172,8 @@ def cmd_eggbox(args) -> int:
 
 
 def cmd_counts(args) -> int:
-    limit = sys.get_int_max_str_digits()
+    # the limit, and this function, came with Python 3.10.7; 0 reads as no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     top = max(limit, 24)  # from n = 25 on, n! alone has more than n digits
 
     def fits(n):  # a_plus_total is the largest count; no n! is computed over `top`
@@ -296,6 +297,10 @@ def main(argv=None) -> int:
         out = Path(args.out) if args.out else None
         if out and (out.is_dir() or not out.parent.is_dir()):  # refuse before any work
             raise ValueError(f"--out {out} is not a file path in an existing directory")
+        cache = getattr(args, "cache_dir", None)
+        # a missing cache directory is made, so the nearest path that exists must be one
+        if cache is not None and not next(p for p in (cache, *cache.parents) if p.exists()).is_dir():
+            raise ValueError(f"--cache-dir {cache} is not a directory")
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -211,7 +211,7 @@ def _generator_mask(gens) -> np.ndarray:
         raise ValueError("generator set is empty")
     check_n_cap(gens.n)
     seen = np.zeros(len(maps.canonical_tables(gens.n)), dtype=bool)
-    seen[maps.member_ranks(np.array(list(gens.members)), gens.n)] = True
+    seen[maps.member_ranks(gens.members, gens.n)] = True
     label = maps.orbit_labels(gens.n)
     if not np.array_equal(np.isin(label, label[seen]), seen):  # a union of orbits
         raise ValueError("generator set is not closed under conjugation by S_n")

@@ -14,7 +14,6 @@ dumps serialize them with the extra token "phi[sigma]".
 """
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from ._numpy import np
 from . import brandt, closure, maps
@@ -22,17 +21,20 @@ from .formulas import KINDS
 from .maps import NotAffineElement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSet:
+    """A generator set: `members` is one read-only uint8 array, a row of
+    element codes per member, as `maps.canonical_tables` holds its rows."""
     n: int
     kind: str
-    members: Tuple[tuple, ...]
+    members: np.ndarray
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if len(set(self.members)) != len(self.members):
+        if len({row.tobytes() for row in self.members}) != len(self.members):
             raise ValueError("generator members are not distinct")
+        self.members.setflags(write=False)
 
     def __len__(self):
         return len(self.members)
@@ -42,20 +44,19 @@ class GeneratorSet:
 
 
 def phi_sigma(sigma, n):
-    """The automorphism (i,j) -> (i sigma, j sigma), theta -> theta, as a tuple."""
-    return tuple(brandt.automorphism(sigma, n).tolist())
+    """The automorphism (i,j) -> (i sigma, j sigma), theta -> theta, as a uint8 row."""
+    return brandt.automorphism(sigma, n).astype(np.uint8)
 
 
 def enumerate_aut(n) -> GeneratorSet:
     """Aut(B_n), ordered by sigma in one-line lexicographic order."""
-    members = tuple(phi_sigma(s, n) for s in brandt.enumerate_sn(n))
-    return GeneratorSet(n, "aut", members)
+    return GeneratorSet(n, "aut", np.array([phi_sigma(s, n) for s in brandt.enumerate_sn(n)]))
 
 
 def enumerate_constants(n) -> GeneratorSet:
-    """All constant maps, xi_theta first then xi_(i,j) in pair order."""
-    members = tuple(maps.constant_map(a, n) for a in brandt.elements(n))
-    return GeneratorSet(n, "const", members)
+    """All constant maps, xi_theta first then xi_(i,j) in pair order: row a is all a."""
+    codes = np.arange(brandt.size(n), dtype=np.uint8)
+    return GeneratorSet(n, "const", codes[:, None].repeat(len(codes), axis=1))
 
 
 def enumerate_end(n) -> GeneratorSet:
@@ -63,10 +64,9 @@ def enumerate_end(n) -> GeneratorSet:
 
     Order: xi_theta, the diagonal constants, then automorphisms.
     """
-    members = [maps.zero_map(n)]
-    members += [maps.constant_map(brandt.pair(k, k, n), n) for k in range(1, n + 1)]
-    members += list(enumerate_aut(n))
-    return GeneratorSet(n, "end", tuple(members))
+    idempotents = [brandt.THETA] + [brandt.pair(k, k, n) for k in range(1, n + 1)]
+    members = [enumerate_constants(n).members[idempotents], enumerate_aut(n).members]
+    return GeneratorSet(n, "end", np.concatenate(members))
 
 
 def enumerate_aff(n) -> GeneratorSet:
@@ -84,8 +84,7 @@ def enumerate_aff(n) -> GeneratorSet:
         if ranks.min() < 0:  # rank -1 would mark the last canonical element
             raise AssertionError("an End + Const sum is outside the four closure shapes")
         seen[ranks] = True
-    members = tuple(map(tuple, E[seen].tolist()))
-    gs = GeneratorSet(n, "aff", members)
+    gs = GeneratorSet(n, "aff", E[seen])
     if (maps.fields(n)[seen, 0] == 2).any():  # the shape column: 2 is a singleton
         raise AssertionError("an affine map is a singleton, not the zero map, "
                              "a constant or a column map")
@@ -112,37 +111,40 @@ def aut_iso_sn(n) -> bool:
     tau as a word tau_1 ... tau_k in the generators; induction on k gives
     phi_(sigma tau) = phi_sigma phi_tau_1 ... phi_tau_k, and with
     sigma = id (phi_id being the identity) phi_tau = phi_tau_1 ... phi_tau_k.
+    Rows compose as x(f o g) = (xf)g, that is g[f].
     """
     perms = brandt.enumerate_sn(n)
     images = {s: phi_sigma(s, n) for s in perms}
-    if len(set(images.values())) != len(perms):
+    distinct = {f.tobytes() for f in images.values()}
+    if len(distinct) != len(perms):
         return False
-    bijective_end = {f for f in enumerate_end(n) if len(set(f)) == len(f)}
-    if set(images.values()) != bijective_end:
+    bijective_end = {f.tobytes() for f in enumerate_end(n) if len(set(f.tolist())) == len(f)}
+    if distinct != bijective_end:
         return False
-    if images[brandt.identity_perm(n)] != tuple(range(brandt.size(n))):
+    if not np.array_equal(images[brandt.identity_perm(n)], np.arange(brandt.size(n))):
         return False
-    return all(maps.compose(images[s], images[t]) == images[brandt.perm_compose(s, t)]
+    return all(np.array_equal(images[t][images[s]], images[brandt.perm_compose(s, t)])
                for s in perms for t in brandt.sn_generators(n))
 
 
-def member_str(f) -> str:
-    """Canonical token, falling back to "phi[sigma]" for automorphisms."""
-    try:
-        return maps.map_str(f)
-    except NotAffineElement:
-        n = maps.map_n(f)
-        sigma = tuple(maps.proj1(f[brandt.pair(i, i, n)], n) for i in range(1, n + 1))
-        if phi_sigma(brandt.check_perm(sigma), n) == f:
-            return "phi" + brandt.perm_str(sigma)
-        raise
+def automorphism_str(f, n) -> str:
+    """"phi[sigma]" for the row of phi_sigma; any other row raises
+    NotAffineElement.  sigma is read off the images of the diagonal pairs."""
+    sigma = tuple((int(f[brandt.pair(i, i, n)]) - 1) // n + 1 for i in range(1, n + 1))
+    if sorted(sigma) != list(range(1, n + 1)) or not np.array_equal(phi_sigma(sigma, n), f):
+        raise NotAffineElement(f"table {tuple(f.tolist())} is neither a closure element "
+                               "nor an automorphism")
+    return "phi" + brandt.perm_str(sigma)
 
 
 def generators_dict(gs: GeneratorSet) -> dict:
-    """JSON form of a generator set."""
+    """JSON form of a generator set: each member's canonical token, by one
+    `maps.rank` of every row, and "phi[sigma]" for an automorphism (rank -1)."""
+    ranks = maps.rank(gs.members, gs.n).tolist()
     return {
         "n": gs.n,
         "kind": gs.kind,
         "count": len(gs),
-        "members": [member_str(f) for f in gs],
+        "members": [automorphism_str(f, gs.n) if r < 0 else token  # rank -1's token is unused
+                    for f, r, token in zip(gs.members, ranks, maps.tokens(ranks, gs.n))],
     }

@@ -1,8 +1,10 @@
 """Function tables on B_n and the canonical element index.
 
-An FMap is a tuple of length n^2+1 sending element codes to element codes;
-position x holds the image of x, so evaluation is indexing and the argument
-stands on the left: x(f o g) = (xf)g and x(f + g) = xf + xg.
+A map is a row of n^2+1 element codes, position x holding the image of x,
+so evaluation is indexing and the argument stands on the left:
+x(f o g) = (xf)g, which is g[f] on rows, and x(f + g) = xf + xg.  Maps are
+held as uint8 arrays of rows, one row per map, as `canonical_tables` and
+every `generators.GeneratorSet` hold them.
 
 The additive closure of the affine maps contains exactly four table shapes.
 `fields` gives each element's shape code and three integer fields a, b, c:
@@ -46,43 +48,9 @@ class NotAffineElement(ValueError):
     """Raised on a table outside the four closure shapes."""
 
 
-def map_n(f):
-    """Recover n from the table length n^2 + 1."""
-    n = math.isqrt(len(f) - 1)
-    if n < 1 or n * n + 1 != len(f):
-        raise ValueError(f"table length {len(f)} is not n^2+1 for any n >= 1")
-    return n
-
-
-def constant_map(alpha, n):
-    """xi_alpha: every argument goes to alpha."""
-    brandt.unpair(alpha, n)
-    return (alpha,) * brandt.size(n)
-
-
-def zero_map(n):
-    return constant_map(THETA, n)
-
-
-def compose(f, g):
-    """x(f o g) = (xf)g: apply f first, then g."""
-    if len(f) != len(g):
-        raise ValueError(f"table size mismatch: {len(f)} vs {len(g)}")
-    map_n(f)
-    return tuple(g[v] for v in f)
-
-
 def support_sizes(rows) -> np.ndarray:
     """Support size of each table row (an N x (n^2+1) array or list of tables)."""
     return np.count_nonzero(np.asarray(rows) != THETA, axis=1)
-
-
-def proj1(code, n):
-    """First coordinate of a nonzero element code."""
-    p = brandt.unpair(code, n)
-    if p is None:
-        raise ValueError("theta has no projections")
-    return p[0]
 
 
 # --- the rank: canonical index by arithmetic -----------------------------------
@@ -351,7 +319,3 @@ def tokens(ranks, n) -> list:
     table = _token_table(n)
     return [table[r] for r in ranks]
 
-
-def map_str(f) -> str:
-    """Canonical token of a closure-member table."""
-    return tokens(member_ranks([f], map_n(f)), map_n(f))[0]

@@ -22,7 +22,13 @@ closure's tables as whole arrays over the trivial group.  `elements`
 renders the element tables that a closure's or reduct's indices stand
 for.  `check_iso`, which tests an explicit bijection cell by cell, is the
 reference for the isomorphism certificates of `green.subset_report`.
+
+The references hold a map as a tuple of element codes; `ans` holds maps as
+uint8 rows.  `map_n`, `unpair`, `proj1`, `constant_map`, `zero_map`,
+`compose` (x(f o g) = (xf)g, cell by cell) and `map_str` (a table's
+canonical token) are the tuple helpers they share.
 """
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -31,11 +37,20 @@ from typing import Tuple
 import numpy as np
 
 from ans import brandt, closure, generators, maps
-from ans.brandt import THETA, pair, unpair
+from ans.brandt import THETA, pair
 from ans.maps import NotAffineElement
 
 
 # --- B_n ----------------------------------------------------------------------
+
+def unpair(code, n):
+    """Pair (i, j) for a nonzero code, or None for theta."""
+    if code == THETA:
+        return None
+    if not (1 <= code <= n * n):
+        raise ValueError(f"element code {code} out of range for n={n}")
+    return ((code - 1) // n + 1, (code - 1) % n + 1)
+
 
 def add(a, b, n):
     """The Brandt operation on codes: (i,j)+(k,l) = (i,l) iff j = k."""
@@ -59,7 +74,48 @@ def perm_inverse(p):
     return tuple(inv)
 
 
-# --- maps and canonical forms ---------------------------------------------------
+# --- maps as tuples ------------------------------------------------------------
+
+def map_n(f):
+    """Recover n from the table length n^2 + 1."""
+    n = math.isqrt(len(f) - 1)
+    if n < 1 or n * n + 1 != len(f):
+        raise ValueError(f"table length {len(f)} is not n^2+1 for any n >= 1")
+    return n
+
+
+def constant_map(alpha, n):
+    """xi_alpha: every argument goes to alpha."""
+    unpair(alpha, n)
+    return (alpha,) * brandt.size(n)
+
+
+def zero_map(n):
+    return constant_map(THETA, n)
+
+
+def compose(f, g):
+    """x(f o g) = (xf)g: apply f first, then g."""
+    if len(f) != len(g):
+        raise ValueError(f"table size mismatch: {len(f)} vs {len(g)}")
+    map_n(f)
+    return tuple(g[v] for v in f)
+
+
+def proj1(code, n):
+    """First coordinate of a nonzero element code."""
+    p = unpair(code, n)
+    if p is None:
+        raise ValueError("theta has no projections")
+    return p[0]
+
+
+def map_str(f) -> str:
+    """Canonical token of a closure-member table."""
+    return maps.tokens(maps.member_ranks([f], map_n(f)), map_n(f))[0]
+
+
+# --- canonical forms --------------------------------------------------------------
 
 def support(f):
     """Arguments with nonzero image."""
@@ -70,7 +126,7 @@ def pointwise_add(f, g):
     """x(f+g) = xf + xg in B_n."""
     if len(f) != len(g):
         raise ValueError(f"table size mismatch: {len(f)} vs {len(g)}")
-    n = maps.map_n(f)
+    n = map_n(f)
     return tuple(add(a, b, n) for a, b in zip(f, g))
 
 
@@ -120,9 +176,9 @@ def all_canonical(n) -> tuple:
 def render(c, n) -> tuple:
     """Build the table of a canonical form."""
     if isinstance(c, Zero):
-        return maps.zero_map(n)
+        return zero_map(n)
     if isinstance(c, Constant):
-        return maps.constant_map(pair(*c.alpha, n), n)
+        return constant_map(pair(*c.alpha, n), n)
     t = [THETA] * brandt.size(n)
     if isinstance(c, Singleton):
         t[pair(*c.src, n)] = pair(*c.dst, n)
@@ -209,7 +265,7 @@ def classify(f):
     Raises NotAffineElement for any table outside the four shapes; such
     tables are provably not in the additive closure of the affine maps.
     """
-    n = maps.map_n(f)
+    n = map_n(f)
     supp = sorted(support(f))
     k = len(supp)
     if k == 0:
@@ -227,7 +283,7 @@ def classify(f):
         qs = {proj2(f[x], n) for x in supp}
         if len(cols) == 1 and len(qs) == 1:
             kcol, q = cols.pop(), qs.pop()
-            sigma = tuple(maps.proj1(f[pair(i, kcol, n)], n) for i in range(1, n + 1))
+            sigma = tuple(proj1(f[pair(i, kcol, n)], n) for i in range(1, n + 1))
             if sorted(sigma) == list(range(1, n + 1)):
                 return NSupport(kcol, q, sigma)
         if k != 1:
@@ -242,7 +298,7 @@ def classify(f):
 
 def is_endomorphism(f) -> bool:
     """(a + b)f = af + bf for all a, b in B_n."""
-    n = maps.map_n(f)
+    n = map_n(f)
     t = brandt.add_table(n)
     return all(f[t[a, b]] == t[f[a], f[b]]
                for a in range(len(f)) for b in range(len(f)))
@@ -263,7 +319,7 @@ def brute_force_endomorphisms(n):
 def triple_to_map(k, q, sigma, n):
     """The column map with support column k: phi_sigma + xi_(k sigma, q)."""
     brandt.check_perm(sigma)
-    const = maps.constant_map(pair(sigma[k - 1], q, n), n)
+    const = constant_map(pair(sigma[k - 1], q, n), n)
     return pointwise_add(generators.phi_sigma(sigma, n), const)
 
 

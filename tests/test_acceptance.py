@@ -98,9 +98,9 @@ def test_acceptance_07_analytic_matches_brute_everywhere(closure_of, green_of):
 def test_acceptance_08_idempotent_and_regular_census(closure_of, green_of):
     ns = closure_of(2)
     add, mul = green_of(2, "additive"), green_of(2, "multiplicative")
-    add_idem = {maps.map_str(f)
+    add_idem = {oracles.map_str(f)
                 for f, e in zip(oracles.elements(ns), add.idempotent) if e}
-    mul_idem = {maps.map_str(f)
+    mul_idem = {oracles.map_str(f)
                 for f, e in zip(oracles.elements(ns), mul.idempotent) if e}
     expected_add = ({"xi_theta", "xi(1,1)", "xi(2,2)"}
                     | {f"<({i},{j})->({p},{p})>"

@@ -42,9 +42,9 @@ def test_automorphism_refuses_a_permutation_of_another_length():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_add_matches_definition(n):
-    for a in brandt.elements(n):
-        for b in brandt.elements(n):
-            pa, pb = brandt.unpair(a, n), brandt.unpair(b, n)
+    for a in range(brandt.size(n)):
+        for b in range(brandt.size(n)):
+            pa, pb = oracles.unpair(a, n), oracles.unpair(b, n)
             if pa is None or pb is None:
                 expected = brandt.THETA
             elif pa[1] == pb[0]:
@@ -58,15 +58,15 @@ def test_add_matches_definition(n):
 def test_add_table_matches_add_cell_by_cell(n):
     t = brandt.add_table(n)
     assert t.dtype == np.int32 and t.shape == (brandt.size(n),) * 2
-    for a in brandt.elements(n):
-        for b in brandt.elements(n):
+    for a in range(brandt.size(n)):
+        for b in range(brandt.size(n)):
             assert t[a, b] == oracles.add(a, b, n), f"cell ({a},{b})"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_idempotents_match_fixed_point_scan(n):
     t = brandt.add_table(n)
-    scan = {x for x in brandt.elements(n) if t[x, x] == x}
+    scan = {x for x in range(brandt.size(n)) if t[x, x] == x}
     assert set(oracles.idempotents(n)) == scan
     assert len(scan) == n + 1
 
@@ -78,10 +78,10 @@ def test_pair_unpair_round_trip(n):
         for j in range(1, n + 1):
             code = brandt.pair(i, j, n)
             assert 1 <= code <= n * n
-            assert brandt.unpair(code, n) == (i, j)
+            assert oracles.unpair(code, n) == (i, j)
             seen.add(code)
     assert len(seen) == n * n
-    assert brandt.unpair(brandt.THETA, n) is None
+    assert oracles.unpair(brandt.THETA, n) is None
 
 
 def test_pair_rejects_out_of_range():

@@ -1,9 +1,15 @@
 import json
+import re
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ans import brandt, cli, formulas, generators, maps
+from ans import brandt, cli, closure, formulas, generators, maps
 import oracles
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _census(kind, n):
@@ -24,7 +30,7 @@ def test_enumerated_sizes_match_expected(n, kind):
 @pytest.mark.parametrize("n", [1, 2])
 def test_end_matches_exhaustive_table_scan(n):
     brute = set(oracles.brute_force_endomorphisms(n))
-    assert set(generators.enumerate_end(n)) == brute
+    assert set(map(tuple, generators.enumerate_end(n).members.tolist())) == brute
     assert len(brute) == formulas.counts(n).end_count
 
 
@@ -62,9 +68,9 @@ def test_aut_iso_sn_catches_two_swapped_images(monkeypatch):
 def test_phi_sigma_respects_composition(n):
     for s in brandt.enumerate_sn(n):
         for t in brandt.enumerate_sn(n):
-            lhs = maps.compose(generators.phi_sigma(s, n), generators.phi_sigma(t, n))
+            lhs = oracles.compose(generators.phi_sigma(s, n), generators.phi_sigma(t, n))
             rhs = generators.phi_sigma(brandt.perm_compose(s, t), n)
-            assert lhs == rhs
+            assert lhs == tuple(rhs.tolist())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -81,7 +87,7 @@ def test_aff_matches_per_pair_construction(n):
     sums = {oracles.pointwise_add(g, c)
             for g in generators.enumerate_end(n) for c in generators.enumerate_constants(n)}
     expected = sorted(sums, key=lambda f: oracles.canonical_key(oracles.classify(f)))
-    assert generators.enumerate_aff(n).members == tuple(expected)
+    assert list(map(tuple, generators.enumerate_aff(n).members.tolist())) == expected
 
 
 def test_enumerate_aff_refuses_n_over_cap():
@@ -103,22 +109,57 @@ def test_triple_round_trip(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("kind", generators.KINDS)
 def test_member_str_round_trip(n, kind):
-    for f in generators.enumerate_kind(kind, n):
-        token = generators.member_str(f)
+    gs = generators.enumerate_kind(kind, n)
+    for f, token in zip(gs, generators.generators_dict(gs)["members"]):
         if token.startswith("phi"):
             back = generators.phi_sigma(tuple(json.loads(token[3:])), n)
         else:
             table = maps.tokens(range(len(oracles.all_canonical(n))), n)
-            back = tuple(maps.canonical_tables(n)[table.index(token)].tolist())
-        assert back == f
+            back = maps.canonical_tables(n)[table.index(token)]
+        assert back.tolist() == f.tolist()
+
+
+def test_generators_dict_refuses_a_row_neither_shaped_nor_an_automorphism():
+    # full support and not constant, and its diagonal images read sigma = id
+    odd = generators.GeneratorSet(2, "aut", np.array([[0, 2, 1, 4, 3]], dtype=np.uint8))
+    with pytest.raises(maps.NotAffineElement, match=re.escape(
+            "table (0, 2, 1, 4, 3) is neither a closure element nor an automorphism")):
+        generators.generators_dict(odd)
 
 
 def test_generator_set_rejects_unknown_kind_and_repeats():
     good = generators.enumerate_aut(2)
     with pytest.raises(ValueError, match="not distinct"):
-        generators.GeneratorSet(2, "aut", good.members + good.members[:1])
+        generators.GeneratorSet(2, "aut", np.concatenate([good.members, good.members[:1]]))
     with pytest.raises(ValueError, match="unknown generator kind"):
         generators.GeneratorSet(2, "nonsense", good.members)
+
+
+@pytest.mark.parametrize("kind", generators.KINDS)
+def test_cli_generators_match_goldens(capsys, kind):
+    assert cli.main(["generators", "--kind", kind, "--n", "3"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"generators_n3_{kind}.json").read_text()
+
+
+def test_generator_sets_hold_read_only_uint8_rows():
+    for kind in generators.KINDS:
+        gs = generators.enumerate_kind(kind, 3)
+        assert gs.members.dtype == np.uint8 and gs.members.shape == (len(gs), 10)
+        assert not gs.members.flags.writeable
+
+
+def test_aff_and_its_mask_hold_no_copy_wider_than_its_codes():
+    # rows of codes cost 26 bytes a member at n = 5; tuples of them and an
+    # int64 copy for ranking cost about 22 times that
+    closure._generator_mask(generators.enumerate_aff(5))  # fills the caches both read
+    tracemalloc.start()
+    try:
+        gens = generators.enumerate_aff(5)
+        closure._generator_mask(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(gens) * brandt.size(5)  # 8 x 78,676 bytes of uint8 codes
 
 
 def test_generators_dict_schema():

@@ -272,7 +272,7 @@ def test_one_element_semigroup():
 def test_multiplicative_idempotent_membership(closure_of, green_of, n):
     ns = closure_of(n)
     gs = green_of(n, "multiplicative")
-    measured = {maps.map_str(f)
+    measured = {oracles.map_str(f)
                 for f, e in zip(oracles.elements(ns), gs.idempotent) if e}
     expected = {"xi_theta"}
     expected |= {f"xi({i},{j})" for i in range(1, n + 1) for j in range(1, n + 1)}
@@ -287,7 +287,7 @@ def test_multiplicative_idempotent_membership(closure_of, green_of, n):
 def test_additive_idempotent_membership(closure_of, green_of, n):
     ns = closure_of(n)
     gs = green_of(n, "additive")
-    measured = {maps.map_str(f)
+    measured = {oracles.map_str(f)
                 for f, e in zip(oracles.elements(ns), gs.idempotent) if e}
     expected = {"xi_theta"}
     expected |= {f"xi({k},{k})" for k in range(1, n + 1)}
@@ -311,7 +311,7 @@ def test_eventual_regularity_profile(closure_of, green_of, n):
 def test_eventual_regularity_examples(closure_of, green_of):
     ns = closure_of(2)
     gs = green_of(2, "additive")
-    pos = {maps.map_str(f): i for i, f in enumerate(oracles.elements(ns))}
+    pos = {oracles.map_str(f): i for i, f in enumerate(oracles.elements(ns))}
     assert gs.eventual_index[pos["xi(1,1)"]] == 1
     assert gs.eventual_index[pos["(2,1;[1,2])"]] == 2
     mul_gs = green_of(2, "multiplicative")

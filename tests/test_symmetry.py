@@ -26,7 +26,7 @@ def test_index_permutations_are_conjugations(closure_of, n):
     for pi, P in zip(brandt.sn_generators(n), perms):
         phi = generators.phi_sigma(pi, n)
         phi_inv = generators.phi_sigma(oracles.perm_inverse(pi), n)
-        assert [E[r] for r in P] == [maps.compose(maps.compose(phi_inv, f), phi) for f in E]
+        assert [E[r] for r in P] == [oracles.compose(oracles.compose(phi_inv, f), phi) for f in E]
         assert P.dtype == np.uint16 and not P.flags.writeable
         for t in oracles.fill_tables(n):  # t[P f, P g] = P t[f, g]
             assert np.array_equal(t[np.ix_(P, P)], P[t])
@@ -73,7 +73,7 @@ def test_orbit_representatives_are_the_least_of_each_orbit(closure_of, n, orbits
 def test_closure_refuses_generators_not_closed_under_conjugation():
     class Lopsided:
         n = 2
-        members = (maps.zero_map(2), maps.constant_map(1, 2))
+        members = (oracles.zero_map(2), oracles.constant_map(1, 2))
 
         def __len__(self):
             return 2
