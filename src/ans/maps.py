@@ -24,15 +24,15 @@ the column-map shape; it is the column map (1,1;[1]), so no singleton
 occurs at n=1.
 
 Every shape question goes through one element index, the position in
-canonical order, which also indexes every Cayley table.  `rank` (checked:
-`member_ranks`) is the one encoder of a table as its index, and `fields`
-the one decoder, both by arithmetic; `canonical_tables` and `tokens` are
-read off `fields`.  `product_tables` builds every pointwise sum or
-composite of two row sets, and `products` ranks them.  `index_permutations`
-gives conjugation by S_n on positions, `orbit_labels` its orbits, and
-`sn_action` the group with a transversal, by which `closure.Table` reads
-every cell.  The tests check `rank` and `fields` against a case-by-case
-classifier of their own.
+canonical order, which also indexes every Cayley table.  `fields` states
+its layout, by arithmetic, and `canonical_tables` and `tokens` are read off
+it; `rank` (checked: `member_ranks`) is the one encoder of a table as its
+index, the inverse of `canonical_tables` by lookup of the whole row.
+`product_tables` builds every pointwise sum or composite of two row sets,
+and `products` ranks them.  `index_permutations` gives conjugation by S_n
+on positions, `orbit_labels` its orbits, and `sn_action` the group with a
+transversal, by which `closure.Table` reads every cell.  The tests check
+`rank` and `fields` against a case-by-case classifier of their own.
 """
 
 import math
@@ -53,7 +53,7 @@ def support_sizes(rows) -> np.ndarray:
     return np.count_nonzero(np.asarray(rows) != THETA, axis=1)
 
 
-# --- the rank: canonical index by arithmetic -----------------------------------
+# --- the element index -------------------------------------------------------
 
 # Cells built at a time by every row-block scan (`row_blocks`): 256 KiB for
 # each intp temporary, the widest array a `closure.Table` read makes.  Twice
@@ -86,7 +86,7 @@ def least_labels(maps_, m) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def fields(n) -> np.ndarray:
-    """The inverse of `rank`, by arithmetic on the index layout: row x is
+    """The index layout, the one place it is stated, by arithmetic: row x is
     (shape, a, b, c) of canonical index x, as a read-only int32 array (see
     the module docstring).  Each shape's block counts its fields as digits
     of radix (n, n, 1) for a constant, (n^2, n, n) for a singleton and
@@ -121,41 +121,38 @@ def canonical_tables(n) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _perm_ranks(n) -> np.ndarray:
-    """Lexicographic rank of each permutation, indexed by its 0-based
-    images read as a base-n number; non-permutations get 0."""
-    lut = np.zeros(n ** n, dtype=np.int32)
-    for r, sigma in enumerate(brandt.enumerate_sn(n)):
-        lut[sum((s - 1) * n ** (n - 1 - i) for i, s in enumerate(sigma))] = r
-    lut.setflags(write=False)
-    return lut
+def _canonical_keys(n) -> tuple:
+    """`canonical_tables(n)`'s rows as fixed-width byte strings (a view, no
+    copy), and the argsort that orders them."""
+    E = canonical_tables(n)
+    keys = E.view(f"S{E.shape[1]}").ravel()
+    order = np.argsort(keys)
+    order.setflags(write=False)
+    return keys, order
 
 
 def rank(rows, n) -> np.ndarray:
-    """Canonical index of each table row (an N x (n^2+1) integer array), by
-    int32 arithmetic on the shape counts: 0 for the zero map, the pair code
-    for a constant, 1 + n^2 + (src-1)n^2 + (dst-1) for a singleton, and
-    offset + ((k-1)n + (q-1))n! + rank(sigma) for a column map (also the
-    n=1 one-support element).  Membership is checked by re-rendering: a row
-    that is not canonical_tables(n)[index] is outside the shapes: -1."""
-    E = canonical_tables(n)
+    """Canonical index of each table row (an N x (n^2+1) integer array), as
+    int32: its position in `canonical_tables(n)`, found by binary search
+    among those rows read as fixed-width byte strings, a `row_blocks` block
+    at a time.  A row that is no canonical row is outside the four shapes:
+    -1.  Codes outside 0..n^2 are found before the uint8 cast, so none wraps
+    onto a canonical row."""
+    keys, order = _canonical_keys(n)
     rows = np.asarray(rows)
     w = n * n + 1
     if rows.ndim != 2 or rows.shape[1] != w:
         raise ValueError(f"expected rows of length {w}, got shape {rows.shape}")
-    nz = rows != THETA
-    support = nz.sum(axis=1, dtype=np.uint8)
-    at = nz.argmax(axis=1) + np.arange(0, rows.size, w)  # the least support point, (1, k) ...
-    del nz                                               # ... on a column map, as a flat offset
-    first, image = (at % w).astype(np.int32), rows.take(at).astype(np.int32)
-    proj1 = np.maximum((np.arange(w, dtype=np.int32) - 1) // n, 0)
-    sigma = np.zeros(len(rows), dtype=np.int32)          # sigma - 1 read in base n
-    for i in range(n):                                   # the point (i+1, k), n i codes on
-        sigma = sigma * n + proj1.take(rows.take(at + n * i, mode="clip"), mode="clip")
-    col = (((first - 1) % n * n + (image - 1) % n) * math.factorial(n)
-           + _perm_ranks(n).take(sigma, mode="clip") + 1 + n * n + (n ** 4 if n >= 2 else 0))
-    r = np.where(support == n, col, np.where(support == 1, first * n * n + image, rows[:, 0]))
-    return np.where((E.take(r.clip(0, len(E) - 1), axis=0) == rows).all(axis=1), r, -1)
+    out = np.empty(len(rows), dtype=np.int32)
+    for block in row_blocks(range(len(rows)), w):
+        codes, inside = rows[block.start:block.stop], True
+        if codes.dtype != np.uint8:
+            inside = ((codes >= 0) & (codes < w)).all(axis=1)
+            codes = codes.astype(np.uint8)
+        q = np.ascontiguousarray(codes).view(f"S{w}").ravel()
+        r = order[np.searchsorted(keys, q, sorter=order).clip(max=len(keys) - 1)]
+        out[block.start:block.stop] = np.where((keys[r] == q) & inside, r, -1)
+    return out
 
 
 def member_ranks(rows, n) -> np.ndarray:

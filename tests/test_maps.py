@@ -1,12 +1,13 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ans import brandt, formulas, maps
+from ans import brandt, formulas, generators, maps
 import oracles
 
 
@@ -163,12 +164,12 @@ def test_fields_tables_and_tokens_match_the_case_by_case_forms(n):
     assert maps.tokens(range(len(family)), n) == [oracles.canonical_str(c) for c in family]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_rank_agrees_with_classify_on_perturbed_tables(n):
-    family = [oracles.canonical_key(c) for c in oracles.all_canonical(n)]
+    family = {oracles.canonical_key(c): i for i, c in enumerate(oracles.all_canonical(n))}
     rows = np.array([oracles.render(c, n) for c in oracles.all_canonical(n)])
     rng = np.random.default_rng(n)
-    rows = rows[rng.integers(0, len(rows), size=1000)]
+    rows = rows[rng.integers(0, len(rows), size=1000 if n <= 3 else 300)]
     for _ in range(2):  # change up to two cells per table
         cells = rng.integers(0, n * n + 1, size=len(rows))
         rows[np.arange(len(rows)), cells] = rng.integers(0, n * n + 1, size=len(rows))
@@ -176,7 +177,7 @@ def test_rank_agrees_with_classify_on_perturbed_tables(n):
     for f, r in zip(rows.tolist(), maps.rank(rows, n)):
         try:
             c = oracles.classify(tuple(f))
-            expected = family.index(oracles.canonical_key(c))
+            expected = family[oracles.canonical_key(c)]
             classified.append(c)
         except maps.NotAffineElement:
             expected = -1
@@ -186,6 +187,69 @@ def test_rank_agrees_with_classify_on_perturbed_tables(n):
             for r in maps.member_ranks(rows[maps.rank(rows, n) >= 0], n)] == classified
     with pytest.raises(maps.NotAffineElement, match=re.escape(str(first_outside))):
         maps.member_ranks(rows, n)
+
+
+def _expected_ranks(rows, n):
+    """The oracle's index of each row of codes, or -1 for a row outside the
+    four shapes."""
+    family = {oracles.canonical_key(c): i for i, c in enumerate(oracles.all_canonical(n))}
+    out = []
+    for f in rows.tolist():
+        try:
+            out.append(family[oracles.canonical_key(oracles.classify(tuple(f)))])
+        except maps.NotAffineElement:
+            out.append(-1)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_rank_finds_whole_rows_and_nothing_near_them(n):
+    E, w = maps.canonical_tables(n), n * n + 1
+    rng = np.random.default_rng(n)
+    picked = rng.choice(len(E), size=min(40, len(E)), replace=False)
+    cells = rng.integers(0, w, size=len(picked))
+    near = []  # rows one cell away from a canonical row, in int64
+    for r, c in zip(picked.tolist(), cells.tolist()):
+        for delta in (256, -256, 512, -int(E[r, c]) - 1):  # wraps onto the row in uint8, or < 0
+            row = E[r].astype(np.int64)
+            row[c] += delta
+            near.append(row)
+    near = np.array(near)
+    assert maps.rank(near, n).tolist() == [-1] * len(near)
+    wide = E[picked].copy()  # uint8 codes past n^2, which no canonical row holds
+    wide[np.arange(len(picked)), cells] = rng.integers(w, 256, size=len(picked))
+    assert maps.rank(wide, n).tolist() == [-1] * len(picked)
+    # a trailing code 32 is a space byte, which a byte-string comparison must not strip
+    spaced = np.flatnonzero(E[:, -1] == 32)
+    assert len(spaced) == (122 if n == 6 else 0)
+    assert np.array_equal(maps.rank(E[spaced], n), spaced)
+    # the trailing cell: theta (a NUL byte) changed to a code, and a code to theta
+    tail = E[np.concatenate([np.flatnonzero(E[:, -1] == 0)[:20], np.flatnonzero(E[:, -1] != 0)[:20],
+                             spaced])]
+    tail[:, -1] = np.where(tail[:, -1] == 0, rng.integers(1, w, size=len(tail)), 0)
+    assert maps.rank(tail, n).tolist() == _expected_ranks(tail, n)
+    assert (maps.rank(tail, n) == -1).any()
+    # the layout of the input does not matter, only its rows
+    every = np.arange(len(E))
+    assert np.array_equal(maps.rank(np.asfortranarray(E), n), every)
+    assert np.array_equal(maps.rank(E[::-3], n), every[::-3])
+    spread = np.zeros((len(E), 2 * w), dtype=np.int16)
+    spread[:, ::2] = E
+    assert np.array_equal(maps.rank(spread[:, ::2], n), every)
+
+
+def test_rank_holds_no_copy_of_its_input():
+    # one block of rows at a time: the peak stays below the codes' own bytes
+    rows = generators.enumerate_aff(6).members
+    maps.rank(rows, 6)  # fills the caches it reads
+    tracemalloc.start()
+    try:
+        r = maps.rank(rows, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r >= 0).all() and rows.nbytes == 960_409
+    assert peak < rows.nbytes
 
 
 @pytest.mark.parametrize("op", ["+", "o"])
